@@ -11,6 +11,7 @@ a plus/minus side split, and a stage decomposition for direct limits.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -286,42 +287,60 @@ def differential_matrix(
         for oid in dataset.orbit_ids(side=side, stage=stage)
         if action_max is None or dataset.orbit(oid).action < action_max
     ]
-    index = {oid: i for i, oid in enumerate(selected)}
     generators: Dict[int, List[str]] = {}
     for oid in selected:
         generators.setdefault(dataset.orbit(oid).cz, []).append(oid)
     gen_tuples = {g: tuple(ids) for g, ids in generators.items()}
-    positions = {
-        oid: (g, j) for g, ids in gen_tuples.items() for j, oid in enumerate(ids)
-    }
+    blocks = _assemble(
+        dataset, LEVEL_SYMPLECTIZATION, None, gen_tuples, gen_tuples, audit
+    )
+    return GradedRationalComplex(generators=gen_tuples, blocks=blocks)
 
-    blocks: Dict[int, ratmat.Matrix] = {}
+
+def _assemble(
+    dataset: ModuliDataset,
+    level: str,
+    tag: Optional[str],
+    source_ids: Dict[int, Tuple[str, ...]],
+    target_ids: Dict[int, Tuple[str, ...]],
+    audit: bool,
+) -> Dict[int, ratmat.Matrix]:
+    """Blocks, keyed by source grading, of the map counted by ``level`` curves.
+
+    Entry (gamma', gamma) sums the counts of the curves (with ``tag``, if
+    given) from gamma to gamma', divided by m(gamma').  Warnings point at
+    the caller of the public function that called this one.
+    """
+    drop = LEVEL_GRADING_DROP[level]
+    src_pos = {oid: (g, j) for g, ids in source_ids.items() for j, oid in enumerate(ids)}
+    dst_pos = {oid: j for ids in target_ids.values() for j, oid in enumerate(ids)}
+
     totals: Dict[Tuple[str, str], Fraction] = {}
     for cur in dataset.curves:
-        if cur.level != LEVEL_SYMPLECTIZATION:
+        if cur.level != level or (tag is not None and cur.tag != tag):
             continue
-        if cur.from_id not in index or cur.to_id not in index:
+        if cur.from_id not in src_pos or cur.to_id not in dst_pos:
             continue
         key = (cur.from_id, cur.to_id)
         totals[key] = totals.get(key, Fraction(0)) + cur.count
 
+    blocks: Dict[int, ratmat.Matrix] = {}
     for (fid, tid), count in sorted(totals.items()):
-        g, col = positions[fid]
-        _, row = positions[tid]
+        g, col = src_pos[fid]
         coeff = count / dataset.orbit(tid).multiplicity
         if audit and coeff.denominator != 1:
             warnings.warn(
-                f"coefficient of {tid} in d({fid}) is {coeff}, not an integer",
+                f"coefficient of {tid} in the {level} image of {fid} is "
+                f"{coeff}, not an integer",
                 IntegerCoefficientWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         if g not in blocks:
             blocks[g] = ratmat.zeros(
-                len(gen_tuples.get(g - 1, ())), len(gen_tuples.get(g, ()))
+                len(target_ids.get(g - drop, ())), len(source_ids[g])
             )
-        blocks[g][row][col] += coeff
-
-    return GradedRationalComplex(generators=gen_tuples, blocks=blocks)
+        blocks[g][dst_pos[tid]][col] += coeff
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -383,49 +402,14 @@ def graded_map_from_dataset(
     """
     if level not in (LEVEL_COBORDISM, LEVEL_K_PLUS, LEVEL_K_MINUS):
         raise ValidationError(f"graded maps come from cobordism or k levels, not {level}")
-    degree = -LEVEL_GRADING_DROP[level]
     if audit is None:
         audit = level == LEVEL_COBORDISM
-
-    src_pos = {
-        oid: (g, j)
-        for g, ids in source.generators.items()
-        for j, oid in enumerate(ids)
-    }
-    dst_pos = {
-        oid: (g, j)
-        for g, ids in target.generators.items()
-        for j, oid in enumerate(ids)
-    }
-
-    blocks: Dict[int, ratmat.Matrix] = {}
-    totals: Dict[Tuple[str, str], Fraction] = {}
-    for cur in dataset.curves:
-        if cur.level != level:
-            continue
-        if tag is not None and cur.tag != tag:
-            continue
-        if cur.from_id not in src_pos or cur.to_id not in dst_pos:
-            continue
-        key = (cur.from_id, cur.to_id)
-        totals[key] = totals.get(key, Fraction(0)) + cur.count
-
-    for (fid, tid), count in sorted(totals.items()):
-        g, col = src_pos[fid]
-        _, row = dst_pos[tid]
-        coeff = count / dataset.orbit(tid).multiplicity
-        if audit and coeff.denominator != 1:
-            warnings.warn(
-                f"coefficient of {tid} in the chain map image of {fid} is "
-                f"{coeff}, not an integer",
-                IntegerCoefficientWarning,
-                stacklevel=2,
-            )
-        if g not in blocks:
-            blocks[g] = ratmat.zeros(target.dim(g + degree), source.dim(g))
-        blocks[g][row][col] += coeff
-
-    return GradedMap(source=source, target=target, degree=degree, blocks=blocks)
+    blocks = _assemble(
+        dataset, level, tag, source.generators, target.generators, audit
+    )
+    return GradedMap(
+        source=source, target=target, degree=-LEVEL_GRADING_DROP[level], blocks=blocks
+    )
 
 
 @dataclass(frozen=True)
@@ -437,6 +421,23 @@ class IdentityCheck:
 
     def __bool__(self):
         return self.ok
+
+
+def _first_nonzero(
+    diff: ratmat.Matrix, grading: int, sources: Sequence[str], targets: Sequence[str]
+) -> IdentityCheck:
+    """First nonzero entry of ``diff`` as a failing (source, target) pair.
+
+    Columns are ``sources`` and rows ``targets``; the scan runs column by column.
+    """
+    for col, gamma in enumerate(sources):
+        for row, gamma_prime in enumerate(targets):
+            if diff[row][col] != 0:
+                return IdentityCheck(
+                    ok=False, grading=grading, pair=(gamma, gamma_prime),
+                    value=diff[row][col],
+                )
+    return IdentityCheck(ok=True)
 
 
 def verify_d_squared(cx: GradedRationalComplex) -> IdentityCheck:
@@ -451,15 +452,11 @@ def verify_d_squared(cx: GradedRationalComplex) -> IdentityCheck:
         product = ratmat.mat_mul_shaped(
             cx.block(g - 1), cx.block(g), cx.dim(g - 2), cx.dim(g - 1), cx.dim(g)
         )
-        for col, gamma in enumerate(cx.generators.get(g, ())):
-            for row, gamma_prime in enumerate(cx.generators.get(g - 2, ())):
-                if product[row][col] != 0:
-                    return IdentityCheck(
-                        ok=False,
-                        grading=g,
-                        pair=(gamma, gamma_prime),
-                        value=product[row][col],
-                    )
+        check = _first_nonzero(
+            product, g, cx.generators.get(g, ()), cx.generators.get(g - 2, ())
+        )
+        if not check:
+            return check
     return IdentityCheck(ok=True)
 
 
@@ -504,14 +501,12 @@ def chain_map_check(
         rhs = ratmat.mat_mul_shaped(
             phi.block(g - 1), d_plus.block(g), nrows, d_plus.dim(g - 1), ncols
         )
-        diff = ratmat.mat_sub(lhs, rhs)
-        for col, gamma in enumerate(d_plus.generators.get(g, ())):
-            for row, gamma_prime in enumerate(d_minus.generators.get(g - 1, ())):
-                if diff[row][col] != 0:
-                    return IdentityCheck(
-                        ok=False, grading=g, pair=(gamma, gamma_prime),
-                        value=diff[row][col],
-                    )
+        check = _first_nonzero(
+            ratmat.mat_sub(lhs, rhs), g,
+            d_plus.generators.get(g, ()), d_minus.generators.get(g - 1, ()),
+        )
+        if not check:
+            return check
     return IdentityCheck(ok=True)
 
 
@@ -545,14 +540,12 @@ def chain_homotopy_check(
                 d_minus.block(g + 1), k_minus.block(g), nrows, d_minus.dim(g + 1), ncols
             ),
         )
-        diff = ratmat.mat_sub(lhs, rhs)
-        for col, gamma in enumerate(d_plus.generators.get(g, ())):
-            for row, gamma_prime in enumerate(d_minus.generators.get(g, ())):
-                if diff[row][col] != 0:
-                    return IdentityCheck(
-                        ok=False, grading=g, pair=(gamma, gamma_prime),
-                        value=diff[row][col],
-                    )
+        check = _first_nonzero(
+            ratmat.mat_sub(lhs, rhs), g,
+            d_plus.generators.get(g, ()), d_minus.generators.get(g, ()),
+        )
+        if not check:
+            return check
     return IdentityCheck(ok=True)
 
 
@@ -604,16 +597,15 @@ def consistent_random_dataset(
     upper = ratmat.mat_mul_shaped(kernel, mix, n1, kdim, n2)
     # Clear denominators columnwise so the counts stay integral.
     for col in range(n2):
-        denom = 1
-        for row in range(n1):
-            denom = denom * upper[row][col].denominator // _gcd(
-                denom, upper[row][col].denominator
-            )
+        denom = math.lcm(*(upper[row][col].denominator for row in range(n1)))
         for row in range(n1):
             upper[row][col] *= denom
 
+    # Layer g takes actions step*(g+1) + j, so actions fall strictly from
+    # each layer to the next whatever the layer sizes.
+    step = max(10, *dims)
     orbits = []
-    for g, n, base_action in ((2, n2, 30), (1, n1, 20), (0, n0, 10)):
+    for g, n in ((2, n2), (1, n1), (0, n0)):
         for j in range(n):
             stype = "pos_hyperbolic" if g % 2 == 0 else "neg_hyperbolic"
             orbits.append(
@@ -622,7 +614,7 @@ def consistent_random_dataset(
                     simple_id=f"g{g}_{j}s",
                     multiplicity=1,
                     simple_type=stype,
-                    action=Fraction(base_action + j),
+                    action=Fraction(step * (g + 1) + j),
                     cz_simple=g,
                 )
             )
@@ -646,12 +638,6 @@ def consistent_random_dataset(
                     )
                 )
     return load_dataset(orbits, curves)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 @dataclass(frozen=True)

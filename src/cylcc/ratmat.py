@@ -1,12 +1,14 @@
 """Exact rational matrices as lists of Fraction rows.
 
-Just enough linear algebra for chain-complex bookkeeping: products,
-rank/kernel via Gaussian elimination, and determinants.  Everything is
-exact; no floats enter or leave.
+Products, plus rank, kernel, determinant and span coordinates read off
+one fraction-free Gauss-Jordan elimination: its reduced integer rows
+divided by the common denominator ``d`` are the reduced row echelon
+form.  Everything is exact; no floats enter or leave.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -33,23 +35,10 @@ def shape(a: Matrix):
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    am, an = shape(a)
-    bm, bn = shape(b)
+    (am, an), (bm, bn) = shape(a), shape(b)
     if an != bm:
         raise ValueError(f"shape mismatch: ({am},{an}) @ ({bm},{bn})")
-    out = zeros(am, bn)
-    for i in range(am):
-        row = a[i]
-        for k in range(an):
-            aik = row[k]
-            if aik == 0:
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(bn):
-                if brow[j] != 0:
-                    orow[j] += aik * brow[j]
-    return out
+    return mat_mul_shaped(a, b, am, an, bn)
 
 
 def mat_mul_shaped(
@@ -103,71 +92,64 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     return [list(a[i]) + list(b[i]) for i in range(len(a))]
 
 
-def _forward_eliminate(m: Matrix) -> int:
-    """In-place row echelon; returns the rank."""
-    nrows, ncols = shape(m)
-    piv_r = 0
-    for piv_c in range(ncols):
-        pivot = None
-        for r in range(piv_r, nrows):
-            if m[r][piv_c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[piv_r], m[pivot] = m[pivot], m[piv_r]
-        fp = m[piv_r][piv_c]
-        for r in range(piv_r + 1, nrows):
-            fr = m[r][piv_c]
-            if fr == 0:
-                continue
-            factor = fr / fp
-            for c in range(piv_c, ncols):
-                m[r][c] -= m[piv_r][c] * factor
-        piv_r += 1
-        if piv_r == nrows:
+def _gauss_jordan(rows: Sequence[Sequence]):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of a rational matrix.
+
+    Each row is cleared of denominators by their lcm; ``scale`` is the
+    product of those lcms.  Every entry then stays an integer minor, so
+    the division by the previous pivot is exact.  Returns ``(reduced,
+    pivots, d, sign, scale)``: pivot r sits in row r at column
+    ``pivots[r]``, ``d`` is the last pivot (1 if none), ``sign`` the parity
+    of the row swaps, and the rows past ``len(pivots)`` are zero.
+    """
+    reduced = []
+    scale = 1
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        scale *= lcm
+        reduced.append([x.numerator * (lcm // x.denominator) for x in row])
+    nrows = len(reduced)
+    ncols = len(reduced[0]) if reduced else 0
+    pivots: List[int] = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
             break
-    return piv_r
+        p = next((i for i in range(r, nrows) if reduced[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            reduced[r], reduced[p] = reduced[p], reduced[r]
+            sign = -sign
+        prow = reduced[r]
+        piv = prow[c]
+        for i in range(nrows):
+            if i != r:
+                f = reduced[i][c]
+                reduced[i] = [(piv * x - f * y) // prev for x, y in zip(reduced[i], prow)]
+        prev = piv
+        pivots.append(c)
+    return reduced, pivots, prev, sign, scale
 
 
 def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return _forward_eliminate(clone(a))
+    return len(_gauss_jordan(a)[1])
 
 
 def nullspace(a: Matrix, ncols: int = None) -> Matrix:
     """Basis of the kernel, returned as a matrix whose columns span it."""
     if not a:
-        n = ncols or 0
-        return identity(n)
-    nrows, n = shape(a)
-    m = clone(a)
-    piv_r = 0
-    piv_cols = []
-    for piv_c in range(n):
-        pivot = None
-        for r in range(piv_r, nrows):
-            if m[r][piv_c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[piv_r], m[pivot] = m[pivot], m[piv_r]
-        fp = m[piv_r][piv_c]
-        m[piv_r] = [x / fp for x in m[piv_r]]
-        for r in range(nrows):
-            if r != piv_r and m[r][piv_c] != 0:
-                factor = m[r][piv_c]
-                m[r] = [m[r][c] - factor * m[piv_r][c] for c in range(n)]
-        piv_cols.append(piv_c)
-        piv_r += 1
-    free_cols = [c for c in range(n) if c not in piv_cols]
+        return identity(ncols or 0)
+    reduced, pivots, d, _, _ = _gauss_jordan(a)
+    n = len(a[0])
+    free_cols = [c for c in range(n) if c not in pivots]
     basis = zeros(n, len(free_cols))
     for j, fc in enumerate(free_cols):
         basis[fc][j] = Fraction(1)
-        for r, pc in enumerate(piv_cols):
-            basis[pc][j] = -m[r][fc]
+        for r, pc in enumerate(pivots):
+            basis[pc][j] = Fraction(-reduced[r][fc], d)
     return basis
 
 
@@ -175,27 +157,10 @@ def det(a: Matrix) -> Fraction:
     n, m = shape(a)
     if n != m:
         raise ValueError("determinant needs a square matrix")
-    w = clone(a)
-    result = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if w[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            w[c], w[pivot] = w[pivot], w[c]
-            result = -result
-        result *= w[c][c]
-        inv = Fraction(1) / w[c][c]
-        for r in range(c + 1, n):
-            if w[r][c] != 0:
-                factor = w[r][c] * inv
-                for k in range(c, n):
-                    w[r][k] -= factor * w[c][k]
-    return result
+    _, pivots, d, sign, scale = _gauss_jordan(a)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * d, scale)
 
 
 def solve_coordinates(basis: Matrix, vector: Sequence[Fraction]):
@@ -203,30 +168,12 @@ def solve_coordinates(basis: Matrix, vector: Sequence[Fraction]):
     nrows, ncols = shape(basis)
     if len(vector) != nrows:
         raise ValueError("dimension mismatch")
-    aug = [list(basis[i]) + [Fraction(vector[i])] for i in range(nrows)]
-    piv_r = 0
-    piv_cols = []
-    for piv_c in range(ncols):
-        pivot = None
-        for r in range(piv_r, nrows):
-            if aug[r][piv_c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[piv_r], aug[pivot] = aug[pivot], aug[piv_r]
-        fp = aug[piv_r][piv_c]
-        aug[piv_r] = [x / fp for x in aug[piv_r]]
-        for r in range(nrows):
-            if r != piv_r and aug[r][piv_c] != 0:
-                factor = aug[r][piv_c]
-                aug[r] = [aug[r][k] - factor * aug[piv_r][k] for k in range(ncols + 1)]
-        piv_cols.append(piv_c)
-        piv_r += 1
-    for r in range(piv_r, nrows):
-        if aug[r][ncols] != 0:
-            return None
+    reduced, pivots, d, _, _ = _gauss_jordan(
+        [list(basis[i]) + [vector[i]] for i in range(nrows)]
+    )
+    if pivots and pivots[-1] == ncols:
+        return None
     coords = [Fraction(0)] * ncols
-    for r, pc in enumerate(piv_cols):
-        coords[pc] = aug[r][ncols]
+    for r, pc in enumerate(pivots):
+        coords[pc] = Fraction(reduced[r][ncols], d)
     return coords

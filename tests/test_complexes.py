@@ -9,6 +9,7 @@ from cylcc.complexes import (
     CurveRecord,
     GradedMap,
     GradedRationalComplex,
+    OrbitRecord,
     chain_homotopy_check,
     chain_map_check,
     consistent_random_dataset,
@@ -130,8 +131,17 @@ class TestDifferential:
             bundled_path("noninteger_orbits.txt"),
             bundled_path("noninteger_curves.txt"),
         )
-        with pytest.warns(IntegerCoefficientWarning):
+        with pytest.warns(IntegerCoefficientWarning) as record:
             differential_matrix(ds)
+        assert record[0].filename == __file__
+        # A cobordism count of 1 into a double cover gives the coefficient 1/2.
+        plus = OrbitRecord(orbit("p", 0, 3), side="plus")
+        minus = OrbitRecord(orbit("m", 0, 2, mult=2), side="minus")
+        ds = load_dataset([plus, minus], [CurveRecord("cobordism", 0, "p", "m", F(1))])
+        d_plus, d_minus = side_complexes(ds)
+        with pytest.warns(IntegerCoefficientWarning) as record:
+            graded_map_from_dataset(ds, d_plus, d_minus, "cobordism")
+        assert record[0].filename == __file__
 
     def test_consistent_dataset_coefficients_integral(self):
         ds = read_dataset(
@@ -167,15 +177,20 @@ class TestDSquared:
         assert verify_d_squared(cx).ok
 
     def test_matches_direct_matrix_product(self):
-        rng = random.Random(3)
-        for trial in range(25):
-            ds = consistent_random_dataset(seed=trial, dims=(3, 4, 3))
+        inputs = [(trial, (3, 4, 3)) for trial in range(25)]
+        # Layers of more than 10 generators: the generator must space actions apart.
+        inputs += [(seed, dims) for dims in ((10, 12, 10), (12, 3, 12)) for seed in range(3)]
+        for seed, dims in inputs:
+            ds = consistent_random_dataset(seed=seed, dims=dims)
+            assert len(ds.orbits) == sum(dims)
             cx = differential_matrix(ds)
             assert verify_d_squared(cx).ok
             prod = ratmat.mat_mul_shaped(
                 cx.block(1), cx.block(2), cx.dim(0), cx.dim(1), cx.dim(2)
             )
             assert ratmat.is_zero(prod)
+            betti = homology(cx)
+            assert betti[2] - betti[1] + betti[0] == dims[0] - dims[1] + dims[2]
 
     def test_column_negation_agrees_with_direct_product(self):
         # Whether d^2 survives negating all counts out of one generator is

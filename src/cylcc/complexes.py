@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -468,13 +468,12 @@ def homology(cx: GradedRationalComplex) -> Dict[int, int]:
             f"d^2 != 0 at pair {check.pair} (grading {check.grading}); "
             "run verify_d_squared for details"
         )
-    dims: Dict[int, int] = {}
-    for g in cx.gradings:
-        n = cx.dim(g)
-        rank_out = ratmat.rank(cx.block(g)) if n else 0
-        rank_in = ratmat.rank(cx.block(g + 1)) if cx.dim(g + 1) else 0
-        dims[g] = n - rank_out - rank_in
-    return dims
+    # ranks[g] is the rank of d: C_g -> C_{g-1}, each block eliminated once.
+    ranks = {
+        g: ratmat.rank(cx.block(g)) if cx.dim(g) and cx.dim(g - 1) else 0
+        for g in cx.gradings
+    }
+    return {g: cx.dim(g) - ranks[g] - ranks.get(g + 1, 0) for g in cx.gradings}
 
 
 def chain_map_check(

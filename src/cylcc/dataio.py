@@ -13,7 +13,6 @@ homotopy dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple

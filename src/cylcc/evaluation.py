@@ -16,8 +16,8 @@ against brute-force scans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -302,6 +302,18 @@ def _torus_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(d))
 
 
+def _zeros_with_det(spec: EvMapSpec, omit: int, n_scan: int, n_grid: int):
+    """Common zeros of the components other than ``omit``, each with det J there."""
+    comps = [j for j in range(spec.k) if j != omit]
+    if spec.nvars == 1:
+        params = [(r,) for r in _circle_roots(spec.components[comps[0]], n_scan)]
+    else:
+        f1, f2 = (spec.components[j] for j in comps)
+        j1, j2 = ([f.partial(0), f.partial(1)] for f in (f1, f2))
+        params = _torus_zeros(f1, f2, j1, j2, n_grid)
+    return [(p, _jacobian_det(spec, comps, np.asarray(p, dtype=float))) for p in params]
+
+
 def pole_preimages(
     spec: EvMapSpec,
     pole_choice: str = "last_coordinate",
@@ -317,19 +329,9 @@ def pole_preimages(
     are unaffected by the eigenvalue weights.
     """
     axis = _axis_index(spec, pole_choice)
-    zero_comps = [j for j in range(spec.k) if j != axis]
     out: List[PolePreimage] = []
-    if spec.nvars == 1:
-        roots = _circle_roots(spec.components[zero_comps[0]], n_scan)
-        params = [(r,) for r in roots]
-    else:
-        f1, f2 = (spec.components[j] for j in zero_comps)
-        j1 = [f1.partial(0), f1.partial(1)]
-        j2 = [f2.partial(0), f2.partial(1)]
-        params = _torus_zeros(f1, f2, j1, j2, n_grid)
-    for p in params:
+    for p, det in _zeros_with_det(spec, axis, n_scan, n_grid):
         theta = np.asarray(p, dtype=float)
-        det = _jacobian_det(spec, zero_comps, theta)
         if abs(det) < degeneracy_tol:
             raise DegeneracyError(
                 f"pole preimage at {p} is not transverse (|det J| = {abs(det):.2e})",
@@ -422,22 +424,12 @@ def path_intersections(
             )
 
     q_axis = path.through
-    zero_comps = [j for j in range(spec.k) if j != q_axis]
     crossings: List[Crossing] = []
-    if spec.nvars == 1:
-        roots = _circle_roots(spec.components[zero_comps[0]], n_scan)
-        params = [(r,) for r in roots]
-    else:
-        f1, f2 = (spec.components[j] for j in zero_comps)
-        j1 = [f1.partial(0), f1.partial(1)]
-        j2 = [f2.partial(0), f2.partial(1)]
-        params = _torus_zeros(f1, f2, j1, j2, n_grid)
-    for p in params:
+    for p, det in _zeros_with_det(spec, q_axis, n_scan, n_grid):
         theta = np.asarray(p, dtype=float)
         through_val = float(spec.components[q_axis](np.atleast_2d(theta))[0])
         if through_val * path.through_sign <= 0:
             continue  # hits the antipodal meridian
-        det = _jacobian_det(spec, zero_comps, theta)
         if abs(det) < degeneracy_tol:
             raise DegeneracyError(
                 f"crossing at {p} is tangent to the meridian", where=p

@@ -16,7 +16,7 @@ closed-form pairing values assume.  The profile is the C^2 smoothstep
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -16,20 +16,22 @@ Within each two-dimensional eigenspace the specific cos/sin pair below
 is fixed once and for all so that downstream pairings are reproducible.
 
 A finite-difference discretization provides an independent numeric
-oracle for the same spectra.
+oracle for the same spectra.  Its operator is block-circulant (periodic)
+or block-anticirculant (antiperiodic), so Fourier modes reduce it exactly
+to Hermitian 2x2 blocks, one per frequency; each block is solved
+numerically, and every eigenpair returned is certified by its residual
+against the assembled sparse operator.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
 
 from .errors import DomainError, IllConditionedInputError, NumericError, ValidationError
 
@@ -279,143 +281,84 @@ def finite_difference_operator(
     """Discretized A = -j0 d/dt - S on a uniform grid of ``grid_size`` points.
 
     eps = 0 is admitted here (kernel sanity checks); the public entry
-    point validates through :class:`OperatorKind`.
-
-    The antiperiodic case is realized by doubling the period, discretizing
-    the periodic problem on [0, 2], and restricting to the odd sector
-    (f(t+1) = -f(t)); the restriction is carried out exactly below.
+    point validates through :class:`OperatorKind`.  The negative
+    hyperbolic model wraps antiperiodically, f(1) = -f(0).
     """
     if kind_name not in KINDS:
         raise DomainError(f"unknown operator kind {kind_name!r}")
     n = grid_size
-    h = 1.0 / n
     if kind_name == ELLIPTIC:
         s_mat = np.array([[eps, 0.0], [0.0, eps]])
     else:
         s_mat = np.array([[0.0, eps], [eps, 0.0]])
-
-    if kind_name != NEG_HYPERBOLIC:
-        d = _centered_difference(n, h, antiperiodic=False)
-        return (-sp.kron(d, J0) - sp.kron(sp.identity(n), s_mat)).tocsr()
-
-    # Doubled periodic problem on [0, 2] with 2n points, then the odd
-    # sector spanned by (e_j - e_{j+n})/sqrt(2), j < n.
-    d2 = _centered_difference(2 * n, h, antiperiodic=False)
-    a2 = (-sp.kron(d2, J0) - sp.kron(sp.identity(2 * n), s_mat)).tocsr()
-    rows = np.concatenate([np.arange(2 * n), np.arange(2 * n) + 2 * n])
-    cols = np.concatenate([np.arange(2 * n), np.arange(2 * n)])
-    vals = np.concatenate(
-        [np.full(2 * n, 1.0 / math.sqrt(2.0)), np.full(2 * n, -1.0 / math.sqrt(2.0))]
-    )
-    u = sp.csr_matrix((vals, (rows, cols)), shape=(4 * n, 2 * n))
-    return (u.T @ a2 @ u).tocsr()
-
-
-def _roughness(vec: np.ndarray) -> float:
-    """Fraction of nearest-neighbour oscillation energy in a grid vector.
-
-    Centered differences are blind to the Nyquist-reflected mode, so each
-    physical eigenvalue acquires a spurious sawtooth partner with the same
-    magnitude.  Smooth (physical) modes score ~(omega*h)^2/4; sawtooth
-    modes score ~1.
-    """
-    v = vec.reshape(-1, 2)
-    diff = np.roll(v, -1, axis=0) - v
-    return float(np.sum(diff * diff) / (4.0 * np.sum(v * v)))
-
-
-def _split_alias_degeneracies(vals: np.ndarray, vecs: np.ndarray):
-    """Rotate each degenerate eigenvalue cluster into pure smooth/rough modes.
-
-    A physical mode and its Nyquist alias share the eigenvalue exactly, so
-    the solver may hand back mixtures.  Diagonalizing the oscillation
-    quadratic form within each cluster undoes the mixing.
-    """
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order].copy()
-    scale = 1.0 + np.max(np.abs(vals))
-    start = 0
-    while start < len(vals):
-        stop = start + 1
-        while stop < len(vals) and vals[stop] - vals[start] < 1e-8 * scale:
-            stop += 1
-        if stop - start > 1:
-            block = vecs[:, start:stop]
-            pairs = block.reshape(-1, 2, stop - start)
-            diff = np.roll(pairs, -1, axis=0) - pairs
-            form = np.einsum("nia,nib->ab", diff, diff) / 4.0
-            _, rot = eigh(form)
-            vecs[:, start:stop] = block @ rot
-        start = stop
-    return vals, vecs
+    d = _centered_difference(n, 1.0 / n, antiperiodic=kind_name == NEG_HYPERBOLIC)
+    return (-sp.kron(d, J0) - sp.kron(sp.identity(n), s_mat)).tocsr()
 
 
 def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> SpectrumTable:
-    """Finite-difference oracle: the ``count`` eigenvalues closest to zero."""
+    """Finite-difference oracle: the ``count`` eigenvalues closest to zero.
+
+    The operator is block-circulant (block-anticirculant when antiperiodic),
+    so the grid modes e^{2 pi i m t} u, m = k (or k + 1/2 if antiperiodic),
+    reduce it to the Hermitian 2x2 blocks B_m = -i sigma_m j0 - S with
+    sigma_m = sin(2 pi m h)/h.  Frequencies m and n/2 - m share sigma_m, so
+    only 0 <= m < n/4 are physical; the others are sawtooth aliases.  Each
+    block is solved numerically; an eigenpair (lambda, u) of B_m gives the
+    real modes Re and Im of e^{2 pi i m t} u (one phase-fixed mode at m = 0).
+    Every returned pair is certified against the assembled operator,
+    ||Av - lambda v|| <= 1e-7 (1 + |lambda|), or NumericError is raised.
+    """
     if grid_size < 64:
         raise DomainError("grid_size must be >= 64")
     if count < 1 or count > grid_size // 4:
         raise DomainError("count must satisfy 1 <= count <= grid_size/4")
 
-    a = finite_difference_operator(kind.kind, kind.eps, grid_size)
-    n2 = a.shape[0]
-    # Request extra pairs: the sawtooth partners are interleaved with the
-    # physical eigenvalues and are dropped below.
-    k_request = min(2 * count + 8, n2 - 2)
-    try:
-        if n2 <= 1024:
-            vals, vecs = eigh(a.toarray())
-            order = np.argsort(np.abs(vals))[:k_request]
-            vals, vecs = vals[order], vecs[:, order]
-        else:
-            vals, vecs = spla.eigsh(a, k=k_request, sigma=0.0, which="LM")
-    except (spla.ArpackNoConvergence, RuntimeError) as exc:
-        raise NumericError(f"eigensolve failed to converge: {exc}") from exc
+    n = grid_size
+    freqs = np.arange(n) + (0.5 if kind.antiperiodic else 0.0)
+    freqs = freqs[freqs < n / 4]
+    sigma = np.sin(TWO_PI * freqs / n) * n
+    vals, vecs = np.linalg.eigh(-1j * sigma[:, None, None] * J0 - kind.s_matrix())
+    modes = [
+        (vals[f, c], f, c, part)
+        for f in range(len(freqs))
+        for c in range(2)
+        for part in range(2 if freqs[f] > 0 else 1)
+    ]
 
-    residuals = np.array(
-        [
-            np.linalg.norm(a @ vecs[:, j] - vals[j] * vecs[:, j])
-            for j in range(len(vals))
-        ]
-    )
-    if np.any(residuals > 1e-7 * (1.0 + np.abs(vals))):
+    # Balanced selection: count//2 per sign where available (hyperbolic
+    # spectra are symmetric), falling back to closest-to-zero overall.
+    neg = sorted((m for m in modes if m[0] < 0), key=lambda m: -m[0])
+    pos = sorted((m for m in modes if m[0] >= 0), key=lambda m: m[0])
+    take_neg = min(len(neg), count // 2)
+    take_pos = min(len(pos), count - take_neg)
+    take_neg = min(len(neg), count - take_pos)
+    chosen = neg[:take_neg] + pos[:take_pos]
+
+    ts = np.arange(n) / n
+    lams = np.array([m[0] for m in chosen])
+    columns = []
+    for _, f, c, part in chosen:
+        u = vecs[f, :, c]
+        if freqs[f] == 0:
+            big = u[np.argmax(np.abs(u))]
+            u = u * (np.conj(big) / abs(big))
+        wave = np.exp(TWO_PI * 1j * freqs[f] * ts)[:, None] * u
+        v = (wave.imag if part else wave.real).ravel()
+        columns.append(v / np.linalg.norm(v))
+    modes_out = np.column_stack(columns)
+
+    a = finite_difference_operator(kind.kind, kind.eps, n)
+    residuals = np.linalg.norm(a @ modes_out - modes_out * lams, axis=0)
+    if np.any(residuals > 1e-7 * (1.0 + np.abs(lams))):
         raise NumericError(
             "eigensolve residuals exceed tolerance", residuals=residuals.tolist()
         )
 
-    vals, vecs = _split_alias_degeneracies(vals, vecs)
-    physical = [j for j in range(len(vals)) if _roughness(vecs[:, j]) < 0.25]
-    if len(physical) < count:
-        raise NumericError(
-            f"only {len(physical)} physical modes among {len(vals)} computed; "
-            "increase grid_size or lower count",
-            residuals=residuals.tolist(),
-        )
-    # Balanced selection: count//2 per sign where available (hyperbolic
-    # spectra are symmetric), falling back to closest-to-zero overall.
-    neg_phys = sorted(
-        (j for j in physical if vals[j] < 0), key=lambda j: -vals[j]
-    )
-    pos_phys = sorted(
-        (j for j in physical if vals[j] >= 0), key=lambda j: vals[j]
-    )
-    take_neg = min(len(neg_phys), count // 2)
-    take_pos = min(len(pos_phys), count - take_neg)
-    take_neg = min(len(neg_phys), count - take_pos)
-    keep = sorted(neg_phys[:take_neg] + pos_phys[:take_pos], key=lambda j: vals[j])
-    vals, vecs = vals[keep], vecs[:, keep]
-    neg = [j for j in range(count) if vals[j] < 0]
-    pos = [j for j in range(count) if vals[j] >= 0]
-
-    n = grid_size
-    ts = np.arange(n) / n
-    entries = []
-    for rank, j in enumerate(reversed(neg)):
-        entries.append(_numeric_entry(-(rank + 1), vals[j], vecs[:, j], ts, kind))
-    for rank, j in enumerate(pos):
-        entries.append(_numeric_entry(rank + 1, vals[j], vecs[:, j], ts, kind))
-    entries.sort(key=lambda e: e.index)
-    return SpectrumTable(kind, tuple(entries))
+    indices = [-(r + 1) for r in range(take_neg)] + [r + 1 for r in range(take_pos)]
+    entries = [
+        _numeric_entry(i, lams[j], modes_out[:, j], ts, kind) for j, i in enumerate(indices)
+    ]
+    return SpectrumTable(kind, tuple(sorted(entries, key=lambda e: e.index)))
 
 
 def _numeric_entry(
@@ -424,13 +367,10 @@ def _numeric_entry(
     n = len(ts)
     values = vec.reshape(n, 2) * math.sqrt(n)  # unit discrete L^2 over one period
     if kind.antiperiodic:
-        loop_ts = np.concatenate([ts, ts + 1.0])
-        loop_vals = np.vstack([values, -values])
-        loop = SampledLoop(loop_ts, loop_vals, period=2.0)
-    else:
-        loop = SampledLoop(ts, values, period=1.0)
+        ts, values = np.concatenate([ts, ts + 1.0]), np.vstack([values, -values])
+    loop = SampledLoop(ts, values, period=kind.loop_period)
     try:
-        wind = winding_number(loop_vals if kind.antiperiodic else values)
+        wind = winding_number(values)
     except IllConditionedInputError:
         wind = None
     return SpectrumEntry(index, float(lam), loop, wind)

@@ -231,6 +231,14 @@ class TestHomology:
         with pytest.raises(ValidationError, match="verify_d_squared"):
             homology(cx)
 
+    def test_each_block_ranked_once(self, monkeypatch):
+        cx = differential_matrix(consistent_random_dataset(1, dims=(10, 12, 10)))
+        rank = ratmat.rank
+        calls = []
+        monkeypatch.setattr(ratmat, "rank", lambda m: calls.append(m) or rank(m))
+        homology(cx)
+        assert len(calls) == 2  # d_2 and d_1, one elimination each
+
     def test_invariance_under_generator_permutation_and_basis_change(self):
         rng = random.Random(5)
         for seed in range(5):

@@ -171,16 +171,48 @@ class TestNumericSpectrum:
             numeric_spectrum(OperatorKind.pos_hyperbolic(0.3), 128, 64)
 
     def test_odd_sector_reduction_matches_direct_antiperiodic_wrap(self):
-        from cylcc.spectral import _centered_difference
-        import scipy.sparse as sp
-
+        # Oracle: the periodic problem on [0, 2] with 2n points, restricted
+        # to the odd sector f(t + 1) = -f(t) spanned by (e_j - e_{j+n})/sqrt(2).
         n = 64
-        direct = (
-            -sp.kron(_centered_difference(n, 1.0 / n, antiperiodic=True), J0)
-            - sp.kron(sp.identity(n), OperatorKind.neg_hyperbolic(0.3).s_matrix())
-        ).toarray()
-        reduced = finite_difference_operator("neg_hyperbolic", 0.3, n).toarray()
+        h = 1.0 / n
+        d2 = (np.eye(2 * n, k=1) - np.eye(2 * n, k=-1)) / (2.0 * h)
+        d2[2 * n - 1, 0] = 1.0 / (2.0 * h)
+        d2[0, 2 * n - 1] = -1.0 / (2.0 * h)
+        s_mat = OperatorKind.neg_hyperbolic(0.3).s_matrix()
+        doubled = -np.kron(d2, J0) - np.kron(np.eye(2 * n), s_mat)
+        u = np.vstack([np.eye(2 * n), -np.eye(2 * n)]) / math.sqrt(2.0)
+        reduced = u.T @ doubled @ u
+        direct = finite_difference_operator("neg_hyperbolic", 0.3, n).toarray()
         assert np.allclose(direct, reduced, atol=1e-12)
+
+    @pytest.mark.parametrize("grid", [128, 1024])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            OperatorKind.elliptic(1.3),
+            OperatorKind.pos_hyperbolic(0.3),
+            OperatorKind.neg_hyperbolic(0.4),
+        ],
+        ids=lambda kind: kind.kind,
+    )
+    def test_agrees_with_closed_form(self, kind, grid):
+        count = 12
+        num = numeric_spectrum(kind, grid, count)
+        closed = closed_form_spectrum(kind, count // 2)
+        assert num.indices == closed.indices
+        h = 1.0 / grid
+        a = finite_difference_operator(kind.kind, kind.eps, grid)
+        for entry in num.entries:
+            exact = closed.entry(entry.index)
+            # The centred difference has symbol sin(omega h)/h at frequency
+            # omega; the slack only absorbs rounding.
+            omega = abs(exact.eigenfunction.omega)
+            bound = omega**3 * h * h / 6.0 + 1e-12 * (1.0 + abs(exact.eigenvalue))
+            assert abs(entry.eigenvalue - exact.eigenvalue) <= bound, entry.index
+            assert entry.winding == exact.winding, entry.index
+            v = entry.eigenfunction.values[:grid].ravel() / math.sqrt(grid)
+            residual = np.linalg.norm(a @ v - entry.eigenvalue * v)
+            assert residual <= 1e-7 * (1.0 + abs(entry.eigenvalue)), entry.index
 
 
 class TestWinding:

@@ -11,12 +11,21 @@ origin, k = 2 or 3) stand in for moduli spaces with their evaluation
 maps; derivatives are exact, so pole preimages, meridian crossings, and
 the zero locus of the linearized obstruction section can all be checked
 against brute-force scans.
+
+Pole preimages and meridian crossings are common zeros of all but one
+component.  On the circle they come from a sign-change scan refined by
+brentq; on the torus from damped Newton seeded on a grid, where each
+component gives its value and gradient from one sin/cos pass and a seed
+leaves the iteration once it has converged or its Jacobian is singular.
+``pole_preimages`` certifies what it found by the degree identity: the
+signed counts over the two poles must agree.  The zero locus of s0 is
+found independently, by subdividing closed cells held as arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -95,28 +104,57 @@ class TrigPolynomial:
 
     Terms are (kind, orders, value) with kind "const", "cos", or "sin";
     a cos/sin term contributes value * cos/sin(2 pi orders . theta).
+
+    At construction the terms are also gathered by order.  The cos and
+    sin coefficients a, b of one order m combine into one harmonic
+    a cos(phi) + b sin(phi) = r sin(phi + delta), phi = 2 pi m . theta,
+    where r = +-hypot(a, b) takes the sign of b.  A pure sine thus keeps
+    delta = 0 and vanishes exactly where phi = 0.  f costs one sin per
+    distinct order, and f with its gradient one sin and one cos.
     """
 
     nvars: int
     terms: Tuple[Tuple[str, Tuple[int, ...], float], ...]
+    _orders: np.ndarray = field(init=False, repr=False, compare=False)
+    _amp: np.ndarray = field(init=False, repr=False, compare=False)
+    _shift: np.ndarray = field(init=False, repr=False, compare=False)
+    _const: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for kind, orders, _ in self.terms:
+        coeffs = {}
+        const = 0.0
+        for kind, orders, value in self.terms:
             if kind not in ("const", "cos", "sin"):
                 raise ValidationError(f"unknown term kind {kind!r}")
             if len(orders) != self.nvars:
                 raise ValidationError("term order tuple has wrong arity")
+            if kind == "const":
+                const += value
+            else:
+                a, b = coeffs.get(tuple(orders), (0.0, 0.0))
+                coeffs[tuple(orders)] = (a + value, b) if kind == "cos" else (a, b + value)
+        a, b = np.array(list(coeffs.values())).reshape(len(coeffs), 2).T
+        sign = np.where(b < 0.0, -1.0, 1.0)
+        orders = np.array(list(coeffs), dtype=float).reshape(len(coeffs), self.nvars)
+        object.__setattr__(self, "_orders", orders)
+        object.__setattr__(self, "_amp", sign * np.hypot(a, b))
+        object.__setattr__(self, "_shift", np.arctan2(sign * a, sign * b))
+        object.__setattr__(self, "_const", const)
+
+    def _phases(self, theta) -> np.ndarray:
+        """phi + delta, one row per distinct order and one column per point."""
+        theta = np.atleast_2d(np.asarray(theta, dtype=float))
+        return TWO_PI * (self._orders @ theta.T) + self._shift[:, None]
 
     def __call__(self, theta) -> np.ndarray:
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        out = np.zeros(theta.shape[0])
-        for kind, orders, value in self.terms:
-            if kind == "const":
-                out += value
-                continue
-            phase = TWO_PI * (theta @ np.asarray(orders, dtype=float))
-            out += value * (np.cos(phase) if kind == "cos" else np.sin(phase))
-        return out
+        return self._const + self._amp @ np.sin(self._phases(theta))
+
+    def value_and_grad(self, theta) -> Tuple[np.ndarray, np.ndarray]:
+        """f and its gradient (one row per point) from one sin/cos pass."""
+        phases = self._phases(theta)
+        value = self._const + self._amp @ np.sin(phases)
+        grad = (TWO_PI * self._orders.T) @ (self._amp[:, None] * np.cos(phases))
+        return value, grad.T
 
     def partial(self, var: int) -> "TrigPolynomial":
         terms = []
@@ -135,8 +173,23 @@ class TrigPolynomial:
         return cls(nvars, ())
 
 
+class _ComponentMap:
+    """Evaluation through ``components`` and the flow quotient by ``lambdas``."""
+
+    def evaluate(self, theta) -> np.ndarray:
+        theta = np.atleast_2d(np.asarray(theta, dtype=float))
+        return np.column_stack([comp(theta) for comp in self.components])
+
+    def expansion_at(self, theta) -> EndExpansion:
+        values = self.evaluate(np.atleast_2d(theta))[0]
+        return EndExpansion(tuple(self.lambdas), tuple(float(v) for v in values))
+
+    def normalized(self, theta, radius: float = 1.0) -> np.ndarray:
+        return flow_normalize(self.expansion_at(theta), radius)
+
+
 @dataclass(frozen=True)
-class EvMapSpec:
+class EvMapSpec(_ComponentMap):
     """Synthetic order-k evaluation map on a circle (k=2) or torus (k=3).
 
     ``components`` are the k coordinate functions into R^k; the image
@@ -179,17 +232,6 @@ class EvMapSpec:
     def nvars(self) -> int:
         return self.k - 1
 
-    def evaluate(self, theta) -> np.ndarray:
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        return np.column_stack([comp(theta) for comp in self.components])
-
-    def expansion_at(self, theta) -> EndExpansion:
-        values = self.evaluate(np.atleast_2d(theta))[0]
-        return EndExpansion(tuple(self.lambdas), tuple(float(v) for v in values))
-
-    def normalized(self, theta, radius: float = 1.0) -> np.ndarray:
-        return flow_normalize(self.expansion_at(theta), radius)
-
 
 def _param_grid(nvars: int, n: int) -> np.ndarray:
     axes = [np.arange(n) / n for _ in range(nvars)]
@@ -215,17 +257,6 @@ class PolePreimage:
     params: Tuple[float, ...]
     pole: int  # +1 for the positive pole on the axis, -1 for the negative
     sign: int  # local orientation sign
-
-
-def _jacobian_det(spec: EvMapSpec, zero_comps, theta: np.ndarray) -> float:
-    theta = np.atleast_2d(theta)
-    rows = []
-    for j in zero_comps:
-        rows.append(
-            [spec.components[j].partial(v)(theta)[0] for v in range(spec.nvars)]
-        )
-    mat = np.array(rows)
-    return float(np.linalg.det(mat))
 
 
 def _circle_roots(func, n_scan: int) -> List[float]:
@@ -264,54 +295,74 @@ def _circle_roots(func, n_scan: int) -> List[float]:
     return out
 
 
-def _torus_zeros(f1, f2, j1, j2, n_grid: int, newton_steps: int = 60) -> List[Tuple[float, float]]:
-    """Common zeros of two trig polynomials on the torus by seeded Newton."""
-    grid = _param_grid(2, n_grid)
-    theta = grid.copy()
+def _torus_zeros(f1, f2, n_grid: int, newton_steps: int = 60):
+    """Common zeros of two trig polynomials on the torus by seeded Newton.
+
+    Each point of the n_grid x n_grid grid seeds a Newton iteration whose
+    steps are shortened to length 0.25 when longer.  Only active seeds are
+    iterated, for at most ``newton_steps`` steps.  A seed leaves the active
+    set when its Newton step is at most 1e-12 (it has converged) or when
+    its Jacobian determinant is below 1e-14 in magnitude (it is lost).
+    Afterwards every seed that was not lost counts as converged if both
+    |f1| and |f2| are below 1e-10 there, and as lost otherwise.  Converged
+    seeds are reduced mod 1 and deduplicated in seed order.
+
+    Returns (sorted roots, seeds converged, seeds lost).
+    """
+    theta = _param_grid(2, n_grid)
+    singular = np.zeros(len(theta), dtype=bool)
+    active = np.arange(len(theta))
     for _ in range(newton_steps):
-        v1, v2 = f1(theta), f2(theta)
-        a = j1[0](theta)
-        b = j1[1](theta)
-        c = j2[0](theta)
-        d = j2[1](theta)
+        if not active.size:
+            break
+        t = theta[active]
+        v1, g1 = f1.value_and_grad(t)
+        v2, g2 = f2.value_and_grad(t)
+        (a, b), (c, d) = g1.T, g2.T
         det = a * d - b * c
         bad = np.abs(det) < 1e-14
         det[bad] = 1.0
-        dx = (d * v1 - b * v2) / det
-        dy = (-c * v1 + a * v2) / det
-        step = np.column_stack([dx, dy])
-        norm = np.linalg.norm(step, axis=1, keepdims=True)
-        step = np.where(norm > 0.25, step * (0.25 / norm), step)  # damped
-        theta = theta - step
-        theta[bad] = np.nan
-    v1, v2 = f1(theta), f2(theta)
-    ok = np.isfinite(theta).all(axis=1) & (np.abs(v1) < 1e-10) & (np.abs(v2) < 1e-10)
-    candidates = np.mod(theta[ok], 1.0)
-    roots: List[Tuple[float, float]] = []
-    for cand in candidates:
-        if not any(
-            _torus_distance(cand, np.asarray(r)) < 1e-7 for r in roots
-        ):
-            roots.append((float(cand[0]), float(cand[1])))
-    return sorted(roots)
+        step = np.column_stack([(d * v1 - b * v2) / det, (-c * v1 + a * v2) / det])
+        norm = np.linalg.norm(step, axis=1)
+        theta[active] = t - step * (0.25 / np.maximum(norm, 0.25))[:, None]  # damped
+        singular[active[bad]] = True
+        active = active[~bad & (norm > 1e-12)]
+    live = np.flatnonzero(~singular)
+    found = live[(np.abs(f1(theta[live])) < 1e-10) & (np.abs(f2(theta[live])) < 1e-10)]
+    roots = _torus_dedup(np.mod(theta[found], 1.0))
+    return sorted(roots), len(found), len(theta) - len(found)
 
 
-def _torus_distance(a: np.ndarray, b: np.ndarray) -> float:
-    d = np.abs(a - b) % 1.0
-    d = np.minimum(d, 1.0 - d)
-    return float(np.max(d))
+def _torus_distance(a, b) -> np.ndarray:
+    """Max-coordinate distance on R^n / Z^n over the last axis (broadcasts)."""
+    d = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
+    return np.minimum(d, 1.0 - d).max(axis=-1)
+
+
+def _torus_dedup(points: np.ndarray) -> List[Tuple[float, ...]]:
+    """Keep the first point, drop every point within 1e-7 of it, repeat."""
+    out = []
+    while len(points):
+        out.append(tuple(float(x) for x in points[0]))
+        points = points[_torus_distance(points, points[0]) >= 1e-7]
+    return out
 
 
 def _zeros_with_det(spec: EvMapSpec, omit: int, n_scan: int, n_grid: int):
-    """Common zeros of the components other than ``omit``, each with det J there."""
-    comps = [j for j in range(spec.k) if j != omit]
+    """Common zeros of the components other than ``omit``, each with det J there.
+
+    Also returns a line describing the search, for error messages.
+    """
+    comps = [c for j, c in enumerate(spec.components) if j != omit]
     if spec.nvars == 1:
-        params = [(r,) for r in _circle_roots(spec.components[comps[0]], n_scan)]
+        params = [(r,) for r in _circle_roots(comps[0], n_scan)]
+        search = f"{len(params)} roots bracketed by a {n_scan}-point scan"
     else:
-        f1, f2 = (spec.components[j] for j in comps)
-        j1, j2 = ([f.partial(0), f.partial(1)] for f in (f1, f2))
-        params = _torus_zeros(f1, f2, j1, j2, n_grid)
-    return [(p, _jacobian_det(spec, comps, np.asarray(p, dtype=float))) for p in params]
+        params, converged, lost = _torus_zeros(*comps, n_grid)
+        search = f"{converged} of {n_grid * n_grid} Newton seeds converged, {lost} lost"
+    theta = np.array(params, dtype=float).reshape(len(params), spec.nvars)
+    jac = np.stack([c.value_and_grad(theta)[1] for c in comps], axis=1)
+    return list(zip(params, np.linalg.det(jac).tolist())), search
 
 
 def pole_preimages(
@@ -327,10 +378,16 @@ def pole_preimages(
     remaining components; the flow normalization rescales coordinates by
     positive factors, so the zero set and the Jacobian sign at each root
     are unaffected by the eigenvalue weights.
+
+    Both poles are regular values, so the signed count over each equals
+    the degree.  The two counts are compared as a certificate of the
+    search: when they differ a preimage was lost, and DegeneracyError
+    names both counts and how the search went.
     """
     axis = _axis_index(spec, pole_choice)
     out: List[PolePreimage] = []
-    for p, det in _zeros_with_det(spec, axis, n_scan, n_grid):
+    zeros, search = _zeros_with_det(spec, axis, n_scan, n_grid)
+    for p, det in zeros:
         theta = np.asarray(p, dtype=float)
         if abs(det) < degeneracy_tol:
             raise DegeneracyError(
@@ -345,6 +402,13 @@ def pole_preimages(
             * spec.orientation
         )
         out.append(PolePreimage(params=tuple(float(x) for x in p), pole=pole, sign=sign))
+    north = sum(r.sign for r in out if r.pole == 1)
+    south = sum(r.sign for r in out if r.pole == -1)
+    if north != south:
+        raise DegeneracyError(
+            f"degree certificate failed: signed count {north} over the + pole, "
+            f"{south} over the - pole ({search})"
+        )
     return sorted(out, key=lambda r: r.params)
 
 
@@ -425,7 +489,7 @@ def path_intersections(
 
     q_axis = path.through
     crossings: List[Crossing] = []
-    for p, det in _zeros_with_det(spec, q_axis, n_scan, n_grid):
+    for p, det in _zeros_with_det(spec, q_axis, n_scan, n_grid)[0]:
         theta = np.asarray(p, dtype=float)
         through_val = float(spec.components[q_axis](np.atleast_2d(theta))[0])
         if through_val * path.through_sign <= 0:
@@ -525,7 +589,7 @@ def s0_zero_locus_check(
             "use last_coordinate poles"
         )
     poles = pole_preimages(spec, pole_choice)
-    pole_params = [np.asarray(p.params) for p in poles]
+    pole_params = np.array([p.params for p in poles]).reshape(len(poles), spec.nvars)
     mismatches: List[ZeroLocusMismatch] = []
     for T in T_grid:
         if spec.nvars == 1:
@@ -535,27 +599,21 @@ def s0_zero_locus_check(
             ]
         else:
             zeros = _scan_zeros_torus(spec, float(T), n_cells)
-        matched = [False] * len(pole_params)
+        matched = np.zeros(len(poles), dtype=bool)
         for z in zeros:
-            z_arr = np.asarray(z)
-            hit = None
-            for i, p in enumerate(pole_params):
-                if _torus_distance(z_arr, p) < tol:
-                    hit = i
-                    break
-            if hit is None:
+            near = np.flatnonzero(_torus_distance(pole_params, z) < tol)
+            if near.size:
+                matched[near[0]] = True
+            else:
                 mismatches.append(
                     ZeroLocusMismatch(float(T), tuple(z), "zero without pole preimage")
                 )
-            else:
-                matched[hit] = True
-        for i, seen in enumerate(matched):
-            if not seen:
-                mismatches.append(
-                    ZeroLocusMismatch(
-                        float(T), tuple(pole_params[i]), "pole preimage missed by zeros"
-                    )
-                )
+        mismatches.extend(
+            ZeroLocusMismatch(
+                float(T), tuple(pole_params[i]), "pole preimage missed by zeros"
+            )
+            for i in np.flatnonzero(~matched)
+        )
     return ZeroLocusReport(ok=not mismatches, mismatches=tuple(mismatches))
 
 
@@ -597,62 +655,36 @@ def _scan_zeros_circle(spec: EvMapSpec, T: float, n_scan: int) -> List[float]:
 
 
 def _scan_zeros_torus(spec: EvMapSpec, T: float, n_cells: int) -> List[Tuple[float, float]]:
+    """Common zeros of the scaled section by subdivision of closed cells.
+
+    The cells of one level share their width h and are held as arrays of
+    corners (x, y).  A cell is kept while both components take a value
+    <= 0 and a value >= 0 on its 3x3 sample grid, and is then split into
+    four; once h < 1e-11 the centres of the kept cells are the zeros.
+    """
     scales = [math.exp(-2.0 * spec.lambdas[i] * T) for i in range(2)]
-
-    def section(theta):
-        return (
-            scales[0] * spec.components[0](theta),
-            scales[1] * spec.components[1](theta),
-        )
-
-    # Candidate cells: both components change sign over the 3x3 sample.
-    cells = [
-        (i / n_cells, j / n_cells, 1.0 / n_cells)
-        for i in range(n_cells)
-        for j in range(n_cells)
-    ]
-    zeros: List[Tuple[float, float]] = []
-    for _ in range(55):
-        if not cells:
-            break
-        keep = []
-        sample = []
-        for (x, y, h) in cells:
-            pts = [
-                ((x + a * h / 2.0) % 1.0, (y + b * h / 2.0) % 1.0)
-                for a in range(3)
-                for b in range(3)
-            ]
-            sample.append(pts)
-        flat = np.array([p for pts in sample for p in pts])
-        v1, v2 = section(flat)
-        v1 = v1.reshape(len(cells), 9)
-        v2 = v2.reshape(len(cells), 9)
-        for idx, (x, y, h) in enumerate(cells):
-            s1, s2 = v1[idx], v2[idx]
-            if (s1.min() <= 0.0 <= s1.max()) and (s2.min() <= 0.0 <= s2.max()):
-                if h < 1e-11:
-                    zeros.append((x + h / 2.0, y + h / 2.0))
-                else:
-                    keep.extend(
-                        (x + a * h / 2.0, y + b * h / 2.0, h / 2.0)
-                        for a in (0, 1)
-                        for b in (0, 1)
-                    )
-        cells = keep
-        if all(h < 1e-11 for (_, _, h) in cells):
-            zeros.extend((x + h / 2.0, y + h / 2.0) for (x, y, h) in cells)
-            break
-    out: List[Tuple[float, float]] = []
-    for z in sorted(zeros):
-        z_arr = np.asarray(z) % 1.0
-        if not any(_torus_distance(z_arr, np.asarray(w)) < 1e-7 for w in out):
-            out.append((float(z_arr[0]), float(z_arr[1])))
-    return out
+    x, y = _param_grid(2, n_cells).T
+    h = 1.0 / n_cells
+    while x.size and h >= 1e-11:
+        offsets = np.arange(3) * h / 2.0
+        px = ((x[:, None] + offsets) % 1.0)[:, :, None]
+        py = ((y[:, None] + offsets) % 1.0)[:, None, :]
+        sample = np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(-1, 2)
+        hit = np.ones(x.size, dtype=bool)
+        for scale, comp in zip(scales, spec.components):
+            v = (scale * comp(sample)).reshape(x.size, 9)
+            hit &= (v.min(axis=1) <= 0.0) & (v.max(axis=1) >= 0.0)
+        cx = (x[hit][:, None] + offsets[:2])[:, :, None]
+        cy = (y[hit][:, None] + offsets[:2])[:, None, :]
+        x, y = (a.ravel() for a in np.broadcast_arrays(cx, cy))
+        h = h / 2.0
+    centres = np.column_stack([x + h / 2.0, y + h / 2.0])
+    order = np.lexsort((centres[:, 1], centres[:, 0]))
+    return _torus_dedup(centres[order] % 1.0)
 
 
 @dataclass(frozen=True)
-class LiftedEvMap:
+class LiftedEvMap(_ComponentMap):
     """A spec pushed along a coordinate inclusion R^k -> R^{new_k}.
 
     The domain keeps its original dimension, so this is an evaluation
@@ -663,17 +695,6 @@ class LiftedEvMap:
     k: int
     components: Tuple[TrigPolynomial, ...]
     lambdas: Tuple[float, ...]
-
-    def evaluate(self, theta) -> np.ndarray:
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        return np.column_stack([comp(theta) for comp in self.components])
-
-    def expansion_at(self, theta) -> EndExpansion:
-        values = self.evaluate(np.atleast_2d(theta))[0]
-        return EndExpansion(tuple(self.lambdas), tuple(float(v) for v in values))
-
-    def normalized(self, theta, radius: float = 1.0) -> np.ndarray:
-        return flow_normalize(self.expansion_at(theta), radius)
 
 
 def lift_spec(

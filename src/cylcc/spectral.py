@@ -307,6 +307,10 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
     real modes Re and Im of e^{2 pi i m t} u (one phase-fixed mode at m = 0).
     Every returned pair is certified against the assembled operator,
     ||Av - lambda v|| <= 1e-7 (1 + |lambda|), or NumericError is raised.
+    Its sign is certified as well: B_m differs from the continuum block
+    (sigma_m replaced by 2 pi m) by |2 pi m - sigma_m| in norm, so when
+    |lambda| is no larger than that the continuum eigenvalue may have the
+    other sign, the index labels may be wrong, and NumericError is raised.
     """
     if grid_size < 64:
         raise DomainError("grid_size must be >= 64")
@@ -336,6 +340,14 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
 
     ts = np.arange(n) / n
     lams = np.array([m[0] for m in chosen])
+    blocks = np.array([m[1] for m in chosen])
+    symbol_error = np.abs(TWO_PI * freqs[blocks] - sigma[blocks])
+    if np.any(np.abs(lams) <= symbol_error):
+        raise NumericError(
+            "eigenvalue signs not certified: |lambda| <= |2 pi m - sigma_m| "
+            "(the margins |lambda| - |2 pi m - sigma_m| are the residuals)",
+            residuals=(np.abs(lams) - symbol_error).tolist(),
+        )
     columns = []
     for _, f, c, part in chosen:
         u = vecs[f, :, c]

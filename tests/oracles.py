@@ -2,11 +2,15 @@
 
 The orientation oracle chases top wedges through explicit maximal
 minors (Laplace expansion), independently of the package's Gaussian
-elimination route.
+elimination route.  The trig-polynomial oracle sums the terms one at a
+time, independently of the package's order-matrix evaluation.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 
 def laplace_det(matrix):
@@ -87,3 +91,16 @@ def comparison_sign_oracle(
     # Dual-reversed wedges compare with the same sign as the primal ones.
     sign_e = top_wedge_sign_ratio(source_e, ref_e, model.dim_w)
     return sign_v * sign_e
+
+
+def trig_polynomial_oracle(terms, theta):
+    """Sum of value * cos/sin(2 pi orders . theta) over the terms, one by one."""
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    out = np.zeros(theta.shape[0])
+    for kind, orders, value in terms:
+        if kind == "const":
+            out += value
+            continue
+        phase = 2.0 * math.pi * (theta @ np.asarray(orders, dtype=float))
+        out += value * (np.cos(phase) if kind == "cos" else np.sin(phase))
+    return out

@@ -1,9 +1,11 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from cylcc import evaluation
 from cylcc.dataio import bundled_path
 from cylcc.errors import DegeneracyError, DomainError, ValidationError
 from cylcc.evaluation import (
@@ -19,6 +21,8 @@ from cylcc.evaluation import (
     s0_eval,
     s0_zero_locus_check,
 )
+
+from .oracles import trig_polynomial_oracle
 
 
 def identity_angle_map(lambdas=(0.5, 1.5)):
@@ -133,6 +137,69 @@ class TestS0Eval:
             s0_eval(0.0, e)
 
 
+def random_trig_polynomial(rng, nvars, n_terms, kinds=("const", "cos", "sin")):
+    """Seeded terms of every kind; small orders so that orders repeat."""
+    terms = []
+    for _ in range(n_terms):
+        kind = rng.choice(kinds)
+        orders = tuple(rng.randint(-2, 2) for _ in range(nvars))
+        terms.append((kind, orders, rng.uniform(-1.5, 1.5)))
+    return TrigPolynomial(nvars, tuple(terms))
+
+
+class TestTrigPolynomial:
+    CASES = [
+        (nvars, n_terms, kinds)
+        for nvars in (1, 2)
+        for n_terms, kinds in (
+            (0, ("const",)),
+            (3, ("const",)),
+            (6, ("cos",)),
+            (6, ("sin",)),
+            (12, ("const", "cos", "sin")),
+        )
+    ]
+
+    @pytest.mark.parametrize("nvars,n_terms,kinds", CASES)
+    def test_against_term_by_term_oracle(self, nvars, n_terms, kinds):
+        rng = random.Random(1000 * nvars + 10 * n_terms + len(kinds))
+        theta = np.array([[rng.random() for _ in range(nvars)] for _ in range(40)])
+        for _ in range(10):
+            poly = random_trig_polynomial(rng, nvars, n_terms, kinds)
+            expected = trig_polynomial_oracle(poly.terms, theta)
+            value, grad = poly.value_and_grad(theta)
+            assert poly(theta).shape == value.shape == (len(theta),)
+            assert grad.shape == (len(theta), nvars)
+            assert np.allclose(poly(theta), expected, rtol=0.0, atol=1e-12)
+            assert np.allclose(value, expected, rtol=0.0, atol=1e-12)
+            for var in range(nvars):
+                d = poly.partial(var)
+                assert np.allclose(
+                    grad[:, var], trig_polynomial_oracle(d.terms, theta), rtol=0.0, atol=1e-12
+                )
+                assert np.allclose(grad[:, var], d(theta), rtol=0.0, atol=1e-12)
+
+    def test_single_point_and_empty_batch(self):
+        poly = TrigPolynomial(2, (("cos", (1, -1), 0.5), ("sin", (1, -1), 2.0)))
+        point = (0.1, 0.7)
+        assert np.allclose(poly(point), trig_polynomial_oracle(poly.terms, point), atol=1e-12)
+        value, grad = poly.value_and_grad(np.zeros((0, 2)))
+        assert value.shape == (0,) and grad.shape == (0, 2)
+
+    def test_pure_sines_vanish_exactly_at_zero(self):
+        # The circle scan records an exact zero sample as a root.
+        poly = TrigPolynomial(2, (("sin", (3, 0), -2.0), ("sin", (1, -2), 0.5)))
+        value, grad = poly.value_and_grad((0.0, 0.0))
+        assert poly((0.0, 0.0))[0] == 0.0 and value[0] == 0.0
+        assert np.allclose(grad, [[2.0 * math.pi * (-6.0 + 0.5), 2.0 * math.pi * (-1.0)]])
+
+    def test_arrays_do_not_enter_equality(self):
+        a = TrigPolynomial(1, (("cos", (1,), 1.0),))
+        b = TrigPolynomial(1, (("cos", (1,), 1.0),))
+        assert a == b and hash(a) == hash(b)
+        assert "_orders" not in repr(a)
+
+
 class TestPolePreimages:
     def test_identity_map_one_per_pole(self):
         pp = pole_preimages(identity_angle_map())
@@ -185,6 +252,48 @@ class TestPolePreimages:
         spec = EvMapSpec(2, (f1, f2), (0.5, 1.5))
         with pytest.raises(DegeneracyError):
             pole_preimages(spec)
+
+    def test_seeds_on_exact_roots_do_not_warn(self):
+        # The grid seeds (0, 0) and (0, 1/2) sit exactly on roots, so their
+        # first Newton step is zero, and damping must not divide by it.
+        f1 = TrigPolynomial(2, (("sin", (1, 0), 1.0),))
+        f2 = TrigPolynomial(2, (("sin", (0, 1), 1.0),))
+        f3 = TrigPolynomial(2, (("cos", (1, 0), 1.0), ("cos", (0, 1), 0.5)))
+        spec = EvMapSpec(3, (f1, f2, f3), (0.5, 1.5, 2.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pp = pole_preimages(spec)
+        expected = [
+            ((0.0, 0.0), 1, 1),
+            ((0.0, 0.5), 1, -1),
+            ((0.5, 0.0), -1, 1),
+            ((0.5, 0.5), -1, -1),
+        ]
+        assert len(pp) == len(expected)
+        for p, (params, pole, sign) in zip(pp, expected):
+            assert np.allclose(p.params, params, atol=1e-12)
+            assert (p.pole, p.sign) == (pole, sign)
+
+    @pytest.mark.parametrize(
+        "name,search", [("evmap_k2.txt", "_circle_roots"), ("evmap_k3.txt", "_torus_zeros")]
+    )
+    def test_lost_root_fails_degree_certificate(self, monkeypatch, name, search):
+        real = getattr(evaluation, search)
+
+        def drop_first_root(*args, **kwargs):
+            found = real(*args, **kwargs)
+            if search == "_circle_roots":
+                return found[1:]
+            roots, converged, lost = found
+            return roots[1:], converged, lost
+
+        spec = bundled_spec(name)
+        pole_preimages(spec)  # the certificate holds with every root
+        monkeypatch.setattr(evaluation, search, drop_first_root)
+        counts = r"signed count -?\d+ over the \+ pole, -?\d+ over the - pole"
+        with pytest.raises(DegeneracyError, match=counts) as info:
+            pole_preimages(spec)
+        assert ("Newton seeds converged" in str(info.value)) == (search == "_torus_zeros")
 
     def test_reparametrization_invariance(self):
         spec = bundled_spec("evmap_k2.txt")
@@ -242,6 +351,34 @@ def _mirror_circle(poly):
         else:
             terms.append((kind, (m,), v))
     return TrigPolynomial(1, tuple(terms))
+
+
+def seeded_torus_map(seed):
+    """T^2 -> R^3: each component a dominant mode plus small seeded terms.
+
+    The dominant modes (1,0), (0,1), (1,1) meet pairwise transversally, so
+    every pair of components has common zeros; maps coming near the
+    origin are redrawn.
+    """
+    rng = random.Random(seed)
+    while True:
+        comps = []
+        for mode in ((1, 0), (0, 1), (1, 1)):
+            amp, phase = rng.uniform(0.8, 1.2), rng.uniform(0.0, 2.0 * math.pi)
+            terms = [
+                ("const", (0, 0), rng.uniform(-0.1, 0.1)),
+                ("sin", mode, amp * math.cos(phase)),
+                ("cos", mode, amp * math.sin(phase)),
+            ]
+            for _ in range(2):
+                orders = (rng.randint(0, 2), rng.randint(-2, 2))
+                terms.append((rng.choice(("cos", "sin")), orders, rng.uniform(-0.1, 0.1)))
+            comps.append(TrigPolynomial(2, tuple(terms)))
+        spec = EvMapSpec(3, tuple(comps), (0.5, 1.5, 2.5))
+        axis = np.arange(64) / 64
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+        if np.min(np.linalg.norm(spec.evaluate(grid), axis=1)) > 0.05:
+            return spec
 
 
 class TestPathIntersections:
@@ -305,6 +442,24 @@ class TestPathIntersections:
             north = sum(p.sign for p in pp if p.pole == 1)
             south = sum(p.sign for p in pp if p.pole == -1)
             assert north == south == res.total_signed
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_degree_identity_seeded_torus_maps(self, seed):
+        spec = seeded_torus_map(seed)
+        degrees = set()
+        for axis, pole_choice in ((2, "last_coordinate"), (0, "first_coordinate")):
+            pp = pole_preimages(spec, pole_choice)
+            north = sum(p.sign for p in pp if p.pole == 1)
+            south = sum(p.sign for p in pp if p.pole == -1)
+            crossings = {
+                path_intersections(spec, MeridianPath(pole_choice, through, 1)).total_signed
+                for through in range(3)
+                if through != axis
+            }
+            assert len(pp) >= 2
+            assert {north, south} | crossings == {north}
+            degrees.add(north)
+        assert len(degrees) == 1
 
     def test_k3_crossings_match_pole_degree(self):
         spec = bundled_spec("evmap_k3.txt")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cylcc.errors import DomainError, IllConditionedInputError, ValidationError
+from cylcc.errors import DomainError, IllConditionedInputError, NumericError, ValidationError
 from cylcc.spectral import (
     OperatorKind,
     closed_form_spectrum,
@@ -169,6 +169,21 @@ class TestNumericSpectrum:
             numeric_spectrum(OperatorKind.pos_hyperbolic(0.3), 32, 2)
         with pytest.raises(DomainError):
             numeric_spectrum(OperatorKind.pos_hyperbolic(0.3), 128, 64)
+
+    def test_uncertified_eigenvalue_sign_raises(self):
+        # 2 pi - eps = 1.9e-4 is below the symbol error |2 pi - sigma_1| of
+        # about 2.5e-3 at grid 128, where the discrete eigenvalue of block 1
+        # is -2.3e-3: labelled by sign, it would take index -1 with winding 1.
+        kind = OperatorKind.elliptic(6.283)
+        with pytest.raises(NumericError, match="not certified"):
+            numeric_spectrum(kind, 128, 4)
+        # At grid 1024 the symbol error is 3.9e-5, and the labels are right.
+        closed = closed_form_spectrum(kind, 2)
+        table = numeric_spectrum(kind, 1024, 4)
+        assert table.indices == closed.indices
+        for entry in table.entries:
+            assert entry.winding == closed.entry(entry.index).winding
+            assert abs(entry.eigenvalue - closed.eigenvalue(entry.index)) < 4e-5
 
     def test_odd_sector_reduction_matches_direct_antiperiodic_wrap(self):
         # Oracle: the periodic problem on [0, 2] with 2n points, restricted

@@ -322,12 +322,16 @@ def _assemble(
         if cur.from_id not in src_pos or cur.to_id not in dst_pos:
             continue
         key = (cur.from_id, cur.to_id)
-        totals[key] = totals.get(key, Fraction(0)) + cur.count
+        if key in totals:
+            totals[key] += cur.count
+        else:
+            totals[key] = cur.count
 
     blocks: Dict[int, ratmat.Matrix] = {}
     for (fid, tid), count in sorted(totals.items()):
         g, col = src_pos[fid]
-        coeff = count / dataset.orbit(tid).multiplicity
+        mult = dataset.orbit(tid).multiplicity
+        coeff = count if mult == 1 else count / mult
         if audit and coeff.denominator != 1:
             warnings.warn(
                 f"coefficient of {tid} in the {level} image of {fid} is "
@@ -339,7 +343,7 @@ def _assemble(
             blocks[g] = ratmat.zeros(
                 len(target_ids.get(g - drop, ())), len(source_ids[g])
             )
-        blocks[g][dst_pos[tid]][col] += coeff
+        blocks[g][dst_pos[tid]][col] = coeff
     return blocks
 
 

@@ -156,18 +156,6 @@ class TrigPolynomial:
         grad = (TWO_PI * self._orders.T) @ (self._amp[:, None] * np.cos(phases))
         return value, grad.T
 
-    def partial(self, var: int) -> "TrigPolynomial":
-        terms = []
-        for kind, orders, value in self.terms:
-            if kind == "const" or orders[var] == 0:
-                continue
-            w = TWO_PI * orders[var]
-            if kind == "cos":
-                terms.append(("sin", orders, -value * w))
-            else:
-                terms.append(("cos", orders, value * w))
-        return TrigPolynomial(self.nvars, tuple(terms))
-
     @classmethod
     def zero(cls, nvars: int) -> "TrigPolynomial":
         return cls(nvars, ())

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import ValidationError
-from .spectral import SpectrumTable
+
+if TYPE_CHECKING:  # spectral pulls in numpy and scipy; the exact stack needs neither
+    from .spectral import SpectrumTable
 
 POS_HYP = "pos_hyperbolic"
 NEG_HYP = "neg_hyperbolic"

@@ -11,7 +11,10 @@ realize coker(phi) as a complement of phi(F) inside E.  The isomorphism
 is natural up to a positive constant: rescaling any basis vector by a
 positive factor or replacing F leaves all computed signs unchanged.
 
-Everything here is exact rational arithmetic.
+Everything here is exact rational arithmetic.  Each membership test
+asks about a whole family at once: the basis augmented by all the
+vectors is eliminated once, whatever the family's size.  Likewise phi
+is applied to a family by one integer-row product.
 """
 
 from __future__ import annotations
@@ -73,10 +76,13 @@ def _independent(vectors: List[List[Fraction]]) -> bool:
     return ratmat.rank(_columns(vectors)) == len(vectors)
 
 
-def _in_span(vector: List[Fraction], basis: List[List[Fraction]]) -> bool:
+def _in_span(vectors: List[List[Fraction]], basis: List[List[Fraction]]) -> bool:
+    """Whether every vector lies in the span of ``basis``: one elimination."""
+    if not vectors:
+        return True
     if not basis:
-        return all(x == 0 for x in vector)
-    return ratmat.solve_coordinates(_columns(basis), vector) is not None
+        return all(x == 0 for v in vectors for x in v)
+    return ratmat.solve_coordinates(_columns(basis), vectors) is not None
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ class FredholmModel:
     e_basis: Tuple[Vector, ...]
 
     def __post_init__(self):
-        rows = [list(map(Fraction, row)) for row in self.matrix]
+        rows = self._rows()
         if not rows:
             raise ValidationError("phi needs at least one row")
         width = len(rows[0])
@@ -119,6 +125,9 @@ class FredholmModel:
         if ratmat.rank(_columns(combined)) != len(rows):
             raise ValidationError("Im(phi) + span(E) must be all of W")
 
+    def _rows(self) -> ratmat.Matrix:
+        return [list(map(Fraction, row)) for row in self.matrix]
+
     @property
     def dim_w(self) -> int:
         return len(self.matrix)
@@ -128,17 +137,20 @@ class FredholmModel:
         return len(self.matrix[0])
 
     def apply(self, v: Sequence[Fraction]) -> List[Fraction]:
-        v = [Fraction(x) for x in v]
-        if len(v) != self.dim_v:
+        return self._apply_all([v])[0]
+
+    def _apply_all(self, vectors: Sequence[Sequence]) -> List[List[Fraction]]:
+        """phi(v) for each vector, from one integer product."""
+        vs = [[Fraction(x) for x in v] for v in vectors]
+        if any(len(v) != self.dim_v for v in vs):
             raise ValidationError("vector has wrong dimension for phi")
-        return [
-            sum((Fraction(a) * b for a, b in zip(row, v)), Fraction(0))
-            for row in self.matrix
-        ]
+        product = ratmat.mat_mul_shaped(
+            self._rows(), _columns(vs), self.dim_w, self.dim_v, len(vs)
+        )
+        return [list(col) for col in zip(*product)]
 
     def nullity(self) -> int:
-        rows = [list(map(Fraction, row)) for row in self.matrix]
-        return self.dim_v - ratmat.rank(rows)
+        return self.dim_v - ratmat.rank(self._rows())
 
 
 def comparison_sign(
@@ -169,22 +181,21 @@ def comparison_sign(
     phi_f = _as_vectors(phi_f_basis, dim_w, "phi(F) basis")
     e_span = _as_vectors(model.e_basis, dim_w, "E basis")
 
-    for v in ker:
-        if any(x != 0 for x in model.apply(v)):
-            raise ValidationError("kernel basis vector not in ker(phi)")
-    if len(ker) != model.nullity() or not _independent(ker):
+    if any(x != 0 for w in model._apply_all(ker) for x in w):
+        raise ValidationError("kernel basis vector not in ker(phi)")
+    nullity = model.nullity()
+    if len(ker) != nullity or not _independent(ker):
         raise ValidationError("kernel basis must be a basis of ker(phi)")
 
-    images = [model.apply(v) for v in f]
-    for w in images:
-        if not _in_span(w, e_span):
-            raise ValidationError("phi(F) must lie inside E")
+    images = model._apply_all(f)
+    if not _in_span(images, e_span):
+        raise ValidationError("phi(F) must lie inside E")
     if not _independent(ker + f):
         raise ValidationError("(ker, F) must be independent")
     if not _independent(images):
         raise ValidationError("phi must be injective on F")
     # F must fill phi^{-1}(E): dim = nullity + dim(Im phi cap E).
-    rank_phi = model.dim_v - model.nullity()
+    rank_phi = model.dim_v - nullity
     dim_sum = ratmat.rank(
         _columns([list(col) for col in zip(*model.matrix)] + e_span)
     )
@@ -194,17 +205,15 @@ def comparison_sign(
             f"F basis has {len(f)} vectors; phi^{{-1}}(E) needs {dim_cap} beyond the kernel"
         )
 
-    for w in coker:
-        if not _in_span(w, e_span):
-            raise ValidationError("cokernel representatives must lie inside E")
+    if not _in_span(coker, e_span):
+        raise ValidationError("cokernel representatives must lie inside E")
     if not _independent(coker + images):
         raise ValidationError("(coker, phi(F)) must be independent")
     if len(coker) + len(images) != len(e_span):
         raise ValidationError("(coker, phi(F)) must span E")
 
-    for w in phi_f:
-        if not _in_span(w, images):
-            raise ValidationError("phi(F) basis must lie in the image of F")
+    if not _in_span(phi_f, images):
+        raise ValidationError("phi(F) basis must lie in the image of F")
     if len(phi_f) != len(images) or not _independent(phi_f):
         raise ValidationError("phi(F) basis must be a basis of phi(F)")
 
@@ -212,18 +221,16 @@ def comparison_sign(
         preimage = ker + f
     else:
         preimage = _as_vectors(preimage_basis, dim_v, "preimage basis")
-        for v in preimage:
-            if not _in_span(model.apply(v), e_span):
-                raise ValidationError("preimage basis vector outside phi^{-1}(E)")
+        if not _in_span(model._apply_all(preimage), e_span):
+            raise ValidationError("preimage basis vector outside phi^{-1}(E)")
         if len(preimage) != len(ker) + len(f) or not _independent(preimage):
             raise ValidationError("preimage basis must be a basis of phi^{-1}(E)")
     if e_basis is None:
         e_ref = coker + phi_f
     else:
         e_ref = _as_vectors(e_basis, dim_w, "reference E basis")
-        for w in e_ref:
-            if not _in_span(w, e_span):
-                raise ValidationError("reference E basis vector outside E")
+        if not _in_span(e_ref, e_span):
+            raise ValidationError("reference E basis vector outside E")
         if len(e_ref) != len(e_span) or not _independent(e_ref):
             raise ValidationError("reference E basis must be a basis of E")
 
@@ -236,13 +243,9 @@ def _change_of_basis_sign(vectors, reference, what: str) -> int:
     """Sign of det of the matrix expressing ``vectors`` in ``reference``."""
     if not vectors and not reference:
         return 1
-    cols = _columns(reference)
-    coords = []
-    for v in vectors:
-        c = ratmat.solve_coordinates(cols, v)
-        if c is None:
-            raise ValidationError(f"vector outside the span of the {what} basis")
-        coords.append(c)
+    coords = ratmat.solve_coordinates(_columns(reference), vectors)
+    if coords is None:
+        raise ValidationError(f"vector outside the span of the {what} basis")
     d = ratmat.det(coords)
     if d == 0:
         raise ValidationError(f"degenerate change of basis in {what}")

@@ -1,9 +1,11 @@
 """Exact rational matrices as lists of Fraction rows.
 
-Products, plus rank, kernel, determinant and span coordinates read off
-one fraction-free Gauss-Jordan elimination: its reduced integer rows
-divided by the common denominator ``d`` are the reduced row echelon
-form.  Everything is exact; no floats enter or leave.
+Products clear denominators first and sum on Python integers.  Rank,
+kernel, determinant and span coordinates read off one fraction-free
+Gauss-Jordan elimination: its reduced integer rows divided by the common
+denominator ``d`` are the reduced row echelon form.  Span coordinates of
+several vectors come from one elimination of the basis augmented by all
+of them.  Everything is exact; no floats enter or leave.
 """
 
 from __future__ import annotations
@@ -48,19 +50,23 @@ def mat_mul_shaped(
 
     Bare list-of-rows matrices lose their column count when a dimension
     collapses, so callers that track graded dimensions pass them in.
+    Each row of ``a`` is cleared of denominators by its own lcm and ``b``
+    by one lcm, so the sums run on integers and each entry becomes a
+    Fraction once.
     """
-    out = zeros(nrows, ncols)
-    for i in range(nrows):
-        arow = a[i]
-        orow = out[i]
-        for k in range(nmid):
-            aik = arow[k]
-            if aik == 0:
-                continue
-            brow = b[k]
-            for j in range(ncols):
-                if brow[j] != 0:
-                    orow[j] += aik * brow[j]
+    b_den = math.lcm(*(x.denominator for row in b for x in row))
+    b_int = [[x.numerator * (b_den // x.denominator) for x in row] for row in b]
+    zero = Fraction(0)
+    out = []
+    for arow in a:
+        a_den = math.lcm(*(x.denominator for x in arow))
+        acc = [0] * ncols
+        for x, brow in zip(arow, b_int):
+            if x:
+                c = x.numerator * (a_den // x.denominator)
+                acc = [s + c * y for s, y in zip(acc, brow)]
+        den = a_den * b_den
+        out.append([Fraction(v, den) if v else zero for v in acc])
     return out
 
 
@@ -163,17 +169,24 @@ def det(a: Matrix) -> Fraction:
     return Fraction(sign * d, scale)
 
 
-def solve_coordinates(basis: Matrix, vector: Sequence[Fraction]):
-    """Coordinates of ``vector`` in the column span of ``basis``; None if outside."""
+def solve_coordinates(basis: Matrix, vectors: Sequence[Sequence[Fraction]]):
+    """Coordinates of each vector in the column span of ``basis``.
+
+    One elimination of ``[basis | v_1 ... v_k]`` answers for all the
+    vectors: the result lists one coordinate row per vector, or is None
+    if any vector lies outside the span.
+    """
     nrows, ncols = shape(basis)
-    if len(vector) != nrows:
+    if any(len(v) != nrows for v in vectors):
         raise ValueError("dimension mismatch")
     reduced, pivots, d, _, _ = _gauss_jordan(
-        [list(basis[i]) + [vector[i]] for i in range(nrows)]
+        [list(basis[i]) + [v[i] for v in vectors] for i in range(nrows)]
     )
-    if pivots and pivots[-1] == ncols:
+    if pivots and pivots[-1] >= ncols:
         return None
-    coords = [Fraction(0)] * ncols
+    coords = [[Fraction(0)] * ncols for _ in vectors]
     for r, pc in enumerate(pivots):
-        coords[pc] = Fraction(reduced[r][ncols], d)
+        row = reduced[r]
+        for j, c in enumerate(coords):
+            c[pc] = Fraction(row[ncols + j], d)
     return coords

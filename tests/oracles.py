@@ -2,8 +2,10 @@
 
 The orientation oracle chases top wedges through explicit maximal
 minors (Laplace expansion), independently of the package's Gaussian
-elimination route.  The trig-polynomial oracle sums the terms one at a
-time, independently of the package's order-matrix evaluation.
+elimination route.  The product oracle multiplies Fractions entry by
+entry, independently of the package's integer rows.  The trig-polynomial
+oracles sum and differentiate the terms one at a time, independently of
+the package's order-matrix evaluation.
 """
 
 import math
@@ -27,6 +29,23 @@ def laplace_det(matrix):
         term = Fraction(matrix[0][j]) * laplace_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def mat_mul_oracle(a, b, nrows, nmid, ncols):
+    """Product of an nrows x nmid and an nmid x ncols matrix, one Fraction at a time."""
+    out = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for i in range(nrows):
+        arow = a[i]
+        orow = out[i]
+        for k in range(nmid):
+            aik = arow[k]
+            if aik == 0:
+                continue
+            brow = b[k]
+            for j in range(ncols):
+                if brow[j] != 0:
+                    orow[j] += aik * brow[j]
+    return out
 
 
 def plucker_coordinates(vectors, dim):
@@ -104,3 +123,17 @@ def trig_polynomial_oracle(terms, theta):
         phase = 2.0 * math.pi * (theta @ np.asarray(orders, dtype=float))
         out += value * (np.cos(phase) if kind == "cos" else np.sin(phase))
     return out
+
+
+def trig_partial_oracle(poly, var):
+    """d poly / d theta_var as a polynomial of the same type, term by term."""
+    terms = []
+    for kind, orders, value in poly.terms:
+        if kind == "const" or orders[var] == 0:
+            continue
+        w = 2.0 * math.pi * orders[var]
+        if kind == "cos":
+            terms.append(("sin", orders, -value * w))
+        else:
+            terms.append(("cos", orders, value * w))
+    return type(poly)(poly.nvars, tuple(terms))

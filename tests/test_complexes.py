@@ -108,6 +108,23 @@ class TestDifferential:
         cx = differential_matrix(ds)
         assert cx.block(1) == [[F(1)]]
 
+    def test_repeated_curves_on_one_pair(self):
+        orbits = [orbit("a", 1, 4), orbit("b", 0, 1), orbit("q", 0, 2, mult=2)]
+        halves = [symp("a", "b", F(1, 2)), symp("a", "b", F(1, 2))]
+        ones = [symp("a", "q", 1), symp("a", "q", 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegerCoefficientWarning)
+            cx = differential_matrix(load_dataset(orbits, halves + ones))
+        assert cx.generators[0] == ("b", "q")
+        assert cx.block(1) == [[F(1)], [F(1)]]
+        with pytest.warns(IntegerCoefficientWarning) as record:
+            cx = differential_matrix(load_dataset(orbits, halves + ones[:1]))
+        assert len(record) == 1 and record[0].filename == __file__
+        assert "coefficient of q in the symplectization image of a is 1/2" in str(
+            record[0].message
+        )
+        assert cx.block(1) == [[F(1)], [F(1, 2)]]
+
     def test_empty_curves_zero_differential(self):
         ds = load_dataset([orbit("a", 1, 2), orbit("b", 0, 1)], [])
         cx = differential_matrix(ds)

@@ -103,19 +103,27 @@ def random_instance(rng, max_dim=5):
             if ker_cols and ker_cols[0]
             else []
         )
-        f_vecs = []
-        for target in inside:
-            sol = ratmat.solve_coordinates(
-                [list(r) for r in matrix], target
-            )
-            assert sol is not None
-            f_vecs.append(sol)
+        f_vecs = ratmat.solve_coordinates([list(r) for r in matrix], inside)
+        assert f_vecs is not None
         model = FredholmModel(
             matrix=tuple(tuple(row) for row in matrix),
             e_basis=tuple(tuple(v) for v in e_basis),
         )
         images = [model.apply(v) for v in f_vecs]
         return model, ker, f_vecs, complement, images
+
+
+# phi = diag(1, 1, 0) with E = span(e2, e3): every membership check in
+# comparison_sign runs on this instance.
+DIAG_MODEL = FredholmModel(
+    matrix=((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(0))),
+    e_basis=((F(0), F(1), F(1)), (F(0), F(1), F(-1))),
+)
+DIAG_ARGS = dict(
+    ker_basis=[(0, 0, 2)], f_basis=[(0, 1, 0)],
+    coker_basis=[(0, 0, F(1, 2))], phi_f_basis=[(0, 3, 0)],
+    preimage_basis=[(0, 1, 1), (0, 1, 0)], e_basis=[(0, 0, 1), (0, -1, 0)],
+)
 
 
 class TestComparisonSign:
@@ -215,6 +223,30 @@ class TestComparisonSign:
                 == base
             )
 
+    def test_eliminations_per_instance(self, monkeypatch):
+        eliminate = ratmat._gauss_jordan
+        calls = []
+        monkeypatch.setattr(
+            ratmat, "_gauss_jordan", lambda rows: calls.append(rows) or eliminate(rows)
+        )
+        assert comparison_sign(DIAG_MODEL, **DIAG_ARGS) == -1
+        # Solving one vector per elimination and computing the nullity
+        # twice took 23.
+        assert len(calls) == 18
+        monkeypatch.undo()
+        assert comparison_sign_oracle(DIAG_MODEL, **DIAG_ARGS) == -1
+
+    @pytest.mark.parametrize("name,family,message", [
+        ("f_basis", [(1, 0, 0)], r"phi\(F\) must lie inside E"),
+        ("coker_basis", [(1, 0, 0)], "cokernel representatives"),
+        ("phi_f_basis", [(0, 1, 1)], "image of F"),
+        ("preimage_basis", [(0, 1, 1), (1, 0, 0)], "outside phi"),
+        ("e_basis", [(0, 0, 1), (1, 0, 0)], "reference E basis vector outside E"),
+    ])
+    def test_membership_rejects_any_vector_outside(self, name, family, message):
+        with pytest.raises(ValidationError, match=message):
+            comparison_sign(DIAG_MODEL, **{**DIAG_ARGS, name: family})
+
     def test_inconsistent_bases_rejected(self):
         model = FredholmModel(matrix=((F(0),),), e_basis=((F(1),),))
         with pytest.raises(ValidationError):
@@ -236,6 +268,23 @@ def _random_recombination(rng, vectors):
         [sum((m[i][j] * vectors[j][c] for j in range(n)), F(0)) for c in range(len(vectors[0]))]
         for i in range(n)
     ]
+
+
+class TestFredholmModel:
+    def test_apply_matches_hand_products(self):
+        model = FredholmModel(
+            matrix=((F(1, 2), 3), (F(0), F(-2, 3))), e_basis=()
+        )
+        vectors = [(2, 0), (F(1, 3), 1), (0, 0)]
+        expected = [[F(1), F(0)], [F(19, 6), F(-2, 3)], [F(0), F(0)]]
+        got = [model.apply(v) for v in vectors]
+        assert got == expected
+        assert all(type(x) is Fraction for w in got for x in w)
+
+    def test_apply_rejects_wrong_dimension(self):
+        model = FredholmModel(matrix=((F(1), F(0)),), e_basis=())
+        with pytest.raises(ValidationError):
+            model.apply((1, 0, 0))
 
 
 class TestGluedSign:

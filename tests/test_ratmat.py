@@ -1,8 +1,9 @@
 """Exact linear algebra in ``ratmat`` against oracles that share none of its code.
 
 Rank, kernel and the span test are checked against ``sympy.Matrix``;
-determinants against the Laplace expansion in ``tests/oracles.py``.
-Every matrix is drawn from a seeded generator, one family per kind.
+determinants against the Laplace expansion and products against the
+Fraction-by-Fraction loop in ``tests/oracles.py``.  Every matrix is drawn
+from a seeded generator, one family per kind.
 """
 
 import random
@@ -13,18 +14,9 @@ import sympy
 
 from cylcc import ratmat
 
-from .oracles import laplace_det
+from .oracles import laplace_det, mat_mul_oracle
 
 F = Fraction
-
-
-def _product(left, right):
-    inner = len(right)
-    ncols = len(right[0]) if right else 0
-    return [
-        [sum((row[k] * right[k][j] for k in range(inner)), F(0)) for j in range(ncols)]
-        for row in left
-    ]
 
 
 def _entries(rng, nrows, ncols, max_den=1, zero_frac=0.0):
@@ -42,8 +34,9 @@ def _of_rank(rng, nrows, ncols, rank, max_den=1):
     """A product of nrows x rank and rank x ncols factors: rank at most ``rank``."""
     if rank == 0:
         return ratmat.zeros(nrows, ncols)
-    return _product(
-        _entries(rng, nrows, rank, max_den), _entries(rng, rank, ncols, max_den)
+    return mat_mul_oracle(
+        _entries(rng, nrows, rank, max_den), _entries(rng, rank, ncols, max_den),
+        nrows, rank, ncols,
     )
 
 
@@ -146,19 +139,35 @@ def test_solve_coordinates_against_sympy_span(kind):
         nrows, ncols = len(basis), len(basis[0])
         sym = to_sympy(basis)
         pivots = set(sym.rref()[1])
-        in_span = [
-            row[0] for row in _product(basis, _entries(rng, ncols, 1, max_den=3))
+        # Three combinations of the columns, the zero vector and a random one.
+        pool = [
+            [row[0] for row in mat_mul_oracle(
+                basis, _entries(rng, ncols, 1, max_den=3), nrows, ncols, 1
+            )]
+            for _ in range(3)
+        ] + [[F(0)] * nrows, [r[0] for r in _entries(rng, nrows, 1, 4)]]
+        member = [
+            sym.row_join(to_sympy([[x] for x in v])).rank() == len(pivots) for v in pool
         ]
-        candidates = (in_span, [F(0)] * nrows, [r[0] for r in _entries(rng, nrows, 1, 4)])
-        for vector in candidates:
-            coords = ratmat.solve_coordinates(basis, vector)
-            augmented = sym.row_join(to_sympy([[x] for x in vector]))
-            if augmented.rank() > sym.rank():
+        for family in ((), (0,), (3,), (0, 1, 2, 3), (4,), (0, 1, 4, 2)):
+            vectors = [pool[i] for i in family]
+            coords = ratmat.solve_coordinates(basis, vectors)
+            if not all(member[i] for i in family):
                 assert coords is None
                 continue
-            assert coords is not None
-            assert [row[0] for row in _product(basis, [[c] for c in coords])] == vector
-            assert all(coords[j] == 0 for j in range(ncols) if j not in pivots)
+            assert coords is not None and len(coords) == len(vectors)
+            for vector, c in zip(vectors, coords):
+                assert ratmat.solve_coordinates(basis, [vector]) == [c]
+                got = mat_mul_oracle(basis, [[x] for x in c], nrows, ncols, 1)
+                assert [row[0] for row in got] == vector
+                assert all(c[j] == 0 for j in range(ncols) if j not in pivots)
+
+
+def test_solve_coordinates_checks_every_length():
+    basis = [[F(1)], [F(0)]]
+    assert ratmat.solve_coordinates(basis, [[F(2), F(0)]]) == [[F(2)]]
+    with pytest.raises(ValueError):
+        ratmat.solve_coordinates(basis, [[F(1), F(0)], [F(1)]])
 
 
 def test_empty_matrices():
@@ -168,9 +177,10 @@ def test_empty_matrices():
     assert ratmat.nullspace([]) == []
     assert ratmat.nullspace([[], []]) == []
     assert ratmat.det([]) == laplace_det([]) == 1
-    assert ratmat.solve_coordinates([], []) == []
-    assert ratmat.solve_coordinates([[], []], [F(0), F(0)]) == []
-    assert ratmat.solve_coordinates([[], []], [F(0), F(1)]) is None
+    assert ratmat.solve_coordinates([], [[]]) == [[]]
+    assert ratmat.solve_coordinates([[], []], [[F(0), F(0)]]) == [[]]
+    assert ratmat.solve_coordinates([[], []], [[F(0), F(1)]]) is None
+    assert ratmat.solve_coordinates([[F(1)]], []) == []
 
 
 def test_inputs_left_unchanged():
@@ -179,8 +189,11 @@ def test_inputs_left_unchanged():
     ratmat.rank(a)
     ratmat.nullspace(a)
     ratmat.det(a)
-    ratmat.solve_coordinates(a, [F(1), F(1)])
+    vectors = [[F(1), F(1)], [F(1, 3), F(0)]]
+    ratmat.solve_coordinates(a, vectors)
+    ratmat.mat_mul(a, a)
     assert a == before
+    assert vectors == [[F(1), F(1)], [F(1, 3), F(0)]]
 
 
 def test_mat_mul_matches_shaped_product():
@@ -189,7 +202,60 @@ def test_mat_mul_matches_shaped_product():
         nrows, nmid, ncols = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
         a = _entries(rng, nrows, nmid, max_den=3, zero_frac=0.3)
         b = _entries(rng, nmid, ncols, max_den=3, zero_frac=0.3)
-        assert ratmat.mat_mul(a, b) == _product(a, b)
+        assert ratmat.mat_mul(a, b) == mat_mul_oracle(a, b, nrows, nmid, ncols)
         assert ratmat.mat_mul(a, b) == ratmat.mat_mul_shaped(a, b, nrows, nmid, ncols)
     with pytest.raises(ValueError):
         ratmat.mat_mul([[F(1), F(2)]], [[F(1), F(2)]])
+
+
+def _mixed(rng, nrows, ncols):
+    # Plain ints next to Fractions, as hand-written blocks hold them.
+    return [
+        [rng.choice((rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 4))))
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+PRODUCT_FACTORS = {
+    "integer": lambda rng, n, m: _entries(rng, n, m),
+    "non_integer": lambda rng, n, m: _entries(rng, n, m, max_den=9),
+    "mixed_int_fraction": _mixed,
+    "sparse": lambda rng, n, m: _entries(rng, n, m, max_den=5, zero_frac=0.8),
+    "all_zero": lambda rng, n, m: ratmat.zeros(n, m),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_FACTORS))
+def test_product_matches_fraction_oracle(kind):
+    rng = random.Random(f"product-{kind}")
+    factor = PRODUCT_FACTORS[kind]
+    for _ in range(250):
+        nrows, nmid, ncols = (rng.randint(0, 6) for _ in range(3))
+        a, b = factor(rng, nrows, nmid), factor(rng, nmid, ncols)
+        got = ratmat.mat_mul_shaped(a, b, nrows, nmid, ncols)
+        assert got == mat_mul_oracle(a, b, nrows, nmid, ncols)
+        assert len(got) == nrows and all(len(row) == ncols for row in got)
+        assert all(type(x) is Fraction for row in got for x in row)
+        if nrows and nmid:
+            assert ratmat.mat_mul(a, b) == got
+
+
+@pytest.mark.parametrize("dims", [
+    (0, 0, 0), (0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 4), (0, 4, 0), (4, 0, 0),
+])
+def test_product_with_zero_dimensions(dims):
+    nrows, nmid, ncols = dims
+    rng = random.Random(str(dims))
+    a = _entries(rng, nrows, nmid, max_den=3)
+    b = _entries(rng, nmid, ncols, max_den=3)
+    got = ratmat.mat_mul_shaped(a, b, nrows, nmid, ncols)
+    assert got == mat_mul_oracle(a, b, nrows, nmid, ncols) == ratmat.zeros(nrows, ncols)
+
+
+def test_product_rows_are_independent():
+    # Callers scale rows of a product in place.
+    a = [[F(1)], [F(2)]]
+    out = ratmat.mat_mul_shaped(a, [[F(0), F(3)]], 2, 1, 2)
+    out[0][1] *= 5
+    assert out == [[F(0), F(15)], [F(0), F(6)]]

@@ -52,12 +52,14 @@ def _parse_fields(tokens, loc, diagnostics):
 
 
 def _parse_rational(text, loc, what, diagnostics) -> Optional[Fraction]:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        diagnostics.append(Diagnostic(loc, f"malformed rational {what}={text!r}"))
-        return None
-    return value
+    """``p`` or ``p/q``: ASCII digits, an optional sign on p, and q != 0."""
+    num, slash, den = text.partition("/")
+    unsigned = num[1:] if num[:1] in ("+", "-") else num
+    den = den if slash else "1"
+    if all(s.isascii() and s.isdigit() for s in (unsigned, den)) and int(den):
+        return Fraction(int(num), int(den))
+    diagnostics.append(Diagnostic(loc, f"malformed rational {what}={text!r}"))
+    return None
 
 
 def _parse_int(text, loc, what, diagnostics) -> Optional[int]:

@@ -89,8 +89,8 @@ def s0_eval(T: float, e: EndExpansion) -> np.ndarray:
     Only the first k-1 coefficients enter: the last cokernel element is
     quotiented out.
     """
-    if T <= 0:
-        raise DomainError("the gluing parameter T must be positive")
+    if not math.isfinite(T) or T <= 0:
+        raise DomainError("the gluing parameter T must be finite and positive")
     if e.k < 2:
         raise ValidationError("s0 needs k >= 2 modes")
     lam = np.asarray(e.lambdas[:-1], dtype=float)
@@ -247,6 +247,17 @@ class PolePreimage:
     sign: int  # local orientation sign
 
 
+def _circle_dedup(points) -> List[float]:
+    """Sorted points of R/Z, keeping one of any run closer than 1e-9 (with wrap-around)."""
+    out = []
+    for p in sorted(float(p) % 1.0 for p in points):
+        if not out or p - out[-1] > 1e-9:
+            out.append(p)
+    if out and (out[0] + 1.0 - out[-1]) < 1e-9:
+        out.pop()
+    return out
+
+
 def _circle_roots(func, n_scan: int) -> List[float]:
     """Roots of a smooth 1-periodic function via sign changes + brentq.
 
@@ -265,13 +276,7 @@ def _circle_roots(func, n_scan: int) -> List[float]:
                 brentq(lambda t: float(func(np.array([[t]]))[0]), ts[j], ts[j + 1],
                        xtol=1e-14)
             )
-    # dedupe modulo 1
-    out = []
-    for r in sorted(x % 1.0 for x in roots):
-        if not out or (r - out[-1]) % 1.0 > 1e-9:
-            out.append(r)
-    if out and (out[0] + 1.0 - out[-1]) < 1e-9:
-        out.pop()
+    out = _circle_dedup(roots)
     near = np.abs(vals[:-1]) < 1e-6
     if np.any(near):
         for j in np.nonzero(near)[0]:
@@ -633,13 +638,7 @@ def _scan_zeros_circle(spec: EvMapSpec, T: float, n_scan: int) -> List[float]:
                 else:
                     lo, flo = mid, fmid
             zeros.append(0.5 * (lo + hi))
-    out = []
-    for z in sorted(z % 1.0 for z in zeros):
-        if not out or z - out[-1] > 1e-9:
-            out.append(z)
-    if out and (out[0] + 1.0 - out[-1]) < 1e-9:
-        out.pop()
-    return out
+    return _circle_dedup(zeros)
 
 
 def _scan_zeros_torus(spec: EvMapSpec, T: float, n_cells: int) -> List[Tuple[float, float]]:

@@ -220,11 +220,16 @@ class NeckField:
         return math.sqrt(total) + math.sqrt(dtotal)
 
 
-def _check_same_spectrum(a: NeckField, b: NeckField):
-    if a.spectrum.kind != b.spectrum.kind:
+def _check_ends(eta_plus: NeckField, eta_minus: NeckField):
+    """One spectrum and grid; eta_plus in positive modes, eta_minus in negative."""
+    if eta_plus.spectrum.kind != eta_minus.spectrum.kind:
         raise ValidationError("fields are bound to different spectrum tables")
-    if a.params != b.params:
+    if eta_plus.params != eta_minus.params:
         raise ValidationError("fields live on different neck grids")
+    if any(i <= 0 for i in eta_plus.mode_indices):
+        raise ValidationError("eta_plus must be supported in positive modes")
+    if any(i >= 0 for i in eta_minus.mode_indices):
+        raise ValidationError("eta_minus must be supported in negative modes")
 
 
 def preglue(eta_plus: NeckField, eta_minus: NeckField, params: NeckParams) -> NeckField:
@@ -233,11 +238,7 @@ def preglue(eta_plus: NeckField, eta_minus: NeckField, params: NeckParams) -> Ne
     Above the top ramp only eta_plus survives; below the bottom ramp only
     eta_minus does.
     """
-    _check_same_spectrum(eta_plus, eta_minus)
-    if any(i <= 0 for i in eta_plus.mode_indices):
-        raise ValidationError("eta_plus must be supported in positive modes")
-    if any(i >= 0 for i in eta_minus.mode_indices):
-        raise ValidationError("eta_minus must be supported in negative modes")
+    _check_ends(eta_plus, eta_minus)
     cut = make_cutoffs(params)
     modes: Dict[int, ModeFunction] = {}
     for i in eta_plus.mode_indices:
@@ -273,13 +274,7 @@ def solve_neck(
     * psi_minus carries positive modes b_i(s) = c_i e^{-2 lambda_i T}
       (1 - beta_plus(s)), decaying above the T0 ramp.
     """
-    _check_same_spectrum(eta_plus, eta_minus)
-    if set(eta_plus.mode_indices) & set(eta_minus.mode_indices):
-        raise ValidationError("mode-index collision between the end supports")
-    if any(i <= 0 for i in eta_plus.mode_indices):
-        raise ValidationError("eta_plus must be supported in positive modes")
-    if any(i >= 0 for i in eta_minus.mode_indices):
-        raise ValidationError("eta_minus must be supported in negative modes")
+    _check_ends(eta_plus, eta_minus)
     cut = make_cutoffs(params)
     grid = params.grid()
 

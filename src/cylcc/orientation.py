@@ -11,15 +11,20 @@ realize coker(phi) as a complement of phi(F) inside E.  The isomorphism
 is natural up to a positive constant: rescaling any basis vector by a
 positive factor or replacing F leaves all computed signs unchanged.
 
-Everything here is exact rational arithmetic.  Each membership test
-asks about a whole family at once: the basis augmented by all the
-vectors is eliminated once, whatever the family's size.  Likewise phi
-is applied to a family by one integer-row product.
+Everything here is exact rational arithmetic.  Every basis claim rests
+on one certificate: if the coordinates of a family X in a family P
+exist, form a square matrix and have nonzero determinant, then X and P
+are bases of the same space, and the determinant's sign is the
+orientation sign.  ``ratmat.solve_coordinates`` leaves zeros at free
+columns, so a dependent P gives a zero determinant too.  One
+elimination answers for a whole family, and phi is applied to a family
+by one integer-row product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -70,34 +75,25 @@ def _columns(vectors: List[List[Fraction]]) -> ratmat.Matrix:
     return [[vectors[j][i] for j in range(len(vectors))] for i in range(dim)]
 
 
-def _independent(vectors: List[List[Fraction]]) -> bool:
-    if not vectors:
-        return True
-    return ratmat.rank(_columns(vectors)) == len(vectors)
+def _coordinates(basis, vectors):
+    """Coordinates of each vector in ``basis`` (one row each), or None.
 
-
-def _in_span(vectors: List[List[Fraction]], basis: List[List[Fraction]]) -> bool:
-    """Whether every vector lies in the span of ``basis``: one elimination."""
+    One elimination answers for the whole family; an empty basis spans
+    only the zero vector.
+    """
     if not vectors:
-        return True
+        return []
     if not basis:
-        return all(x == 0 for v in vectors for x in v)
-    return ratmat.solve_coordinates(_columns(basis), vectors) is not None
+        return None if any(x for v in vectors for x in v) else [[] for _ in vectors]
+    return ratmat.solve_coordinates(_columns(basis), vectors)
 
 
-@dataclass(frozen=True)
-class OrientedBasis:
-    """An ordered independent family together with a sign."""
-
-    vectors: Tuple[Vector, ...]
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValidationError("orientation sign must be +1 or -1")
-        vecs = [list(v) for v in self.vectors]
-        if vecs and not _independent(vecs):
-            raise ValidationError("oriented basis vectors must be independent")
+def _det_sign(coords, message: str) -> int:
+    """Sign of det of square coordinates; a zero determinant raises ``message``."""
+    d = ratmat.det(coords) if coords else 1
+    if d == 0:
+        raise ValidationError(message)
+    return 1 if d > 0 else -1
 
 
 @dataclass(frozen=True)
@@ -106,10 +102,12 @@ class FredholmModel:
 
     ``matrix`` has one row per W-coordinate; ``e_basis`` lists vectors
     spanning E.  The comparison isomorphism needs Im(phi) + E = W.
+    rank(phi) is computed once, at construction.
     """
 
     matrix: Tuple[Tuple[Fraction, ...], ...]
     e_basis: Tuple[Vector, ...]
+    _rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = self._rows()
@@ -119,11 +117,12 @@ class FredholmModel:
         if any(len(row) != width for row in rows):
             raise ValidationError("ragged matrix")
         e_vecs = _as_vectors(self.e_basis, len(rows), "E basis")
-        if e_vecs and not _independent(e_vecs):
+        if e_vecs and ratmat.rank(_columns(e_vecs)) != len(e_vecs):
             raise ValidationError("E basis must be independent")
         combined = [list(col) for col in zip(*rows)] + e_vecs
         if ratmat.rank(_columns(combined)) != len(rows):
             raise ValidationError("Im(phi) + span(E) must be all of W")
+        object.__setattr__(self, "_rank", ratmat.rank(rows))
 
     def _rows(self) -> ratmat.Matrix:
         return [list(map(Fraction, row)) for row in self.matrix]
@@ -150,7 +149,7 @@ class FredholmModel:
         return [list(col) for col in zip(*product)]
 
     def nullity(self) -> int:
-        return self.dim_v - ratmat.rank(self._rows())
+        return self.dim_v - self._rank
 
 
 def comparison_sign(
@@ -173,6 +172,15 @@ def comparison_sign(
     source basis: it only supplies that default reference orientation
     when ``e_basis`` is omitted.  The result is the product of the signs
     of the two change-of-basis determinants.
+
+    Every basis claim is one certificate: the coordinates of one family
+    in the other exist, form a square matrix and have nonzero
+    determinant, so both families are bases of one space.  The squares
+    are counted from rank(phi): dim phi^{-1}(E) = nullity +
+    dim(Im phi cap E), and dim(Im phi cap E) = rank + dim E - dim W since
+    Im(phi) + E = W.  All coordinates in E come from one elimination over
+    the model's E basis; the E-side sign is the product of the det-signs
+    of (coker, phi(F)) and of the reference basis there.
     """
     dim_v, dim_w = model.dim_v, model.dim_w
     ker = _as_vectors(ker_basis, dim_v, "kernel basis")
@@ -180,76 +188,60 @@ def comparison_sign(
     coker = _as_vectors(coker_basis, dim_w, "cokernel basis")
     phi_f = _as_vectors(phi_f_basis, dim_w, "phi(F) basis")
     e_span = _as_vectors(model.e_basis, dim_w, "E basis")
-
-    if any(x != 0 for w in model._apply_all(ker) for x in w):
-        raise ValidationError("kernel basis vector not in ker(phi)")
-    nullity = model.nullity()
-    if len(ker) != nullity or not _independent(ker):
-        raise ValidationError("kernel basis must be a basis of ker(phi)")
-
-    images = model._apply_all(f)
-    if not _in_span(images, e_span):
-        raise ValidationError("phi(F) must lie inside E")
-    if not _independent(ker + f):
-        raise ValidationError("(ker, F) must be independent")
-    if not _independent(images):
-        raise ValidationError("phi must be injective on F")
-    # F must fill phi^{-1}(E): dim = nullity + dim(Im phi cap E).
-    rank_phi = model.dim_v - nullity
-    dim_sum = ratmat.rank(
-        _columns([list(col) for col in zip(*model.matrix)] + e_span)
+    preimage = (
+        ker + f if preimage_basis is None
+        else _as_vectors(preimage_basis, dim_v, "preimage basis")
     )
-    dim_cap = rank_phi + len(e_span) - dim_sum
+    e_ref = None if e_basis is None else _as_vectors(e_basis, dim_w, "reference E basis")
+
+    nullity = model.nullity()
+    dim_cap = dim_v - nullity + len(e_span) - dim_w
+    if len(ker) != nullity:
+        raise ValidationError("kernel basis must be a basis of ker(phi)")
     if len(f) != dim_cap:
         raise ValidationError(
             f"F basis has {len(f)} vectors; phi^{{-1}}(E) needs {dim_cap} beyond the kernel"
         )
-
-    if not _in_span(coker, e_span):
-        raise ValidationError("cokernel representatives must lie inside E")
-    if not _independent(coker + images):
-        raise ValidationError("(coker, phi(F)) must be independent")
-    if len(coker) + len(images) != len(e_span):
+    if len(coker) + len(f) != len(e_span):
         raise ValidationError("(coker, phi(F)) must span E")
-
-    if not _in_span(phi_f, images):
-        raise ValidationError("phi(F) basis must lie in the image of F")
-    if len(phi_f) != len(images) or not _independent(phi_f):
+    if len(phi_f) != len(f):
         raise ValidationError("phi(F) basis must be a basis of phi(F)")
+    if len(preimage) != len(ker) + len(f):
+        raise ValidationError("preimage basis must be a basis of phi^{-1}(E)")
+    if e_ref is not None and len(e_ref) != len(e_span):
+        raise ValidationError("reference E basis must be a basis of E")
 
-    if preimage_basis is None:
-        preimage = ker + f
-    else:
-        preimage = _as_vectors(preimage_basis, dim_v, "preimage basis")
-        if not _in_span(model._apply_all(preimage), e_span):
-            raise ValidationError("preimage basis vector outside phi^{-1}(E)")
-        if len(preimage) != len(ker) + len(f) or not _independent(preimage):
-            raise ValidationError("preimage basis must be a basis of phi^{-1}(E)")
-    if e_basis is None:
-        e_ref = coker + phi_f
-    else:
-        e_ref = _as_vectors(e_basis, dim_w, "reference E basis")
-        if not _in_span(e_ref, e_span):
-            raise ValidationError("reference E basis vector outside E")
-        if len(e_ref) != len(e_span) or not _independent(e_ref):
-            raise ValidationError("reference E basis must be a basis of E")
+    given = [] if preimage_basis is None else preimage
+    applied = model._apply_all(ker + f + given)
+    if any(x != 0 for w in applied[: len(ker)] for x in w):
+        raise ValidationError("kernel basis vector not in ker(phi)")
+    images = applied[len(ker): len(ker) + len(f)]
+    families = [
+        (images, "phi(F) must lie inside E"),
+        (coker, "cokernel representatives must lie inside E"),
+        (phi_f, "phi(F) basis must lie in the image of F"),
+        (applied[len(ker) + len(f):], "preimage basis vector outside phi^{-1}(E)"),
+        (e_ref or [], "reference E basis vector outside E"),
+    ]
+    in_e = _coordinates(e_span, [v for family, _ in families for v in family])
+    if in_e is None:
+        for family, message in families:
+            if _coordinates(e_span, family) is None:
+                raise ValidationError(message)
+    coords = iter(in_e)
+    c_images, c_coker, c_phi_f, _, c_ref = [[next(coords) for _ in fam] for fam, _ in families]
 
-    sign_v = _change_of_basis_sign(ker + f, preimage, "phi^{-1}(E)")
-    sign_e = _change_of_basis_sign(coker + images, e_ref, "E")
-    return sign_v * sign_e
-
-
-def _change_of_basis_sign(vectors, reference, what: str) -> int:
-    """Sign of det of the matrix expressing ``vectors`` in ``reference``."""
-    if not vectors and not reference:
-        return 1
-    coords = ratmat.solve_coordinates(_columns(reference), vectors)
-    if coords is None:
-        raise ValidationError(f"vector outside the span of the {what} basis")
-    d = ratmat.det(coords)
-    if d == 0:
-        raise ValidationError(f"degenerate change of basis in {what}")
-    return 1 if d > 0 else -1
+    in_v = _coordinates(preimage, ker + f)
+    if in_v is None:
+        raise ValidationError("preimage basis must be a basis of phi^{-1}(E)")
+    sign_v = _det_sign(in_v, "(ker, F) must be independent")
+    sign_e = _det_sign(c_coker + c_images, "(coker, phi(F)) must be independent")
+    in_images = _coordinates(images, phi_f)
+    if in_images is None:
+        raise ValidationError("phi(F) basis must lie in the image of F")
+    _det_sign(in_images, "phi(F) basis must be a basis of phi(F)")
+    ref = c_coker + c_phi_f if e_ref is None else c_ref
+    return sign_v * sign_e * _det_sign(ref, "reference E basis must be a basis of E")
 
 
 def glued_sign(sgn1: int, sgn2: int, direction: str = "a_points_away") -> int:
@@ -307,11 +299,11 @@ def ds0_sign(
         raise ValidationError("ds0 sign needs k >= 2")
     if pole not in ("north", "south"):
         raise ValidationError("pole must be north or south")
-    if T <= 0:
-        raise ValidationError("T must be positive")
+    if not math.isfinite(T) or T <= 0:
+        raise ValidationError("T must be finite and positive")
     lams = [float(l) for l in lambdas]
-    if len(lams) != k - 1 or any(l <= 0 for l in lams):
-        raise ValidationError("need k-1 positive eigenvalues")
+    if len(lams) != k - 1 or any(not math.isfinite(l) or l <= 0 for l in lams):
+        raise ValidationError("need k-1 finite positive eigenvalues")
     jac = [list(map(Fraction, row)) for row in ev_jacobian]
     if len(jac) != k - 1 or any(len(row) != k - 1 for row in jac):
         raise ValidationError("ev_jacobian must be (k-1) x (k-1)")

@@ -174,7 +174,10 @@ def solve_coordinates(basis: Matrix, vectors: Sequence[Sequence[Fraction]]):
 
     One elimination of ``[basis | v_1 ... v_k]`` answers for all the
     vectors: the result lists one coordinate row per vector, or is None
-    if any vector lies outside the span.
+    if any vector lies outside the span.  Coordinates at free (non-pivot)
+    columns of ``basis`` are always zero, so when the basis is dependent
+    the square matrix of the coordinates of any family has a zero column
+    and determinant 0.
     """
     nrows, ncols = shape(basis)
     if any(len(v) != nrows for v in vectors):

@@ -99,3 +99,22 @@ def test_curve_tag_roundtrip():
     assert not diags
     assert curves[0].tag == "phi1"
     assert curves[0].count == Fraction(-3, 2)
+
+
+@pytest.mark.parametrize("text,value", [("3", 3), ("-3/2", Fraction(-3, 2)), ("+4", 4)])
+def test_rational_grammar_accepts(text, value):
+    _, curves, diags = parse_records(
+        f"curve level=cob ind=0 from=a to=b count={text}\n", "mem"
+    )
+    assert not diags
+    assert curves[0].count == value
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1_0", "3/0", "1/"])
+def test_rational_grammar_rejects(text):
+    # Only p or p/q: no decimals, exponents, underscores or zero denominators.
+    _, curves, diags = parse_records(
+        f"curve level=cob ind=0 from=a to=b count={text}\n", "mem"
+    )
+    assert not curves
+    assert [str(d) for d in diags] == [f"mem:1: malformed rational count={text!r}"]

@@ -136,6 +136,12 @@ class TestS0Eval:
         with pytest.raises(DomainError):
             s0_eval(0.0, e)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_requires_finite_T(self, T):
+        e = EndExpansion((0.5, 1.0), (1.0, 1.0))
+        with pytest.raises(DomainError):
+            s0_eval(T, e)
+
 
 def random_trig_polynomial(rng, nvars, n_terms, kinds=("const", "cos", "sin")):
     """Seeded terms of every kind; small orders so that orders repeat."""

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from cylcc import ratmat
 from cylcc.errors import DegeneracyError, ValidationError
 from cylcc.orientation import (
     FredholmModel,
-    OrientedBasis,
     arc_pair_check,
     comparison_sign,
     ds0_sign,
@@ -230,9 +230,11 @@ class TestComparisonSign:
             ratmat, "_gauss_jordan", lambda rows: calls.append(rows) or eliminate(rows)
         )
         assert comparison_sign(DIAG_MODEL, **DIAG_ARGS) == -1
-        # Solving one vector per elimination and computing the nullity
-        # twice took 23.
-        assert len(calls) == 18
+        # One solve in E, then a solve or a determinant per basis claim:
+        # (ker, F) in the preimage basis (2), (coker, phi(F)) (1), phi_F in
+        # phi(F) (2) and the reference E basis (1).  Separate membership,
+        # independence and rank checks took 18.
+        assert len(calls) == 7
         monkeypatch.undo()
         assert comparison_sign_oracle(DIAG_MODEL, **DIAG_ARGS) == -1
 
@@ -246,6 +248,23 @@ class TestComparisonSign:
     def test_membership_rejects_any_vector_outside(self, name, family, message):
         with pytest.raises(ValidationError, match=message):
             comparison_sign(DIAG_MODEL, **{**DIAG_ARGS, name: family})
+
+    @pytest.mark.parametrize("changes,message", [
+        (dict(f_basis=[(0, 0, 1)]), r"\(ker, F\) must be independent"),
+        (dict(ker_basis=[(0, 0, 0)]), r"\(ker, F\) must be independent"),
+        (dict(coker_basis=[(0, 1, 0)]), r"\(coker, phi\(F\)\) must be independent"),
+        (dict(phi_f_basis=[(0, 0, 0)]), r"phi\(F\) basis must be a basis of phi\(F\)"),
+        (dict(preimage_basis=[(0, 1, 0), (0, 2, 0)]), "preimage basis must be a basis"),
+        (dict(e_basis=[(0, 0, 1), (0, 0, -2)]), "reference E basis must be a basis of E"),
+        (dict(preimage_basis=[(0, 1, 1), (0, 1, 0), (0, 0, 1)]), "preimage basis must be a basis"),
+        (dict(e_basis=[(0, 0, 1)]), "reference E basis must be a basis of E"),
+        (dict(ker_basis=[]), "kernel basis must be a basis"),
+        (dict(ker_basis=[(0, 0, 1), (0, 0, 2)]), "kernel basis must be a basis"),
+    ])
+    def test_rejects_every_basis_claim(self, changes, message):
+        # Each case breaks one square, one determinant or one count.
+        with pytest.raises(ValidationError, match=message):
+            comparison_sign(DIAG_MODEL, **{**DIAG_ARGS, **changes})
 
     def test_inconsistent_bases_rejected(self):
         model = FredholmModel(matrix=((F(0),),), e_basis=((F(1),),))
@@ -342,17 +361,16 @@ class TestDs0Sign:
             south = ds0_sign(k, "south", jac, lams, 50.0)
             assert north == -south
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        jac = ((F(1), F(0)), (F(0), F(1)))
+        with pytest.raises(ValidationError):
+            ds0_sign(3, "north", jac, (0.5, 1.5), bad)
+        with pytest.raises(ValidationError):
+            ds0_sign(3, "north", jac, (bad, 1.5), 40.0)
+
     def test_singular_jacobian_rejected(self):
         jac = ((F(1), F(2)), (F(2), F(4)))
         with pytest.raises(DegeneracyError):
             ds0_sign(3, "north", jac, (0.5, 1.5), 40.0)
 
-
-class TestOrientedBasis:
-    def test_independence_required(self):
-        with pytest.raises(ValidationError):
-            OrientedBasis(vectors=((F(1), F(2)), (F(2), F(4))))
-
-    def test_sign_validation(self):
-        with pytest.raises(ValidationError):
-            OrientedBasis(vectors=((F(1),),), sign=0)

@@ -1,4 +1,5 @@
-"""Every name imported by a ``cylcc`` module is used in that module."""
+"""Every name imported by a ``cylcc`` module is used in that module, and
+every module-level private helper is referenced in the module defining it."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,25 @@ def unused_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def orphaned_helpers(path):
+    """Module-level ``_private`` functions and classes the module never names."""
+    tree = ast.parse(path.read_text())
+    defined = {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in defined.items() if name not in used)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_orphaned_private_helpers(path):
+    assert orphaned_helpers(path) == []

@@ -12,14 +12,25 @@ maps; derivatives are exact, so pole preimages, meridian crossings, and
 the zero locus of the linearized obstruction section can all be checked
 against brute-force scans.
 
+Each ``TrigPolynomial`` carries bounds on the max-norm Lipschitz
+constants of f and of its gradient, sum |amp| 2 pi |m|_1 and
+sum |amp| (2 pi |m|_1)^2 over its harmonics.  numpy has no directed
+rounding, so as a stand-in every bound carries a relative slack of 1e-9
+and every computed value an absolute slack of
+1e-12 (|const| + sum |amp|).
+
 Pole preimages and meridian crossings are common zeros of all but one
 component.  On the circle they come from a sign-change scan refined by
-brentq; on the torus from damped Newton seeded on a grid, where each
-component gives its value and gradient from one sin/cos pass and a seed
-leaves the iteration once it has converged or its Jacobian is singular.
-``pole_preimages`` certifies what it found by the degree identity: the
-signed counts over the two poles must agree.  The zero locus of s0 is
-found independently, by subdividing closed cells held as arrays.
+brentq.  On the torus they come from a certified cell search: a cell is
+excluded when some component is bounded away from zero on it, damped
+Newton runs from the cells that remain, each root it finds is certified
+by a Kantorovich ball whose uniqueness radius accounts for the cells it
+covers, and every other cell is subdivided, down to ``_MAX_DEPTH``
+levels.  A cell still uncertified there raises DegeneracyError; no cell
+is dropped without a reason.  ``pole_preimages`` also checks the degree
+identity: the signed counts over the two poles must agree.  The zero
+locus of s0 is found independently, by subdividing closed cells held as
+arrays.
 """
 
 from __future__ import annotations
@@ -35,6 +46,19 @@ from .errors import DegeneracyError, DomainError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
+# Stand-ins for directed rounding: every Lipschitz or norm bound is
+# inflated by REL_SLACK, every computed value is trusted only to within
+# ABS_SLACK times the sum of the magnitudes it was summed from.
+REL_SLACK = 1e-9
+ABS_SLACK = 1e-12
+
+# Levels of subdivision below the seed grid before the torus cell search
+# gives up on a cell: cells there are 2^-_MAX_DEPTH of a seed cell wide.
+_MAX_DEPTH = 10
+
+# The origin check screens its grid in blocks of _ORIGIN_BLOCK points per axis.
+_ORIGIN_BLOCK = 8
+
 
 @dataclass(frozen=True)
 class EndExpansion:
@@ -48,6 +72,8 @@ class EndExpansion:
             raise ValidationError("lambdas and coeffs must have equal length")
         if len(self.lambdas) < 1:
             raise ValidationError("an end expansion needs at least one mode")
+        if not all(math.isfinite(x) for x in (*self.lambdas, *self.coeffs)):
+            raise ValidationError("end expansion data must be finite")
         if any(l <= 0 for l in self.lambdas):
             raise ValidationError("end expansions use positive eigenvalues only")
         if any(b < a for a, b in zip(self.lambdas, self.lambdas[1:])):
@@ -60,8 +86,8 @@ class EndExpansion:
 
 def flow_normalize(e: EndExpansion, radius: float = 1.0) -> np.ndarray:
     """The unique point of |c(s)| = radius along the translation flow."""
-    if radius <= 0:
-        raise DomainError("radius must be positive")
+    if not math.isfinite(radius) or radius <= 0:
+        raise DomainError("radius must be finite and positive")
     c = np.asarray(e.coeffs, dtype=float)
     lam = np.asarray(e.lambdas, dtype=float)
     if not np.any(c != 0.0):
@@ -104,6 +130,7 @@ class TrigPolynomial:
 
     Terms are (kind, orders, value) with kind "const", "cos", or "sin";
     a cos/sin term contributes value * cos/sin(2 pi orders . theta).
+    Values must be finite.
 
     At construction the terms are also gathered by order.  The cos and
     sin coefficients a, b of one order m combine into one harmonic
@@ -111,6 +138,17 @@ class TrigPolynomial:
     where r = +-hypot(a, b) takes the sign of b.  A pure sine thus keeps
     delta = 0 and vanishes exactly where phi = 0.  f costs one sin per
     distinct order, and f with its gradient one sin and one cos.
+
+    Three bounds come with it, for any x, y in R^nvars:
+
+    * ``lipschitz`` >= sum |r| 2 pi |m|_1, so
+      |f(x) - f(y)| <= lipschitz |x - y|_max and |grad f|_1 <= lipschitz;
+    * ``grad_lipschitz`` >= sum |r| (2 pi |m|_1)^2, so
+      |grad f(x) - grad f(y)|_1 <= grad_lipschitz |x - y|_max;
+    * ``abs_slack`` = ABS_SLACK (|const| + sum |r|), the error allowed
+      in a computed value of f.
+
+    Both Lipschitz bounds are inflated by the relative slack REL_SLACK.
     """
 
     nvars: int
@@ -119,6 +157,9 @@ class TrigPolynomial:
     _amp: np.ndarray = field(init=False, repr=False, compare=False)
     _shift: np.ndarray = field(init=False, repr=False, compare=False)
     _const: float = field(init=False, repr=False, compare=False)
+    lipschitz: float = field(init=False, repr=False, compare=False)
+    grad_lipschitz: float = field(init=False, repr=False, compare=False)
+    abs_slack: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = {}
@@ -128,6 +169,8 @@ class TrigPolynomial:
                 raise ValidationError(f"unknown term kind {kind!r}")
             if len(orders) != self.nvars:
                 raise ValidationError("term order tuple has wrong arity")
+            if not math.isfinite(value):
+                raise ValidationError(f"term value {value} is not finite")
             if kind == "const":
                 const += value
             else:
@@ -136,10 +179,15 @@ class TrigPolynomial:
         a, b = np.array(list(coeffs.values())).reshape(len(coeffs), 2).T
         sign = np.where(b < 0.0, -1.0, 1.0)
         orders = np.array(list(coeffs), dtype=float).reshape(len(coeffs), self.nvars)
+        amp = np.hypot(a, b)
+        spread = TWO_PI * np.abs(orders).sum(axis=1)
         object.__setattr__(self, "_orders", orders)
-        object.__setattr__(self, "_amp", sign * np.hypot(a, b))
+        object.__setattr__(self, "_amp", sign * amp)
         object.__setattr__(self, "_shift", np.arctan2(sign * a, sign * b))
         object.__setattr__(self, "_const", const)
+        object.__setattr__(self, "lipschitz", (1.0 + REL_SLACK) * float(amp @ spread))
+        object.__setattr__(self, "grad_lipschitz", (1.0 + REL_SLACK) * float(amp @ spread**2))
+        object.__setattr__(self, "abs_slack", ABS_SLACK * (abs(const) + float(amp.sum())))
 
     def _phases(self, theta) -> np.ndarray:
         """phi + delta, one row per distinct order and one column per point."""
@@ -181,9 +229,16 @@ class EvMapSpec(_ComponentMap):
     """Synthetic order-k evaluation map on a circle (k=2) or torus (k=3).
 
     ``components`` are the k coordinate functions into R^k; the image
-    must avoid the origin (checked on a dense grid).  ``lambdas`` are the
-    positive eigenvalues weighting the flow quotient. ``singular_params``
-    declares parameter points whose images a generic meridian must avoid.
+    must avoid the origin: |F| >= 1e-9 on the 256-point grid per axis.
+    The check is screened in blocks of 8 points per axis.  With
+    L_F = |(L_1, ..., L_k)|_2 from the components' ``lipschitz`` bounds
+    and r the max-norm distance from a block's centre c to its farthest
+    grid point, a block is skipped when |F(c)| - L_F r - s_F >= 1e-9,
+    s_F being the components' ``abs_slack`` combined the same way; the
+    grid points of the other blocks are evaluated.  The verdict is that
+    of the dense grid.  ``lambdas`` are the finite positive eigenvalues
+    weighting the flow quotient. ``singular_params`` declares parameter
+    points whose images a generic meridian must avoid.
     """
 
     k: int
@@ -191,7 +246,7 @@ class EvMapSpec(_ComponentMap):
     lambdas: Tuple[float, ...]
     orientation: int = 1
     singular_params: Tuple[Tuple[float, ...], ...] = ()
-    _origin_check_grid: int = 256
+    _origin_check_grid: int = 256  # a multiple of _ORIGIN_BLOCK
 
     def __post_init__(self):
         if self.k not in (2, 3):
@@ -202,16 +257,24 @@ class EvMapSpec(_ComponentMap):
             raise ValidationError("component arity must match the domain dimension")
         if len(self.lambdas) != self.k:
             raise ValidationError("need one eigenvalue per component")
-        if any(l <= 0 for l in self.lambdas):
-            raise ValidationError("flow eigenvalues must be positive")
+        if any(not math.isfinite(l) or l <= 0 for l in self.lambdas):
+            raise ValidationError("flow eigenvalues must be finite and positive")
         if any(b < a for a, b in zip(self.lambdas, self.lambdas[1:])):
             raise ValidationError("flow eigenvalues must be nondecreasing")
         if self.orientation not in (1, -1):
             raise ValidationError("orientation flag must be +1 or -1")
-        grid = _param_grid(self.nvars, self._origin_check_grid)
-        values = self.evaluate(grid)
-        closest = float(np.min(np.linalg.norm(values, axis=1)))
-        if closest < 1e-9:
+        n = self._origin_check_grid
+        half = (_ORIGIN_BLOCK - 1) / (2.0 * n)
+        centres = _param_grid(self.nvars, n // _ORIGIN_BLOCK) + half
+        lip = math.hypot(*(c.lipschitz for c in self.components))
+        slack = math.hypot(*(c.abs_slack for c in self.components))
+        margin = np.linalg.norm(self.evaluate(centres), axis=1) - lip * half - slack
+        corners = centres[margin < 1e-9] - half
+        offsets = _param_grid(self.nvars, _ORIGIN_BLOCK) * (_ORIGIN_BLOCK / n)
+        points = (corners[:, None, :] + offsets).reshape(-1, self.nvars)
+        if np.any(np.linalg.norm(self.evaluate(points), axis=1) < 1e-9):
+            dense = self.evaluate(_param_grid(self.nvars, n))
+            closest = float(np.min(np.linalg.norm(dense, axis=1)))
             raise ValidationError(
                 f"map image approaches the origin (min |F| = {closest:.2e})"
             )
@@ -288,21 +351,16 @@ def _circle_roots(func, n_scan: int) -> List[float]:
     return out
 
 
-def _torus_zeros(f1, f2, n_grid: int, newton_steps: int = 60):
-    """Common zeros of two trig polynomials on the torus by seeded Newton.
+def _damped_newton(f1, f2, theta: np.ndarray, newton_steps: int):
+    """Damped Newton for (f1, f2) = 0 from each row of ``theta``.
 
-    Each point of the n_grid x n_grid grid seeds a Newton iteration whose
-    steps are shortened to length 0.25 when longer.  Only active seeds are
-    iterated, for at most ``newton_steps`` steps.  A seed leaves the active
-    set when its Newton step is at most 1e-12 (it has converged) or when
-    its Jacobian determinant is below 1e-14 in magnitude (it is lost).
-    Afterwards every seed that was not lost counts as converged if both
-    |f1| and |f2| are below 1e-10 there, and as lost otherwise.  Converged
-    seeds are reduced mod 1 and deduplicated in seed order.
-
-    Returns (sorted roots, seeds converged, seeds lost).
+    Steps are shortened to length 0.25 when longer.  Only active points
+    are iterated, for at most ``newton_steps`` steps.  A point leaves the
+    active set when its Newton step is at most 1e-12 (it has converged)
+    or when its Jacobian determinant is below 1e-14 in magnitude (it is
+    lost).  Returns the end points and the mask of points not lost.
     """
-    theta = _param_grid(2, n_grid)
+    theta = theta.copy()
     singular = np.zeros(len(theta), dtype=bool)
     active = np.arange(len(theta))
     for _ in range(newton_steps):
@@ -320,10 +378,107 @@ def _torus_zeros(f1, f2, n_grid: int, newton_steps: int = 60):
         theta[active] = t - step * (0.25 / np.maximum(norm, 0.25))[:, None]  # damped
         singular[active[bad]] = True
         active = active[~bad & (norm > 1e-12)]
-    live = np.flatnonzero(~singular)
-    found = live[(np.abs(f1(theta[live])) < 1e-10) & (np.abs(f2(theta[live])) < 1e-10)]
-    roots = _torus_dedup(np.mod(theta[found], 1.0))
-    return sorted(roots), len(found), len(theta) - len(found)
+    return theta, ~singular
+
+
+def _kantorovich(f1, f2, x: np.ndarray):
+    """Kantorovich balls for the zeros of (f1, f2) near the points ``x``.
+
+    In the max norm, with beta >= |J(x)^-1|, eta >= |J(x)^-1 F(x)| and
+    K = max(grad_lipschitz) bounding the Lipschitz constant of J, a
+    point with h = beta K eta < 1/2 has a zero within
+    t* = 2 eta / (1 + sqrt(1 - 2h)) of it, and that zero is the only one
+    closer than t** = (1 + sqrt(1 - 2h)) / (beta K).  beta and eta carry
+    the relative slack, eta also the components' absolute slack, and t**
+    is shrunk by the relative slack.  A point is certified when also
+    |f1|, |f2| < 1e-10 there (the residual test of an accepted root) and
+    its Jacobian determinant is at least 1e-14 in magnitude.
+
+    Returns (certified mask, t*, t**); the radii are meaningful only
+    where the mask is set.
+    """
+    v1, g1 = f1.value_and_grad(x)
+    v2, g2 = f2.value_and_grad(x)
+    (a, b), (c, d) = g1.T, g2.T
+    det = a * d - b * c
+    ok = (np.abs(det) >= 1e-14) & (np.abs(v1) < 1e-10) & (np.abs(v2) < 1e-10)
+    det = np.where(ok, np.abs(det), 1.0)
+    beta = (1.0 + REL_SLACK) * np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d)) / det
+    step = np.maximum(np.abs(d * v1 - b * v2), np.abs(a * v2 - c * v1)) / det
+    eta = (1.0 + REL_SLACK) * step + beta * max(f1.abs_slack, f2.abs_slack)
+    lip = max(f1.grad_lipschitz, f2.grad_lipschitz)
+    h = beta * lip * eta
+    ok &= h < 0.5
+    root = np.sqrt(np.where(ok, 1.0 - 2.0 * h, 1.0))
+    exist = (1.0 + REL_SLACK) * 2.0 * eta / (1.0 + root)
+    unique = (1.0 - REL_SLACK) * (1.0 + root) / (beta * lip)
+    return ok, exist, unique
+
+
+def _torus_zeros(f1, f2, n_grid: int, newton_steps: int = 60):
+    """Common zeros of two trig polynomials on the torus by a certified cell search.
+
+    The search starts from the n_grid x n_grid cells of max-norm radius
+    r = 1/(2 n_grid) centred on the grid points (i/n_grid, j/n_grid).
+    At each level:
+
+    * a cell with centre c is excluded when |f_i(c)| > L_i r + s_i for
+      some i (L_i the ``lipschitz`` bound, s_i the ``abs_slack``), as
+      f_i then has no zero on it;
+    * a cell inside the uniqueness ball of a certified root is covered;
+    * damped Newton runs from the centres of the remaining cells, and
+      each end point that passes ``_kantorovich`` certifies a root.  A
+      root whose existence ball lies inside the uniqueness ball of a
+      known root is that root, one whose existence ball is disjoint
+      from those of every known root is new, and an end point that is
+      neither is not used.  Cells the new balls cover are dropped;
+    * every other cell is split into four of radius r/2.
+
+    After ``_MAX_DEPTH`` splits the cells still left are uncertified:
+    each may hold a zero that no ball accounts for.
+
+    Returns (sorted roots, cells excluded, uncertified cells), each
+    uncertified cell as its ((x_lo, x_hi), (y_lo, y_hi)) box.
+    """
+    cells = _param_grid(2, n_grid)
+    half = 0.5 / n_grid
+    known = np.zeros((0, 4))  # certified roots as rows (x, y, t*, t**)
+    excluded = 0
+
+    def uncovered(cells, half):
+        far = _torus_distance(cells[:, None, :], known[None, :, :2]) + half >= known[:, 3]
+        return cells[far.all(axis=1)]
+
+    for depth in range(_MAX_DEPTH + 1):
+        zero_free = np.zeros(len(cells), dtype=bool)
+        for f in (f1, f2):
+            zero_free |= np.abs(f(cells)) > f.lipschitz * half + f.abs_slack
+        excluded += int(zero_free.sum())
+        cells = uncovered(cells[~zero_free], half)
+        if not cells.size:
+            break
+        ends, live = _damped_newton(f1, f2, cells, newton_steps)
+        ends = np.mod(ends[live], 1.0)
+        ok, t_exist, t_unique = _kantorovich(f1, f2, ends)
+        balls = np.column_stack([ends, t_exist, t_unique])[ok]
+        while len(balls):
+            dist = _torus_distance(balls[:, None, :2], known[None, :, :2])
+            balls = balls[~(dist + balls[:, 2:3] < known[:, 3]).any(axis=1)]
+            if len(balls) and np.all(
+                _torus_distance(known[:, :2], balls[0, :2]) > known[:, 2] + balls[0, 2]
+            ):
+                known = np.vstack([known, balls[:1]])
+            balls = balls[1:]
+        cells = uncovered(cells, half)
+        if not cells.size or depth == _MAX_DEPTH:
+            break
+        half /= 2.0
+        corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]) * half
+        cells = (cells[:, None, :] + corners).reshape(-1, 2)
+    uncertified = [
+        ((x - half, x + half), (y - half, y + half)) for x, y in np.mod(cells, 1.0).tolist()
+    ]
+    return sorted(tuple(p) for p in known[:, :2].tolist()), excluded, uncertified
 
 
 def _torus_distance(a, b) -> np.ndarray:
@@ -351,8 +506,19 @@ def _zeros_with_det(spec: EvMapSpec, omit: int, n_scan: int, n_grid: int):
         params = [(r,) for r in _circle_roots(comps[0], n_scan)]
         search = f"{len(params)} roots bracketed by a {n_scan}-point scan"
     else:
-        params, converged, lost = _torus_zeros(*comps, n_grid)
-        search = f"{converged} of {n_grid * n_grid} Newton seeds converged, {lost} lost"
+        params, excluded, uncertified = _torus_zeros(*comps, n_grid)
+        search = (
+            f"{excluded} cells excluded, {len(params)} roots certified, "
+            f"{len(uncertified)} cells uncertified"
+        )
+        if uncertified:
+            named = ", ".join(f"[{x0:.6g}, {x1:.6g}] x [{y0:.6g}, {y1:.6g}]"
+                              for (x0, x1), (y0, y1) in uncertified[:4])
+            raise DegeneracyError(
+                f"cell search left {len(uncertified)} cells uncertified after "
+                f"{_MAX_DEPTH} subdivisions, among them {named} ({search})",
+                where=tuple((lo + hi) / 2.0 for lo, hi in uncertified[0]),
+            )
     theta = np.array(params, dtype=float).reshape(len(params), spec.nvars)
     jac = np.stack([c.value_and_grad(theta)[1] for c in comps], axis=1)
     return list(zip(params, np.linalg.det(jac).tolist())), search
@@ -372,10 +538,20 @@ def pole_preimages(
     positive factors, so the zero set and the Jacobian sign at each root
     are unaffected by the eigenvalue weights.
 
+    On the circle the preimages come from an ``n_scan``-point sign-change
+    scan.  On the torus they come from the certified cell search of
+    ``_torus_zeros`` on an ``n_grid`` x ``n_grid`` grid of cells: each
+    preimage is the centre of a Kantorovich ball holding exactly one
+    zero, and every other cell is excluded by the components' Lipschitz
+    bounds or covered by a ball.  A cell still uncertified after
+    ``_MAX_DEPTH`` subdivisions (near a degenerate or nearly double root)
+    raises DegeneracyError naming the cells.
+
     Both poles are regular values, so the signed count over each equals
-    the degree.  The two counts are compared as a certificate of the
+    the degree.  The two counts are compared as a cross-check of the
     search: when they differ a preimage was lost, and DegeneracyError
-    names both counts and how the search went.
+    names both counts and the search line "cells excluded, roots
+    certified, cells uncertified".
     """
     axis = _axis_index(spec, pole_choice)
     out: List[PolePreimage] = []
@@ -573,8 +749,12 @@ def s0_zero_locus_check(
     """Zeros of the linearized section versus pole preimages, per T.
 
     The zero finder works directly on the scaled section values by scan
-    and subdivision, independently of the Newton/sign machinery that
-    locates pole preimages.
+    and subdivision (on the torus it keeps every closed cell on which both
+    components take both signs), independently of the certified cell
+    search, with its Lipschitz exclusion and Kantorovich balls, that
+    locates the pole preimages.  Those are found at the default
+    resolution, so a map with an uncertified cell raises DegeneracyError
+    here as in ``pole_preimages``.
     """
     if pole_choice != "last_coordinate":
         raise ValidationError(
@@ -705,8 +885,8 @@ def lift_spec(
     lambdas = tuple(float(l) for l in new_lambdas)
     if len(lambdas) != new_k:
         raise ValidationError("need one eigenvalue per target coordinate")
-    if any(l <= 0 for l in lambdas):
-        raise ValidationError("flow eigenvalues must be positive")
+    if any(not math.isfinite(l) or l <= 0 for l in lambdas):
+        raise ValidationError("flow eigenvalues must be finite and positive")
     components = [TrigPolynomial.zero(spec.nvars)] * new_k
     for src, dst in enumerate(positions):
         components[dst] = spec.components[src]

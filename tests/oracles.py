@@ -5,7 +5,9 @@ minors (Laplace expansion), independently of the package's Gaussian
 elimination route.  The product oracle multiplies Fractions entry by
 entry, independently of the package's integer rows.  The trig-polynomial
 oracles sum and differentiate the terms one at a time, independently of
-the package's order-matrix evaluation.
+the package's order-matrix evaluation.  The torus Newton oracle seeds
+damped Newton at every grid point and keeps what converges, independently
+of the package's certified cell search.
 """
 
 import math
@@ -137,3 +139,44 @@ def trig_partial_oracle(poly, var):
         else:
             terms.append(("cos", orders, value * w))
     return type(poly)(poly.nvars, tuple(terms))
+
+
+def torus_newton_oracle(f1, f2, n_grid, newton_steps=60):
+    """Common zeros of f1, f2 on the torus by damped Newton from every grid point.
+
+    Each point (i/n_grid, j/n_grid) seeds a Newton iteration whose steps
+    are shortened to length 0.25 when longer.  A seed stops when its step
+    is at most 1e-12, and is lost when its Jacobian determinant falls below
+    1e-14 in magnitude.  Seeds not lost with |f1|, |f2| < 1e-10 at the end
+    are reduced mod 1; the first of any points within 1e-7 is kept.
+
+    Returns the sorted roots.
+    """
+    axis = np.arange(n_grid) / n_grid
+    theta = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+    singular = np.zeros(len(theta), dtype=bool)
+    active = np.arange(len(theta))
+    for _ in range(newton_steps):
+        if not active.size:
+            break
+        t = theta[active]
+        v1, g1 = f1.value_and_grad(t)
+        v2, g2 = f2.value_and_grad(t)
+        (a, b), (c, d) = g1.T, g2.T
+        det = a * d - b * c
+        bad = np.abs(det) < 1e-14
+        det[bad] = 1.0
+        step = np.column_stack([(d * v1 - b * v2) / det, (-c * v1 + a * v2) / det])
+        norm = np.linalg.norm(step, axis=1)
+        theta[active] = t - step * (0.25 / np.maximum(norm, 0.25))[:, None]
+        singular[active[bad]] = True
+        active = active[~bad & (norm > 1e-12)]
+    live = np.flatnonzero(~singular)
+    found = live[(np.abs(f1(theta[live])) < 1e-10) & (np.abs(f2(theta[live])) < 1e-10)]
+    points = np.mod(theta[found], 1.0)
+    roots = []
+    while len(points):
+        roots.append(tuple(float(x) for x in points[0]))
+        d = np.abs(points - points[0]) % 1.0
+        points = points[np.minimum(d, 1.0 - d).max(axis=1) >= 1e-7]
+    return sorted(roots)

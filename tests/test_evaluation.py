@@ -22,7 +22,7 @@ from cylcc.evaluation import (
     s0_zero_locus_check,
 )
 
-from .oracles import trig_partial_oracle, trig_polynomial_oracle
+from .oracles import torus_newton_oracle, trig_partial_oracle, trig_polynomial_oracle
 
 
 def identity_angle_map(lambdas=(0.5, 1.5)):
@@ -99,6 +99,11 @@ class TestFlowNormalize:
     def test_custom_radius(self):
         e = EndExpansion((1.0,), (3.0,))
         assert np.allclose(flow_normalize(e, radius=2.0), [2.0], atol=1e-12)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(DomainError, match="finite"):
+            flow_normalize(EndExpansion((1.0,), (3.0,)), radius=radius)
 
 
 class TestS0Eval:
@@ -205,6 +210,27 @@ class TestTrigPolynomial:
         assert a == b and hash(a) == hash(b)
         assert "_orders" not in repr(a)
 
+    @pytest.mark.parametrize("nvars", [1, 2])
+    def test_lipschitz_bounds_dominate_samples(self, nvars):
+        rng = random.Random(70 + nvars)
+        for _ in range(20):
+            poly = random_trig_polynomial(rng, nvars, 8)
+            x = np.array([[rng.uniform(-2.0, 2.0) for _ in range(nvars)] for _ in range(300)])
+            y = x + np.array([[rng.uniform(-0.1, 0.1) for _ in range(nvars)] for _ in range(300)])
+            fx, gx = poly.value_and_grad(x)
+            fy, gy = poly.value_and_grad(y)
+            step = np.abs(x - y).max(axis=1)
+            assert np.all(np.abs(gx).sum(axis=1) <= poly.lipschitz)
+            assert np.all(np.abs(fx - fy) <= poly.lipschitz * step + 2.0 * poly.abs_slack)
+            assert np.all(np.abs(gx - gy).sum(axis=1) <= poly.grad_lipschitz * step)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValidationError, match="not finite"):
+            TrigPolynomial(1, (("cos", (1,), value),))
+        with pytest.raises(ValidationError, match="not finite"):
+            parse_evmap(f"evmap k=2 lambdas=1,2\nterm comp=0 kind=const order=0 value={value}\n")
+
 
 class TestPolePreimages:
     def test_identity_map_one_per_pole(self):
@@ -290,8 +316,8 @@ class TestPolePreimages:
             found = real(*args, **kwargs)
             if search == "_circle_roots":
                 return found[1:]
-            roots, converged, lost = found
-            return roots[1:], converged, lost
+            roots, excluded, uncertified = found
+            return roots[1:], excluded, uncertified
 
         spec = bundled_spec(name)
         pole_preimages(spec)  # the certificate holds with every root
@@ -299,7 +325,21 @@ class TestPolePreimages:
         counts = r"signed count -?\d+ over the \+ pole, -?\d+ over the - pole"
         with pytest.raises(DegeneracyError, match=counts) as info:
             pole_preimages(spec)
-        assert ("Newton seeds converged" in str(info.value)) == (search == "_torus_zeros")
+        assert ("cells excluded" in str(info.value)) == (search == "_torus_zeros")
+
+    def test_double_root_leaves_cells_uncertified(self):
+        # (0, 0) and (0, 1/2) are double roots of (f1, f2): no Kantorovich
+        # ball certifies them and f1 is too flat there to exclude the cells.
+        f1 = TrigPolynomial(2, (("const", (0, 0), 1.0), ("cos", (1, 0), -1.0)))
+        f2 = TrigPolynomial(2, (("sin", (0, 1), 1.0),))
+        f3 = TrigPolynomial(2, (("const", (0, 0), 2.0), ("cos", (1, 0), 1.0)))
+        spec = EvMapSpec(3, (f1, f2, f3), (0.5, 1.5, 2.5))
+        box = r"\[-?[\d.e-]+, -?[\d.e-]+\] x \[-?[\d.e-]+, -?[\d.e-]+\]"
+        with pytest.raises(DegeneracyError, match=f"cells uncertified .* among them {box}") as info:
+            pole_preimages(spec)
+        assert "0 roots certified" in str(info.value)
+        x, y = info.value.where
+        assert min(x, 1.0 - x) < 0.01 and min(y, abs(y - 0.5), 1.0 - y) < 0.01
 
     def test_reparametrization_invariance(self):
         spec = bundled_spec("evmap_k2.txt")
@@ -385,6 +425,59 @@ def seeded_torus_map(seed):
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
         if np.min(np.linalg.norm(spec.evaluate(grid), axis=1)) > 0.05:
             return spec
+
+
+TORUS_MAPS = ["evmap_k3.txt", 3, 7, 11]
+
+
+def torus_map(source):
+    return bundled_spec(source) if isinstance(source, str) else seeded_torus_map(source)
+
+
+class TestCertifiedCellSearch:
+    @pytest.mark.parametrize("n_grid", [48, 96])
+    @pytest.mark.parametrize("source", TORUS_MAPS)
+    def test_matches_newton_oracle(self, source, n_grid):
+        spec = torus_map(source)
+        for omit in range(3):
+            f1, f2 = (c for j, c in enumerate(spec.components) if j != omit)
+            roots, excluded, uncertified = evaluation._torus_zeros(f1, f2, n_grid)
+            expected = torus_newton_oracle(f1, f2, n_grid)
+            assert not uncertified and excluded > 0
+            assert len(roots) == len(expected) >= 2
+            d = np.abs(np.array(roots)[:, None, :] - np.array(expected)[None, :, :]) % 1.0
+            close = np.minimum(d, 1.0 - d).max(axis=2) <= 1e-12
+            assert np.all(close.sum(axis=0) == 1) and np.all(close.sum(axis=1) == 1)
+
+    def test_kantorovich_balls(self):
+        # (sin 2 pi x, sin 2 pi y): beta = 1 / (2 pi cos), K = 4 pi^2, so near
+        # the root (0, 0) the uniqueness radius is about 2 / (beta K) = 1 / pi,
+        # inside the distance 1/2 to the next root.
+        f1 = TrigPolynomial(2, (("sin", (1, 0), 1.0),))
+        f2 = TrigPolynomial(2, (("sin", (0, 1), 1.0),))
+        x = np.array([[1e-11, -1e-11], [0.0, 0.0], [1e-6, 0.0]])
+        ok, t_exist, t_unique = evaluation._kantorovich(f1, f2, x)
+        assert ok.tolist() == [True, True, False]  # the last fails |f| < 1e-10
+        assert np.all(t_exist[:2] >= np.abs(x[:2]).max(axis=1))
+        assert np.allclose(t_unique[:2], 1.0 / math.pi, rtol=1e-9) and np.all(t_unique[:2] < 0.5)
+        # At a double root h tends to 1/2 from above: never certified.
+        g1 = TrigPolynomial(2, (("const", (0, 0), 1.0), ("cos", (1, 0), -1.0)))
+        near = np.array([[10.0**-e, 0.0] for e in (6, 7, 8)])
+        assert not evaluation._kantorovich(g1, f2, near)[0].any()
+
+    def test_meridian_search_work(self, monkeypatch):
+        # The dense Newton sweep evaluated more than 60,000 points here.
+        spec = bundled_spec("evmap_k3.txt")
+        real = TrigPolynomial.value_and_grad
+        points = []
+
+        def counted(self, theta):
+            points.append(len(np.atleast_2d(theta)))
+            return real(self, theta)
+
+        monkeypatch.setattr(TrigPolynomial, "value_and_grad", counted)
+        assert path_intersections(spec, n_grid=48).total_signed == 1
+        assert sum(points) <= 200
 
 
 class TestPathIntersections:
@@ -531,6 +624,8 @@ class TestLift:
             lift_spec(spec, (0,), 3, (0.5, 1.0, 1.5))
         with pytest.raises(ValidationError):
             lift_spec(spec, (0, 5), 3, (0.5, 1.0, 1.5))
+        with pytest.raises(ValidationError, match="finite"):
+            lift_spec(spec, (0, 2), 3, (0.5, math.nan, 1.5))
 
 
 class TestParsing:
@@ -561,3 +656,49 @@ class TestSpecValidation:
             EndExpansion((2.0, 1.0), (1.0, 1.0))
         with pytest.raises(ValidationError):
             EndExpansion((-1.0, 1.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_end_expansion_rejects_non_finite(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            EndExpansion((value, 1.0), (1.0, 1.0))
+        with pytest.raises(ValidationError, match="finite"):
+            EndExpansion((0.5, 1.0), (1.0, value))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_spec_rejects_non_finite_lambdas(self, value):
+        f1 = TrigPolynomial(1, (("cos", (1,), 1.0),))
+        f2 = TrigPolynomial(1, (("sin", (1,), 1.0),))
+        with pytest.raises(ValidationError, match="finite"):
+            EvMapSpec(2, (f1, f2), (0.5, value))
+        with pytest.raises(ValidationError, match="finite"):
+            parse_evmap(f"evmap k=2 lambdas={value},2\nterm comp=0 kind=const order=0 value=1\n")
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_screened_origin_check_matches_dense_grid(self, k):
+        # Maps shifted so that |F| is 1e-10 or 2e-9 at a grid point, or
+        # F = 0 halfway between grid points, and unshifted maps.
+        nvars = k - 1
+        axis = np.arange(256) / 256
+        grid = np.stack(np.meshgrid(*[axis] * nvars, indexing="ij"), -1).reshape(-1, nvars)
+        rng = random.Random(40 + k)
+        verdicts = []
+        for target, offset in [(1e-10, 0.0), (2e-9, 0.0), (0.0, 0.5 / 256), (None, 0.0)] * 3:
+            comps = [random_trig_polynomial(rng, nvars, 5) for _ in range(k)]
+            if target is not None:
+                p = grid[rng.randrange(len(grid))] + offset
+                direction = np.array([rng.gauss(0.0, 1.0) for _ in range(k)])
+                shift = target * direction / np.linalg.norm(direction)
+                comps = [
+                    TrigPolynomial(nvars, c.terms + (("const", (0,) * nvars, s - c(p)[0]),))
+                    for c, s in zip(comps, shift)
+                ]
+            dense = np.linalg.norm(np.column_stack([c(grid) for c in comps]), axis=1)
+            rejected = bool(dense.min() < 1e-9)
+            assert rejected == (target == 1e-10)
+            if rejected:
+                with pytest.raises(ValidationError, match="map image approaches the origin"):
+                    EvMapSpec(k, tuple(comps), (0.5, 1.5, 2.5)[:k])
+            else:
+                EvMapSpec(k, tuple(comps), (0.5, 1.5, 2.5)[:k])
+            verdicts.append(rejected)
+        assert verdicts.count(True) == 3

@@ -56,7 +56,9 @@ ABS_SLACK = 1e-12
 # gives up on a cell: cells there are 2^-_MAX_DEPTH of a seed cell wide.
 _MAX_DEPTH = 10
 
-# The origin check screens its grid in blocks of _ORIGIN_BLOCK points per axis.
+# The origin check samples _ORIGIN_GRID points per axis and screens them in
+# blocks of _ORIGIN_BLOCK points per axis; the block size divides the grid.
+_ORIGIN_GRID = 256
 _ORIGIN_BLOCK = 8
 
 
@@ -229,7 +231,8 @@ class EvMapSpec(_ComponentMap):
     """Synthetic order-k evaluation map on a circle (k=2) or torus (k=3).
 
     ``components`` are the k coordinate functions into R^k; the image
-    must avoid the origin: |F| >= 1e-9 on the 256-point grid per axis.
+    must avoid the origin: |F| >= 1e-9 on the ``_ORIGIN_GRID`` = 256-point
+    grid per axis.
     The check is screened in blocks of 8 points per axis.  With
     L_F = |(L_1, ..., L_k)|_2 from the components' ``lipschitz`` bounds
     and r the max-norm distance from a block's centre c to its farthest
@@ -246,7 +249,6 @@ class EvMapSpec(_ComponentMap):
     lambdas: Tuple[float, ...]
     orientation: int = 1
     singular_params: Tuple[Tuple[float, ...], ...] = ()
-    _origin_check_grid: int = 256  # a multiple of _ORIGIN_BLOCK
 
     def __post_init__(self):
         if self.k not in (2, 3):
@@ -263,7 +265,7 @@ class EvMapSpec(_ComponentMap):
             raise ValidationError("flow eigenvalues must be nondecreasing")
         if self.orientation not in (1, -1):
             raise ValidationError("orientation flag must be +1 or -1")
-        n = self._origin_check_grid
+        n = _ORIGIN_GRID
         half = (_ORIGIN_BLOCK - 1) / (2.0 * n)
         centres = _param_grid(self.nvars, n // _ORIGIN_BLOCK) + half
         lip = math.hypot(*(c.lipschitz for c in self.components))
@@ -403,7 +405,8 @@ def _kantorovich(f1, f2, x: np.ndarray):
     det = a * d - b * c
     ok = (np.abs(det) >= 1e-14) & (np.abs(v1) < 1e-10) & (np.abs(v2) < 1e-10)
     det = np.where(ok, np.abs(det), 1.0)
-    beta = (1.0 + REL_SLACK) * np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d)) / det
+    # J^-1 = [[d, -b], [-c, a]] / det: beta is its largest absolute row sum.
+    beta = (1.0 + REL_SLACK) * np.maximum(np.abs(d) + np.abs(b), np.abs(c) + np.abs(a)) / det
     step = np.maximum(np.abs(d * v1 - b * v2), np.abs(a * v2 - c * v1)) / det
     eta = (1.0 + REL_SLACK) * step + beta * max(f1.abs_slack, f2.abs_slack)
     lip = max(f1.grad_lipschitz, f2.grad_lipschitz)

@@ -465,6 +465,26 @@ class TestCertifiedCellSearch:
         near = np.array([[10.0**-e, 0.0] for e in (6, 7, 8)])
         assert not evaluation._kantorovich(g1, f2, near)[0].any()
 
+    def test_kantorovich_balls_nonsymmetric_jacobian(self):
+        # (sin 2 pi x, sin 2 pi x + 0.2 sin 2 pi y): J(0, 0) = [[2 pi, 0], [2 pi, 0.4 pi]]
+        # has |J^-1| = 5 / pi in the max norm, while |J| / det J is only 3 / pi.
+        f1 = TrigPolynomial(2, (("sin", (1, 0), 1.0),))
+        f2 = TrigPolynomial(2, (("sin", (1, 0), 1.0), ("sin", (0, 1), 0.2)))
+        x = np.array([[0.0, 0.0], [1e-12, -2e-12], [-3e-12, 1e-12]])
+        ok, t_exist, t_unique = evaluation._kantorovich(f1, f2, x)
+        assert ok.all()
+        lip = max(f1.grad_lipschitz, f2.grad_lipschitz)
+        for p, t1, t2 in zip(x, t_exist, t_unique):
+            jac = np.array([f1.value_and_grad(p)[1][0], f2.value_and_grad(p)[1][0]])
+            inv = np.linalg.inv(jac)
+            beta = np.abs(inv).sum(axis=1).max()
+            eta = np.abs(inv @ np.array([f1(p)[0], f2(p)[0]])).max()
+            h = beta * lip * eta
+            assert t2 <= (1.0 + math.sqrt(1.0 - 2.0 * h)) / (beta * lip)
+            assert t2 == pytest.approx((1.0 + math.sqrt(1.0 - 2.0 * h)) / (beta * lip), rel=1e-8)
+            assert t1 >= 2.0 * eta / (1.0 + math.sqrt(1.0 - 2.0 * h))
+        assert t_unique[0] == pytest.approx(2.0 / (5.0 / math.pi * 4.8 * math.pi**2), rel=1e-8)
+
     def test_meridian_search_work(self, monkeypatch):
         # The dense Newton sweep evaluated more than 60,000 points here.
         spec = bundled_spec("evmap_k3.txt")

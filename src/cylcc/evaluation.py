@@ -20,9 +20,11 @@ and every computed value an absolute slack of
 1e-12 (|const| + sum |amp|).
 
 Pole preimages and meridian crossings are common zeros of all but one
-component.  On the circle they come from a sign-change scan refined by
-brentq.  On the torus they come from a certified cell search: a cell is
-excluded when some component is bounded away from zero on it, damped
+component.  On the circle they come from a sign-change scan whose
+brackets are refined together by safeguarded Newton steps and bisection
+(``_refine_brackets``, which also solves the flow normalization).  On
+the torus they come from a certified cell search: a cell is excluded
+when some component is bounded away from zero on it, damped
 Newton runs from the cells that remain, each root it finds is certified
 by a Kantorovich ball whose uniqueness radius accounts for the cells it
 covers, and every other cell is subdivided, down to ``_MAX_DEPTH``
@@ -40,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegeneracyError, DomainError, ValidationError
 
@@ -87,27 +88,40 @@ class EndExpansion:
 
 
 def flow_normalize(e: EndExpansion, radius: float = 1.0) -> np.ndarray:
-    """The unique point of |c(s)| = radius along the translation flow."""
+    """The unique point of |c(s)| = radius along the translation flow.
+
+    log |c(s)|^2 - log radius^2 increases in s, with slope between the
+    least and the greatest 2 lambda_i of a nonzero c_i, so Newton steps
+    on it are close to exact.  Its zero is bracketed by doubling steps
+    from s = 0 and refined by ``_refine_brackets`` to the tolerance
+    1e-15 + 8.9e-16 |s|.
+    """
     if not math.isfinite(radius) or radius <= 0:
         raise DomainError("radius must be finite and positive")
     c = np.asarray(e.coeffs, dtype=float)
     lam = np.asarray(e.lambdas, dtype=float)
     if not np.any(c != 0.0):
         raise DomainError("zero coefficient vector has an undefined quotient")
+    log_weight = np.log(c[c != 0.0] ** 2)
+    rate = 2.0 * lam[c != 0.0]
 
-    def squared_radius(s):
-        return float(np.sum(c * c * np.exp(2.0 * lam * s))) - radius**2
+    def log_gap(s):
+        exponent = log_weight + rate * np.reshape(s, (-1, 1))
+        top = exponent.max(axis=1)
+        terms = np.exp(exponent - top[:, None])
+        total = terms.sum(axis=1)
+        return np.log(total) + top - 2.0 * math.log(radius), (terms @ rate) / total
 
     lo = hi = 0.0
     step = 1.0
-    while squared_radius(lo) > 0.0:
+    while log_gap(lo)[0][0] > 0.0:
         lo -= step
         step *= 2.0
     step = 1.0
-    while squared_radius(hi) < 0.0:
+    while log_gap(hi)[0][0] < 0.0:
         hi += step
         step *= 2.0
-    s_star = brentq(squared_radius, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    s_star = _refine_brackets(log_gap, [lo], [hi], xtol=1e-15, rtol=8.9e-16)[0]
     return c * np.exp(lam * s_star)
 
 
@@ -323,33 +337,94 @@ def _circle_dedup(points) -> List[float]:
     return out
 
 
-def _circle_roots(func, n_scan: int) -> List[float]:
-    """Roots of a smooth 1-periodic function via sign changes + brentq.
+def _refine_brackets(func, lo, hi, xtol: float, rtol: float = 0.0) -> np.ndarray:
+    """Zeros of ``func`` in the brackets [lo_i, hi_i], refined all at once.
 
-    A near-zero sample with no sign change betrays a tangential root;
-    those are rejected rather than silently missed.
+    ``func`` maps an array of points to their values and slopes; the
+    values at the two ends of a bracket must not have the same strict
+    sign.  Each round calls ``func`` once, at two points per live
+    bracket: its midpoint, and the Newton point from the end with the
+    smaller |value| (the midpoint again when that point is not in the
+    bracket).  A Newton point closer than tol/2 to an end is moved to
+    tol/2 inside it, so Newton converging from one side still closes the
+    bracket.  The bracket becomes the first of the pieces between these
+    points whose ends change sign, so it at least halves every round.
+    A bracket stops when its width is at most tol = xtol + rtol |midpoint|,
+    when an end is an exact zero, or when its midpoint no longer splits
+    it in floating point.
+
+    Returns the exact zeros found, and otherwise the secant point of the
+    final bracket.
+    """
+    # state[q, side, i]: point, value and slope (q) at each end (side) of bracket i
+    ends = np.array([lo, hi], dtype=float)
+    values, slopes = func(ends.ravel())
+    state = np.stack([ends, values.reshape(2, -1), slopes.reshape(2, -1)])
+    out = np.empty(state.shape[2])
+    live = np.arange(state.shape[2])
+    while True:
+        (a, b), (fa, fb) = state[0], state[1]
+        width = b - a
+        mid = a + 0.5 * width
+        tol = xtol + rtol * np.abs(mid)
+        going = (fa != 0.0) & (fb != 0.0) & (width > tol) & (mid > a) & (mid < b)
+        if not going.all():
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                secant = a - fa * (width / (fb - fa))
+            stop = ~going
+            out[live[stop]] = np.where(fa == 0.0, a, np.where(fb == 0.0, b, secant))[stop]
+            state, live, mid, tol = state[:, :, going], live[going], mid[going], tol[going]
+            if not live.size:
+                return out
+        (a, b), (fa, fb), (ga, gb) = state
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x = np.where(np.abs(fa) <= np.abs(fb), a - fa / ga, b - fb / gb)
+        x = np.where((x >= a) & (x <= b), x, mid)
+        x = np.minimum(np.maximum(x, a + 0.5 * tol), b - 0.5 * tol)
+        inner = np.stack([np.minimum(x, mid), np.maximum(x, mid)])
+        values, slopes = func(inner.ravel())
+        probes = np.stack([inner, values.reshape(2, -1), slopes.reshape(2, -1)])
+        cand = np.concatenate([state[:, :1], probes, state[:, 1:]], axis=1)
+        piece = (np.sign(cand[1, 1:]) != np.sign(cand[1, :-1])).argmax(axis=0)
+        state = cand[:, [piece, piece + 1], np.arange(live.size)]
+
+
+def _sign_change_roots(ts, vals, func) -> List[float]:
+    """Zeros on the closed scan ``ts`` (ts[-1] = ts[0] + 1) with samples ``vals``.
+
+    Exact zero samples count as they are; every interval whose ends have
+    opposite strict signs is refined by ``_refine_brackets`` to width
+    1e-14, with ``func`` giving values and slopes.  Returns the zeros
+    deduplicated.
+    """
+    a, b = vals[:-1], vals[1:]
+    j = np.flatnonzero(np.sign(a) * np.sign(b) < 0.0)
+    refined = _refine_brackets(func, ts[j], ts[j + 1], xtol=1e-14) if j.size else []
+    return _circle_dedup([*ts[:-1][a == 0.0], *refined])
+
+
+def _circle_roots(func: TrigPolynomial, n_scan: int) -> List[float]:
+    """Roots of a 1-periodic trig polynomial on an ``n_scan``-point scan.
+
+    Every sign change between neighbouring samples is a bracket, and all
+    brackets are refined together by ``_refine_brackets`` to width 1e-14.
+    A near-zero sample farther than 2/n_scan from every root betrays a
+    tangential root; those are rejected rather than silently missed.
     """
     ts = np.arange(n_scan + 1) / n_scan
     vals = func(ts.reshape(-1, 1))
-    roots = []
-    for j in range(n_scan):
-        a, b = vals[j], vals[j + 1]
-        if a == 0.0:
-            roots.append(ts[j])
-        elif a * b < 0.0:
-            roots.append(
-                brentq(lambda t: float(func(np.array([[t]]))[0]), ts[j], ts[j + 1],
-                       xtol=1e-14)
-            )
-    out = _circle_dedup(roots)
-    near = np.abs(vals[:-1]) < 1e-6
-    if np.any(near):
-        for j in np.nonzero(near)[0]:
-            t = float(ts[j])
-            if not any(min(abs(t - r), 1.0 - abs(t - r)) < 2.0 / n_scan for r in out):
-                raise DegeneracyError(
-                    f"tangential zero near parameter {t}", where=(t,)
-                )
+
+    def value_and_slope(t):
+        value, grad = func.value_and_grad(t.reshape(-1, 1))
+        return value, grad[:, 0]
+
+    out = _sign_change_roots(ts, vals, value_and_slope)
+    near = ts[:-1][np.abs(vals[:-1]) < 1e-6]
+    dist = _torus_distance(near[:, None, None], np.reshape(out, (1, -1, 1)))
+    lonely = (dist >= 2.0 / n_scan).all(axis=1)
+    if lonely.any():
+        t = float(near[lonely][0])
+        raise DegeneracyError(f"tangential zero near parameter {t}", where=(t,))
     return out
 
 
@@ -794,61 +869,54 @@ def s0_zero_locus_check(
 
 
 def _scan_zeros_circle(spec: EvMapSpec, T: float, n_scan: int) -> List[float]:
-    lam = spec.lambdas[0]
-    scale = math.exp(-2.0 * lam * T)
+    """Zeros of the scaled section on an ``n_scan``-point scan, refined to width 1e-14."""
+    scale = math.exp(-2.0 * spec.lambdas[0] * T)
+    comp = spec.components[0]
 
-    def section(ts):
-        return scale * spec.components[0](ts)
+    def section(t):
+        value, grad = comp.value_and_grad(t.reshape(-1, 1))
+        return scale * value, scale * grad[:, 0]
 
     ts = np.arange(n_scan + 1) / n_scan
-    vals = section(ts.reshape(-1, 1))
-    zeros = []
-    for j in range(n_scan):
-        a, b = vals[j], vals[j + 1]
-        if a == 0.0:
-            zeros.append(float(ts[j]))
-        elif a * b < 0.0:
-            lo, hi = ts[j], ts[j + 1]
-            flo = a
-            for _ in range(60):  # plain bisection on the section values
-                mid = 0.5 * (lo + hi)
-                fmid = float(section(np.array([[mid]]))[0])
-                if fmid == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fmid < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            zeros.append(0.5 * (lo + hi))
-    return _circle_dedup(zeros)
+    return _sign_change_roots(ts, scale * comp(ts.reshape(-1, 1)), section)
 
 
 def _scan_zeros_torus(spec: EvMapSpec, T: float, n_cells: int) -> List[Tuple[float, float]]:
     """Common zeros of the scaled section by subdivision of closed cells.
 
-    The cells of one level share their width h and are held as arrays of
-    corners (x, y).  A cell is kept while both components take a value
-    <= 0 and a value >= 0 on its 3x3 sample grid, and is then split into
-    four; once h < 1e-11 the centres of the kept cells are the zeros.
+    The cells of one level share their width h.  A cell is kept while
+    both components take a value <= 0 and a value >= 0 on its 3x3 grid of
+    samples h/2 apart, and is then split into four; once h < 1e-11 the
+    centres of the kept cells are the zeros.
+
+    Neighbouring cells share samples, so each level evaluates the
+    lattice of half steps over blocks of cells once and reads every
+    cell's 3x3 minimum and maximum from it.  The first level is one
+    block of n_cells x n_cells cells, whose (2 n_cells)^2 lattice points
+    wrap around the torus; every later level has one block of 2 x 2
+    cells, with a 5 x 5 lattice, per cell kept before it.
     """
     scales = [math.exp(-2.0 * spec.lambdas[i] * T) for i in range(2)]
-    x, y = _param_grid(2, n_cells).T
-    h = 1.0 / n_cells
-    while x.size and h >= 1e-11:
-        offsets = np.arange(3) * h / 2.0
-        px = ((x[:, None] + offsets) % 1.0)[:, :, None]
-        py = ((y[:, None] + offsets) % 1.0)[:, None, :]
-        sample = np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(-1, 2)
-        hit = np.ones(x.size, dtype=bool)
+    corners, g, h, wrap = np.zeros((1, 2)), n_cells, 1.0 / n_cells, True
+    while corners.size and h >= 1e-11:
+        m = 2 * g if wrap else 2 * g + 1  # distinct lattice points per axis
+        steps = np.arange(m) * (h / 2.0)
+        px = ((corners[:, 0, None] + steps) % 1.0)[:, :, None]
+        py = ((corners[:, 1, None] + steps) % 1.0)[:, None, :]
+        points = np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(-1, 2)
+        axis = np.arange(2 * g + 1) % m
+        hit = np.ones((len(corners), g, g), dtype=bool)
         for scale, comp in zip(scales, spec.components):
-            v = (scale * comp(sample)).reshape(x.size, 9)
-            hit &= (v.min(axis=1) <= 0.0) & (v.max(axis=1) >= 0.0)
-        cx = (x[hit][:, None] + offsets[:2])[:, :, None]
-        cy = (y[hit][:, None] + offsets[:2])[:, None, :]
-        x, y = (a.ravel() for a in np.broadcast_arrays(cx, cy))
-        h = h / 2.0
-    centres = np.column_stack([x + h / 2.0, y + h / 2.0])
+            lattice = (scale * comp(points)).reshape(-1, m, m)[:, axis][:, :, axis]
+            for mask in (lattice <= 0.0, lattice >= 0.0):
+                # cell (i, j) of a block reads rows 2i..2i+2 and columns 2j..2j+2
+                rows = mask[:, :-2:2] | mask[:, 1:-1:2] | mask[:, 2::2]
+                hit &= rows[:, :, :-2:2] | rows[:, :, 1:-1:2] | rows[:, :, 2::2]
+        block, i, j = np.nonzero(hit)
+        corners = corners[block] + np.column_stack([i, j]) * h
+        g, h, wrap = 2, h / 2.0, False
+    children = corners[:, None, :] + np.array([[0.0, 0.0], [0.0, h], [h, 0.0], [h, h]])
+    centres = children.reshape(-1, 2) + h / 2.0
     order = np.lexsort((centres[:, 1], centres[:, 0]))
     return _torus_dedup(centres[order] % 1.0)
 

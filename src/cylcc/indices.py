@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from .errors import ValidationError
 
-if TYPE_CHECKING:  # spectral pulls in numpy and scipy; the exact stack needs neither
+if TYPE_CHECKING:  # spectral pulls in numpy; the exact stack does not need it
     from .spectral import SpectrumTable
 
 POS_HYP = "pos_hyperbolic"

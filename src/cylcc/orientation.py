@@ -102,7 +102,8 @@ class FredholmModel:
 
     ``matrix`` has one row per W-coordinate; ``e_basis`` lists vectors
     spanning E.  The comparison isomorphism needs Im(phi) + E = W.
-    rank(phi) is computed once, at construction.
+    rank(phi) is computed once, at construction, from the same
+    elimination of [phi | E] that checks this.
     """
 
     matrix: Tuple[Tuple[Fraction, ...], ...]
@@ -119,10 +120,12 @@ class FredholmModel:
         e_vecs = _as_vectors(self.e_basis, len(rows), "E basis")
         if e_vecs and ratmat.rank(_columns(e_vecs)) != len(e_vecs):
             raise ValidationError("E basis must be independent")
-        combined = [list(col) for col in zip(*rows)] + e_vecs
-        if ratmat.rank(_columns(combined)) != len(rows):
+        # One elimination of [phi | E]: its pivots among the phi columns
+        # give rank(phi), and all of them dim(Im phi + E).
+        pivots = ratmat.pivot_columns(_columns([list(col) for col in zip(*rows)] + e_vecs))
+        if len(pivots) != len(rows):
             raise ValidationError("Im(phi) + span(E) must be all of W")
-        object.__setattr__(self, "_rank", ratmat.rank(rows))
+        object.__setattr__(self, "_rank", sum(1 for c in pivots if c < width))
 
     def _rows(self) -> ratmat.Matrix:
         return [list(map(Fraction, row)) for row in self.matrix]

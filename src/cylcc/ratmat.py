@@ -140,8 +140,18 @@ def _gauss_jordan(rows: Sequence[Sequence]):
     return reduced, pivots, prev, sign, scale
 
 
+def pivot_columns(a: Matrix) -> List[int]:
+    """Pivot columns of the reduced row echelon form of ``a``, in order.
+
+    Column c is a pivot exactly when it is independent of the columns
+    before it, so the pivots among the first k columns count the rank of
+    those k columns.
+    """
+    return _gauss_jordan(a)[1]
+
+
 def rank(a: Matrix) -> int:
-    return len(_gauss_jordan(a)[1])
+    return len(pivot_columns(a))
 
 
 def nullspace(a: Matrix, ncols: int = None) -> Matrix:

@@ -20,7 +20,8 @@ oracle for the same spectra.  Its operator is block-circulant (periodic)
 or block-anticirculant (antiperiodic), so Fourier modes reduce it exactly
 to Hermitian 2x2 blocks, one per frequency; each block is solved
 numerically, and every eigenpair returned is certified by its residual
-against the assembled sparse operator.
+against the operator itself, applied as a stencil without assembling a
+matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, IllConditionedInputError, NumericError, ValidationError
 
@@ -263,36 +263,61 @@ def closed_form_spectrum(kind: OperatorKind, max_index: int) -> SpectrumTable:
     return SpectrumTable(kind, tuple(entries))
 
 
-def _centered_difference(n: int, h: float, antiperiodic: bool) -> sp.csr_matrix:
-    """Centered first-difference matrix with (anti)periodic wraparound."""
-    main = np.zeros(n)
-    upper = np.full(n - 1, 1.0 / (2.0 * h))
-    lower = np.full(n - 1, -1.0 / (2.0 * h))
-    d = sp.diags([lower, main, upper], [-1, 0, 1], format="lil")
-    wrap = -1.0 if antiperiodic else 1.0
-    d[n - 1, 0] = wrap / (2.0 * h)
-    d[0, n - 1] = -wrap / (2.0 * h)
-    return d.tocsr()
+@dataclass(frozen=True, eq=False)
+class StencilOperator:
+    """The finite-difference operator A, applied without assembling it.
+
+    A vector holds the values v_0, ..., v_{n-1} in R^2 of a loop at the
+    grid points j h, h = 1/n, as (v_0[0], v_0[1], v_1[0], ...).  Then
+
+        (A v)_j = -j0 (v_{j+1} - v_{j-1}) / (2h) - S v_j,
+
+    with v_n = wrap v_0 and v_{-1} = wrap v_{n-1}; wrap is -1 for the
+    antiperiodic model and 1 otherwise.
+    """
+
+    grid_size: int
+    s_matrix: np.ndarray
+    wrap: float
+
+    @property
+    def shape(self):
+        return (2 * self.grid_size, 2 * self.grid_size)
+
+    def __matmul__(self, v) -> np.ndarray:
+        """A v for a vector of length 2n, or for each column of a (2n, k) block."""
+        v = np.asarray(v, dtype=float)
+        loops = v.reshape(self.grid_size, 2, -1)
+        ahead = np.roll(loops, -1, axis=0)
+        behind = np.roll(loops, 1, axis=0)
+        ahead[-1] *= self.wrap
+        behind[0] *= self.wrap
+        diff = (ahead - behind) * (0.5 * self.grid_size)
+        return (-(J0 @ diff) - self.s_matrix @ loops).reshape(v.shape)
+
+    def toarray(self) -> np.ndarray:
+        return self @ np.eye(2 * self.grid_size)
 
 
 def finite_difference_operator(
     kind_name: str, eps: float, grid_size: int
-) -> sp.csr_matrix:
+) -> StencilOperator:
     """Discretized A = -j0 d/dt - S on a uniform grid of ``grid_size`` points.
 
-    eps = 0 is admitted here (kernel sanity checks); the public entry
-    point validates through :class:`OperatorKind`.  The negative
-    hyperbolic model wraps antiperiodically, f(1) = -f(0).
+    The operator is matrix-free: it applies the centred-difference
+    stencil of :class:`StencilOperator` to vectors and blocks, and
+    ``toarray()`` gives its dense matrix.  eps = 0 is admitted here
+    (kernel sanity checks); the public entry point validates through
+    :class:`OperatorKind`.  The negative hyperbolic model wraps
+    antiperiodically, f(1) = -f(0).
     """
     if kind_name not in KINDS:
         raise DomainError(f"unknown operator kind {kind_name!r}")
-    n = grid_size
     if kind_name == ELLIPTIC:
         s_mat = np.array([[eps, 0.0], [0.0, eps]])
     else:
         s_mat = np.array([[0.0, eps], [eps, 0.0]])
-    d = _centered_difference(n, 1.0 / n, antiperiodic=kind_name == NEG_HYPERBOLIC)
-    return (-sp.kron(d, J0) - sp.kron(sp.identity(n), s_mat)).tocsr()
+    return StencilOperator(grid_size, s_mat, -1.0 if kind_name == NEG_HYPERBOLIC else 1.0)
 
 
 def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> SpectrumTable:
@@ -305,7 +330,7 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
     only 0 <= m < n/4 are physical; the others are sawtooth aliases.  Each
     block is solved numerically; an eigenpair (lambda, u) of B_m gives the
     real modes Re and Im of e^{2 pi i m t} u (one phase-fixed mode at m = 0).
-    Every returned pair is certified against the assembled operator,
+    Every returned pair is certified against the stencil operator,
     ||Av - lambda v|| <= 1e-7 (1 + |lambda|), or NumericError is raised.
     Its sign is certified as well: B_m differs from the continuum block
     (sigma_m replaced by 2 pi m) by |2 pi m - sigma_m| in norm, so when

@@ -7,7 +7,10 @@ entry, independently of the package's integer rows.  The trig-polynomial
 oracles sum and differentiate the terms one at a time, independently of
 the package's order-matrix evaluation.  The torus Newton oracle seeds
 damped Newton at every grid point and keeps what converges, independently
-of the package's certified cell search.
+of the package's certified cell search.  The brentq oracles refine one
+bracket at a time with scipy, independently of the package's batched
+bracket refinement.  The torus scan oracle samples every cell's 3x3 grid
+on its own, independently of the package's shared lattices.
 """
 
 import math
@@ -15,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import brentq
 
 
 def laplace_det(matrix):
@@ -180,3 +184,85 @@ def torus_newton_oracle(f1, f2, n_grid, newton_steps=60):
         d = np.abs(points - points[0]) % 1.0
         points = points[np.minimum(d, 1.0 - d).max(axis=1) >= 1e-7]
     return sorted(roots)
+
+
+def brentq_circle_roots_oracle(func, n_scan):
+    """Roots of a 1-periodic function: sign changes on an n_scan-point scan, each by brentq.
+
+    Samples that are exact zeros count as roots.  Roots are reduced mod 1,
+    sorted, and the first of any run closer than 1e-9 (around the circle)
+    is kept.
+    """
+    ts = np.arange(n_scan + 1) / n_scan
+    vals = func(ts.reshape(-1, 1))
+    roots = []
+    for j in range(n_scan):
+        a, b = vals[j], vals[j + 1]
+        if a == 0.0:
+            roots.append(float(ts[j]))
+        elif a * b < 0.0:
+            scalar = lambda t: float(func(np.array([[t]]))[0])  # noqa: E731
+            roots.append(brentq(scalar, ts[j], ts[j + 1], xtol=1e-14))
+    out = []
+    for r in sorted(r % 1.0 for r in roots):
+        if not out or r - out[-1] > 1e-9:
+            out.append(r)
+    if len(out) > 1 and out[0] + 1.0 - out[-1] < 1e-9:
+        out.pop()
+    return out
+
+
+def brentq_flow_normalize_oracle(lambdas, coeffs, radius):
+    """The point of radius ``radius`` on the flow line c_i e^{lambda_i s}, by brentq on s."""
+    c = np.asarray(coeffs, dtype=float)
+    lam = np.asarray(lambdas, dtype=float)
+
+    def squared_radius(s):
+        return float(np.sum(c * c * np.exp(2.0 * lam * s))) - radius**2
+
+    lo = hi = 0.0
+    step = 1.0
+    while squared_radius(lo) > 0.0:
+        lo -= step
+        step *= 2.0
+    step = 1.0
+    while squared_radius(hi) < 0.0:
+        hi += step
+        step *= 2.0
+    s_star = brentq(squared_radius, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    return c * np.exp(lam * s_star)
+
+
+def torus_scan_oracle(components, scales, n_cells):
+    """Common zeros of scale_i * components[i] (i = 0, 1) by subdivision, one cell at a time.
+
+    Cells of width h start as the n_cells x n_cells grid.  A cell is kept
+    while both scaled components take a value <= 0 and a value >= 0 among
+    its 3x3 samples h/2 apart (each cell evaluated separately), and is
+    then split into four, until h < 1e-11.  The centres of the last cells,
+    sorted, give the zeros; the first of any points within 1e-7 is kept.
+    """
+    axis = np.arange(n_cells) / n_cells
+    x, y = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    h = 1.0 / n_cells
+    while x.size and h >= 1e-11:
+        offsets = np.arange(3) * h / 2.0
+        px = ((x[:, None] + offsets) % 1.0)[:, :, None]
+        py = ((y[:, None] + offsets) % 1.0)[:, None, :]
+        sample = np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(-1, 2)
+        hit = np.ones(x.size, dtype=bool)
+        for scale, comp in zip(scales, components):
+            v = (scale * comp(sample)).reshape(x.size, 9)
+            hit &= (v.min(axis=1) <= 0.0) & (v.max(axis=1) >= 0.0)
+        cx = (x[hit][:, None] + offsets[:2])[:, :, None]
+        cy = (y[hit][:, None] + offsets[:2])[:, None, :]
+        x, y = (a.ravel() for a in np.broadcast_arrays(cx, cy))
+        h = h / 2.0
+    centres = np.column_stack([x + h / 2.0, y + h / 2.0])
+    points = np.mod(centres[np.lexsort((centres[:, 1], centres[:, 0]))], 1.0)
+    zeros = []
+    while len(points):
+        zeros.append(tuple(float(v) for v in points[0]))
+        d = np.abs(points - points[0]) % 1.0
+        points = points[np.minimum(d, 1.0 - d).max(axis=1) >= 1e-7]
+    return zeros

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,24 @@ from cylcc.evaluation import (
     s0_zero_locus_check,
 )
 
-from .oracles import torus_newton_oracle, trig_partial_oracle, trig_polynomial_oracle
+from .oracles import (
+    brentq_circle_roots_oracle,
+    brentq_flow_normalize_oracle,
+    torus_newton_oracle,
+    torus_scan_oracle,
+    trig_partial_oracle,
+    trig_polynomial_oracle,
+)
+
+GEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+
+
+def _load_gen():
+    """The benchmark's seeded input generators (``bench/gen.py``), loaded by path."""
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def identity_angle_map(lambdas=(0.5, 1.5)):
@@ -104,6 +123,68 @@ class TestFlowNormalize:
     def test_non_finite_radius_rejected(self, radius):
         with pytest.raises(DomainError, match="finite"):
             flow_normalize(EndExpansion((1.0,), (3.0,)), radius=radius)
+
+    def test_matches_brentq_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            k = int(rng.integers(1, 5))
+            lam = tuple(float(x) for x in np.sort(rng.uniform(0.2, 5.0, k)))
+            coeffs = rng.normal(size=k) * 10.0 ** rng.uniform(-2.0, 2.0, k)
+            coeffs[rng.random(k) < 0.2] = 0.0
+            coeffs[0] = coeffs[0] or 1.0
+            radius = float(10.0 ** rng.uniform(-2.0, 2.0))
+            point = flow_normalize(EndExpansion(lam, tuple(coeffs.tolist())), radius)
+            oracle = brentq_flow_normalize_oracle(lam, coeffs, radius)
+            assert np.max(np.abs(point - oracle)) <= 1e-14 * max(1.0, radius)
+
+
+class TestCircleRoots:
+    @staticmethod
+    def assert_same_roots(roots, oracle):
+        assert len(roots) == len(oracle)
+        for r in roots:
+            assert min(min(abs(r - o), 1.0 - abs(r - o)) for o in oracle) <= 2e-14
+
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_bundled_k2_matches_brentq_oracle(self, component):
+        comp = bundled_spec("evmap_k2.txt").components[component]
+        for n_scan in (1024, 8192):
+            roots = evaluation._circle_roots(comp, n_scan)
+            assert roots
+            self.assert_same_roots(roots, brentq_circle_roots_oracle(comp, n_scan))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_trig_polynomials_match_brentq_oracle(self, seed):
+        rng = random.Random(seed)
+        while True:
+            terms = tuple(
+                (rng.choice(("cos", "sin")), (rng.randint(1, 4),), rng.uniform(-1.0, 1.0))
+                for _ in range(rng.randint(2, 4))
+            ) + (("const", (0,), rng.uniform(-0.3, 0.3)),)
+            comp = TrigPolynomial(1, terms)
+            oracle = brentq_circle_roots_oracle(comp, 4096)
+            if any(r != 0.0 for r in oracle):
+                break
+        self.assert_same_roots(evaluation._circle_roots(comp, 4096), oracle)
+
+    def test_brackets_refined_together(self, monkeypatch):
+        # The bundled k2 component has four roots.  Refined one at a time
+        # by brentq they took over 30 evaluations; refined together, each
+        # round evaluates every bracket at once, and safeguarded Newton
+        # needs a handful of rounds after the scan.
+        comp = bundled_spec("evmap_k2.txt").components[0]
+        calls = []
+        for name in ("__call__", "value_and_grad"):
+            real = getattr(TrigPolynomial, name)
+
+            def counted(self, theta, real=real):
+                calls.append(len(np.atleast_2d(theta)))
+                return real(self, theta)
+
+            monkeypatch.setattr(TrigPolynomial, name, counted)
+        assert len(evaluation._circle_roots(comp, 8192)) == 4
+        assert calls[0] == 8193
+        assert len(calls) <= 8
 
 
 class TestS0Eval:
@@ -623,6 +704,35 @@ class TestZeroLocus:
             grid = np.linspace(40.0, 80.0, 4)
             report = s0_zero_locus_check(spec, grid, tol=1e-8)
             assert report.ok, report.mismatches
+
+    def test_torus_scan_matches_per_cell_oracle(self):
+        gen = _load_gen()
+        specs = [bundled_spec("evmap_k3.txt")] + [
+            parse_evmap(gen.torus_map_text(random.Random(seed), 2)) for seed in range(1, 31)
+        ]
+        for spec in specs:
+            for T in (40.0, 60.0):
+                zeros = evaluation._scan_zeros_torus(spec, T, 64)
+                scales = [math.exp(-2.0 * lam * T) for lam in spec.lambdas[:2]]
+                oracle = torus_scan_oracle(spec.components[:2], scales, 64)
+                assert len(zeros) == len(oracle)
+                assert np.allclose(zeros, oracle, rtol=0.0, atol=1e-14)
+
+    def test_torus_scan_evaluates_each_lattice_point_once(self, monkeypatch):
+        # Sampling each cell's 3x3 grid separately took 9 * 64^2 = 36,864
+        # points per component on the first level, for 128^2 distinct ones.
+        spec = bundled_spec("evmap_k3.txt")
+        real = TrigPolynomial.__call__
+        calls = []
+
+        def counted(self, theta):
+            calls.append(len(np.atleast_2d(theta)))
+            return real(self, theta)
+
+        monkeypatch.setattr(TrigPolynomial, "__call__", counted)
+        evaluation._scan_zeros_torus(spec, 60.0, 64)
+        assert calls[:2] == [128 * 128] * 2
+        assert sum(calls[2:]) < sum(calls[:2]) / 2
 
 
 class TestLift:

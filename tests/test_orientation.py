@@ -305,6 +305,23 @@ class TestFredholmModel:
         with pytest.raises(ValidationError):
             model.apply((1, 0, 0))
 
+    def test_two_eliminations_per_model(self, monkeypatch):
+        # E independence, then one elimination of [phi | E] for both
+        # rank(phi) and dim(Im phi + E); without E only the second.
+        rng = random.Random(17)
+        fixtures = [DIAG_MODEL] + [random_instance(rng)[0] for _ in range(20)]
+        eliminate = ratmat._gauss_jordan
+        for fixture in fixtures:
+            calls = []
+            monkeypatch.setattr(
+                ratmat, "_gauss_jordan", lambda rows: calls.append(rows) or eliminate(rows)
+            )
+            model = FredholmModel(matrix=fixture.matrix, e_basis=fixture.e_basis)
+            monkeypatch.undo()
+            assert len(calls) == (2 if fixture.e_basis else 1)
+            rank = ratmat.rank([list(row) for row in fixture.matrix])
+            assert model.nullity() == fixture.dim_v - rank
+
 
 class TestGluedSign:
     def test_paper_relation(self):

@@ -111,6 +111,12 @@ def test_rank_matches_sympy(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
+def test_pivot_columns_match_sympy(kind):
+    for a in instances(kind):
+        assert ratmat.pivot_columns(a) == list(to_sympy(a).rref()[1])
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_nullspace_matches_sympy(kind):
     for a in instances(kind):
         ncols = len(a[0])

@@ -200,6 +200,28 @@ class TestNumericSpectrum:
         direct = finite_difference_operator("neg_hyperbolic", 0.3, n).toarray()
         assert np.allclose(direct, reduced, atol=1e-12)
 
+    @pytest.mark.parametrize("kind_name", ["elliptic", "pos_hyperbolic", "neg_hyperbolic"])
+    def test_stencil_matches_dense_kron_assembly(self, kind_name):
+        # Oracle: the centred difference assembled as a dense matrix, wrapped
+        # periodically (antiperiodically for neg_hyperbolic), then -d (x) J0 - I (x) S.
+        n, eps = 64, 0.3
+        h = 1.0 / n
+        wrap = -1.0 if kind_name == "neg_hyperbolic" else 1.0
+        d = (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * h)
+        d[n - 1, 0] = wrap / (2.0 * h)
+        d[0, n - 1] = -wrap / (2.0 * h)
+        if kind_name == "elliptic":
+            s_mat = np.array([[eps, 0.0], [0.0, eps]])
+        else:
+            s_mat = np.array([[0.0, eps], [eps, 0.0]])
+        dense = -np.kron(d, J0) - np.kron(np.eye(n), s_mat)
+        a = finite_difference_operator(kind_name, eps, n)
+        assert a.shape == dense.shape
+        assert np.allclose(a.toarray(), dense, rtol=0.0, atol=1e-12)
+        block = np.random.default_rng(5).normal(size=(2 * n, 7))
+        assert np.allclose(a @ block, a.toarray() @ block, rtol=1e-13, atol=1e-12)
+        assert np.allclose(a @ block[:, 3], a.toarray() @ block[:, 3], rtol=1e-13, atol=1e-12)
+
     @pytest.mark.parametrize("grid", [128, 1024])
     @pytest.mark.parametrize(
         "kind",

@@ -20,19 +20,18 @@ and every computed value an absolute slack of
 1e-12 (|const| + sum |amp|).
 
 Pole preimages and meridian crossings are common zeros of all but one
-component.  On the circle they come from a sign-change scan whose
-brackets are refined together by safeguarded Newton steps and bisection
-(``_refine_brackets``, which also solves the flow normalization).  On
-the torus they come from a certified cell search: a cell is excluded
-when some component is bounded away from zero on it, damped
-Newton runs from the cells that remain, each root it finds is certified
-by a Kantorovich ball whose uniqueness radius accounts for the cells it
-covers, and every other cell is subdivided, down to ``_MAX_DEPTH``
-levels.  A cell still uncertified there raises DegeneracyError; no cell
-is dropped without a reason.  ``pole_preimages`` also checks the degree
-identity: the signed counts over the two poles must agree.  The zero
-locus of s0 is found independently, by subdividing closed cells held as
-arrays.
+component, found on the circle and on the torus by one certified cell
+search (``_cell_zeros``): a cell is excluded when some component is
+bounded away from zero on it, damped Newton runs from the cells that
+remain, each root it finds is certified by a Kantorovich ball whose
+uniqueness radius accounts for the cells it covers, and every other cell
+is subdivided, down to ``_MAX_DEPTH`` levels.  A cell still uncertified
+there raises DegeneracyError; no cell is dropped without a reason.
+``pole_preimages`` also checks the degree identity: the signed counts
+over the two poles must agree.  The zero locus of s0 is found
+independently: on the circle by a sign-change scan whose brackets are
+refined together (``_refine_brackets``, which also solves the flow
+normalization), on the torus by subdividing closed cells held as arrays.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ TWO_PI = 2.0 * math.pi
 REL_SLACK = 1e-9
 ABS_SLACK = 1e-12
 
-# Levels of subdivision below the seed grid before the torus cell search
-# gives up on a cell: cells there are 2^-_MAX_DEPTH of a seed cell wide.
+# Levels of subdivision below the seed grid before the cell search gives
+# up on a cell: cells there are 2^-_MAX_DEPTH of a seed cell wide.
 _MAX_DEPTH = 10
 
 # The origin check samples _ORIGIN_GRID points per axis and screens them in
@@ -314,27 +313,11 @@ def _axis_index(spec: EvMapSpec, pole_choice: str) -> int:
     raise ValidationError("pole_choice must be last_coordinate or first_coordinate")
 
 
-def _orientation_correction(axis: int, pole_sign: int) -> int:
-    # [sign * e_axis ^ e_{j_1} ^ ... ] = sign * (-1)^axis [e_1 ^ ... ^ e_k]
-    return pole_sign * (-1) ** axis
-
-
 @dataclass(frozen=True)
 class PolePreimage:
     params: Tuple[float, ...]
     pole: int  # +1 for the positive pole on the axis, -1 for the negative
     sign: int  # local orientation sign
-
-
-def _circle_dedup(points) -> List[float]:
-    """Sorted points of R/Z, keeping one of any run closer than 1e-9 (with wrap-around)."""
-    out = []
-    for p in sorted(float(p) % 1.0 for p in points):
-        if not out or p - out[-1] > 1e-9:
-            out.append(p)
-    if out and (out[0] + 1.0 - out[-1]) < 1e-9:
-        out.pop()
-    return out
 
 
 def _refine_brackets(func, lo, hi, xtol: float, rtol: float = 0.0) -> np.ndarray:
@@ -389,47 +372,24 @@ def _refine_brackets(func, lo, hi, xtol: float, rtol: float = 0.0) -> np.ndarray
         state = cand[:, [piece, piece + 1], np.arange(live.size)]
 
 
-def _sign_change_roots(ts, vals, func) -> List[float]:
-    """Zeros on the closed scan ``ts`` (ts[-1] = ts[0] + 1) with samples ``vals``.
+def _linearize(comps, x: np.ndarray):
+    """F, the adjugate of J and det J for n = len(comps) in {1, 2} at the points ``x``.
 
-    Exact zero samples count as they are; every interval whose ends have
-    opposite strict signs is refined by ``_refine_brackets`` to width
-    1e-14, with ``func`` giving values and slopes.  Returns the zeros
-    deduplicated.
+    The points run along the last axis: F is (n, m), adj (n, n, m) and
+    det (m,), so J^-1 = adj / det.  For n = 1, adj = 1 and det J = f'; for
+    n = 2, J = [[a, b], [c, d]] has adj = [[d, -b], [-c, a]] and
+    det J = ad - bc.
     """
-    a, b = vals[:-1], vals[1:]
-    j = np.flatnonzero(np.sign(a) * np.sign(b) < 0.0)
-    refined = _refine_brackets(func, ts[j], ts[j + 1], xtol=1e-14) if j.size else []
-    return _circle_dedup([*ts[:-1][a == 0.0], *refined])
+    (v1, g1), *rest = (f.value_and_grad(x) for f in comps)
+    if not rest:
+        return v1[None], np.ones((1, 1, 1)), g1[:, 0]
+    ((v2, g2),) = rest
+    (a, b), (c, d) = g1.T, g2.T
+    return np.array([v1, v2]), np.array([[d, -b], [-c, a]]), a * d - b * c
 
 
-def _circle_roots(func: TrigPolynomial, n_scan: int) -> List[float]:
-    """Roots of a 1-periodic trig polynomial on an ``n_scan``-point scan.
-
-    Every sign change between neighbouring samples is a bracket, and all
-    brackets are refined together by ``_refine_brackets`` to width 1e-14.
-    A near-zero sample farther than 2/n_scan from every root betrays a
-    tangential root; those are rejected rather than silently missed.
-    """
-    ts = np.arange(n_scan + 1) / n_scan
-    vals = func(ts.reshape(-1, 1))
-
-    def value_and_slope(t):
-        value, grad = func.value_and_grad(t.reshape(-1, 1))
-        return value, grad[:, 0]
-
-    out = _sign_change_roots(ts, vals, value_and_slope)
-    near = ts[:-1][np.abs(vals[:-1]) < 1e-6]
-    dist = _torus_distance(near[:, None, None], np.reshape(out, (1, -1, 1)))
-    lonely = (dist >= 2.0 / n_scan).all(axis=1)
-    if lonely.any():
-        t = float(near[lonely][0])
-        raise DegeneracyError(f"tangential zero near parameter {t}", where=(t,))
-    return out
-
-
-def _damped_newton(f1, f2, theta: np.ndarray, newton_steps: int):
-    """Damped Newton for (f1, f2) = 0 from each row of ``theta``.
+def _damped_newton(comps, theta: np.ndarray, newton_steps: int):
+    """Damped Newton for the common zeros of ``comps`` from each row of ``theta``.
 
     Steps are shortened to length 0.25 when longer.  Only active points
     are iterated, for at most ``newton_steps`` steps.  A point leaves the
@@ -444,47 +404,42 @@ def _damped_newton(f1, f2, theta: np.ndarray, newton_steps: int):
         if not active.size:
             break
         t = theta[active]
-        v1, g1 = f1.value_and_grad(t)
-        v2, g2 = f2.value_and_grad(t)
-        (a, b), (c, d) = g1.T, g2.T
-        det = a * d - b * c
+        values, adj, det = _linearize(comps, t)
         bad = np.abs(det) < 1e-14
         det[bad] = 1.0
-        step = np.column_stack([(d * v1 - b * v2) / det, (-c * v1 + a * v2) / det])
-        norm = np.linalg.norm(step, axis=1)
-        theta[active] = t - step * (0.25 / np.maximum(norm, 0.25))[:, None]  # damped
+        step = (adj * values).sum(axis=1) / det  # one row per coordinate
+        norm = np.sqrt((step * step).sum(axis=0))
+        theta[active] = t - (step * (0.25 / np.maximum(norm, 0.25))).T  # damped
         singular[active[bad]] = True
         active = active[~bad & (norm > 1e-12)]
     return theta, ~singular
 
 
-def _kantorovich(f1, f2, x: np.ndarray):
-    """Kantorovich balls for the zeros of (f1, f2) near the points ``x``.
+def _kantorovich(comps, x: np.ndarray):
+    """Kantorovich balls for the common zeros of ``comps`` near the points ``x``.
 
     In the max norm, with beta >= |J(x)^-1|, eta >= |J(x)^-1 F(x)| and
     K = max(grad_lipschitz) bounding the Lipschitz constant of J, a
     point with h = beta K eta < 1/2 has a zero within
     t* = 2 eta / (1 + sqrt(1 - 2h)) of it, and that zero is the only one
-    closer than t** = (1 + sqrt(1 - 2h)) / (beta K).  beta and eta carry
-    the relative slack, eta also the components' absolute slack, and t**
-    is shrunk by the relative slack.  A point is certified when also
-    |f1|, |f2| < 1e-10 there (the residual test of an accepted root) and
-    its Jacobian determinant is at least 1e-14 in magnitude.
+    closer than t** = (1 + sqrt(1 - 2h)) / (beta K).  With J^-1 = adj / det,
+    beta is the largest absolute row sum of adj over |det| and eta the
+    largest |adj F| over |det|.  beta and eta carry the relative slack,
+    eta also the components' absolute slack, and t** is shrunk by the
+    relative slack.  A point is certified when also every |f_i| < 1e-10
+    there (the residual test of an accepted root) and its Jacobian
+    determinant is at least 1e-14 in magnitude.
 
     Returns (certified mask, t*, t**); the radii are meaningful only
     where the mask is set.
     """
-    v1, g1 = f1.value_and_grad(x)
-    v2, g2 = f2.value_and_grad(x)
-    (a, b), (c, d) = g1.T, g2.T
-    det = a * d - b * c
-    ok = (np.abs(det) >= 1e-14) & (np.abs(v1) < 1e-10) & (np.abs(v2) < 1e-10)
+    values, adj, det = _linearize(comps, x)
+    ok = (np.abs(det) >= 1e-14) & (np.abs(values) < 1e-10).all(axis=0)
     det = np.where(ok, np.abs(det), 1.0)
-    # J^-1 = [[d, -b], [-c, a]] / det: beta is its largest absolute row sum.
-    beta = (1.0 + REL_SLACK) * np.maximum(np.abs(d) + np.abs(b), np.abs(c) + np.abs(a)) / det
-    step = np.maximum(np.abs(d * v1 - b * v2), np.abs(a * v2 - c * v1)) / det
-    eta = (1.0 + REL_SLACK) * step + beta * max(f1.abs_slack, f2.abs_slack)
-    lip = max(f1.grad_lipschitz, f2.grad_lipschitz)
+    beta = (1.0 + REL_SLACK) * np.abs(adj).sum(axis=1).max(axis=0) / det
+    step = np.abs((adj * values).sum(axis=1)).max(axis=0) / det
+    eta = (1.0 + REL_SLACK) * step + beta * max(f.abs_slack for f in comps)
+    lip = max(f.grad_lipschitz for f in comps)
     h = beta * lip * eta
     ok &= h < 0.5
     root = np.sqrt(np.where(ok, 1.0 - 2.0 * h, 1.0))
@@ -493,12 +448,12 @@ def _kantorovich(f1, f2, x: np.ndarray):
     return ok, exist, unique
 
 
-def _torus_zeros(f1, f2, n_grid: int, newton_steps: int = 60):
-    """Common zeros of two trig polynomials on the torus by a certified cell search.
+def _cell_zeros(comps, n_cells: int, newton_steps: int = 60):
+    """Common zeros of n = len(comps) trig polynomials on R^n / Z^n, n = 1 or 2.
 
-    The search starts from the n_grid x n_grid cells of max-norm radius
-    r = 1/(2 n_grid) centred on the grid points (i/n_grid, j/n_grid).
-    At each level:
+    A certified cell search.  It starts from the n_cells^n cells of
+    max-norm radius r = 1/(2 n_cells) centred on the grid points
+    (i_1, ..., i_n) / n_cells.  At each level:
 
     * a cell with centre c is excluded when |f_i(c)| > L_i r + s_i for
       some i (L_i the ``lipschitz`` bound, s_i the ``abs_slack``), as
@@ -510,40 +465,41 @@ def _torus_zeros(f1, f2, n_grid: int, newton_steps: int = 60):
       known root is that root, one whose existence ball is disjoint
       from those of every known root is new, and an end point that is
       neither is not used.  Cells the new balls cover are dropped;
-    * every other cell is split into four of radius r/2.
+    * every other cell is split into 2^n of radius r/2.
 
     After ``_MAX_DEPTH`` splits the cells still left are uncertified:
     each may hold a zero that no ball accounts for.
 
-    Returns (sorted roots, cells excluded, uncertified cells), each
-    uncertified cell as its ((x_lo, x_hi), (y_lo, y_hi)) box.
+    Returns (sorted roots as n-tuples, cells excluded, uncertified
+    cells), each uncertified cell as its box, one (lo, hi) per coordinate.
     """
-    cells = _param_grid(2, n_grid)
-    half = 0.5 / n_grid
-    known = np.zeros((0, 4))  # certified roots as rows (x, y, t*, t**)
+    nvars = len(comps)
+    cells = _param_grid(nvars, n_cells)
+    half = 0.5 / n_cells
+    known = np.zeros((0, nvars + 2))  # certified roots as rows (x..., t*, t**)
     excluded = 0
 
     def uncovered(cells, half):
-        far = _torus_distance(cells[:, None, :], known[None, :, :2]) + half >= known[:, 3]
+        far = _torus_distance(cells[:, None, :], known[None, :, :nvars]) + half >= known[:, -1]
         return cells[far.all(axis=1)]
 
     for depth in range(_MAX_DEPTH + 1):
         zero_free = np.zeros(len(cells), dtype=bool)
-        for f in (f1, f2):
+        for f in comps:
             zero_free |= np.abs(f(cells)) > f.lipschitz * half + f.abs_slack
         excluded += int(zero_free.sum())
         cells = uncovered(cells[~zero_free], half)
         if not cells.size:
             break
-        ends, live = _damped_newton(f1, f2, cells, newton_steps)
+        ends, live = _damped_newton(comps, cells, newton_steps)
         ends = np.mod(ends[live], 1.0)
-        ok, t_exist, t_unique = _kantorovich(f1, f2, ends)
+        ok, t_exist, t_unique = _kantorovich(comps, ends)
         balls = np.column_stack([ends, t_exist, t_unique])[ok]
         while len(balls):
-            dist = _torus_distance(balls[:, None, :2], known[None, :, :2])
-            balls = balls[~(dist + balls[:, 2:3] < known[:, 3]).any(axis=1)]
+            dist = _torus_distance(balls[:, None, :nvars], known[None, :, :nvars])
+            balls = balls[~(dist + balls[:, -2:-1] < known[:, -1]).any(axis=1)]
             if len(balls) and np.all(
-                _torus_distance(known[:, :2], balls[0, :2]) > known[:, 2] + balls[0, 2]
+                _torus_distance(known[:, :nvars], balls[0, :nvars]) > known[:, -2] + balls[0, -2]
             ):
                 known = np.vstack([known, balls[:1]])
             balls = balls[1:]
@@ -551,12 +507,10 @@ def _torus_zeros(f1, f2, n_grid: int, newton_steps: int = 60):
         if not cells.size or depth == _MAX_DEPTH:
             break
         half /= 2.0
-        corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]) * half
-        cells = (cells[:, None, :] + corners).reshape(-1, 2)
-    uncertified = [
-        ((x - half, x + half), (y - half, y + half)) for x, y in np.mod(cells, 1.0).tolist()
-    ]
-    return sorted(tuple(p) for p in known[:, :2].tolist()), excluded, uncertified
+        children = (4.0 * _param_grid(nvars, 2) - 1.0) * half  # offsets +-half per axis
+        cells = (cells[:, None, :] + children).reshape(-1, nvars)
+    uncertified = [tuple((x - half, x + half) for x in c) for c in np.mod(cells, 1.0).tolist()]
+    return sorted(tuple(p) for p in known[:, :nvars].tolist()), excluded, uncertified
 
 
 def _torus_distance(a, b) -> np.ndarray:
@@ -569,37 +523,56 @@ def _torus_dedup(points: np.ndarray) -> List[Tuple[float, ...]]:
     """Keep the first point, drop every point within 1e-7 of it, repeat."""
     out = []
     while len(points):
-        out.append(tuple(float(x) for x in points[0]))
+        out.append(tuple(points[0].tolist()))
         points = points[_torus_distance(points, points[0]) >= 1e-7]
     return out
 
 
-def _zeros_with_det(spec: EvMapSpec, omit: int, n_scan: int, n_grid: int):
-    """Common zeros of the components other than ``omit``, each with det J there.
+def _signed_preimages(spec: EvMapSpec, axis: int, poles, n_scan, n_grid, degeneracy_tol):
+    """Preimages of the poles ``poles`` (+1, -1 or both) on ``axis``, with local signs.
 
-    Also returns a line describing the search, for error messages.
+    They are the common zeros of the other components, found by
+    ``_cell_zeros`` from ``n_scan`` cells on the circle or ``n_grid``
+    cells per axis on the torus; the sign of component ``axis`` at a zero
+    names its pole.  A kept preimage must be transverse, |det J| >=
+    ``degeneracy_tol``, and its sign is that of det J, corrected for the
+    place of ``axis`` and the pole and by ``spec.orientation``.
+
+    Returns the preimages sorted by parameter, and the search line
+    "cells excluded, roots certified, cells uncertified" for messages.
     """
-    comps = [c for j, c in enumerate(spec.components) if j != omit]
-    if spec.nvars == 1:
-        params = [(r,) for r in _circle_roots(comps[0], n_scan)]
-        search = f"{len(params)} roots bracketed by a {n_scan}-point scan"
-    else:
-        params, excluded, uncertified = _torus_zeros(*comps, n_grid)
-        search = (
-            f"{excluded} cells excluded, {len(params)} roots certified, "
-            f"{len(uncertified)} cells uncertified"
+    comps = [c for j, c in enumerate(spec.components) if j != axis]
+    params, excluded, uncertified = _cell_zeros(comps, (n_scan, n_grid)[spec.nvars - 1])
+    search = (
+        f"{excluded} cells excluded, {len(params)} roots certified, "
+        f"{len(uncertified)} cells uncertified"
+    )
+    if uncertified:
+        named = ", ".join(
+            " x ".join(f"[{lo:.12g}, {hi:.12g}]" for lo, hi in box) for box in uncertified[:4]
         )
-        if uncertified:
-            named = ", ".join(f"[{x0:.6g}, {x1:.6g}] x [{y0:.6g}, {y1:.6g}]"
-                              for (x0, x1), (y0, y1) in uncertified[:4])
-            raise DegeneracyError(
-                f"cell search left {len(uncertified)} cells uncertified after "
-                f"{_MAX_DEPTH} subdivisions, among them {named} ({search})",
-                where=tuple((lo + hi) / 2.0 for lo, hi in uncertified[0]),
-            )
+        raise DegeneracyError(
+            f"cell search left {len(uncertified)} cells uncertified after "
+            f"{_MAX_DEPTH} subdivisions, among them {named} ({search})",
+            where=tuple((lo + hi) / 2.0 for lo, hi in uncertified[0]),
+        )
     theta = np.array(params, dtype=float).reshape(len(params), spec.nvars)
-    jac = np.stack([c.value_and_grad(theta)[1] for c in comps], axis=1)
-    return list(zip(params, np.linalg.det(jac).tolist())), search
+    dets = _linearize(comps, theta)[2].tolist()
+    out = []
+    for p, det, value in zip(params, dets, spec.components[axis](theta).tolist()):
+        pole = 1 if value > 0 else -1
+        if pole not in poles:
+            continue
+        if abs(det) < degeneracy_tol:
+            raise DegeneracyError(
+                f"preimage at {p} of the {pole:+d} pole on axis {axis} is not "
+                f"transverse (|det J| = {abs(det):.2e})",
+                where=p,
+            )
+        # [pole e_axis ^ e_{j_1} ^ ...] = pole (-1)^axis [e_1 ^ ... ^ e_k]
+        sign = pole * (-1) ** axis * (1 if det > 0 else -1) * spec.orientation
+        out.append(PolePreimage(params=p, pole=pole, sign=sign))
+    return out, search
 
 
 def pole_preimages(
@@ -616,14 +589,14 @@ def pole_preimages(
     positive factors, so the zero set and the Jacobian sign at each root
     are unaffected by the eigenvalue weights.
 
-    On the circle the preimages come from an ``n_scan``-point sign-change
-    scan.  On the torus they come from the certified cell search of
-    ``_torus_zeros`` on an ``n_grid`` x ``n_grid`` grid of cells: each
-    preimage is the centre of a Kantorovich ball holding exactly one
-    zero, and every other cell is excluded by the components' Lipschitz
-    bounds or covered by a ball.  A cell still uncertified after
-    ``_MAX_DEPTH`` subdivisions (near a degenerate or nearly double root)
-    raises DegeneracyError naming the cells.
+    The preimages come from the certified cell search of ``_cell_zeros``,
+    seeded with ``n_scan`` cells on the circle and ``n_grid`` x ``n_grid``
+    cells on the torus: each preimage is the centre of a Kantorovich ball
+    holding exactly one zero, and every other cell is excluded by the
+    components' Lipschitz bounds or covered by a ball.  A cell still
+    uncertified after ``_MAX_DEPTH`` subdivisions (near a degenerate or
+    nearly double root) raises DegeneracyError naming the cells, and so
+    does a preimage with |det J| < ``degeneracy_tol``.
 
     Both poles are regular values, so the signed count over each equals
     the degree.  The two counts are compared as a cross-check of the
@@ -632,23 +605,7 @@ def pole_preimages(
     certified, cells uncertified".
     """
     axis = _axis_index(spec, pole_choice)
-    out: List[PolePreimage] = []
-    zeros, search = _zeros_with_det(spec, axis, n_scan, n_grid)
-    for p, det in zeros:
-        theta = np.asarray(p, dtype=float)
-        if abs(det) < degeneracy_tol:
-            raise DegeneracyError(
-                f"pole preimage at {p} is not transverse (|det J| = {abs(det):.2e})",
-                where=p,
-            )
-        axis_value = float(spec.components[axis](np.atleast_2d(theta))[0])
-        pole = 1 if axis_value > 0 else -1
-        sign = (
-            _orientation_correction(axis, pole)
-            * (1 if det > 0 else -1)
-            * spec.orientation
-        )
-        out.append(PolePreimage(params=tuple(float(x) for x in p), pole=pole, sign=sign))
+    out, search = _signed_preimages(spec, axis, (1, -1), n_scan, n_grid, degeneracy_tol)
     north = sum(r.sign for r in out if r.pole == 1)
     south = sum(r.sign for r in out if r.pole == -1)
     if north != south:
@@ -656,7 +613,7 @@ def pole_preimages(
             f"degree certificate failed: signed count {north} over the + pole, "
             f"{south} over the - pole ({search})"
         )
-    return sorted(out, key=lambda r: r.params)
+    return out
 
 
 @dataclass(frozen=True)
@@ -716,8 +673,12 @@ def path_intersections(
 
     The midpoint of the meridian is the equator point ``s * e_through``;
     its preimages are transverse intersections of the image with the arc,
-    signed by the local degree.  For k = 2 the components of the arc
-    preimage are reported as well, with their endpoint pole data.
+    signed by the local degree.  They are the preimages of the pole
+    ``through_sign`` on axis ``through``, found and certified by the same
+    cell search as in ``pole_preimages`` (``n_scan`` seed cells on the
+    circle, ``n_grid`` per axis on the torus).  For k = 2 the components
+    of the arc preimage are reported as well, with their endpoint pole
+    data.
     """
     axis = _axis_index(spec, path.pole_axis)
     if path.through == axis or not 0 <= path.through < spec.k:
@@ -734,34 +695,18 @@ def path_intersections(
                 f"declared singular image at parameters {p} lies on the meridian"
             )
 
-    q_axis = path.through
-    crossings: List[Crossing] = []
-    for p, det in _zeros_with_det(spec, q_axis, n_scan, n_grid)[0]:
-        theta = np.asarray(p, dtype=float)
-        through_val = float(spec.components[q_axis](np.atleast_2d(theta))[0])
-        if through_val * path.through_sign <= 0:
-            continue  # hits the antipodal meridian
-        if abs(det) < degeneracy_tol:
-            raise DegeneracyError(
-                f"crossing at {p} is tangent to the meridian", where=p
-            )
-        sign = (
-            _orientation_correction(q_axis, path.through_sign)
-            * (1 if det > 0 else -1)
-            * spec.orientation
-        )
-        crossings.append(Crossing(tuple(float(x) for x in p), sign))
-    crossings.sort(key=lambda c: c.params)
+    kept, _ = _signed_preimages(
+        spec, path.through, (path.through_sign,), n_scan, n_grid, degeneracy_tol
+    )
+    crossings = [Crossing(p.params, p.sign) for p in kept]
 
     components: Tuple[ArcComponent, ...] = ()
     if spec.nvars == 1:
-        components = tuple(
-            _arc_components(spec, axis, path, crossings, n_scan, degeneracy_tol)
-        )
+        components = tuple(_arc_components(spec, path, crossings, n_scan, degeneracy_tol))
     return PathIntersections(crossings=tuple(crossings), components=components)
 
 
-def _arc_components(spec, axis, path, crossings, n_scan, degeneracy_tol):
+def _arc_components(spec, path, crossings, n_scan, degeneracy_tol):
     """Components of {theta : normalized image on the chosen half circle}."""
     poles = pole_preimages(
         spec,
@@ -771,10 +716,9 @@ def _arc_components(spec, axis, path, crossings, n_scan, degeneracy_tol):
     )
     if not poles:
         return []
-    by_param = sorted(poles, key=lambda r: r.params[0])
     through = spec.components[path.through]
     out = []
-    for a, b in zip(by_param, by_param[1:] + by_param[:1]):
+    for a, b in zip(poles, poles[1:] + poles[:1]):
         lo = a.params[0]
         hi = b.params[0] if b.params[0] > lo else b.params[0] + 1.0
         mid = (lo + hi) / 2.0
@@ -826,13 +770,14 @@ def s0_zero_locus_check(
 ) -> ZeroLocusReport:
     """Zeros of the linearized section versus pole preimages, per T.
 
-    The zero finder works directly on the scaled section values by scan
-    and subdivision (on the torus it keeps every closed cell on which both
-    components take both signs), independently of the certified cell
-    search, with its Lipschitz exclusion and Kantorovich balls, that
-    locates the pole preimages.  Those are found at the default
-    resolution, so a map with an uncertified cell raises DegeneracyError
-    here as in ``pole_preimages``.
+    The zero finder works directly on the scaled section values: on the
+    circle by a sign-change scan of ``n_scan`` points, on the torus by
+    subdivision of ``n_cells`` x ``n_cells`` closed cells, keeping every
+    cell on which both components take both signs.  It is independent of
+    the certified cell search, with its Lipschitz exclusion and
+    Kantorovich balls, that locates the pole preimages on both domains.
+    Those are found at the default resolution of ``pole_preimages``, so
+    a map with an uncertified cell raises DegeneracyError here as there.
     """
     if pole_choice != "last_coordinate":
         raise ValidationError(
@@ -844,10 +789,7 @@ def s0_zero_locus_check(
     mismatches: List[ZeroLocusMismatch] = []
     for T in T_grid:
         if spec.nvars == 1:
-            zeros = [
-                (z,)
-                for z in _scan_zeros_circle(spec, float(T), n_scan)
-            ]
+            zeros = _scan_zeros_circle(spec, float(T), n_scan)
         else:
             zeros = _scan_zeros_torus(spec, float(T), n_cells)
         matched = np.zeros(len(poles), dtype=bool)
@@ -868,8 +810,13 @@ def s0_zero_locus_check(
     return ZeroLocusReport(ok=not mismatches, mismatches=tuple(mismatches))
 
 
-def _scan_zeros_circle(spec: EvMapSpec, T: float, n_scan: int) -> List[float]:
-    """Zeros of the scaled section on an ``n_scan``-point scan, refined to width 1e-14."""
+def _scan_zeros_circle(spec: EvMapSpec, T: float, n_scan: int) -> List[Tuple[float]]:
+    """Zeros of the scaled section on the closed scan of ``n_scan`` + 1 points.
+
+    Exact zero samples count as they are; every interval whose ends have
+    opposite strict signs is refined by ``_refine_brackets`` to width
+    1e-14.  Returns the zeros sorted and deduplicated by ``_torus_dedup``.
+    """
     scale = math.exp(-2.0 * spec.lambdas[0] * T)
     comp = spec.components[0]
 
@@ -878,7 +825,12 @@ def _scan_zeros_circle(spec: EvMapSpec, T: float, n_scan: int) -> List[float]:
         return scale * value, scale * grad[:, 0]
 
     ts = np.arange(n_scan + 1) / n_scan
-    return _sign_change_roots(ts, scale * comp(ts.reshape(-1, 1)), section)
+    vals = scale * comp(ts.reshape(-1, 1))
+    a, b = vals[:-1], vals[1:]
+    j = np.flatnonzero(np.sign(a) * np.sign(b) < 0.0)
+    refined = _refine_brackets(section, ts[j], ts[j + 1], xtol=1e-14) if j.size else []
+    zeros = np.concatenate([ts[:-1][a == 0.0], refined]) % 1.0
+    return _torus_dedup(np.sort(zeros).reshape(-1, 1))
 
 
 def _scan_zeros_torus(spec: EvMapSpec, T: float, n_cells: int) -> List[Tuple[float, float]]:
@@ -964,6 +916,21 @@ def lift_spec(
     return LiftedEvMap(k=new_k, components=tuple(components), lambdas=lambdas)
 
 
+def _fields(tokens, loc: str, allowed) -> dict:
+    """``key=value`` tokens as a dict; only ``allowed`` keys, each at most once."""
+    fields = {}
+    for tok in tokens:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValidationError(f"{loc}: expected key=value, got {tok!r}")
+        if key not in allowed:
+            raise ValidationError(f"{loc}: unknown field {key!r}, expected one of {allowed}")
+        if key in fields:
+            raise ValidationError(f"{loc}: duplicate field {key!r}")
+        fields[key] = value
+    return fields
+
+
 def parse_evmap(text: str, source_name: str = "<memory>") -> EvMapSpec:
     """Parse a trig-polynomial map file.
 
@@ -971,19 +938,23 @@ def parse_evmap(text: str, source_name: str = "<memory>") -> EvMapSpec:
 
         evmap k=<2|3> lambdas=<l1,l2[,l3]> [orientation=<1|-1>]
         term comp=<i> kind=<const|cos|sin> order=<m1[,m2]> value=<float>
+
+    A record with a token that is not ``key=value``, an unknown or repeated
+    key, or a term whose component is not in 0..k-1 or whose kind is not
+    one of the three raises ValidationError naming its line.
     """
     header = None
-    terms_by_comp = {}
+    terms = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         loc = f"{source_name}:{lineno}"
         tokens = line.split()
-        fields = dict(tok.split("=", 1) for tok in tokens[1:] if "=" in tok)
         if tokens[0] == "evmap":
             if header is not None:
                 raise ValidationError(f"{loc}: duplicate evmap header")
+            fields = _fields(tokens[1:], loc, ("k", "lambdas", "orientation"))
             try:
                 header = {
                     "k": int(fields["k"]),
@@ -993,6 +964,7 @@ def parse_evmap(text: str, source_name: str = "<memory>") -> EvMapSpec:
             except (KeyError, ValueError) as exc:
                 raise ValidationError(f"{loc}: bad evmap header ({exc})")
         elif tokens[0] == "term":
+            fields = _fields(tokens[1:], loc, ("comp", "kind", "order", "value"))
             try:
                 comp = int(fields["comp"])
                 kind = fields["kind"]
@@ -1000,28 +972,27 @@ def parse_evmap(text: str, source_name: str = "<memory>") -> EvMapSpec:
                 value = float(fields["value"])
             except (KeyError, ValueError) as exc:
                 raise ValidationError(f"{loc}: bad term record ({exc})")
-            terms_by_comp.setdefault(comp, []).append((kind, orders, value))
+            if kind not in ("const", "cos", "sin"):
+                raise ValidationError(f"{loc}: unknown term kind {kind!r}")
+            terms.append((loc, comp, kind, orders, value))
         else:
             raise ValidationError(f"{loc}: unknown record kind {tokens[0]!r}")
     if header is None:
         raise ValidationError(f"{source_name}: missing evmap header")
     k = header["k"]
     nvars = k - 1
-    components = []
-    for comp in range(k):
-        terms = []
-        for kind, orders, value in terms_by_comp.get(comp, []):
-            if kind == "const":
-                orders = (0,) * nvars
-            if len(orders) != nvars:
-                raise ValidationError(
-                    f"component {comp}: order arity {len(orders)} != {nvars}"
-                )
-            terms.append((kind, orders, value))
-        components.append(TrigPolynomial(nvars, tuple(terms)))
+    by_comp = [[] for _ in range(k)]
+    for loc, comp, kind, orders, value in terms:
+        if not 0 <= comp < k:
+            raise ValidationError(f"{loc}: component {comp} out of range for k={k}")
+        if kind == "const":
+            orders = (0,) * nvars
+        if len(orders) != nvars:
+            raise ValidationError(f"{loc}: order arity {len(orders)} != {nvars}")
+        by_comp[comp].append((kind, orders, value))
     return EvMapSpec(
         k=k,
-        components=tuple(components),
+        components=tuple(TrigPolynomial(nvars, tuple(t)) for t in by_comp),
         lambdas=header["lambdas"],
         orientation=header["orientation"],
     )

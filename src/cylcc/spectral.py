@@ -45,6 +45,16 @@ KINDS = (ELLIPTIC, POS_HYPERBOLIC, NEG_HYPERBOLIC)
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+def _s_matrix(kind_name: str, eps: float) -> np.ndarray:
+    """S of a model: eps I when elliptic, eps [[0, 1], [1, 0]] when hyperbolic.
+
+    No range check on eps, so the stencil can also be built at eps = 0.
+    """
+    if kind_name == ELLIPTIC:
+        return np.array([[eps, 0.0], [0.0, eps]])
+    return np.array([[0.0, eps], [eps, 0.0]])
+
+
 @dataclass(frozen=True)
 class OperatorKind:
     """One of the three model operators together with its parameter eps."""
@@ -94,9 +104,7 @@ class OperatorKind:
         return 2.0 if self.antiperiodic else 1.0
 
     def s_matrix(self) -> np.ndarray:
-        if self.kind == ELLIPTIC:
-            return np.array([[self.eps, 0.0], [0.0, self.eps]])
-        return np.array([[0.0, self.eps], [self.eps, 0.0]])
+        return _s_matrix(self.kind, self.eps)
 
 
 @dataclass(frozen=True)
@@ -313,11 +321,8 @@ def finite_difference_operator(
     """
     if kind_name not in KINDS:
         raise DomainError(f"unknown operator kind {kind_name!r}")
-    if kind_name == ELLIPTIC:
-        s_mat = np.array([[eps, 0.0], [0.0, eps]])
-    else:
-        s_mat = np.array([[0.0, eps], [eps, 0.0]])
-    return StencilOperator(grid_size, s_mat, -1.0 if kind_name == NEG_HYPERBOLIC else 1.0)
+    wrap = -1.0 if kind_name == NEG_HYPERBOLIC else 1.0
+    return StencilOperator(grid_size, _s_matrix(kind_name, eps), wrap)
 
 
 def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> SpectrumTable:

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import random
+import re
 import warnings
 from pathlib import Path
 
@@ -140,18 +141,20 @@ class TestFlowNormalize:
 
 class TestCircleRoots:
     @staticmethod
-    def assert_same_roots(roots, oracle):
+    def assert_same_roots(comp, n_cells, oracle):
+        roots, excluded, uncertified = evaluation._cell_zeros([comp], n_cells)
+        assert not uncertified and excluded > 0
         assert len(roots) == len(oracle)
-        for r in roots:
+        for (r,) in roots:
             assert min(min(abs(r - o), 1.0 - abs(r - o)) for o in oracle) <= 2e-14
 
     @pytest.mark.parametrize("component", [0, 1])
     def test_bundled_k2_matches_brentq_oracle(self, component):
         comp = bundled_spec("evmap_k2.txt").components[component]
         for n_scan in (1024, 8192):
-            roots = evaluation._circle_roots(comp, n_scan)
-            assert roots
-            self.assert_same_roots(roots, brentq_circle_roots_oracle(comp, n_scan))
+            oracle = brentq_circle_roots_oracle(comp, n_scan)
+            assert oracle
+            self.assert_same_roots(comp, n_scan, oracle)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_trig_polynomials_match_brentq_oracle(self, seed):
@@ -165,14 +168,14 @@ class TestCircleRoots:
             oracle = brentq_circle_roots_oracle(comp, 4096)
             if any(r != 0.0 for r in oracle):
                 break
-        self.assert_same_roots(evaluation._circle_roots(comp, 4096), oracle)
+        self.assert_same_roots(comp, 4096, oracle)
 
     def test_brackets_refined_together(self, monkeypatch):
-        # The bundled k2 component has four roots.  Refined one at a time
-        # by brentq they took over 30 evaluations; refined together, each
-        # round evaluates every bracket at once, and safeguarded Newton
-        # needs a handful of rounds after the scan.
-        comp = bundled_spec("evmap_k2.txt").components[0]
+        # The scaled section of the bundled k2 map has four zeros.  Refined
+        # one at a time by brentq they took over 30 evaluations; refined
+        # together, each round evaluates every bracket at once, and
+        # safeguarded Newton needs a handful of rounds after the scan.
+        spec = bundled_spec("evmap_k2.txt")
         calls = []
         for name in ("__call__", "value_and_grad"):
             real = getattr(TrigPolynomial, name)
@@ -182,9 +185,20 @@ class TestCircleRoots:
                 return real(self, theta)
 
             monkeypatch.setattr(TrigPolynomial, name, counted)
-        assert len(evaluation._circle_roots(comp, 8192)) == 4
+        assert len(evaluation._scan_zeros_circle(spec, 60.0, 8192)) == 4
         assert calls[0] == 8193
         assert len(calls) <= 8
+
+    def test_kantorovich_ball_on_the_circle(self):
+        # sin 2 pi x at 0: beta = 1 / (2 pi), K = 4 pi^2 and f = 0, so eta is
+        # beta times the absolute slack 1e-12, and the uniqueness radius is
+        # 2 / (beta K) = 1 / pi.
+        comp = TrigPolynomial(1, (("sin", (1,), 1.0),))
+        ok, t_exist, t_unique = evaluation._kantorovich([comp], np.array([[0.0], [1e-12]]))
+        assert ok.all()
+        assert t_exist[0] == pytest.approx(1e-12 / (2.0 * math.pi), rel=1e-6, abs=0.0)
+        assert t_exist[1] >= 1e-12
+        assert np.allclose(t_unique, 1.0 / math.pi, rtol=1e-9) and np.all(t_unique < 1.0 / math.pi)
 
 
 class TestS0Eval:
@@ -360,11 +374,20 @@ class TestPolePreimages:
         assert total == len(pp) == 4
 
     def test_tangency_raises(self):
+        # 1 - cos 2 pi x has a double root at 0: no ball certifies it and
+        # the component is too flat there to exclude the cells.
         f1 = TrigPolynomial(1, (("const", (0,), 1.0), ("cos", (1,), -1.0)))
         f2 = TrigPolynomial(1, (("const", (0,), 2.0),))
         spec = EvMapSpec(2, (f1, f2), (0.5, 1.5))
-        with pytest.raises(DegeneracyError):
+        box = r"\[-?[\d.e-]+, -?[\d.e-]+\]"
+        with pytest.raises(DegeneracyError, match=f"cells uncertified .* among them {box}") as info:
             pole_preimages(spec)
+        assert "0 roots certified" in str(info.value)
+        (x,) = info.value.where
+        assert min(x, 1.0 - x) < 1e-3
+        # The printed ends of a cell 2^-10 of a seed cell wide differ.
+        ends = re.findall(box, str(info.value))
+        assert ends and all(len(set(end[1:-1].split(", "))) == 2 for end in ends)
 
     def test_seeds_on_exact_roots_do_not_warn(self):
         # The grid seeds (0, 0) and (0, 1/2) sit exactly on roots, so their
@@ -387,26 +410,21 @@ class TestPolePreimages:
             assert np.allclose(p.params, params, atol=1e-12)
             assert (p.pole, p.sign) == (pole, sign)
 
-    @pytest.mark.parametrize(
-        "name,search", [("evmap_k2.txt", "_circle_roots"), ("evmap_k3.txt", "_torus_zeros")]
-    )
-    def test_lost_root_fails_degree_certificate(self, monkeypatch, name, search):
-        real = getattr(evaluation, search)
+    @pytest.mark.parametrize("name", ["evmap_k2.txt", "evmap_k3.txt"])
+    def test_lost_root_fails_degree_certificate(self, monkeypatch, name):
+        real = evaluation._cell_zeros
 
         def drop_first_root(*args, **kwargs):
-            found = real(*args, **kwargs)
-            if search == "_circle_roots":
-                return found[1:]
-            roots, excluded, uncertified = found
+            roots, excluded, uncertified = real(*args, **kwargs)
             return roots[1:], excluded, uncertified
 
         spec = bundled_spec(name)
         pole_preimages(spec)  # the certificate holds with every root
-        monkeypatch.setattr(evaluation, search, drop_first_root)
+        monkeypatch.setattr(evaluation, "_cell_zeros", drop_first_root)
         counts = r"signed count -?\d+ over the \+ pole, -?\d+ over the - pole"
         with pytest.raises(DegeneracyError, match=counts) as info:
             pole_preimages(spec)
-        assert ("cells excluded" in str(info.value)) == (search == "_torus_zeros")
+        assert "cells excluded" in str(info.value)
 
     def test_double_root_leaves_cells_uncertified(self):
         # (0, 0) and (0, 1/2) are double roots of (f1, f2): no Kantorovich
@@ -522,7 +540,7 @@ class TestCertifiedCellSearch:
         spec = torus_map(source)
         for omit in range(3):
             f1, f2 = (c for j, c in enumerate(spec.components) if j != omit)
-            roots, excluded, uncertified = evaluation._torus_zeros(f1, f2, n_grid)
+            roots, excluded, uncertified = evaluation._cell_zeros([f1, f2], n_grid)
             expected = torus_newton_oracle(f1, f2, n_grid)
             assert not uncertified and excluded > 0
             assert len(roots) == len(expected) >= 2
@@ -537,14 +555,14 @@ class TestCertifiedCellSearch:
         f1 = TrigPolynomial(2, (("sin", (1, 0), 1.0),))
         f2 = TrigPolynomial(2, (("sin", (0, 1), 1.0),))
         x = np.array([[1e-11, -1e-11], [0.0, 0.0], [1e-6, 0.0]])
-        ok, t_exist, t_unique = evaluation._kantorovich(f1, f2, x)
+        ok, t_exist, t_unique = evaluation._kantorovich([f1, f2], x)
         assert ok.tolist() == [True, True, False]  # the last fails |f| < 1e-10
         assert np.all(t_exist[:2] >= np.abs(x[:2]).max(axis=1))
         assert np.allclose(t_unique[:2], 1.0 / math.pi, rtol=1e-9) and np.all(t_unique[:2] < 0.5)
         # At a double root h tends to 1/2 from above: never certified.
         g1 = TrigPolynomial(2, (("const", (0, 0), 1.0), ("cos", (1, 0), -1.0)))
         near = np.array([[10.0**-e, 0.0] for e in (6, 7, 8)])
-        assert not evaluation._kantorovich(g1, f2, near)[0].any()
+        assert not evaluation._kantorovich([g1, f2], near)[0].any()
 
     def test_kantorovich_balls_nonsymmetric_jacobian(self):
         # (sin 2 pi x, sin 2 pi x + 0.2 sin 2 pi y): J(0, 0) = [[2 pi, 0], [2 pi, 0.4 pi]]
@@ -552,7 +570,7 @@ class TestCertifiedCellSearch:
         f1 = TrigPolynomial(2, (("sin", (1, 0), 1.0),))
         f2 = TrigPolynomial(2, (("sin", (1, 0), 1.0), ("sin", (0, 1), 0.2)))
         x = np.array([[0.0, 0.0], [1e-12, -2e-12], [-3e-12, 1e-12]])
-        ok, t_exist, t_unique = evaluation._kantorovich(f1, f2, x)
+        ok, t_exist, t_unique = evaluation._kantorovich([f1, f2], x)
         assert ok.all()
         lip = max(f1.grad_lipschitz, f2.grad_lipschitz)
         for p, t1, t2 in zip(x, t_exist, t_unique):
@@ -669,6 +687,27 @@ class TestPathIntersections:
         south = sum(p.sign for p in pp if p.pole == -1)
         assert north == south == res.total_signed == 1
 
+    def test_crossings_are_the_filtered_pole_preimages(self):
+        # The crossings through s e_through are the preimages of the pole s
+        # on axis ``through``: the same points with the same signs.
+        gen = _load_gen()
+        specs = [bundled_spec("evmap_k2.txt"), bundled_spec("evmap_k3.txt")] + [
+            parse_evmap(gen.torus_map_text(random.Random(seed), 2)) for seed in range(1, 11)
+        ]
+        cases = 0
+        for spec in specs:
+            for through, pole_axis, through_axis in (
+                (0, "last_coordinate", "first_coordinate"),
+                (spec.k - 1, "first_coordinate", "last_coordinate"),
+            ):
+                poles = pole_preimages(spec, through_axis)
+                for sign in (1, -1):
+                    res = path_intersections(spec, MeridianPath(pole_axis, through, sign))
+                    expected = [(p.params, p.sign) for p in poles if p.pole == sign]
+                    assert [(c.params, c.sign) for c in res.crossings] == expected
+                    cases += 1
+        assert cases == 48
+
     def test_tangency_raises(self):
         # second component tangent to zero where the first is positive
         f1 = TrigPolynomial(1, (("const", (0,), 2.0),))
@@ -770,8 +809,25 @@ class TestParsing:
             parse_evmap("term comp=0 kind=const order=0 value=1\n")
 
     def test_bad_term(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="<memory>:2: unknown term kind 'tan'"):
             parse_evmap("evmap k=2 lambdas=1,2\nterm comp=0 kind=tan order=1 value=1\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("evmap k=2 lambdas=1,2 orientaton=-1", "m.txt:1: unknown field 'orientaton'"),
+            ("term comp=2 kind=const order=0 value=1", "m.txt:2: component 2 out of range for k=2"),
+            ("term comp=-1 kind=const order=0 value=1", "m.txt:2: component -1 out of range"),
+            ("term comp=0 kind=cos order=1 value 1", "m.txt:2: expected key=value, got 'value'"),
+            ("term comp=0 kind=cos order=1 value=1 value=2", "m.txt:2: duplicate field 'value'"),
+        ],
+        ids=["misspelt_key", "comp_too_large", "comp_negative", "no_equals", "repeated_key"],
+    )
+    def test_malformed_records_rejected_with_location(self, text, message):
+        if not text.startswith("evmap"):
+            text = "evmap k=2 lambdas=1,2\n" + text
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_evmap(text + "\n", "m.txt")
 
 
 class TestSpecValidation:

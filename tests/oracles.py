@@ -10,7 +10,9 @@ damped Newton at every grid point and keeps what converges, independently
 of the package's certified cell search.  The brentq oracles refine one
 bracket at a time with scipy, independently of the package's batched
 bracket refinement.  The torus scan oracle samples every cell's 3x3 grid
-on its own, independently of the package's shared lattices.
+on its own, independently of the package's shared lattices.  The neck
+norm oracle applies the trapezoid rule to every point of the full grid,
+independently of the package's ramp points and geometric series.
 """
 
 import math
@@ -266,3 +268,21 @@ def torus_scan_oracle(components, scales, n_cells):
         d = np.abs(points - points[0]) % 1.0
         points = points[np.minimum(d, 1.0 - d).max(axis=1) >= 1e-7]
     return zeros
+
+
+def star_norm_oracle(field):
+    """NeckField.star_norm by np.trapezoid over every point of params.grid()."""
+    grid = field.params.grid()
+    total = 0.0
+    dtotal = 0.0
+    for i in field.mode_indices:
+        lam = field.spectrum.eigenvalue(i)
+        b = field.b(i, grid)
+        db = field.b_deriv(i, grid) + lam * b
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight = np.exp(lam * grid)
+            vals = np.where(b == 0.0, 0.0, b * weight)
+            dvals = np.where(db == 0.0, 0.0, db * weight)
+        total += float(np.trapezoid(vals * vals, grid))
+        dtotal += float(np.trapezoid(dvals * dvals, grid))
+    return math.sqrt(total) + math.sqrt(dtotal)

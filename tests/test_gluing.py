@@ -8,6 +8,8 @@ from cylcc.gluing import (
     CokernelBasisModel,
     NeckField,
     NeckParams,
+    Ramp,
+    RampMode,
     estimate_sweep,
     make_cutoffs,
     momo_check,
@@ -20,7 +22,16 @@ from cylcc.gluing import (
 )
 from cylcc.spectral import OperatorKind, closed_form_spectrum
 
+from .oracles import star_norm_oracle
+
 KIND = OperatorKind.pos_hyperbolic(0.5)
+
+
+class _ValueFlipped(RampMode):
+    """A planted defect: the value changes sign, the derivative does not."""
+
+    def value(self, s):
+        return -super().value(s)
 
 
 def setup(T=60.0, max_index=3, **kw):
@@ -111,6 +122,16 @@ class TestPreglue:
         with pytest.raises(ValidationError):
             NeckField.end_from_above(spectrum, params, {-1: 1.0})
 
+    def test_nonconstant_ends_rejected(self):
+        params, spectrum = setup()
+        eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0})
+        eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5})
+        zero = NeckField.zero(spectrum, params)
+        with pytest.raises(ValidationError, match="top-end mode 1 is not constant"):
+            preglue(preglue(eta_p, zero, params), eta_m, params)
+        with pytest.raises(ValidationError, match="bottom-end mode -1 is not constant"):
+            preglue(eta_p, preglue(zero, eta_m, params), params)
+
 
 class TestSolveNeck:
     def test_zero_bottom_forcing_gives_zero_psi_plus(self):
@@ -168,6 +189,29 @@ class TestSolveNeck:
         )
         assert content < 1e-10
 
+    def test_nonconstant_ends_rejected(self):
+        params, spectrum = setup()
+        eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0})
+        eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5})
+        zero = NeckField.zero(spectrum, params)
+        with pytest.raises(ValidationError, match="top-end mode 1 is not constant"):
+            solve_neck(preglue(eta_p, zero, params), eta_m, params)
+        with pytest.raises(ValidationError, match="bottom-end mode -1 is not constant"):
+            solve_neck(eta_p, preglue(zero, eta_m, params), params)
+
+    def test_residuals_catch_planted_flips(self):
+        params, spectrum = setup()
+        eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0, 3: -1.0})
+        eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5, -2: 0.5})
+        psi_plus, psi_minus = solve_neck(eta_p, eta_m, params)
+        mode = psi_plus.modes[-1]
+        flipped = RampMode(-mode.a, -mode.c, mode.ramp)
+        value_only = _ValueFlipped(mode.a, mode.c, mode.ramp)
+        for planted in (flipped, value_only):
+            bad = NeckField(spectrum, params, {**psi_plus.modes, -1: planted})
+            res_plus, _ = theta_residuals(eta_p, eta_m, bad, psi_minus, params)
+            assert res_plus > 1e-3
+
     def test_mode_collision_rejected(self):
         params, spectrum = setup()
         eta_p = NeckField.end_from_above(spectrum, params, {1: 1.0})
@@ -176,6 +220,126 @@ class TestSolveNeck:
         bad = NeckField(spectrum, params, {**eta_m.modes, **eta_p.modes})
         with pytest.raises(ValidationError):
             solve_neck(collide, bad, params)
+
+
+# Neck geometries for the norm: s_grid 64, an odd size, sizes that put
+# T0 and T (81), all four ramp ends (121, and 261 on the wide neck) or
+# none of them (361, step 1/3) exactly on grid points, and the
+# benchmark's size.
+NORM_GEOMETRIES = [
+    dict(s_grid=64),
+    dict(s_grid=1001),
+    dict(s_grid=81),
+    dict(s_grid=121),
+    dict(s_grid=361),
+    dict(T=45.0, s_grid=32768),
+    dict(T=45.0, s_grid=32767),
+    dict(T0=41.0, T=130.0, r=8.0, s_grid=261),
+    dict(T0=41.0, T=130.0, r=8.0, s_grid=32768),
+]
+
+
+def _norm_fields(params, spectrum):
+    """End data, their preglued and solved fields, and single ramp modes.
+
+    Single modes are scaled so that |b e^{lambda s}| is about one where it
+    is largest, which keeps every squared grid value a normal float.
+    """
+    cut = make_cutoffs(params)
+    top = NeckField.end_from_above(spectrum, params, {1: 2.0, 2: -1.0, 3: 0.5})
+    bottom = NeckField.end_from_below(spectrum, params, {-1: 1.5, -2: 0.5, -3: -0.7})
+    fields = [top, bottom, preglue(top, bottom, params), *solve_neck(top, bottom, params)]
+    for i in (1, 2, 3, -1, -2, -3):
+        lam = spectrum.eigenvalue(i)
+        for ramp in (cut.plus, cut.minus):
+            for a, c in ((0.7, -1.9), (0.0, 1.3), (1.3, -1.3), (-0.4, 0.0)):
+                if lam > 0.0:
+                    peak = params.s_max if a + c != 0.0 else ramp.hi
+                else:
+                    peak = 0.0 if a != 0.0 else ramp.lo
+                if abs(lam * peak) > 700.0:
+                    continue  # no float scale makes the mode representable
+                scale = math.exp(-lam * peak)
+                fields.append(NeckField(spectrum, params, {i: RampMode(a * scale, c * scale, ramp)}))
+    return fields
+
+
+class TestStarNorm:
+    @pytest.mark.parametrize("geometry", NORM_GEOMETRIES, ids=str)
+    def test_matches_full_grid_oracle(self, geometry):
+        params, spectrum = setup(**geometry)
+        for field in _norm_fields(params, spectrum):
+            expected = star_norm_oracle(field)
+            assert field.star_norm() == pytest.approx(expected, rel=1e-12, abs=0.0), field.modes
+
+    @pytest.mark.parametrize(
+        "lo, width",
+        [(-10.0, 2.0), (-1.0, 2.0), (119.0, 3.0), (200.0, 1.0), (30.0, 0.01), (0.0, 120.0)],
+    )
+    def test_ramp_off_or_between_grid_points(self, lo, width):
+        # Supports beyond the grid, across an end, narrower than a step,
+        # or the whole neck, on the coarsest grid.
+        params, spectrum = setup(s_grid=64)
+        for i in (1, -1):
+            field = NeckField(spectrum, params, {i: RampMode(0.3, -0.7, Ramp(lo, width))})
+            assert field.star_norm() == pytest.approx(star_norm_oracle(field), rel=1e-12, abs=0.0)
+
+    def test_underflowed_top_mode_contributes_nothing(self):
+        params, spectrum = setup(T0=41.0, T=130.0, r=8.0, s_grid=32768)
+        field = NeckField.end_from_above(spectrum, params, {1: 2.0, 3: 0.5})
+        assert field.modes[3] == RampMode(0.0)
+        only_1 = NeckField.end_from_above(spectrum, params, {1: 2.0})
+        assert field.star_norm() == only_1.star_norm()
+
+    @pytest.mark.parametrize(
+        "T, i, a, c, ramp",
+        [
+            # e^{lambda s} overflows at the top end, so mode_value is inf
+            # there even where b e^{lambda s} is a float (the last two)
+            (60.0, 2, 1.0, 0.0, None),
+            (60.0, 2, 1e-300, 0.0, None),
+            (60.0, 2, 1e-320, 0.0, None),
+            (60.0, 2, 1.0, -1.0, "plus"),  # zero above T0 + w
+            (130.0, 2, 1.0, -1.0, "minus"),  # overflows below the ramp
+            (130.0, 1, 1.0, -1.0, "minus"),
+            (60.0, -2, 1.0, 0.0, None),  # underflows to zero
+        ],
+    )
+    def test_finiteness_check_matches_full_grid(self, T, i, a, c, ramp):
+        params, spectrum = setup(T0=41.0, T=T, r=8.0) if T > 82.0 else setup(T=T)
+        cut = make_cutoffs(params)
+        mode = RampMode(a, c, {"plus": cut.plus, "minus": cut.minus, None: None}[ramp])
+        grid = params.grid()
+        b = mode.value(grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.where(b == 0.0, 0.0, b * np.exp(spectrum.eigenvalue(i) * grid))
+        if np.all(np.isfinite(vals)):
+            NeckField(spectrum, params, {i: mode})
+        else:
+            with pytest.raises(ValidationError, match="finite-energy"):
+                NeckField(spectrum, params, {i: mode})
+
+    def test_mode_coefficients_validated(self):
+        with pytest.raises(ValidationError):
+            RampMode(math.inf)
+        with pytest.raises(ValidationError):
+            RampMode(1.0, 2.0)  # no ramp, so c must be 0
+
+    def test_neck_never_builds_the_grid(self, monkeypatch):
+        params, spectrum = setup(s_grid=32768)
+
+        def no_grid(self):
+            raise AssertionError("a full-grid pass")
+
+        monkeypatch.setattr(NeckParams, "grid", no_grid)
+        eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0})
+        eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5, -2: 0.5})
+        glued = preglue(eta_p, eta_m, params)
+        psi_plus, psi_minus = solve_neck(eta_p, eta_m, params)
+        NeckField(spectrum, params, dict(glued.modes))
+        assert all(f.star_norm() > 0.0 for f in (eta_p, eta_m, glued, psi_plus, psi_minus))
+        assert momo_check(eta_p, eta_m, params)["endpoint_deviation"] < 1e-12
+        assert len(estimate_sweep(_benchmark_necks(), [0.4, 0.9, 1.4]).rows) == 18
 
 
 class TestObstructionPairing:
@@ -291,7 +455,47 @@ class TestTwoSidedPairing:
             two_sided_pairing(1.0, 1.0, cok, [1.0], [0.0, 0.0])
 
 
+# estimate_sweep rows frozen from the full-grid trapezoid norm on the
+# benchmark's neck geometry: (T, r, amplitude, psi_plus_norm,
+# psi_minus_norm, ratio) at s_grid 32768.
+PINNED_SWEEP = (
+    (45.0, 4.0, 0.4, 1.84293898988384e-10, 0.0, 4.357092624205717),
+    (45.0, 4.0, 0.9, 4.14661272723864e-10, 0.0, 9.803458404462864),
+    (45.0, 4.0, 1.4, 6.450286464593439e-10, 0.0, 15.249824184720008),
+    (60.0, 4.0, 0.4, 1.019300750441128e-13, 0.0, 4.357092624207169),
+    (60.0, 4.0, 0.9, 2.2934266884925383e-13, 0.0, 9.803458404466133),
+    (60.0, 4.0, 1.4, 3.5675526265439477e-13, 0.0, 15.249824184725092),
+    (90.0, 4.0, 0.4, 3.118064648498092e-20, 0.0, 4.357092624215773),
+    (90.0, 4.0, 0.9, 7.015645459120707e-20, 0.0, 9.80345840448549),
+    (90.0, 4.0, 1.4, 1.091322626974332e-19, 0.0, 15.249824184755205),
+    (90.0, 8.0, 0.4, 4.258195196437321e-20, 0.0, 11.900555616641789),
+    (90.0, 8.0, 0.9, 9.580939191983972e-20, 0.0, 26.776250137444023),
+    (90.0, 8.0, 1.4, 1.4903683187530622e-19, 0.0, 41.65194465824626),
+    (110.0, 8.0, 0.4, 1.933217628333037e-24, 0.0, 11.90055561664788),
+    (110.0, 8.0, 0.9, 4.349739663749334e-24, 0.0, 26.77625013745773),
+    (110.0, 8.0, 1.4, 6.766261699165629e-24, 0.0, 41.651944658267574),
+    (130.0, 8.0, 0.4, 8.776794454196142e-29, 0.0, 11.900555616653847),
+    (130.0, 8.0, 0.9, 1.9747787521941318e-28, 0.0, 26.776250137471152),
+    (130.0, 8.0, 1.4, 3.0718780589686495e-28, 0.0, 41.65194465828846),
+)
+
+
+def _benchmark_necks(s_grid=32768):
+    return [NeckParams(T0=21.0, T=T, h=0.5, r=4.0, s_grid=s_grid) for T in (45.0, 60.0, 90.0)] + [
+        NeckParams(T0=41.0, T=T, h=0.5, r=8.0, s_grid=s_grid) for T in (90.0, 110.0, 130.0)
+    ]
+
+
 class TestSweep:
+    def test_pinned_rows(self):
+        rows = estimate_sweep(_benchmark_necks(), [0.4, 0.9, 1.4]).rows
+        assert len(rows) == len(PINNED_SWEEP)
+        for row, (T, r, amp, plus, minus, ratio) in zip(rows, PINNED_SWEEP):
+            assert (row.T, row.r, row.amplitude) == (T, r, amp)
+            assert row.psi_plus_norm == pytest.approx(plus, rel=1e-12, abs=0.0)
+            assert row.psi_minus_norm == pytest.approx(minus, rel=1e-12, abs=0.0)
+            assert row.ratio == pytest.approx(ratio, rel=1e-12, abs=0.0)
+
     def _grids(self):
         return [NeckParams(T0=21, T=T, h=0.5, r=4) for T in (45, 60, 90)] + [
             NeckParams(T0=41, T=T, h=0.5, r=8) for T in (90, 110, 130)

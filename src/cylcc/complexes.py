@@ -244,14 +244,7 @@ class GradedRationalComplex:
     blocks: Dict[int, ratmat.Matrix]
 
     def __post_init__(self):
-        for g, block in self.blocks.items():
-            nrows = len(self.generators.get(g - 1, ()))
-            ncols = len(self.generators.get(g, ()))
-            if len(block) != nrows or any(len(row) != ncols for row in block):
-                raise ValidationError(
-                    f"differential block at grading {g} has shape "
-                    f"{ratmat.shape(block)}, expected ({nrows},{ncols})"
-                )
+        _check_shapes("differential", self.blocks, self, self, -1)
 
     @property
     def gradings(self) -> List[int]:
@@ -266,6 +259,22 @@ class GradedRationalComplex:
 
     def dim(self, g: int) -> int:
         return len(self.generators.get(g, ()))
+
+    @property
+    def differential(self) -> "GradedMap":
+        """The differential as a degree -1 self-map."""
+        return GradedMap(source=self, target=self, degree=-1, blocks=self.blocks)
+
+
+def _check_shapes(what, blocks, source, target, degree):
+    """Block g must be dim target(g + degree) x dim source(g)."""
+    for g, block in blocks.items():
+        nrows, ncols = target.dim(g + degree), source.dim(g)
+        if len(block) != nrows or any(len(row) != ncols for row in block):
+            raise ValidationError(
+                f"{what} block at grading {g} has shape {ratmat.shape(block)}, "
+                f"expected ({nrows},{ncols})"
+            )
 
 
 def differential_matrix(
@@ -348,10 +357,22 @@ def _assemble(
 
 
 @dataclass(frozen=True)
+class IdentityCheck:
+    ok: bool
+    grading: Optional[int] = None
+    pair: Optional[Tuple[str, str]] = None
+    value: Optional[Fraction] = None
+
+    def __bool__(self):
+        return self.ok
+
+
+@dataclass(frozen=True)
 class GradedMap:
     """A grading-homogeneous linear map between two graded complexes.
 
     ``blocks[g]`` maps source grading g to target grading ``g + degree``.
+    Missing blocks are zero.
     """
 
     source: GradedRationalComplex
@@ -360,28 +381,61 @@ class GradedMap:
     blocks: Dict[int, ratmat.Matrix]
 
     def __post_init__(self):
-        for g, block in self.blocks.items():
-            nrows = self.target.dim(g + self.degree)
-            ncols = self.source.dim(g)
-            if len(block) != nrows or any(len(row) != ncols for row in block):
-                raise ValidationError(
-                    f"map block at grading {g} has shape {ratmat.shape(block)}, "
-                    f"expected ({nrows},{ncols})"
-                )
+        _check_shapes("map", self.blocks, self.source, self.target, self.degree)
 
     def block(self, g: int) -> ratmat.Matrix:
         if g in self.blocks:
             return self.blocks[g]
         return ratmat.zeros(self.target.dim(g + self.degree), self.source.dim(g))
 
+    def compose(self, inner: "GradedMap") -> "GradedMap":
+        """The map ``self . inner``, with blocks keyed by inner's source grading."""
+        if inner.target.generators != self.source.generators:
+            raise ValidationError(
+                "cannot compose: the inner map's target has other generators "
+                "than the outer map's source"
+            )
+        blocks = {}
+        for g, block in inner.blocks.items():
+            mid = g + inner.degree
+            if mid in self.blocks:
+                blocks[g] = ratmat.mat_mul_shaped(
+                    self.blocks[mid], block, self.target.dim(mid + self.degree),
+                    self.source.dim(mid), inner.source.dim(g),
+                )
+        return GradedMap(inner.source, self.target, self.degree + inner.degree, blocks)
+
+    def minus(self, other: "GradedMap") -> "GradedMap":
+        """The map ``self - other``; both must share source, target and degree."""
+        mine = (self.degree, self.source.generators, self.target.generators)
+        if mine != (other.degree, other.source.generators, other.target.generators):
+            raise ValidationError("cannot subtract maps of other source, target or degree")
+        blocks = {
+            g: ratmat.mat_sub(self.block(g), other.block(g))
+            for g in self.blocks.keys() | other.blocks.keys()
+        }
+        return GradedMap(self.source, self.target, self.degree, blocks)
+
+    def first_nonzero(self) -> IdentityCheck:
+        """The first nonzero entry as a failing (source, target) pair; ok if none.
+
+        Gradings are scanned from the top, each block column by column.
+        """
+        for g in sorted(self.blocks, reverse=True):
+            block = self.blocks[g]
+            targets = self.target.generators.get(g + self.degree, ())
+            for col, gamma in enumerate(self.source.generators.get(g, ())):
+                for row, gamma_prime in enumerate(targets):
+                    if block[row][col] != 0:
+                        return IdentityCheck(
+                            ok=False, grading=g, pair=(gamma, gamma_prime),
+                            value=block[row][col],
+                        )
+        return IdentityCheck(ok=True)
+
     @classmethod
     def identity(cls, cx: GradedRationalComplex) -> "GradedMap":
-        return cls(
-            source=cx,
-            target=cx,
-            degree=0,
-            blocks={g: ratmat.identity(cx.dim(g)) for g in cx.gradings},
-        )
+        return cls(cx, cx, 0, {g: ratmat.identity(cx.dim(g)) for g in cx.gradings})
 
     @classmethod
     def zero(
@@ -416,52 +470,13 @@ def graded_map_from_dataset(
     )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    ok: bool
-    grading: Optional[int] = None
-    pair: Optional[Tuple[str, str]] = None
-    value: Optional[Fraction] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def _first_nonzero(
-    diff: ratmat.Matrix, grading: int, sources: Sequence[str], targets: Sequence[str]
-) -> IdentityCheck:
-    """First nonzero entry of ``diff`` as a failing (source, target) pair.
-
-    Columns are ``sources`` and rows ``targets``; the scan runs column by column.
-    """
-    for col, gamma in enumerate(sources):
-        for row, gamma_prime in enumerate(targets):
-            if diff[row][col] != 0:
-                return IdentityCheck(
-                    ok=False, grading=grading, pair=(gamma, gamma_prime),
-                    value=diff[row][col],
-                )
-    return IdentityCheck(ok=True)
-
-
 def verify_d_squared(cx: GradedRationalComplex) -> IdentityCheck:
     """Exact check that consecutive differential blocks compose to zero.
 
     On failure reports the first offending generator pair (gamma, gamma')
     with gamma in the higher grading.
     """
-    for g in sorted(cx.blocks, reverse=True):
-        if cx.dim(g) == 0 or cx.dim(g - 1) == 0 or cx.dim(g - 2) == 0:
-            continue
-        product = ratmat.mat_mul_shaped(
-            cx.block(g - 1), cx.block(g), cx.dim(g - 2), cx.dim(g - 1), cx.dim(g)
-        )
-        check = _first_nonzero(
-            product, g, cx.generators.get(g, ()), cx.generators.get(g - 2, ())
-        )
-        if not check:
-            return check
-    return IdentityCheck(ok=True)
+    return cx.differential.compose(cx.differential).first_nonzero()
 
 
 def homology(cx: GradedRationalComplex) -> Dict[int, int]:
@@ -485,32 +500,14 @@ def chain_map_check(
     d_minus: GradedRationalComplex,
     phi: GradedMap,
 ) -> IdentityCheck:
-    """Exact check of the chain-map identity d_minus . phi = phi . d_plus."""
+    """Exact check of the chain-map identity d_minus . phi = phi . d_plus.
+
+    Raises ValidationError unless phi runs from d_plus to d_minus.
+    """
     if phi.degree != 0:
         raise ValidationError("chain maps must preserve the grading")
-    if phi.source is not d_plus and phi.source.generators != d_plus.generators:
-        raise ValidationError("phi source does not match the plus complex")
-    if phi.target is not d_minus and phi.target.generators != d_minus.generators:
-        raise ValidationError("phi target does not match the minus complex")
-
-    gradings = sorted(set(d_plus.gradings) | set(d_minus.gradings), reverse=True)
-    for g in gradings:
-        nrows, ncols = d_minus.dim(g - 1), d_plus.dim(g)
-        if nrows == 0 or ncols == 0:
-            continue
-        lhs = ratmat.mat_mul_shaped(
-            d_minus.block(g), phi.block(g), nrows, d_minus.dim(g), ncols
-        )
-        rhs = ratmat.mat_mul_shaped(
-            phi.block(g - 1), d_plus.block(g), nrows, d_plus.dim(g - 1), ncols
-        )
-        check = _first_nonzero(
-            ratmat.mat_sub(lhs, rhs), g,
-            d_plus.generators.get(g, ()), d_minus.generators.get(g - 1, ()),
-        )
-        if not check:
-            return check
-    return IdentityCheck(ok=True)
+    lhs = d_minus.differential.compose(phi)
+    return lhs.minus(phi.compose(d_plus.differential)).first_nonzero()
 
 
 def chain_homotopy_check(
@@ -521,35 +518,22 @@ def chain_homotopy_check(
     d_plus: GradedRationalComplex,
     d_minus: GradedRationalComplex,
 ) -> IdentityCheck:
-    """Exact check of phi1 - phi0 = K_+ . d_+ + d_- . K_-."""
+    """Exact check of phi1 - phi0 = K_+ . d_+ + d_- . K_-.
+
+    Raises ValidationError unless all four maps run from d_plus to d_minus.
+    """
     for k in (k_plus, k_minus):
         if k.degree != 1:
             raise ValidationError("homotopy maps must raise the grading by 1")
     for phi in (phi0, phi1):
         if phi.degree != 0:
             raise ValidationError("chain maps must preserve the grading")
-
-    gradings = sorted(set(d_plus.gradings) | set(d_minus.gradings), reverse=True)
-    for g in gradings:
-        nrows, ncols = d_minus.dim(g), d_plus.dim(g)
-        if nrows == 0 or ncols == 0:
-            continue
-        lhs = ratmat.mat_sub(phi1.block(g), phi0.block(g))
-        rhs = ratmat.mat_add(
-            ratmat.mat_mul_shaped(
-                k_plus.block(g - 1), d_plus.block(g), nrows, d_plus.dim(g - 1), ncols
-            ),
-            ratmat.mat_mul_shaped(
-                d_minus.block(g + 1), k_minus.block(g), nrows, d_minus.dim(g + 1), ncols
-            ),
-        )
-        check = _first_nonzero(
-            ratmat.mat_sub(lhs, rhs), g,
-            d_plus.generators.get(g, ()), d_minus.generators.get(g, ()),
-        )
-        if not check:
-            return check
-    return IdentityCheck(ok=True)
+    return (
+        phi1.minus(phi0)
+        .minus(k_plus.compose(d_plus.differential))
+        .minus(d_minus.differential.compose(k_minus))
+        .first_nonzero()
+    )
 
 
 def side_complexes(dataset: ModuliDataset, action_max=None):
@@ -682,30 +666,26 @@ def direct_limit(
             )
 
     last = stages[horizon - 1]
+    # to_last[i] maps stage i + 1 to the horizon stage; None for the horizon.
+    to_last = [None]
+    for phi in reversed(maps[: horizon - 1]):
+        to_last.insert(0, phi if to_last[0] is None else to_last[0].compose(phi))
     gradings = sorted({g for s in stages[:horizon] for g in s.gradings})
     dims_by_stage: Dict[int, Dict[int, int]] = {g: {} for g in gradings}
 
     for g in gradings:
         boundary_in = last.block(g + 1)  # image of d at the horizon stage
         rank_in = ratmat.rank(boundary_in) if last.dim(g + 1) else 0
-        for stage_i in range(1, horizon + 1):
-            if last.dim(g) == 0:
+        for stage_i, (cx, push) in enumerate(zip(stages, to_last), start=1):
+            if last.dim(g) == 0 or cx.dim(g) == 0:
                 dims_by_stage[g][stage_i] = 0
                 continue
-            cx = stages[stage_i - 1]
-            if cx.dim(g) == 0:
-                dims_by_stage[g][stage_i] = 0
-                continue
-            kernel = ratmat.nullspace(cx.block(g), ncols=cx.dim(g))
-            pushed = kernel
-            kcols = len(kernel[0]) if kernel else 0
-            for j in range(stage_i - 1, horizon - 1):
-                nmid = stages[j].dim(g)
-                nrows = stages[j + 1].dim(g)
-                pushed = ratmat.mat_mul_shaped(
-                    maps[j].block(g), pushed, nrows, nmid, kcols
+            cycles = ratmat.nullspace(cx.block(g), ncols=cx.dim(g))
+            if push is not None:
+                cycles = ratmat.mat_mul_shaped(
+                    push.block(g), cycles, last.dim(g), cx.dim(g), len(cycles[0])
                 )
-            combined = ratmat.hstack(pushed, boundary_in)
+            combined = ratmat.hstack(cycles, boundary_in)
             dims_by_stage[g][stage_i] = ratmat.rank(combined) - rank_in
     stabilized = {}
     value = {}

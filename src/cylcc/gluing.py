@@ -449,7 +449,9 @@ def theta_residuals(
     endpoints and split into panels of at most a 512th of the ramp
     width: positive modes down from b(2T) = 0, negative modes up from
     b(0) = 0.  For each equation, returns the largest difference from the
-    given solution on the grid, each mode's scaled by 1 + max|b|.
+    given solution on the grid, each mode's relative to the larger of its
+    integrated and given max|b| (0 where both are 0), so modes as small
+    as the e^{-2 lambda T} of psi_- are checked as closely as the others.
     """
     cut = make_cutoffs(params)
     grid = params.grid()
@@ -470,9 +472,11 @@ def theta_residuals(
             b = np.concatenate(([0.0], np.cumsum((forcing @ simpson) * widths)))
             if i > 0:
                 b -= b[-1]
-            solved = psi.b(i, grid)
-            diff = float(np.max(np.abs(b[at_grid] - solved)))
-            worst = max(worst, diff / (1.0 + float(np.max(np.abs(solved)))))
+            integrated, solved = b[at_grid], psi.b(i, grid)
+            scale = max(np.max(np.abs(integrated)), np.max(np.abs(solved)))
+            if scale > 0:
+                diff = np.max(np.abs(integrated - solved))
+                worst = max(worst, float(diff / scale))
         return worst
 
     return (

@@ -12,7 +12,10 @@ bracket at a time with scipy, independently of the package's batched
 bracket refinement.  The torus scan oracle samples every cell's 3x3 grid
 on its own, independently of the package's shared lattices.  The neck
 norm oracle applies the trapezoid rule to every point of the full grid,
-independently of the package's ramp points and geometric series.
+independently of the package's ramp points and geometric series.  The
+graded identity oracles stack every graded map into one dense matrix over
+all generators and multiply with the product oracle, independently of the
+package's block-by-block composition.
 """
 
 import math
@@ -54,6 +57,84 @@ def mat_mul_oracle(a, b, nrows, nmid, ncols):
                 if brow[j] != 0:
                     orow[j] += aik * brow[j]
     return out
+
+
+def graded_index(generators):
+    """(grading, position, id) of every generator, gradings from the top."""
+    return [
+        (g, j, gid)
+        for g in sorted(generators, reverse=True)
+        for j, gid in enumerate(generators[g])
+    ]
+
+
+def dense_graded(source, target, degree, blocks):
+    """A graded map over all generators as one dense matrix.
+
+    ``source`` and ``target`` are generator dicts; ``blocks[g]`` maps
+    source grading g to target grading g + degree, and missing blocks are
+    zero.  Rows and columns follow ``graded_index``.
+    """
+    rows = {(g, j): r for r, (g, j, _) in enumerate(graded_index(target))}
+    cols = graded_index(source)
+    out = [[Fraction(0)] * len(cols) for _ in rows]
+    for c, (g, j, _) in enumerate(cols):
+        for i, row in enumerate(blocks.get(g, ())):
+            out[rows[(g + degree, i)]][c] = Fraction(row[j])
+    return out
+
+
+def _dense(m):
+    """Dense matrix of a complex's differential or of a graded map."""
+    if hasattr(m, "degree"):
+        return dense_graded(m.source.generators, m.target.generators, m.degree, m.blocks)
+    return dense_graded(m.generators, m.generators, -1, m.blocks)
+
+
+def _dense_product(a, b, source):
+    """a @ b, where the columns of b run over the generator dict ``source``."""
+    return mat_mul_oracle(a, b, len(a), len(b), len(graded_index(source)))
+
+
+def _dense_minus(a, b):
+    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_first_nonzero(matrix, source, target):
+    """(ok, grading, pair, value) of the first nonzero entry, column by column.
+
+    Columns run over ``source`` and rows over ``target`` in ``graded_index``
+    order; the grading reported is the column's.
+    """
+    rows = graded_index(target)
+    for c, (g, _, gamma) in enumerate(graded_index(source)):
+        for r, (_, _, gamma_prime) in enumerate(rows):
+            if matrix[r][c] != 0:
+                return (False, g, (gamma, gamma_prime), matrix[r][c])
+    return (True, None, None, None)
+
+
+def d_squared_oracle(cx):
+    d = _dense(cx)
+    gens = cx.generators
+    return dense_first_nonzero(_dense_product(d, d, gens), gens, gens)
+
+
+def chain_map_oracle(d_plus, d_minus, phi):
+    """First nonzero entry of D_- Phi - Phi D_+."""
+    dp, dm, f = _dense(d_plus), _dense(d_minus), _dense(phi)
+    plus = d_plus.generators
+    diff = _dense_minus(_dense_product(dm, f, plus), _dense_product(f, dp, plus))
+    return dense_first_nonzero(diff, plus, d_minus.generators)
+
+
+def chain_homotopy_oracle(phi0, phi1, k_plus, k_minus, d_plus, d_minus):
+    """First nonzero entry of Phi_1 - Phi_0 - K_+ D_+ - D_- K_-."""
+    dp, dm, plus = _dense(d_plus), _dense(d_minus), d_plus.generators
+    diff = _dense_minus(_dense(phi1), _dense(phi0))
+    diff = _dense_minus(diff, _dense_product(_dense(k_plus), dp, plus))
+    diff = _dense_minus(diff, _dense_product(dm, _dense(k_minus), plus))
+    return dense_first_nonzero(diff, plus, d_minus.generators)
 
 
 def plucker_coordinates(vectors, dim):

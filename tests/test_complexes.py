@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import warnings
 from fractions import Fraction
@@ -9,6 +10,7 @@ from cylcc.complexes import (
     CurveRecord,
     GradedMap,
     GradedRationalComplex,
+    IdentityCheck,
     OrbitRecord,
     chain_homotopy_check,
     chain_map_check,
@@ -25,6 +27,8 @@ from cylcc.complexes import (
 from cylcc.dataio import bundled_path, read_dataset
 from cylcc.errors import DatasetError, IntegerCoefficientWarning, ValidationError
 from cylcc.indices import ReebOrbit
+
+from .oracles import chain_homotopy_oracle, chain_map_oracle, d_squared_oracle
 
 F = Fraction
 
@@ -328,6 +332,13 @@ class TestChainMap:
         assert not res.ok
         assert res.pair == ("a", "b'")
 
+    def test_map_from_unrelated_complex_rejected(self):
+        d_plus = make_complex({1: ["a"], 0: ["b"]}, {1: [[1]]})
+        other = make_complex({1: ["x"], 0: ["y"]}, {1: [[1]]})
+        phi = GradedMap.identity(other)
+        with pytest.raises(ValidationError, match="cannot compose"):
+            chain_map_check(d_plus, d_plus, phi)
+
 
 class TestChainHomotopy:
     def _pair(self):
@@ -362,6 +373,38 @@ class TestChainHomotopy:
         res = chain_homotopy_check(phi0, phi1, zero, zero, d_plus, d_minus)
         assert not res.ok
         assert res.pair == ("b", "b'")
+
+    def test_k_plus_on_unrelated_complex_rejected(self):
+        # Same sizes and the right block, but K_+ starts at other generators.
+        d_plus, d_minus = self._pair()
+        other = make_complex({1: ["x"], 0: ["y"]}, {1: [[2]]})
+        phi0 = GradedMap.zero(d_plus, d_minus)
+        phi1 = GradedMap(d_plus, d_minus, 0, {1: [[F(1)]]})
+        k_plus = GradedMap(other, d_minus, 1, {0: [[F(1, 2)]]})
+        k_minus = GradedMap.zero(d_plus, d_minus, degree=1)
+        with pytest.raises(ValidationError, match="cannot compose"):
+            chain_homotopy_check(phi0, phi1, k_plus, k_minus, d_plus, d_minus)
+
+    def test_reversed_chain_maps_rejected(self):
+        d_plus, d_minus = self._pair()
+        phi0 = GradedMap.zero(d_minus, d_plus)
+        phi1 = GradedMap(d_minus, d_plus, 0, {1: [[F(1)]]})
+        k_plus = GradedMap(d_plus, d_minus, 1, {0: [[F(1, 2)]]})
+        k_minus = GradedMap.zero(d_plus, d_minus, degree=1)
+        with pytest.raises(ValidationError, match="cannot subtract"):
+            chain_homotopy_check(phi0, phi1, k_plus, k_minus, d_plus, d_minus)
+
+    def test_wrong_size_homotopy_rejected(self):
+        d_plus, d_minus = self._pair()
+        big = make_complex({1: ["x1", "x2"], 0: ["y1", "y2"]}, {})
+        phi0 = GradedMap.zero(d_plus, d_minus)
+        phi1 = GradedMap(d_plus, d_minus, 0, {1: [[F(1)]]})
+        k_plus = GradedMap(d_plus, d_minus, 1, {0: [[F(1, 2)]]})
+        k_zero = GradedMap.zero(d_plus, d_minus, degree=1)
+        for kp, km in ((GradedMap.zero(big, big, degree=1), k_zero),
+                       (k_plus, GradedMap.zero(big, big, degree=1))):
+            with pytest.raises(ValidationError):
+                chain_homotopy_check(phi0, phi1, kp, km, d_plus, d_minus)
 
 
 class TestBundledTwoSided:
@@ -419,6 +462,15 @@ class TestDirectLimit:
         assert res.value == {0: 1}
         assert res.stabilized_from == {0: 2}
 
+    def test_identity_then_zero(self):
+        # Stage 1's class lives on in stage 2 but not in stage 3, so its
+        # image at the horizon needs the composed map, not the first one.
+        cx = make_complex({0: ["y"]}, {})
+        res = direct_limit([cx, cx, cx], [GradedMap.identity(cx), GradedMap.zero(cx, cx)])
+        assert res.dims_by_stage[0] == {1: 0, 2: 0, 3: 1}
+        assert res.stabilized == {0: False}
+        assert res.stabilized_from == {0: None}
+
     def test_class_killed_at_stage_two(self):
         ds = read_dataset(
             bundled_path("direct_limit_orbits.txt"),
@@ -437,3 +489,167 @@ class TestDirectLimit:
         bad = GradedMap(d_plus, d_minus, 0, {1: [[F(1)]], 0: [[F(1)]]})
         with pytest.raises(ValidationError, match="chain map"):
             direct_limit([d_plus, d_minus], [bad])
+
+    def test_map_from_unrelated_complex_rejected(self):
+        stages, _ = self._identity_stages(2)
+        other = make_complex({1: ["u"], 0: ["v"]}, {})
+        with pytest.raises(ValidationError, match="cannot compose"):
+            direct_limit(stages, [GradedMap.identity(other)])
+
+
+class TestGradedMapAlgebra:
+    def test_differential_is_the_degree_minus_one_self_map(self):
+        cx = make_complex({1: ["a"], 0: ["b"]}, {1: [[2]]})
+        d = cx.differential
+        assert (d.source, d.target, d.degree, d.blocks) == (cx, cx, -1, cx.blocks)
+
+    def test_compose_keys_blocks_by_inner_source_grading(self):
+        cx = make_complex({2: ["a"], 1: ["b", "c"], 0: ["d"]},
+                          {2: [[1], [2]], 1: [[3, 4]]})
+        square = cx.differential.compose(cx.differential)
+        assert square.degree == -2
+        assert square.blocks == {2: [[F(11)]]}
+        ident = GradedMap.identity(cx)
+        assert ident.compose(cx.differential).blocks == cx.blocks
+        assert cx.differential.compose(ident).blocks == cx.blocks
+
+    def test_minus_and_its_guards(self):
+        cx = make_complex({1: ["a"], 0: ["b"]}, {1: [[2]]})
+        other = make_complex({1: ["x"], 0: ["y"]}, {})
+        ident = GradedMap.identity(cx)
+        diff = ident.minus(GradedMap(cx, cx, 0, {0: [[F(3)]]}))
+        assert diff.blocks == {1: [[F(1)]], 0: [[F(-2)]]}
+        assert diff.first_nonzero() == IdentityCheck(False, 1, ("a", "a"), F(1))
+        assert ident.minus(ident).first_nonzero().ok
+        for bad in (GradedMap.zero(cx, cx, degree=1), GradedMap.zero(other, cx),
+                    GradedMap.zero(cx, other)):
+            with pytest.raises(ValidationError, match="cannot subtract"):
+                ident.minus(bad)
+        with pytest.raises(ValidationError, match="cannot compose"):
+            ident.compose(GradedMap.identity(other))
+
+
+def _raised(m):
+    """Copies of a complex or graded map, each with one entry raised by 1.
+
+    Every entry of every block is raised once, absent (zero) blocks too.
+    """
+    if isinstance(m, GradedMap):
+        gradings = m.source.gradings
+    else:
+        gradings = m.gradings
+    for g in gradings:
+        block = m.block(g)
+        for i, row in enumerate(block):
+            for j in range(len(row)):
+                blocks = dict(m.blocks)
+                blocks[g] = ratmat.clone(block)
+                blocks[g][i][j] += 1
+                yield dataclasses.replace(m, blocks=blocks)
+
+
+def _with_each_raised(args):
+    """``args``, then ``args`` with each argument replaced by each of its raises."""
+    yield args
+    for pos, arg in enumerate(args):
+        for raised in _raised(arg):
+            yield args[:pos] + (raised,) + args[pos + 1:]
+
+
+def _random_homotopy(cx, seed):
+    """phi0 = 1 - K d - d K and phi1 = 1 on ``cx``, with a random K."""
+    rng = random.Random(seed)
+    k = GradedMap(cx, cx, 1, {
+        g: [[F(rng.randint(-2, 2)) for _ in range(cx.dim(g))] for _ in range(cx.dim(g + 1))]
+        for g in cx.gradings
+    })
+    d = cx.differential
+    ident = GradedMap.identity(cx)
+    phi0 = ident.minus(k.compose(d)).minus(d.compose(k))
+    return phi0, ident, k, k
+
+
+def _sparse_random_maps(seed):
+    """Two complexes and maps between them with sparse random blocks.
+
+    None of the identities needs to hold, so the nonzero entries of each
+    difference scatter over rows and columns and the scan order shows.
+    """
+    rng = random.Random(seed)
+    sizes = {2: 3, 1: 4, 0: 3}
+
+    def block(rows, cols):
+        return [[F(rng.choice((0, 0, 0, 1, -1))) for _ in range(cols)] for _ in range(rows)]
+
+    def graded(target, degree):
+        """Blocks from every grading of ``sizes`` into the generators ``target``."""
+        return {g: block(len(target.get(g + degree, ())), n) for g, n in sorted(sizes.items())}
+
+    gens = {
+        name: {g: tuple(f"{name}{g}_{j}" for j in range(n)) for g, n in sizes.items()}
+        for name in "pm"
+    }
+    plus, minus = (GradedRationalComplex(gens[name], graded(gens[name], -1)) for name in "pm")
+    phi0, phi1 = (GradedMap(plus, minus, 0, graded(gens["m"], 0)) for _ in range(2))
+    k_plus, k_minus = (GradedMap(plus, minus, 1, graded(gens["m"], 1)) for _ in range(2))
+    return plus, minus, phi0, phi1, k_plus, k_minus
+
+
+def identity_check_cases():
+    """(check name, arguments) pairs covering passing and failing identities.
+
+    Seeded random complexes with a random homotopy, the bundled two-sided
+    dataset and its corrupted copy, each also with every single entry of
+    every block raised by 1; then maps with sparse random blocks.
+    """
+    for seed in range(3):
+        cx = differential_matrix(consistent_random_dataset(seed))
+        phi0, phi1, k_plus, k_minus = _random_homotopy(cx, seed)
+        yield from (("d2", a) for a in _with_each_raised((cx,)))
+        yield from (("chain_map", a) for a in _with_each_raised((cx, cx, phi0)))
+        homotopy = (phi0, phi1, k_plus, k_minus, cx, cx)
+        yield from (("homotopy", a) for a in _with_each_raised(homotopy))
+    ds = read_dataset(
+        bundled_path("consistent_orbits.txt"), bundled_path("consistent_curves.txt")
+    )
+    d_plus, d_minus = side_complexes(ds)
+    phi0, phi1 = (
+        graded_map_from_dataset(ds, d_plus, d_minus, "cobordism", tag=tag)
+        for tag in ("phi0", "phi1")
+    )
+    k_plus = graded_map_from_dataset(ds, d_plus, d_minus, "k_plus")
+    k_minus = graded_map_from_dataset(ds, d_plus, d_minus, "k_minus")
+    for cx in (d_plus, d_minus):
+        yield from (("d2", a) for a in _with_each_raised((cx,)))
+    for phi in (phi0, phi1):
+        yield from (("chain_map", a) for a in _with_each_raised((d_plus, d_minus, phi)))
+    homotopy = (phi0, phi1, k_plus, k_minus, d_plus, d_minus)
+    yield from (("homotopy", a) for a in _with_each_raised(homotopy))
+    corrupted = read_dataset(
+        bundled_path("consistent_orbits.txt"), bundled_path("corrupted_curves.txt")
+    )
+    for cx in side_complexes(corrupted):
+        yield from (("d2", a) for a in _with_each_raised((cx,)))
+    for seed in range(40):
+        plus, minus, phi0, phi1, k_plus, k_minus = _sparse_random_maps(seed)
+        yield "d2", (plus,)
+        yield "chain_map", (plus, minus, phi0)
+        yield "homotopy", (phi0, phi1, k_plus, k_minus, plus, minus)
+
+
+IDENTITY_CHECKS = {
+    "d2": (verify_d_squared, d_squared_oracle),
+    "chain_map": (chain_map_check, chain_map_oracle),
+    "homotopy": (chain_homotopy_check, chain_homotopy_oracle),
+}
+
+
+def test_identity_checks_match_dense_oracle():
+    outcomes = {True: 0, False: 0}
+    for name, args in identity_check_cases():
+        check, oracle = IDENTITY_CHECKS[name]
+        res = check(*args)
+        assert (res.ok, res.grading, res.pair, res.value) == oracle(*args), (name, args)
+        outcomes[res.ok] += 1
+    # Both outcomes are well represented: 55 pass and 1015 fail.
+    assert outcomes[True] >= 40 and outcomes[False] >= 900

@@ -204,13 +204,19 @@ class TestSolveNeck:
         eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0, 3: -1.0})
         eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5, -2: 0.5})
         psi_plus, psi_minus = solve_neck(eta_p, eta_m, params)
-        mode = psi_plus.modes[-1]
-        flipped = RampMode(-mode.a, -mode.c, mode.ramp)
-        value_only = _ValueFlipped(mode.a, mode.c, mode.ramp)
-        for planted in (flipped, value_only):
-            bad = NeckField(spectrum, params, {**psi_plus.modes, -1: planted})
-            res_plus, _ = theta_residuals(eta_p, eta_m, bad, psi_minus, params)
-            assert res_plus > 1e-3
+        # psi_- mode 1 is c e^{-2 lambda T}, about 1.8e-26 here: each mode's
+        # residual is relative to its own size, so its flips show as well.
+        for psi, index, which in ((psi_plus, -1, 0), (psi_minus, 1, 1)):
+            mode = psi.modes[index]
+            flipped = RampMode(-mode.a, -mode.c, mode.ramp)
+            value_only = _ValueFlipped(mode.a, mode.c, mode.ramp)
+            for planted in (flipped, value_only):
+                bad = NeckField(spectrum, params, {**psi.modes, index: planted})
+                fields = [psi_plus, psi_minus]
+                fields[which] = bad
+                res = theta_residuals(eta_p, eta_m, *fields, params)
+                assert res[which] > 1e-3
+                assert res[1 - which] < 1e-9
 
     def test_mode_collision_rejected(self):
         params, spectrum = setup()

@@ -29,20 +29,21 @@ is subdivided, down to ``_MAX_DEPTH`` levels.  A cell still uncertified
 there raises DegeneracyError; no cell is dropped without a reason.
 ``pole_preimages`` also checks the degree identity: the signed counts
 over the two poles must agree.  The zero locus of s0 is found
-independently: on the circle by a sign-change scan whose brackets are
-refined together (``_refine_brackets``, which also solves the flow
-normalization), on the torus by subdividing closed cells held as arrays.
+independently, on the circle and on the torus, by one scan that
+subdivides every closed cell on which each component takes both signs
+(``_scan_zeros``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, ValidationError
+from .errors import DegeneracyError, DomainError, NumericError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,6 +61,9 @@ _MAX_DEPTH = 10
 # blocks of _ORIGIN_BLOCK points per axis; the block size divides the grid.
 _ORIGIN_GRID = 256
 _ORIGIN_BLOCK = 8
+
+# Newton steps allowed to ``flow_normalize`` before it gives up.
+_FLOW_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -89,11 +93,12 @@ class EndExpansion:
 def flow_normalize(e: EndExpansion, radius: float = 1.0) -> np.ndarray:
     """The unique point of |c(s)| = radius along the translation flow.
 
-    log |c(s)|^2 - log radius^2 increases in s, with slope between the
-    least and the greatest 2 lambda_i of a nonzero c_i, so Newton steps
-    on it are close to exact.  Its zero is bracketed by doubling steps
-    from s = 0 and refined by ``_refine_brackets`` to the tolerance
-    1e-15 + 8.9e-16 |s|.
+    The flow time s solves g(s) = log sum c_i^2 e^{2 lambda_i s} - 2 log r
+    = 0 over the nonzero c_i.  g is convex and increasing, and Newton
+    starts from the least s at which one term alone reaches r^2, where
+    g >= 0, so its iterates fall monotonically to the zero.  They stop
+    once a step is at most 1e-15 + 8.9e-16 |s|; a solve still going after
+    ``_FLOW_STEPS`` steps raises NumericError.
     """
     if not math.isfinite(radius) or radius <= 0:
         raise DomainError("radius must be finite and positive")
@@ -101,27 +106,22 @@ def flow_normalize(e: EndExpansion, radius: float = 1.0) -> np.ndarray:
     lam = np.asarray(e.lambdas, dtype=float)
     if not np.any(c != 0.0):
         raise DomainError("zero coefficient vector has an undefined quotient")
-    log_weight = np.log(c[c != 0.0] ** 2)
-    rate = 2.0 * lam[c != 0.0]
-
-    def log_gap(s):
-        exponent = log_weight + rate * np.reshape(s, (-1, 1))
-        top = exponent.max(axis=1)
-        terms = np.exp(exponent - top[:, None])
-        total = terms.sum(axis=1)
-        return np.log(total) + top - 2.0 * math.log(radius), (terms @ rate) / total
-
-    lo = hi = 0.0
-    step = 1.0
-    while log_gap(lo)[0][0] > 0.0:
-        lo -= step
-        step *= 2.0
-    step = 1.0
-    while log_gap(hi)[0][0] < 0.0:
-        hi += step
-        step *= 2.0
-    s_star = _refine_brackets(log_gap, [lo], [hi], xtol=1e-15, rtol=8.9e-16)[0]
-    return c * np.exp(lam * s_star)
+    live = c != 0.0
+    log_weight = np.log(c[live] ** 2) - 2.0 * math.log(radius)
+    rate = 2.0 * lam[live]
+    s = float(np.min(-log_weight / rate))
+    for _ in range(_FLOW_STEPS):
+        exponent = log_weight + rate * s
+        top = exponent.max()
+        terms = np.exp(exponent - top)
+        total = terms.sum()
+        step = (math.log(total) + top) * total / float(terms @ rate)
+        s -= step
+        if step <= 1e-15 + 8.9e-16 * abs(s):
+            point = np.zeros_like(c)
+            point[live] = c[live] * np.exp(lam[live] * s)
+            return point
+    raise NumericError(f"flow normalization did not converge in {_FLOW_STEPS} Newton steps")
 
 
 def s0_eval(T: float, e: EndExpansion) -> np.ndarray:
@@ -318,58 +318,6 @@ class PolePreimage:
     params: Tuple[float, ...]
     pole: int  # +1 for the positive pole on the axis, -1 for the negative
     sign: int  # local orientation sign
-
-
-def _refine_brackets(func, lo, hi, xtol: float, rtol: float = 0.0) -> np.ndarray:
-    """Zeros of ``func`` in the brackets [lo_i, hi_i], refined all at once.
-
-    ``func`` maps an array of points to their values and slopes; the
-    values at the two ends of a bracket must not have the same strict
-    sign.  Each round calls ``func`` once, at two points per live
-    bracket: its midpoint, and the Newton point from the end with the
-    smaller |value| (the midpoint again when that point is not in the
-    bracket).  A Newton point closer than tol/2 to an end is moved to
-    tol/2 inside it, so Newton converging from one side still closes the
-    bracket.  The bracket becomes the first of the pieces between these
-    points whose ends change sign, so it at least halves every round.
-    A bracket stops when its width is at most tol = xtol + rtol |midpoint|,
-    when an end is an exact zero, or when its midpoint no longer splits
-    it in floating point.
-
-    Returns the exact zeros found, and otherwise the secant point of the
-    final bracket.
-    """
-    # state[q, side, i]: point, value and slope (q) at each end (side) of bracket i
-    ends = np.array([lo, hi], dtype=float)
-    values, slopes = func(ends.ravel())
-    state = np.stack([ends, values.reshape(2, -1), slopes.reshape(2, -1)])
-    out = np.empty(state.shape[2])
-    live = np.arange(state.shape[2])
-    while True:
-        (a, b), (fa, fb) = state[0], state[1]
-        width = b - a
-        mid = a + 0.5 * width
-        tol = xtol + rtol * np.abs(mid)
-        going = (fa != 0.0) & (fb != 0.0) & (width > tol) & (mid > a) & (mid < b)
-        if not going.all():
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                secant = a - fa * (width / (fb - fa))
-            stop = ~going
-            out[live[stop]] = np.where(fa == 0.0, a, np.where(fb == 0.0, b, secant))[stop]
-            state, live, mid, tol = state[:, :, going], live[going], mid[going], tol[going]
-            if not live.size:
-                return out
-        (a, b), (fa, fb), (ga, gb) = state
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x = np.where(np.abs(fa) <= np.abs(fb), a - fa / ga, b - fb / gb)
-        x = np.where((x >= a) & (x <= b), x, mid)
-        x = np.minimum(np.maximum(x, a + 0.5 * tol), b - 0.5 * tol)
-        inner = np.stack([np.minimum(x, mid), np.maximum(x, mid)])
-        values, slopes = func(inner.ravel())
-        probes = np.stack([inner, values.reshape(2, -1), slopes.reshape(2, -1)])
-        cand = np.concatenate([state[:, :1], probes, state[:, 1:]], axis=1)
-        piece = (np.sign(cand[1, 1:]) != np.sign(cand[1, :-1])).argmax(axis=0)
-        state = cand[:, [piece, piece + 1], np.arange(live.size)]
 
 
 def _linearize(comps, x: np.ndarray):
@@ -770,28 +718,27 @@ def s0_zero_locus_check(
 ) -> ZeroLocusReport:
     """Zeros of the linearized section versus pole preimages, per T.
 
-    The zero finder works directly on the scaled section values: on the
-    circle by a sign-change scan of ``n_scan`` points, on the torus by
-    subdivision of ``n_cells`` x ``n_cells`` closed cells, keeping every
-    cell on which both components take both signs.  It is independent of
-    the certified cell search, with its Lipschitz exclusion and
-    Kantorovich balls, that locates the pole preimages on both domains.
-    Those are found at the default resolution of ``pole_preimages``, so
-    a map with an uncertified cell raises DegeneracyError here as there.
+    The zero finder works directly on the scaled section values: it
+    subdivides closed cells, ``n_scan`` seed cells on the circle and
+    ``n_cells`` x ``n_cells`` on the torus, keeping every cell on which
+    each component takes both signs (``_scan_zeros``).  It is
+    independent of the certified cell search, with its Lipschitz
+    exclusion and Kantorovich balls, that locates the pole preimages on
+    both domains.  That search runs from the same seed cells, so a map
+    with an uncertified cell raises DegeneracyError here as in
+    ``pole_preimages``.  A T at which a section scale e^{-2 lambda_i T}
+    underflows raises DomainError.
     """
     if pole_choice != "last_coordinate":
         raise ValidationError(
             "the linearized section quotients by the last cokernel element; "
             "use last_coordinate poles"
         )
-    poles = pole_preimages(spec, pole_choice)
+    poles = pole_preimages(spec, pole_choice, n_scan=n_scan, n_grid=n_cells)
     pole_params = np.array([p.params for p in poles]).reshape(len(poles), spec.nvars)
     mismatches: List[ZeroLocusMismatch] = []
     for T in T_grid:
-        if spec.nvars == 1:
-            zeros = _scan_zeros_circle(spec, float(T), n_scan)
-        else:
-            zeros = _scan_zeros_torus(spec, float(T), n_cells)
+        zeros = _scan_zeros(spec, float(T), (n_scan, n_cells)[spec.nvars - 1])
         matched = np.zeros(len(poles), dtype=bool)
         for z in zeros:
             near = np.flatnonzero(_torus_distance(pole_params, z) < tol)
@@ -810,66 +757,57 @@ def s0_zero_locus_check(
     return ZeroLocusReport(ok=not mismatches, mismatches=tuple(mismatches))
 
 
-def _scan_zeros_circle(spec: EvMapSpec, T: float, n_scan: int) -> List[Tuple[float]]:
-    """Zeros of the scaled section on the closed scan of ``n_scan`` + 1 points.
-
-    Exact zero samples count as they are; every interval whose ends have
-    opposite strict signs is refined by ``_refine_brackets`` to width
-    1e-14.  Returns the zeros sorted and deduplicated by ``_torus_dedup``.
-    """
-    scale = math.exp(-2.0 * spec.lambdas[0] * T)
-    comp = spec.components[0]
-
-    def section(t):
-        value, grad = comp.value_and_grad(t.reshape(-1, 1))
-        return scale * value, scale * grad[:, 0]
-
-    ts = np.arange(n_scan + 1) / n_scan
-    vals = scale * comp(ts.reshape(-1, 1))
-    a, b = vals[:-1], vals[1:]
-    j = np.flatnonzero(np.sign(a) * np.sign(b) < 0.0)
-    refined = _refine_brackets(section, ts[j], ts[j + 1], xtol=1e-14) if j.size else []
-    zeros = np.concatenate([ts[:-1][a == 0.0], refined]) % 1.0
-    return _torus_dedup(np.sort(zeros).reshape(-1, 1))
-
-
-def _scan_zeros_torus(spec: EvMapSpec, T: float, n_cells: int) -> List[Tuple[float, float]]:
+def _scan_zeros(spec: EvMapSpec, T: float, n_cells: int) -> List[Tuple[float, ...]]:
     """Common zeros of the scaled section by subdivision of closed cells.
 
+    The section has the n = ``spec.nvars`` components e^{-2 lambda_i T} f_i.
     The cells of one level share their width h.  A cell is kept while
-    both components take a value <= 0 and a value >= 0 on its 3x3 grid of
-    samples h/2 apart, and is then split into four; once h < 1e-11 the
-    centres of the kept cells are the zeros.
+    every component takes a value <= 0 and a value >= 0 on its 3^n grid
+    of samples h/2 apart, and is then split into 2^n; once h < 1e-11 the
+    centres of the kept cells are the zeros.  A scale below the least
+    normal float would flatten the section to zero and keep every cell,
+    so it raises DomainError.
 
     Neighbouring cells share samples, so each level evaluates the
     lattice of half steps over blocks of cells once and reads every
-    cell's 3x3 minimum and maximum from it.  The first level is one
-    block of n_cells x n_cells cells, whose (2 n_cells)^2 lattice points
-    wrap around the torus; every later level has one block of 2 x 2
-    cells, with a 5 x 5 lattice, per cell kept before it.
+    cell's 3^n minimum and maximum from it.  The first level is one
+    block of n_cells^n cells, whose (2 n_cells)^n lattice points wrap
+    around the domain; every later level has one block of 2^n cells,
+    with a 5^n lattice, per cell kept before it.
     """
-    scales = [math.exp(-2.0 * spec.lambdas[i] * T) for i in range(2)]
-    corners, g, h, wrap = np.zeros((1, 2)), n_cells, 1.0 / n_cells, True
+    n = spec.nvars
+    scales = [math.exp(-2.0 * spec.lambdas[i] * T) for i in range(n)]
+    for lam, scale in zip(spec.lambdas, scales):
+        if scale < sys.float_info.min:
+            raise DomainError(
+                f"the section scale e^(-2 lambda T) underflows at T = {T:g}, lambda = {lam:g}"
+            )
+    corners, g, h, wrap = np.zeros((1, n)), n_cells, 1.0 / n_cells, True
+    block_lattice = np.indices((5,) * n).reshape(n, -1).T  # of every level but the first
     while corners.size and h >= 1e-11:
         m = 2 * g if wrap else 2 * g + 1  # distinct lattice points per axis
-        steps = np.arange(m) * (h / 2.0)
-        px = ((corners[:, 0, None] + steps) % 1.0)[:, :, None]
-        py = ((corners[:, 1, None] + steps) % 1.0)[:, None, :]
-        points = np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(-1, 2)
-        axis = np.arange(2 * g + 1) % m
-        hit = np.ones((len(corners), g, g), dtype=bool)
-        for scale, comp in zip(scales, spec.components):
-            lattice = (scale * comp(points)).reshape(-1, m, m)[:, axis][:, :, axis]
-            for mask in (lattice <= 0.0, lattice >= 0.0):
-                # cell (i, j) of a block reads rows 2i..2i+2 and columns 2j..2j+2
-                rows = mask[:, :-2:2] | mask[:, 1:-1:2] | mask[:, 2::2]
-                hit &= rows[:, :, :-2:2] | rows[:, :, 1:-1:2] | rows[:, :, 2::2]
-        block, i, j = np.nonzero(hit)
-        corners = corners[block] + np.column_stack([i, j]) * h
+        lattice = np.indices((m,) * n).reshape(n, -1).T if wrap else block_lattice
+        points = ((corners[:, None, :] + lattice * (h / 2.0)) % 1.0).reshape(-1, n)
+        values = np.array([scale * comp(points) for scale, comp in zip(scales, spec.components)])
+        values = values.reshape((n, len(corners)) + (m,) * n)
+        if wrap:
+            for d in range(2, n + 2):
+                values = np.take(values, np.arange(2 * g + 1) % m, axis=d)
+        signs = np.concatenate([values <= 0.0, values >= 0.0])
+        for d in range(2, n + 2):
+            # cell i of a block reads lattice rows 2i..2i+2 on each axis
+            cut = (slice(None),) * d
+            signs = (
+                signs[cut + (slice(0, -2, 2),)]
+                | signs[cut + (slice(1, -1, 2),)]
+                | signs[cut + (slice(2, None, 2),)]
+            )
+        kept = np.argwhere(signs.all(axis=0))  # rows (block, cell index per axis)
+        corners = corners[kept[:, 0]] + kept[:, 1:] * h
         g, h, wrap = 2, h / 2.0, False
-    children = corners[:, None, :] + np.array([[0.0, 0.0], [0.0, h], [h, 0.0], [h, h]])
-    centres = children.reshape(-1, 2) + h / 2.0
-    order = np.lexsort((centres[:, 1], centres[:, 0]))
+    children = corners[:, None, :] + np.indices((2,) * n).reshape(n, -1).T * h
+    centres = children.reshape(-1, n) + h / 2.0
+    order = np.lexsort(centres.T[::-1])
     return _torus_dedup(centres[order] % 1.0)
 
 

@@ -53,6 +53,8 @@ class NeckParams:
     t_modes: int = 3
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.T0, self.T, self.h, self.r)):
+            raise DomainError("T0, T, h and r must be finite")
         if not 0.0 < self.h < 1.0:
             raise DomainError("h must lie in (0, 1)")
         if self.r <= 1.0 / self.h:
@@ -635,8 +637,8 @@ def two_sided_pairing(
         sum_{i<=j<=k} c_{i,j} c_j e^{-2 lambda_j T_+}
         - sum_{-k<=j<=-k+i-1} d_{i,j} d_j e^{2 lambda'_j T_-}.
     """
-    if T_minus <= 0 or T_plus <= 0:
-        raise DomainError("gluing parameters must be positive")
+    if not (0.0 < T_minus < math.inf and 0.0 < T_plus < math.inf):
+        raise DomainError("gluing parameters must be finite and positive")
     k = cokernel.k
     if len(c_coeffs) != k:
         raise ValidationError(f"need {k} top-end coefficients")

@@ -296,12 +296,19 @@ def brentq_circle_roots_oracle(func, n_scan):
 
 
 def brentq_flow_normalize_oracle(lambdas, coeffs, radius):
-    """The point of radius ``radius`` on the flow line c_i e^{lambda_i s}, by brentq on s."""
+    """The point of radius ``radius`` on the flow line c_i e^{lambda_i s}, by brentq on s.
+
+    Zero coefficients are left out of the sum, and a term that overflows
+    counts as +inf.
+    """
     c = np.asarray(coeffs, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
+    live = c != 0.0
 
     def squared_radius(s):
-        return float(np.sum(c * c * np.exp(2.0 * lam * s))) - radius**2
+        with np.errstate(over="ignore"):
+            terms = c[live] ** 2 * np.exp(2.0 * lam[live] * s)
+        return float(np.sum(terms)) - radius**2
 
     lo = hi = 0.0
     step = 1.0

@@ -10,7 +10,7 @@ import pytest
 
 from cylcc import evaluation
 from cylcc.dataio import bundled_path
-from cylcc.errors import DegeneracyError, DomainError, ValidationError
+from cylcc.errors import DegeneracyError, DomainError, NumericError, ValidationError
 from cylcc.evaluation import (
     EndExpansion,
     EvMapSpec,
@@ -125,18 +125,44 @@ class TestFlowNormalize:
         with pytest.raises(DomainError, match="finite"):
             flow_normalize(EndExpansion((1.0,), (3.0,)), radius=radius)
 
-    def test_matches_brentq_oracle(self):
+    @staticmethod
+    def random_cases(n, spread, lam_range=(0.2, 5.0)):
+        """(eigenvalues, coefficients 10^+-spread, radius) with some zero coefficients."""
         rng = np.random.default_rng(11)
-        for _ in range(200):
+        for _ in range(n):
             k = int(rng.integers(1, 5))
-            lam = tuple(float(x) for x in np.sort(rng.uniform(0.2, 5.0, k)))
-            coeffs = rng.normal(size=k) * 10.0 ** rng.uniform(-2.0, 2.0, k)
+            lam = tuple(float(x) for x in np.sort(rng.uniform(*lam_range, k)))
+            coeffs = rng.normal(size=k) * 10.0 ** rng.uniform(-spread, spread, k)
             coeffs[rng.random(k) < 0.2] = 0.0
             coeffs[0] = coeffs[0] or 1.0
-            radius = float(10.0 ** rng.uniform(-2.0, 2.0))
+            yield lam, coeffs, float(10.0 ** rng.uniform(-2.0, 2.0))
+
+    def test_matches_brentq_oracle(self):
+        cases = [*self.random_cases(200, 2.0), *self.random_cases(500, 8.0)]
+        for lam, coeffs, radius in cases:
             point = flow_normalize(EndExpansion(lam, tuple(coeffs.tolist())), radius)
             oracle = brentq_flow_normalize_oracle(lam, coeffs, radius)
             assert np.max(np.abs(point - oracle)) <= 1e-14 * max(1.0, radius)
+
+    def test_newton_steps_bounded(self, monkeypatch):
+        # Newton starts right of the zero of a convex increasing function,
+        # so it needs few steps even for eigenvalues 1e-3..1e3 and
+        # coefficients 10^+-8.
+        monkeypatch.setattr(evaluation, "_FLOW_STEPS", 12)
+        for lam, coeffs, radius in self.random_cases(500, 8.0, lam_range=(1e-3, 1e3)):
+            point = flow_normalize(EndExpansion(lam, tuple(coeffs.tolist())), radius)
+            assert abs(np.linalg.norm(point) - radius) <= 1e-13 * radius
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_FLOW_STEPS", 1)
+        with pytest.raises(NumericError, match="did not converge"):
+            flow_normalize(EndExpansion((1.0, 2.0), (1.0, 1.0)))
+
+    def test_zero_coefficient_on_a_fast_mode(self):
+        # e^{24.9 s} overflows at the flow time s ~ 100 of the first mode;
+        # the zero coefficient must stay zero, not become 0 * inf.
+        point = flow_normalize(EndExpansion((0.032, 24.9), (-4e-7, 0.0)), 0.01)
+        assert np.allclose(point, [-0.01, 0.0], rtol=1e-13, atol=0.0)
 
 
 class TestCircleRoots:
@@ -156,8 +182,9 @@ class TestCircleRoots:
             assert oracle
             self.assert_same_roots(comp, n_scan, oracle)
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_random_trig_polynomials_match_brentq_oracle(self, seed):
+    @staticmethod
+    def random_trig_polynomial(seed):
+        """A random trig polynomial with a root other than 0, and its brentq roots."""
         rng = random.Random(seed)
         while True:
             terms = tuple(
@@ -167,27 +194,49 @@ class TestCircleRoots:
             comp = TrigPolynomial(1, terms)
             oracle = brentq_circle_roots_oracle(comp, 4096)
             if any(r != 0.0 for r in oracle):
-                break
+                return comp, oracle
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_trig_polynomials_match_brentq_oracle(self, seed):
+        comp, oracle = self.random_trig_polynomial(seed)
         self.assert_same_roots(comp, 4096, oracle)
 
-    def test_brackets_refined_together(self, monkeypatch):
-        # The scaled section of the bundled k2 map has four zeros.  Refined
-        # one at a time by brentq they took over 30 evaluations; refined
-        # together, each round evaluates every bracket at once, and
-        # safeguarded Newton needs a handful of rounds after the scan.
+    @staticmethod
+    def assert_scan_matches(spec, n_scan, oracle):
+        zeros = evaluation._scan_zeros(spec, 60.0, n_scan)
+        assert len(zeros) == len(oracle)
+        for (z,), o in zip(zeros, oracle):
+            assert min(abs(z - o), 1.0 - abs(z - o)) <= 2e-11
+
+    @pytest.mark.parametrize("n_scan", [1024, 2048, 4096])
+    def test_scan_on_bundled_k2_matches_brentq_oracle(self, n_scan):
         spec = bundled_spec("evmap_k2.txt")
+        oracle = brentq_circle_roots_oracle(spec.components[0], n_scan)
+        assert oracle
+        self.assert_scan_matches(spec, n_scan, oracle)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_scan_on_random_trig_polynomials_matches_brentq_oracle(self, seed):
+        comp, oracle = self.random_trig_polynomial(seed)
+        one = TrigPolynomial(1, (("const", (0,), 1.0),))
+        self.assert_scan_matches(EvMapSpec(2, (comp, one), (0.5, 1.5)), 4096, oracle)
+
+    def test_scan_work_after_first_level(self, monkeypatch):
+        # The first level evaluates the 2 * 8192 half steps of the circle
+        # once; every later level only the 5 lattice points of each kept
+        # cell, so the 20-odd levels down to 1e-11 stay cheap.
+        spec = bundled_spec("evmap_k2.txt")
+        real = TrigPolynomial.__call__
         calls = []
-        for name in ("__call__", "value_and_grad"):
-            real = getattr(TrigPolynomial, name)
 
-            def counted(self, theta, real=real):
-                calls.append(len(np.atleast_2d(theta)))
-                return real(self, theta)
+        def counted(self, theta):
+            calls.append(len(np.atleast_2d(theta)))
+            return real(self, theta)
 
-            monkeypatch.setattr(TrigPolynomial, name, counted)
-        assert len(evaluation._scan_zeros_circle(spec, 60.0, 8192)) == 4
-        assert calls[0] == 8193
-        assert len(calls) <= 8
+        monkeypatch.setattr(TrigPolynomial, "__call__", counted)
+        assert len(evaluation._scan_zeros(spec, 60.0, 8192)) == 4
+        assert calls[0] == 2 * 8192
+        assert sum(calls[1:]) < calls[0] / 2
 
     def test_kantorovich_ball_on_the_circle(self):
         # sin 2 pi x at 0: beta = 1 / (2 pi), K = 4 pi^2 and f = 0, so eta is
@@ -744,6 +793,26 @@ class TestZeroLocus:
             report = s0_zero_locus_check(spec, grid, tol=1e-8)
             assert report.ok, report.mismatches
 
+    @pytest.mark.parametrize("name, seeds", [("evmap_k2.txt", 1024), ("evmap_k3.txt", 40)])
+    def test_pole_search_uses_the_scan_resolution(self, monkeypatch, name, seeds):
+        real = evaluation._cell_zeros
+        used = []
+
+        def recorded(comps, n_cells, *args):
+            used.append(n_cells)
+            return real(comps, n_cells, *args)
+
+        monkeypatch.setattr(evaluation, "_cell_zeros", recorded)
+        assert s0_zero_locus_check(bundled_spec(name), [60.0], n_scan=seeds, n_cells=seeds).ok
+        assert used == [seeds]
+
+    @pytest.mark.parametrize("name, T", [("evmap_k3.txt", 260.0), ("evmap_k2.txt", 800.0)])
+    def test_underflowing_section_scale_rejected(self, name, T):
+        # e^{-2 lambda T} is 0.0 here, so every sample of the section would be
+        # 0 and every closed cell kept at every level.
+        with pytest.raises(DomainError, match=f"T = {T:g}, lambda = "):
+            s0_zero_locus_check(bundled_spec(name), [T])
+
     def test_torus_scan_matches_per_cell_oracle(self):
         gen = _load_gen()
         specs = [bundled_spec("evmap_k3.txt")] + [
@@ -751,7 +820,7 @@ class TestZeroLocus:
         ]
         for spec in specs:
             for T in (40.0, 60.0):
-                zeros = evaluation._scan_zeros_torus(spec, T, 64)
+                zeros = evaluation._scan_zeros(spec, T, 64)
                 scales = [math.exp(-2.0 * lam * T) for lam in spec.lambdas[:2]]
                 oracle = torus_scan_oracle(spec.components[:2], scales, 64)
                 assert len(zeros) == len(oracle)
@@ -769,7 +838,7 @@ class TestZeroLocus:
             return real(self, theta)
 
         monkeypatch.setattr(TrigPolynomial, "__call__", counted)
-        evaluation._scan_zeros_torus(spec, 60.0, 64)
+        evaluation._scan_zeros(spec, 60.0, 64)
         assert calls[:2] == [128 * 128] * 2
         assert sum(calls[2:]) < sum(calls[:2]) / 2
 

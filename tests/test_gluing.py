@@ -51,6 +51,14 @@ class TestNeckParams:
         with pytest.raises(DomainError):
             NeckParams(T0=21.0, T=40.0)  # T <= 2 T0
 
+    @pytest.mark.parametrize("field", ["T0", "T", "h", "r"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        # nan passes every inequality test; T = inf used to fail later as
+        # "mode -1 is not finite-energy", and T0 = nan gave a sweep row.
+        with pytest.raises(DomainError, match="must be finite"):
+            NeckParams(**{field: value})
+
     def test_defaults_satisfy_paper_constraints(self):
         p = NeckParams()
         assert p.r > 1.0 / p.h
@@ -453,6 +461,16 @@ class TestTwoSidedPairing:
                 spectrum_minus=spec_minus,
                 d=((0.0, 1.0), (0.0, 1.0)),  # row 0 may touch col 0 only
             )
+
+    @pytest.mark.parametrize("T_minus, T_plus", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
+    def test_gluing_parameters_must_be_finite_and_positive(self, T_minus, T_plus):
+        _, spectrum = setup()
+        spec_minus = closed_form_spectrum(OperatorKind.neg_hyperbolic(0.4), 2)
+        cok = CokernelBasisModel(
+            k=2, spectrum_plus=spectrum, spectrum_minus=spec_minus, d=((1.0, 0.0), (0.0, 1.0))
+        )
+        with pytest.raises(DomainError, match="finite and positive"):
+            two_sided_pairing(T_minus, T_plus, cok, [1.0, 0.0], [1.0, 0.0])
 
     def test_shape_mismatch(self):
         _, spectrum = setup()

@@ -726,14 +726,16 @@ def s0_zero_locus_check(
     exclusion and Kantorovich balls, that locates the pole preimages on
     both domains.  That search runs from the same seed cells, so a map
     with an uncertified cell raises DegeneracyError here as in
-    ``pole_preimages``.  A T at which a section scale e^{-2 lambda_i T}
-    underflows raises DomainError.
+    ``pole_preimages``.  A T that is not finite and positive, or at which
+    a section scale e^{-2 lambda_i T} underflows, raises DomainError.
     """
     if pole_choice != "last_coordinate":
         raise ValidationError(
             "the linearized section quotients by the last cokernel element; "
             "use last_coordinate poles"
         )
+    if not all(0.0 < T < math.inf for T in T_grid):
+        raise DomainError("the gluing parameter T must be finite and positive")
     poles = pole_preimages(spec, pole_choice, n_scan=n_scan, n_grid=n_cells)
     pole_params = np.array([p.params for p in poles]).reshape(len(poles), spec.nvars)
     mismatches: List[ZeroLocusMismatch] = []

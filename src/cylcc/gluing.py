@@ -6,15 +6,15 @@ The neck is the cylinder region [0, 2T] x (R/Z) between a bottom level
 diagonally per mode: writing a field as sum_i b_i(s) e^{lambda_i s}
 f_i(t), D sends b_i to b_i'.
 
-Cutoffs follow beta_plus(s) = beta((s - T0)/hr) ramping up at T0 and
-beta_minus(s) = beta((T - s)/hr) ramping down at T; each ramp *rate*
-(|d beta / ds|) integrates to one, which is the normalization the
-closed-form pairing values assume.  The profile is the C^2 smoothstep
-6x^5 - 15x^4 + 10x^3, fixed for reproducible quadrature.
+The cutoffs are two ``Ramp``s of width w = hr: ``plus`` is beta_plus,
+climbing from 0 to 1 across [T0, T0 + w], and ``minus`` is 1 - beta_minus,
+climbing across [T - w, T].  Each ramp *rate* integrates to one, which
+is the normalization the closed-form pairing values assume.  The profile
+is the C^2 smoothstep 6x^5 - 15x^4 + 10x^3, fixed for reproducible
+quadrature; the pairings and residuals integrate by ``_simpson_rule``.
 
 Every coefficient the neck carries is a ``RampMode`` b(s) = a + c R(s),
-where R is a ``Ramp`` climbing from 0 to 1 across one cutoff support
-(beta_plus, or ramp_minus = 1 - beta_minus) or is absent.  The end data
+where R is one of the cutoff ramps or is absent.  The end data
 are constants, and preglue and the closed-form solve only multiply them
 by a ramp.  So b is constant off the ramp support, and the discrete
 norm ``NeckField.star_norm`` (the trapezoid rule on ``NeckParams.grid``)
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,15 +105,13 @@ class NeckParams:
         return j
 
 
-def _smoothstep(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, 1.0)
-    return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
-
-
-def _smoothstep_rate(x: np.ndarray) -> np.ndarray:
-    inside = (x > 0.0) & (x < 1.0)
-    x = np.where(inside, x, 0.0)
-    return np.where(inside, 30.0 * x * x * (1.0 - x) ** 2, 0.0)
+def _simpson_rule(lo: float, hi: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of composite Simpson on [lo, hi] with n panels,
+    an odd n rounded up."""
+    n += n % 2
+    weights = np.tile([2.0, 4.0], n // 2 + 1)[: n + 1]
+    weights[[0, -1]] = 1.0
+    return np.linspace(lo, hi, n + 1), weights * (hi - lo) / (3.0 * n)
 
 
 @dataclass(frozen=True)
@@ -136,59 +134,27 @@ class Ramp:
         return self.lo + self.width
 
     def value(self, s) -> np.ndarray:
-        return _smoothstep((np.asarray(s, float) - self.lo) / self.width)
+        x = np.clip((np.asarray(s, float) - self.lo) / self.width, 0.0, 1.0)
+        return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
 
     def rate(self, s) -> np.ndarray:
         """dR/ds >= 0; integrates to one over the ramp."""
-        return _smoothstep_rate((np.asarray(s, float) - self.lo) / self.width) / self.width
+        x = (np.asarray(s, float) - self.lo) / self.width
+        inside = (x > 0.0) & (x < 1.0)
+        x = np.where(inside, x, 0.0)
+        return np.where(inside, 30.0 * x * x * (1.0 - x) ** 2, 0.0) / self.width
 
 
-@dataclass(frozen=True)
-class Cutoffs:
-    """The two cutoff profiles and their ramp rates on the neck."""
+class Cutoffs(NamedTuple):
+    """The cutoff ramps: ``plus`` is beta_plus, ``minus`` is 1 - beta_minus."""
 
-    params: NeckParams
-
-    @property
-    def plus(self) -> Ramp:
-        """beta_plus, climbing across [T0, T0 + w]."""
-        return Ramp(self.params.T0, self.params.ramp_width)
-
-    @property
-    def minus(self) -> Ramp:
-        """ramp_minus = 1 - beta_minus, climbing across [T - w, T]."""
-        return Ramp(self.params.T - self.params.ramp_width, self.params.ramp_width)
-
-    def beta_plus(self, s) -> np.ndarray:
-        return self.plus.value(s)
-
-    def beta_minus(self, s) -> np.ndarray:
-        w = self.params.ramp_width
-        return _smoothstep((self.params.T - np.asarray(s, float)) / w)
-
-    def rho_plus(self, s) -> np.ndarray:
-        """d(beta_plus)/ds >= 0; integrates to one over the ramp."""
-        return self.plus.rate(s)
-
-    def rho_minus(self, s) -> np.ndarray:
-        """|d(beta_minus)/ds| >= 0; integrates to one over the ramp."""
-        return self.minus.rate(s)
-
-    def ramp_minus(self, s) -> np.ndarray:
-        """The cumulative rate 1 - beta_minus: 0 below the ramp, 1 above."""
-        return self.minus.value(s)
-
-    @property
-    def plus_support(self) -> Tuple[float, float]:
-        return (self.plus.lo, self.plus.hi)
-
-    @property
-    def minus_support(self) -> Tuple[float, float]:
-        return (self.minus.lo, self.minus.hi)
+    plus: Ramp
+    minus: Ramp
 
 
 def make_cutoffs(params: NeckParams) -> Cutoffs:
-    return Cutoffs(params)
+    w = params.ramp_width
+    return Cutoffs(Ramp(params.T0, w), Ramp(params.T - w, w))
 
 
 @dataclass(frozen=True)
@@ -223,6 +189,16 @@ class RampMode:
         if self.ramp is None:
             return np.zeros_like(s)
         return self.c * self.ramp.rate(s)
+
+
+_ZERO_MODE = RampMode(0.0)
+
+
+def _times_exp(b: np.ndarray, lam: float, s: np.ndarray) -> np.ndarray:
+    """b e^{lam s}; a zero coefficient wins over an overflowing exponential
+    (the product underflowed upstream)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(b == 0.0, 0.0, b * np.exp(lam * s))
 
 
 def _explicit_points(mode: RampMode, params: NeckParams) -> Tuple[np.ndarray, np.ndarray]:
@@ -314,24 +290,14 @@ class NeckField:
         return cls(spectrum, params, {i: RampMode(d) for i, d in coeffs.items()})
 
     def b(self, i: int, s) -> np.ndarray:
-        mode = self.modes.get(i)
-        if mode is None:
-            return np.zeros_like(np.asarray(s, float))
-        return mode.value(s)
+        return self.modes.get(i, _ZERO_MODE).value(s)
 
     def b_deriv(self, i: int, s) -> np.ndarray:
-        mode = self.modes.get(i)
-        if mode is None:
-            return np.zeros_like(np.asarray(s, float))
-        return mode.deriv(s)
+        return self.modes.get(i, _ZERO_MODE).deriv(s)
 
     def mode_value(self, i: int, s) -> np.ndarray:
-        """b_i(s) e^{lambda_i s}; a zero coefficient wins over an
-        overflowing exponential (the product underflowed upstream)."""
-        b = self.b(i, s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = b * np.exp(self.spectrum.eigenvalue(i) * np.asarray(s, float))
-        return np.where(b == 0.0, 0.0, vals)
+        """b_i(s) e^{lambda_i s}, by ``_times_exp``."""
+        return _times_exp(self.b(i, s), self.spectrum.eigenvalue(i), np.asarray(s, float))
 
     @property
     def mode_indices(self) -> List[int]:
@@ -358,10 +324,8 @@ class NeckField:
             weights = 0.5 * (above - below)
             b = mode.value(s)
             db = mode.deriv(s) + lam * b
-            with np.errstate(over="ignore", invalid="ignore"):
-                weight = np.exp(lam * s)
-                vals = np.where(b == 0.0, 0.0, b * weight)
-                dvals = np.where(db == 0.0, 0.0, db * weight)
+            vals, dvals = _times_exp(np.array([b, db]), lam, s)
+            with np.errstate(over="ignore"):
                 total += float(weights @ (vals * vals))
                 dtotal += float(weights @ (dvals * dvals))
             for k in np.flatnonzero(np.diff(j) > 1):
@@ -444,9 +408,10 @@ def theta_residuals(
 ) -> Tuple[float, float]:
     """Check a neck solve against an independent integration of Theta = 0.
 
-    Per mode, Theta_+ = 0 reads b' = -rho_minus (b[eta_-] + b[psi_-]) for
+    Per mode, Theta_+ = 0 reads b' = -R_-' (b[eta_-] + b[psi_-]) for
     the coefficient b of psi_+, and Theta_- = 0 reads
-    b' = -rho_plus (b[eta_+] + b[psi_+]) for that of psi_-.  Each is
+    b' = -R_+' (b[eta_+] + b[psi_+]) for that of psi_-, where R_+ and R_-
+    are the cutoff ramps ``plus`` and ``minus``.  Each is
     integrated by cumulative Simpson over the grid, refined by the ramp
     endpoints and split into panels of at most a 512th of the ramp
     width: positive modes down from b(2T) = 0, negative modes up from
@@ -457,17 +422,17 @@ def theta_residuals(
     """
     cut = make_cutoffs(params)
     grid = params.grid()
-    knots = np.union1d(grid, [*cut.plus_support, *cut.minus_support])
+    knots = np.union1d(grid, [cut.plus.lo, cut.plus.hi, cut.minus.lo, cut.minus.hi])
     widths = np.diff(knots)
     panels = max(1, math.ceil(widths.max() * RESIDUAL_PANELS_PER_RAMP / params.ramp_width))
-    nodes = knots[:-1, None] + widths[:, None] * np.linspace(0.0, 1.0, 2 * panels + 1)
-    simpson = np.array([1.0] + [4.0, 2.0] * (panels - 1) + [4.0, 1.0]) / (6.0 * panels)
+    unit_nodes, simpson = _simpson_rule(0.0, 1.0, 2 * panels)
+    nodes = knots[:-1, None] + widths[:, None] * unit_nodes
     at_grid = np.searchsorted(knots, grid)
     fields = (eta_plus, eta_minus, psi_plus, psi_minus)
     modes = sorted(set().union(*(f.modes for f in fields)))
 
-    def residual(psi, rho, *sources):
-        rate = rho(nodes)
+    def residual(psi, ramp, *sources):
+        rate = ramp.rate(nodes)
         worst = 0.0
         for i in modes:
             forcing = -rate * sum(src.b(i, nodes) for src in sources)
@@ -482,8 +447,8 @@ def theta_residuals(
         return worst
 
     return (
-        residual(psi_plus, cut.rho_minus, eta_minus, psi_minus),
-        residual(psi_minus, cut.rho_plus, eta_plus, psi_plus),
+        residual(psi_plus, cut.minus, eta_minus, psi_minus),
+        residual(psi_minus, cut.plus, eta_plus, psi_plus),
     )
 
 
@@ -518,16 +483,12 @@ class CokernelBasisModel:
         if self.k < 1:
             raise ValidationError("cokernel rank k must be >= 1")
         if self.c is None:
-            object.__setattr__(
-                self,
-                "c",
-                tuple(
-                    tuple(1.0 if i == j else 0.0 for j in range(self.k))
-                    for i in range(self.k)
-                ),
-            )
+            identity = tuple(tuple(float(i == j) for j in range(self.k)) for i in range(self.k))
+            object.__setattr__(self, "c", identity)
         if len(self.c) != self.k or any(len(row) != self.k for row in self.c):
             raise ValidationError("c must be a k x k matrix")
+        if not all(math.isfinite(x) for row in self.c for x in row):
+            raise ValidationError("c must be finite")
         for i in range(self.k):
             if self.c[i][i] != 1.0:
                 raise ValidationError("c must have unit diagonal")
@@ -542,6 +503,8 @@ class CokernelBasisModel:
                 raise ValidationError("negative-end data needs its spectrum table")
             if len(self.d) != self.k or any(len(row) != self.k for row in self.d):
                 raise ValidationError("d must be a k x k matrix")
+            if not all(math.isfinite(x) for row in self.d for x in row):
+                raise ValidationError("d must be finite")
             for i in range(self.k):
                 for col in range(self.k):
                     # 0-based row i is sigma'_{i+1}: columns 0..i allowed
@@ -561,9 +524,7 @@ class CokernelBasisModel:
         """Positive-end data of sigma_i, 1-based."""
         if not 1 <= i <= self.k:
             raise ValidationError(f"sigma index {i} out of range 1..{self.k}")
-        coeffs = {
-            j + 1: self.c[i - 1][j] for j in range(self.k) if self.c[i - 1][j] != 0.0
-        }
+        coeffs = {j + 1: x for j, x in enumerate(self.c[i - 1]) if x != 0.0}
         return SigmaEntry(index=i, coeffs=coeffs, spectrum=self.spectrum_plus)
 
 
@@ -573,7 +534,8 @@ def obstruction_pairing(
     params: NeckParams,
     n_quad: Optional[int] = None,
 ) -> float:
-    """Discrete L^2 pairing <sigma, rho_plus * field> over the neck.
+    """Discrete L^2 pairing <sigma, R_+' * field> over the neck, R_+ the
+    ``plus`` cutoff ramp, by Simpson with n_quad (default s_grid) panels.
 
     For a single constant mode this reduces to c_i e^{-2 lambda_i T}
     times the ramp-rate integral (which is one), so the value is pure
@@ -581,24 +543,14 @@ def obstruction_pairing(
     """
     if sigma.spectrum.kind != fld.spectrum.kind:
         raise ValidationError("sigma and field are bound to different spectra")
-    cut = make_cutoffs(params)
-    lo, hi = cut.plus_support
-    n = n_quad or params.s_grid
-    if n % 2 == 1:
-        n += 1
-    s = np.linspace(lo, hi, n + 1)
-    rho = cut.rho_plus(s)
+    ramp = make_cutoffs(params).plus
+    s, weights = _simpson_rule(ramp.lo, ramp.hi, n_quad or params.s_grid)
+    rate = ramp.rate(s)
     total = 0.0
     for j, coeff in sigma.coeffs.items():
-        vals = rho * fld.b(j, s)  # e^{-lam s} * b e^{lam s} = b
-        total += coeff * float(_simpson(vals, s))
+        # e^{-lam s} * b e^{lam s} = b
+        total += coeff * float(weights @ (rate * fld.b(j, s)))
     return total
-
-
-def _simpson(vals: np.ndarray, s: np.ndarray) -> float:
-    n = len(s) - 1
-    h = (s[-1] - s[0]) / n
-    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
 
 
 def momo_check(
@@ -623,6 +575,25 @@ def momo_check(
     return {"positive_mode_drift": drift, "endpoint_deviation": endpoint}
 
 
+def _check_pairing_inputs(
+    T_minus: float,
+    T_plus: float,
+    cokernel: CokernelBasisModel,
+    c_coeffs: Sequence[float],
+    d_coeffs: Sequence[float],
+):
+    """The argument checks of the closed-form pairing and its oracle."""
+    if not (0.0 < T_minus < math.inf and 0.0 < T_plus < math.inf):
+        raise DomainError("gluing parameters must be finite and positive")
+    k = cokernel.k
+    if len(c_coeffs) != k:
+        raise ValidationError(f"need {k} top-end coefficients")
+    if len(d_coeffs) != k:
+        raise ValidationError(f"need {k} bottom-end coefficients")
+    if not all(map(math.isfinite, (*c_coeffs, *d_coeffs))):
+        raise ValidationError("end coefficients must be finite")
+
+
 def two_sided_pairing(
     T_minus: float,
     T_plus: float,
@@ -637,31 +608,22 @@ def two_sided_pairing(
         sum_{i<=j<=k} c_{i,j} c_j e^{-2 lambda_j T_+}
         - sum_{-k<=j<=-k+i-1} d_{i,j} d_j e^{2 lambda'_j T_-}.
     """
-    if not (0.0 < T_minus < math.inf and 0.0 < T_plus < math.inf):
-        raise DomainError("gluing parameters must be finite and positive")
+    _check_pairing_inputs(T_minus, T_plus, cokernel, c_coeffs, d_coeffs)
     k = cokernel.k
-    if len(c_coeffs) != k:
-        raise ValidationError(f"need {k} top-end coefficients")
-    if len(d_coeffs) != k:
-        raise ValidationError(f"need {k} bottom-end coefficients")
     lam_plus = [cokernel.spectrum_plus.eigenvalue(j) for j in range(1, k + 1)]
     if cokernel.d is not None:
         lam_minus = [cokernel.spectrum_minus.eigenvalue(j) for j in range(-k, 0)]
     out = np.zeros(k - 1)
     for i in range(1, k):
-        top = sum(
+        out[i - 1] = sum(
             cokernel.c[i - 1][j] * c_coeffs[j] * math.exp(-2.0 * lam_plus[j] * T_plus)
             for j in range(i - 1, k)
         )
-        bottom = 0.0
         if cokernel.d is not None:
-            bottom = sum(
-                cokernel.d[i - 1][col]
-                * d_coeffs[col]
-                * math.exp(2.0 * lam_minus[col] * T_minus)
+            out[i - 1] -= sum(
+                cokernel.d[i - 1][col] * d_coeffs[col] * math.exp(2.0 * lam_minus[col] * T_minus)
                 for col in range(k)
             )
-        out[i - 1] = top - bottom
     return out
 
 
@@ -678,37 +640,35 @@ def two_sided_pairing_quadrature(
 
     The top pairing integrates over the upward ramp at +T0, the bottom
     over the downward ramp at -T0, each rate normalized to integrate to
-    one in the direction away from the middle level.
+    one in the direction away from the middle level.  The smoothstep rate
+    is symmetric, so the downward rate is that of a ramp climbing across
+    [-T0 - w, -T0].
     """
+    _check_pairing_inputs(T_minus, T_plus, cokernel, c_coeffs, d_coeffs)
     k = cokernel.k
     w = params.ramp_width
+
+    def rate_integral(ramp: Ramp) -> float:
+        s, weights = _simpson_rule(ramp.lo, ramp.hi, n_quad)
+        return float(weights @ ramp.rate(s))
+
+    top = rate_integral(Ramp(params.T0, w))
+    bottom = rate_integral(Ramp(-params.T0 - w, w))
     lam_plus = [cokernel.spectrum_plus.eigenvalue(j) for j in range(1, k + 1)]
     if cokernel.d is not None:
         lam_minus = [cokernel.spectrum_minus.eigenvalue(j) for j in range(-k, 0)]
-    if n_quad % 2 == 1:
-        n_quad += 1
-    s_top = np.linspace(params.T0, params.T0 + w, n_quad + 1)
-    rho_top = _smoothstep_rate((s_top - params.T0) / w) / w
-    s_bot = np.linspace(-params.T0 - w, -params.T0, n_quad + 1)
-    rho_bot = _smoothstep_rate((-params.T0 - s_bot) / w) / w
     out = np.zeros(k - 1)
     for i in range(1, k):
-        total = 0.0
-        for j in range(i - 1, k):
-            # sigma tail e^{-lam s} against c_j e^{lam (s - 2T_+)}
-            integrand = rho_top * math.exp(-2.0 * lam_plus[j] * T_plus)
-            total += cokernel.c[i - 1][j] * c_coeffs[j] * _simpson(integrand, s_top)
+        # sigma tail e^{-lam s} against c_j e^{lam (s - 2T_+)}
+        out[i - 1] = top * sum(
+            cokernel.c[i - 1][j] * c_coeffs[j] * math.exp(-2.0 * lam_plus[j] * T_plus)
+            for j in range(i - 1, k)
+        )
         if cokernel.d is not None:
-            for col in range(k):
-                if cokernel.d[i - 1][col] == 0.0:
-                    continue
-                integrand = rho_bot * math.exp(2.0 * lam_minus[col] * T_minus)
-                total -= (
-                    cokernel.d[i - 1][col]
-                    * d_coeffs[col]
-                    * _simpson(integrand, s_bot)
-                )
-        out[i - 1] = total
+            out[i - 1] -= bottom * sum(
+                cokernel.d[i - 1][col] * d_coeffs[col] * math.exp(2.0 * lam_minus[col] * T_minus)
+                for col in range(k)
+            )
     return out
 
 

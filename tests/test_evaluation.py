@@ -813,6 +813,13 @@ class TestZeroLocus:
         with pytest.raises(DomainError, match=f"T = {T:g}, lambda = "):
             s0_zero_locus_check(bundled_spec(name), [T])
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -5.0, 0.0])
+    def test_gluing_parameter_must_be_finite_and_positive(self, T):
+        # At T = nan the scan kept no cell and reported every pole preimage
+        # as missed; T <= 0 passed.
+        with pytest.raises(DomainError, match="finite and positive"):
+            s0_zero_locus_check(bundled_spec("evmap_k2.txt"), [60.0, T])
+
     def test_torus_scan_matches_per_cell_oracle(self):
         gen = _load_gen()
         specs = [bundled_spec("evmap_k3.txt")] + [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cylcc import gluing
 from cylcc.errors import DomainError, ValidationError
 from cylcc.gluing import (
     CokernelBasisModel,
@@ -71,29 +72,42 @@ class TestCutoffs:
         params, _ = setup()
         cut = make_cutoffs(params)
         w = params.ramp_width
-        assert cut.beta_minus(params.T) == 0.0
-        assert cut.beta_minus(params.T - w) == 1.0
-        assert cut.beta_plus(params.T0) == 0.0
-        assert cut.beta_plus(params.T0 + w) == 1.0
+        assert (cut.plus.lo, cut.plus.width) == (params.T0, w)
+        assert (cut.minus.lo, cut.minus.width) == (params.T - w, w)
+        # minus is 1 - beta_minus: beta_minus is 1 at T - w and 0 at T
+        assert cut.minus.value(params.T - w) == 0.0
+        assert cut.minus.value(params.T) == 1.0
+        assert cut.plus.value(params.T0) == 0.0
+        assert cut.plus.value(params.T0 + w) == 1.0
 
     def test_ramp_rate_integrates_to_one(self):
         params, _ = setup()
-        cut = make_cutoffs(params)
-        w = params.ramp_width
-        for rate, (lo, hi) in (
-            (cut.rho_plus, cut.plus_support),
-            (cut.rho_minus, cut.minus_support),
-        ):
-            s = np.linspace(lo - 0.5, hi + 0.5, 2_000_001)
-            val = np.trapezoid(rate(s), s)
+        for ramp in make_cutoffs(params):
+            s = np.linspace(ramp.lo - 0.5, ramp.hi + 0.5, 2_000_001)
+            val = np.trapezoid(ramp.rate(s), s)
             assert abs(val - 1.0) < 1e-12
 
     def test_profiles_monotone(self):
         params, _ = setup()
-        cut = make_cutoffs(params)
         s = np.linspace(0.0, params.s_max, 4001)
-        assert np.all(np.diff(cut.beta_plus(s)) >= 0.0)
-        assert np.all(np.diff(cut.beta_minus(s)) <= 0.0)
+        for ramp in make_cutoffs(params):
+            assert np.all(np.diff(ramp.value(s)) >= 0.0)
+            assert np.all(ramp.rate(s) >= 0.0)
+
+
+class TestSimpsonRule:
+    @pytest.mark.parametrize("n", [2, 3, 8, 31])
+    def test_exact_on_cubics_and_odd_n_rounded_up(self, n):
+        nodes, weights = gluing._simpson_rule(-1.5, 2.0, n)
+        assert len(nodes) == len(weights) == n + n % 2 + 1
+        assert (nodes[0], nodes[-1]) == (-1.5, 2.0)
+        cubic = 2.0 * nodes**3 - nodes**2 + 0.5 * nodes + 3.0
+
+        def antiderivative(x):
+            return 0.5 * x**4 - x**3 / 3.0 + 0.25 * x**2 + 3.0 * x
+
+        exact = antiderivative(2.0) - antiderivative(-1.5)
+        assert weights @ cubic == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 class TestPreglue:
@@ -356,6 +370,22 @@ class TestStarNorm:
         assert len(estimate_sweep(_benchmark_necks(), [0.4, 0.9, 1.4]).rows) == 18
 
 
+# obstruction_pairing of sigma_1..sigma_3 frozen before the neck's
+# Simpson rule was shared: (field, n_quad, values), with n_quad odd
+# (rounded up), even and the default s_grid.
+PINNED_OBSTRUCTION = (
+    ("ends", None, (5.725037161100089e-20, 2.1619826640927297e-246, -3.0267757297298213e-246)),
+    ("ends", 1001, (5.725037161121505e-20, 2.1619826641008168e-246, -3.0267757297411436e-246)),
+    ("ends", 1000, (5.725037161121689e-20, 2.161982664100886e-246, -3.02677572974124e-246)),
+    ("ends", 65, (5.725038367974531e-20, 2.1619831198525e-246, -3.0267763677935e-246)),
+    ("ends", 64, (5.725038526054012e-20, 2.1619831795490728e-246, -3.026776451368702e-246)),
+    ("glued", None, (2.862518580550044e-20, -1.0809913320463648e-247, -2.1619826640927297e-247)),
+    ("glued", 257, (2.862518583133612e-20, -1.0809913330220142e-247, -2.1619826660440284e-247)),
+    ("glued", 256, (2.862518583215322e-20, -1.0809913330528707e-247, -2.1619826661057414e-247)),
+    ("psi_minus", 257, (2.862518583133611e-20, -1.0809913330220139e-247, -2.1619826660440277e-247)),
+)
+
+
 class TestObstructionPairing:
     @pytest.mark.parametrize("T", [45.0, 60.0, 120.0])
     @pytest.mark.parametrize("k", [2, 3])
@@ -411,6 +441,36 @@ class TestObstructionPairing:
         with pytest.raises(ValidationError):
             obstruction_pairing(cok.sigma(1), field, params)
 
+    @pytest.mark.parametrize("which, n_quad, expected", PINNED_OBSTRUCTION)
+    def test_pinned_values(self, which, n_quad, expected):
+        params, spectrum = setup(T=45.0)
+        if which == "ends":
+            cok = CokernelBasisModel.exact(3, spectrum)
+            field = NeckField.end_from_above(spectrum, params, {1: 2.0, 2: 5.0, 3: -7.0})
+        else:
+            c = ((1.0, 0.3, -0.2), (0.0, 1.0, 0.5), (0.0, 0.0, 1.0))
+            cok = CokernelBasisModel(k=3, spectrum_plus=spectrum, c=c)
+            eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0, 3: -1.0})
+            eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5, -2: 0.5})
+            if which == "glued":
+                field = preglue(eta_p, eta_m, params)
+            else:
+                field = solve_neck(eta_p, eta_m, params)[1]
+        for i, value in enumerate(expected, start=1):
+            got = obstruction_pairing(cok.sigma(i), field, params, n_quad)
+            assert got == pytest.approx(value, rel=1e-14, abs=0.0)
+
+
+def _two_sided_model(spectrum, c=None, d=None):
+    """A k = 3 cokernel model with tails at both ends."""
+    return CokernelBasisModel(
+        k=3,
+        spectrum_plus=spectrum,
+        c=c or ((1.0, 0.3, -0.2), (0.0, 1.0, 0.5), (0.0, 0.0, 1.0)),
+        spectrum_minus=closed_form_spectrum(OperatorKind.neg_hyperbolic(0.4), 3),
+        d=d or ((0.7, 0.0, 0.0), (0.4, -0.6, 0.0), (0.0, 0.0, 1.1)),
+    )
+
 
 class TestTwoSidedPairing:
     def test_degenerate_case_reduces_to_one_sided(self):
@@ -437,19 +497,30 @@ class TestTwoSidedPairing:
 
     def test_closed_form_vs_quadrature(self):
         params, spectrum = setup()
-        spec_minus = closed_form_spectrum(OperatorKind.neg_hyperbolic(0.4), 3)
-        cok = CokernelBasisModel(
-            k=3,
-            spectrum_plus=spectrum,
-            c=((1.0, 0.3, -0.2), (0.0, 1.0, 0.5), (0.0, 0.0, 1.0)),
-            spectrum_minus=spec_minus,
-            d=((0.7, 0.0, 0.0), (0.4, -0.6, 0.0), (0.0, 0.0, 1.1)),
-        )
+        cok = _two_sided_model(spectrum)
         c_co = [1.2, -0.4, 0.8]
         d_co = [0.5, -1.0, 0.3]
         closed = two_sided_pairing(3.0, 2.5, cok, c_co, d_co)
         quad = two_sided_pairing_quadrature(3.0, 2.5, cok, c_co, d_co, params)
         assert np.max(np.abs(closed - quad)) < 1e-8
+
+    @pytest.mark.parametrize(
+        "n_quad, expected",
+        [
+            (4096, (0.0985019983486742, -3.355865823528161e-09)),
+            (4095, (0.0985019983486742, -3.355865823528161e-09)),
+            (64, (0.09850202183337928, -3.355866623628875e-09)),
+            (33, (0.09850229319068364, -3.3558758685042964e-09)),
+        ],
+    )
+    def test_quadrature_pinned(self, n_quad, expected):
+        # Frozen before the oracle took its rates from Ramp.
+        _, spectrum = setup()
+        cok = _two_sided_model(spectrum)
+        quad = two_sided_pairing_quadrature(
+            3.0, 2.5, cok, [1.2, -0.4, 0.8], [0.5, -1.0, 0.3], NeckParams(), n_quad
+        )
+        assert quad == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_support_pattern_enforced(self):
         _, spectrum = setup()
@@ -469,8 +540,26 @@ class TestTwoSidedPairing:
         cok = CokernelBasisModel(
             k=2, spectrum_plus=spectrum, spectrum_minus=spec_minus, d=((1.0, 0.0), (0.0, 1.0))
         )
+        args = (T_minus, T_plus, cok, [1.0, 0.0], [1.0, 0.0])
         with pytest.raises(DomainError, match="finite and positive"):
-            two_sided_pairing(T_minus, T_plus, cok, [1.0, 0.0], [1.0, 0.0])
+            two_sided_pairing(*args)
+        with pytest.raises(DomainError, match="finite and positive"):
+            two_sided_pairing_quadrature(*args, NeckParams())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_cokernel_data_rejected(self, value):
+        # Each used to give a nan pairing value.
+        _, spectrum = setup()
+        with pytest.raises(ValidationError, match="c must be finite"):
+            _two_sided_model(spectrum, c=((1.0, value, -0.2), (0.0, 1.0, 0.5), (0.0, 0.0, 1.0)))
+        with pytest.raises(ValidationError, match="d must be finite"):
+            _two_sided_model(spectrum, d=((0.7, 0.0, 0.0), (value, -0.6, 0.0), (0.0, 0.0, 1.1)))
+        cok = _two_sided_model(spectrum)
+        for c_co, d_co in (([1.0, value, 0.0], [0.0] * 3), ([0.0] * 3, [value, 0.0, 0.0])):
+            with pytest.raises(ValidationError, match="coefficients must be finite"):
+                two_sided_pairing(1.0, 1.0, cok, c_co, d_co)
+            with pytest.raises(ValidationError, match="coefficients must be finite"):
+                two_sided_pairing_quadrature(1.0, 1.0, cok, c_co, d_co, NeckParams())
 
     def test_shape_mismatch(self):
         _, spectrum = setup()

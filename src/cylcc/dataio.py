@@ -1,160 +1,158 @@
-"""Line-delimited dataset files for orbits and curve counts.
+"""Line-delimited data files: one record grammar, and the dataset files.
 
-Grammar (one record per line, ``#`` starts a comment):
+One record per line: ``#`` starts a comment, then the record kind, its bare
+ids and ``key=value`` fields.  Integers are an optional sign and ASCII
+digits, rationals ``p`` or ``p/q`` with q nonzero ASCII digits, floats
+finite and without underscores.  Evaluation maps (``parse_evmap``) use
+the same grammar; dataset files hold
 
     orbit <id> simple=<id> mult=<int> type=<pos_hyp|neg_hyp> action=<rational> cz=<int> [side=<plus|minus>] [stage=<int>]
     curve level=<symp|cob|k_plus|k_minus> ind=<int> from=<id> to=<id> count=<rational> [tag=<token>]
 
-``cz`` is the Conley-Zehnder index of the *simple* orbit; rationals are
-``p`` or ``p/q``.  ``side`` is required by the chain-map/homotopy checks,
-``stage`` by direct limits, ``tag`` distinguishes the two chain maps of a
-homotopy dataset.
+``cz`` is the Conley-Zehnder index of the *simple* orbit.  ``side`` is
+required by the chain-map/homotopy checks, ``stage`` by direct limits,
+``tag`` distinguishes the two chain maps of a homotopy dataset.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Tuple
 
 from .complexes import CurveRecord, Diagnostic, ModuliDataset, OrbitRecord, load_dataset
-from .errors import DatasetError
-from .indices import ReebOrbit
+from .errors import DatasetError, ValidationError
+from .indices import NEG_HYP, POS_HYP, ReebOrbit
 
-TYPE_ALIASES = {"pos_hyp": "pos_hyperbolic", "neg_hyp": "neg_hyperbolic"}
-LEVEL_ALIASES = {
-    "symp": "symplectization",
-    "cob": "cobordism",
-    "k_plus": "k_plus",
-    "k_minus": "k_minus",
-}
-
-ORBIT_KEYS = ("simple", "mult", "type", "action", "cz")
-ORBIT_OPTIONAL = ("side", "stage")
-CURVE_KEYS = ("level", "ind", "from", "to", "count")
-CURVE_OPTIONAL = ("tag",)
+Reader = Callable[[str], object]
 
 
-def _parse_fields(tokens, loc, diagnostics):
-    fields = {}
-    ok = True
-    for tok in tokens:
-        if "=" not in tok:
-            diagnostics.append(Diagnostic(loc, f"expected key=value, got {tok!r}"))
-            ok = False
-            continue
-        key, value = tok.split("=", 1)
-        if key in fields:
-            diagnostics.append(Diagnostic(loc, f"duplicate field {key!r}"))
-            ok = False
-        fields[key] = value
-    return fields if ok else None
+def _digits(text: str, signed: bool = True) -> bool:
+    if signed and text[:1] in ("+", "-"):
+        text = text[1:]
+    return text.isascii() and text.isdigit()
 
 
-def _parse_rational(text, loc, what, diagnostics) -> Optional[Fraction]:
-    """``p`` or ``p/q``: ASCII digits, an optional sign on p, and q != 0."""
-    num, slash, den = text.partition("/")
-    unsigned = num[1:] if num[:1] in ("+", "-") else num
-    den = den if slash else "1"
-    if all(s.isascii() and s.isdigit() for s in (unsigned, den)) and int(den):
-        return Fraction(int(num), int(den))
-    diagnostics.append(Diagnostic(loc, f"malformed rational {what}={text!r}"))
-    return None
-
-
-def _parse_int(text, loc, what, diagnostics) -> Optional[int]:
-    try:
+def integer(text: str) -> int:
+    if _digits(text):
         return int(text)
-    except ValueError:
-        diagnostics.append(Diagnostic(loc, f"malformed integer {what}={text!r}"))
-        return None
+    raise ValueError("malformed integer {key}={text!r}")
 
 
-def parse_orbit_line(line: str, loc: str, diagnostics) -> Optional[OrbitRecord]:
-    tokens = line.split()
-    if len(tokens) < 2:
-        diagnostics.append(Diagnostic(loc, "orbit record needs an id"))
-        return None
-    oid = tokens[1]
-    fields = _parse_fields(tokens[2:], loc, diagnostics)
-    if fields is None:
-        return None
-    missing = [k for k in ORBIT_KEYS if k not in fields]
-    unknown = [k for k in fields if k not in ORBIT_KEYS + ORBIT_OPTIONAL]
-    if missing or unknown:
-        if missing:
-            diagnostics.append(Diagnostic(loc, f"missing orbit fields {missing}"))
-        if unknown:
-            diagnostics.append(Diagnostic(loc, f"unknown orbit fields {unknown}"))
-        return None
-    stype = TYPE_ALIASES.get(fields["type"])
-    if stype is None:
-        diagnostics.append(
-            Diagnostic(loc, f"orbit type must be pos_hyp or neg_hyp, got {fields['type']!r}")
-        )
-        return None
-    mult = _parse_int(fields["mult"], loc, "mult", diagnostics)
-    action = _parse_rational(fields["action"], loc, "action", diagnostics)
-    cz = _parse_int(fields["cz"], loc, "cz", diagnostics)
-    side = fields.get("side")
-    if side is not None and side not in ("plus", "minus"):
-        diagnostics.append(Diagnostic(loc, f"side must be plus or minus, got {side!r}"))
-        return None
-    stage = None
-    if "stage" in fields:
-        stage = _parse_int(fields["stage"], loc, "stage", diagnostics)
-        if stage is None:
-            return None
-    if mult is None or action is None or cz is None:
-        return None
-    try:
-        orbit = ReebOrbit(
-            id=oid,
-            simple_id=fields["simple"],
-            multiplicity=mult,
-            simple_type=stype,
-            action=action,
-            cz_simple=cz,
-        )
-    except Exception as exc:
-        diagnostics.append(Diagnostic(loc, str(exc)))
-        return None
-    return OrbitRecord(orbit=orbit, side=side, stage=stage, location=loc)
+def rational(text: str) -> Fraction:
+    num, slash, den = text.partition("/")
+    den = den if slash else "1"
+    if _digits(num) and _digits(den, signed=False) and int(den):
+        return Fraction(int(num), int(den))
+    raise ValueError("malformed rational {key}={text!r}")
 
 
-def parse_curve_line(line: str, loc: str, diagnostics) -> Optional[CurveRecord]:
-    tokens = line.split()
-    fields = _parse_fields(tokens[1:], loc, diagnostics)
-    if fields is None:
-        return None
-    missing = [k for k in CURVE_KEYS if k not in fields]
-    unknown = [k for k in fields if k not in CURVE_KEYS + CURVE_OPTIONAL]
-    if missing or unknown:
-        if missing:
-            diagnostics.append(Diagnostic(loc, f"missing curve fields {missing}"))
-        if unknown:
-            diagnostics.append(Diagnostic(loc, f"unknown curve fields {unknown}"))
-        return None
-    level = LEVEL_ALIASES.get(fields["level"])
-    if level is None:
-        diagnostics.append(
-            Diagnostic(loc, f"level must be one of {sorted(LEVEL_ALIASES)}, got "
-                       f"{fields['level']!r}")
-        )
-        return None
-    ind = _parse_int(fields["ind"], loc, "ind", diagnostics)
-    count = _parse_rational(fields["count"], loc, "count", diagnostics)
-    if ind is None or count is None:
-        return None
-    return CurveRecord(
-        level=level,
-        ind=ind,
-        from_id=fields["from"],
-        to_id=fields["to"],
-        count=count,
-        tag=fields.get("tag"),
-        location=loc,
-    )
+def real(text: str) -> float:
+    if text.isascii() and "_" not in text:
+        try:
+            value = float(text)
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(value):
+                return value
+            raise ValueError("{key}={text!r} is not finite")
+    raise ValueError("malformed float {key}={text!r}")
+
+
+def choice(mapping: Mapping[str, object]) -> Reader:
+    """A reader of one of ``mapping``'s keys, giving its value."""
+    def read(text: str) -> object:
+        if text in mapping:
+            return mapping[text]
+        raise ValueError(f"unknown {{kind}} {{key}} {{text!r}} ({'|'.join(mapping)})")
+    return read
+
+
+def comma_list(read: Reader) -> Reader:
+    """A reader of comma-separated values, giving a tuple."""
+    return lambda text: tuple(read(item) for item in text.split(","))
+
+
+@dataclass(frozen=True)
+class RecordKind:
+    """A reader per allowed key, the keys a record must have, and the
+    number of bare ids between the kind and the fields.
+
+    A reader maps a value's text to its value, or raises ValueError whose
+    message is a ``str.format`` template over ``kind``, ``key`` and
+    ``text``.
+    """
+
+    readers: Dict[str, Reader]
+    required: Tuple[str, ...]
+    ids: int = 0
+
+
+def read_records(
+    text: str, source_name: str, kinds: Mapping[str, RecordKind], diagnostics: List[Diagnostic]
+) -> Iterator[Tuple[str, str, List[str], Dict[str, object]]]:
+    """Yield ``(kind, loc, ids, values)`` for each clean record of ``text``
+    in line order; every problem of a line becomes a located ``Diagnostic``
+    in ``diagnostics`` instead, before any later line is read.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        loc = f"{source_name}:{lineno}"
+        name, kind = tokens[0], kinds.get(tokens[0])
+        if kind is None:
+            diagnostics.append(Diagnostic(loc, f"unknown record kind {name!r}"))
+            continue
+        ids = tokens[1 : 1 + kind.ids]
+        problems = [] if len(ids) == kind.ids else [f"{name} record needs an id"]
+        fields: Dict[str, str] = {}
+        for tok in tokens[1 + kind.ids :]:
+            key, eq, value = tok.partition("=")
+            if not eq:
+                problems.append(f"expected key=value, got {tok!r}")
+            elif key not in kind.readers:
+                problems.append(f"unknown field {key!r}")
+            elif key in fields:
+                problems.append(f"duplicate field {key!r}")
+            else:
+                fields[key] = value
+        problems += [f"missing field {key!r}" for key in kind.required if key not in fields]
+        values = {}
+        if not problems:
+            for key, value in fields.items():
+                try:
+                    values[key] = kind.readers[key](value)
+                except ValueError as exc:
+                    problems.append(str(exc).format(kind=name, key=key, text=value))
+        if problems:
+            diagnostics.extend(Diagnostic(loc, problem) for problem in problems)
+        else:
+            yield name, loc, ids, values
+
+
+DATASET_KINDS = {
+    "orbit": RecordKind(
+        {
+            "simple": str, "mult": integer, "type": choice({"pos_hyp": POS_HYP, "neg_hyp": NEG_HYP}),
+            "action": rational, "cz": integer, "side": choice({"plus": "plus", "minus": "minus"}),
+            "stage": integer,
+        },
+        ("simple", "mult", "type", "action", "cz"),
+        ids=1,
+    ),
+    "curve": RecordKind(
+        {
+            "level": choice({"symp": "symplectization", "cob": "cobordism", "k_plus": "k_plus",
+                             "k_minus": "k_minus"}),
+            "ind": integer, "from": str, "to": str, "count": rational, "tag": str,
+        },
+        ("level", "ind", "from", "to", "count"),
+    ),
+}
 
 
 def parse_records(
@@ -164,24 +162,17 @@ def parse_records(
     orbit_records: List[OrbitRecord] = []
     curve_records: List[CurveRecord] = []
     diagnostics: List[Diagnostic] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for kind, loc, ids, v in read_records(text, source_name, DATASET_KINDS, diagnostics):
+        if kind == "curve":
+            fields = (v["level"], v["ind"], v["from"], v["to"], v["count"], v.get("tag"))
+            curve_records.append(CurveRecord(*fields, location=loc))
             continue
-        loc = f"{source_name}:{lineno}"
-        kind = line.split(None, 1)[0]
-        if kind == "orbit":
-            rec = parse_orbit_line(line, loc, diagnostics)
-            if rec is not None:
-                orbit_records.append(rec)
-        elif kind == "curve":
-            rec = parse_curve_line(line, loc, diagnostics)
-            if rec is not None:
-                curve_records.append(rec)
-        else:
-            diagnostics.append(
-                Diagnostic(loc, f"unknown record kind {kind!r} (orbit|curve)")
-            )
+        try:
+            orbit = ReebOrbit(ids[0], v["simple"], v["mult"], v["type"], v["action"], v["cz"])
+        except ValidationError as exc:
+            diagnostics.append(Diagnostic(loc, str(exc)))
+            continue
+        orbit_records.append(OrbitRecord(orbit, v.get("side"), v.get("stage"), location=loc))
     return orbit_records, curve_records, diagnostics
 
 

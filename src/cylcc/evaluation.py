@@ -43,6 +43,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .dataio import RecordKind, choice, comma_list, integer, read_records, real
 from .errors import DegeneracyError, DomainError, NumericError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -856,83 +857,60 @@ def lift_spec(
     return LiftedEvMap(k=new_k, components=tuple(components), lambdas=lambdas)
 
 
-def _fields(tokens, loc: str, allowed) -> dict:
-    """``key=value`` tokens as a dict; only ``allowed`` keys, each at most once."""
-    fields = {}
-    for tok in tokens:
-        key, eq, value = tok.partition("=")
-        if not eq:
-            raise ValidationError(f"{loc}: expected key=value, got {tok!r}")
-        if key not in allowed:
-            raise ValidationError(f"{loc}: unknown field {key!r}, expected one of {allowed}")
-        if key in fields:
-            raise ValidationError(f"{loc}: duplicate field {key!r}")
-        fields[key] = value
-    return fields
+EVMAP_KINDS = {
+    "evmap": RecordKind(
+        {"k": choice({"2": 2, "3": 3}), "lambdas": comma_list(real), "orientation": integer},
+        ("k", "lambdas"),
+    ),
+    "term": RecordKind(
+        {"comp": integer, "kind": choice({"const": "const", "cos": "cos", "sin": "sin"}),
+         "order": comma_list(integer), "value": real},
+        ("comp", "kind", "order", "value"),
+    ),
+}
 
 
 def parse_evmap(text: str, source_name: str = "<memory>") -> EvMapSpec:
     """Parse a trig-polynomial map file.
 
-    Format::
+    Format (the record grammar of ``dataio``)::
 
         evmap k=<2|3> lambdas=<l1,l2[,l3]> [orientation=<1|-1>]
         term comp=<i> kind=<const|cos|sin> order=<m1[,m2]> value=<float>
 
-    A record with a token that is not ``key=value``, an unknown or repeated
-    key, or a term whose component is not in 0..k-1 or whose kind is not
-    one of the three raises ValidationError naming its line.
+    The first record that ``dataio.read_records`` rejects, or a second
+    header, raises ValidationError naming its line; so does, after them,
+    a term whose component is not in 0..k-1 or whose order arity is not
+    k - 1.
     """
-    header = None
-    terms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        loc = f"{source_name}:{lineno}"
-        tokens = line.split()
-        if tokens[0] == "evmap":
-            if header is not None:
-                raise ValidationError(f"{loc}: duplicate evmap header")
-            fields = _fields(tokens[1:], loc, ("k", "lambdas", "orientation"))
-            try:
-                header = {
-                    "k": int(fields["k"]),
-                    "lambdas": tuple(float(x) for x in fields["lambdas"].split(",")),
-                    "orientation": int(fields.get("orientation", "1")),
-                }
-            except (KeyError, ValueError) as exc:
-                raise ValidationError(f"{loc}: bad evmap header ({exc})")
-        elif tokens[0] == "term":
-            fields = _fields(tokens[1:], loc, ("comp", "kind", "order", "value"))
-            try:
-                comp = int(fields["comp"])
-                kind = fields["kind"]
-                orders = tuple(int(x) for x in fields["order"].split(","))
-                value = float(fields["value"])
-            except (KeyError, ValueError) as exc:
-                raise ValidationError(f"{loc}: bad term record ({exc})")
-            if kind not in ("const", "cos", "sin"):
-                raise ValidationError(f"{loc}: unknown term kind {kind!r}")
-            terms.append((loc, comp, kind, orders, value))
+    problems, header, terms = [], None, []
+    for record, loc, _, values in read_records(text, source_name, EVMAP_KINDS, problems):
+        if problems:
+            break
+        if record == "term":
+            terms.append((loc, values))
+        elif header is not None:
+            raise ValidationError(f"{loc}: duplicate evmap header")
         else:
-            raise ValidationError(f"{loc}: unknown record kind {tokens[0]!r}")
+            header = values
+    if problems:
+        raise ValidationError(str(problems[0]))
     if header is None:
         raise ValidationError(f"{source_name}: missing evmap header")
     k = header["k"]
     nvars = k - 1
     by_comp = [[] for _ in range(k)]
-    for loc, comp, kind, orders, value in terms:
+    for loc, term in terms:
+        comp, kind = term["comp"], term["kind"]
         if not 0 <= comp < k:
             raise ValidationError(f"{loc}: component {comp} out of range for k={k}")
-        if kind == "const":
-            orders = (0,) * nvars
+        orders = (0,) * nvars if kind == "const" else term["order"]
         if len(orders) != nvars:
             raise ValidationError(f"{loc}: order arity {len(orders)} != {nvars}")
-        by_comp[comp].append((kind, orders, value))
+        by_comp[comp].append((kind, orders, term["value"]))
     return EvMapSpec(
         k=k,
         components=tuple(TrigPolynomial(nvars, tuple(t)) for t in by_comp),
         lambdas=header["lambdas"],
-        orientation=header["orientation"],
+        orientation=header.get("orientation", 1),
     )

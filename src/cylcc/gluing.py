@@ -106,8 +106,10 @@ class NeckParams:
 
 
 def _simpson_rule(lo: float, hi: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of composite Simpson on [lo, hi] with n panels,
-    an odd n rounded up."""
+    """Nodes and weights of composite Simpson on [lo, hi] with n >= 1
+    panels, an odd n rounded up."""
+    if n < 1:
+        raise ValidationError(f"Simpson's rule needs at least one panel, got {n}")
     n += n % 2
     weights = np.tile([2.0, 4.0], n // 2 + 1)[: n + 1]
     weights[[0, -1]] = 1.0
@@ -544,7 +546,7 @@ def obstruction_pairing(
     if sigma.spectrum.kind != fld.spectrum.kind:
         raise ValidationError("sigma and field are bound to different spectra")
     ramp = make_cutoffs(params).plus
-    s, weights = _simpson_rule(ramp.lo, ramp.hi, n_quad or params.s_grid)
+    s, weights = _simpson_rule(ramp.lo, ramp.hi, params.s_grid if n_quad is None else n_quad)
     rate = ramp.rate(s)
     total = 0.0
     for j, coeff in sigma.coeffs.items():

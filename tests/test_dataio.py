@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from cylcc import dataio
 from cylcc.dataio import bundled_path, parse_records, read_dataset
-from cylcc.errors import DatasetError
+from cylcc.errors import DatasetError, ValidationError
+from cylcc.evaluation import EVMAP_KINDS, parse_evmap
 
 
 def test_empty_file_parses_to_empty_dataset(tmp_path):
@@ -118,3 +120,94 @@ def test_rational_grammar_rejects(text):
     )
     assert not curves
     assert [str(d) for d in diags] == [f"mem:1: malformed rational count={text!r}"]
+
+
+@pytest.mark.parametrize("text,value", [("3", 3), ("-3", -3), ("+4", 4), ("007", 7)])
+def test_integer_grammar_accepts(text, value):
+    _, curves, diags = parse_records(
+        f"curve level=cob ind={text} from=a to=b count=1\n", "mem"
+    )
+    assert not diags
+    assert curves[0].ind == value
+
+
+@pytest.mark.parametrize("text", ["1_0", "٣", "3.0", "1e3", "+", "--1", "0x1"])
+def test_integer_grammar_rejects(text):
+    # An optional sign and ASCII digits: int() alone would read "1_0" as 10
+    # and the Arabic-Indic digit "٣" as 3.
+    _, curves, diags = parse_records(
+        f"curve level=cob ind={text} from=a to=b count=1\n", "mem"
+    )
+    assert not curves
+    assert [str(d) for d in diags] == [f"mem:1: malformed integer ind={text!r}"]
+
+
+EVMAP_TERMS = "term comp=0 kind=cos order=1 value={}\nterm comp=1 kind=sin order=1 value=1\n"
+ORBIT = "orbit a simple=s mult=1 type=neg_hyp action=2 cz=1"
+
+
+@pytest.mark.parametrize("text,value", [("0.5", 0.5), ("-2", -2.0), ("1e-3", 1e-3), ("+.25", 0.25)])
+def test_float_grammar_accepts(text, value):
+    spec = parse_evmap("evmap k=2 lambdas=1,2\n" + EVMAP_TERMS.format(text))
+    assert spec.components[0].terms[0][2] == value
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1_5", "m.txt:2: malformed float value='1_5'"),
+        ("٣", "m.txt:2: malformed float value='٣'"),
+        ("x", "m.txt:2: malformed float value='x'"),
+        ("1e999", "m.txt:2: value='1e999' is not finite"),
+        ("nan", "m.txt:2: value='nan' is not finite"),
+        ("-inf", "m.txt:2: value='-inf' is not finite"),
+    ],
+)
+def test_float_grammar_rejects(text, message):
+    with pytest.raises(ValidationError) as err:
+        parse_evmap("evmap k=2 lambdas=1,2\n" + EVMAP_TERMS.format(text), "m.txt")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "suffix,message",
+    [
+        (" zork", "expected key=value, got 'zork'"),
+        (" zork=5", "unknown field 'zork'"),
+        (" {key}=1 {key}=1", "duplicate field '{key}'"),
+        (" {key}=1_0", "malformed integer {key}='1_0'"),
+        ("\nsquiggle x=1", "unknown record kind 'squiggle'"),
+    ],
+    ids=["no_equals", "unknown_key", "repeated_key", "malformed_integer", "unknown_kind"],
+)
+def test_both_formats_report_the_same_problem_alike(suffix, message):
+    # The same malformed tokens after a clean record of each format; the
+    # repeated and malformed keys are each format's optional integer key.
+    line = 2 if suffix.startswith("\n") else 1
+    _, _, diags = parse_records(ORBIT + suffix.format(key="stage") + "\n", "m.txt")
+    assert [str(d) for d in diags] == [f"m.txt:{line}: " + message.format(key="stage")]
+    with pytest.raises(ValidationError) as err:
+        parse_evmap("evmap k=2 lambdas=1,2" + suffix.format(key="orientation") + "\n", "m.txt")
+    assert str(err.value) == f"m.txt:{line}: " + message.format(key="orientation")
+
+
+def _grammar_line(doc, kind):
+    (line,) = [ln.split() for ln in doc.splitlines() if ln.split()[:1] == [kind] and "=" in ln]
+    return line[1:]
+
+
+@pytest.mark.parametrize(
+    "doc,kinds",
+    [(dataio.__doc__, dataio.DATASET_KINDS), (parse_evmap.__doc__, EVMAP_KINDS)],
+    ids=["dataset", "evmap"],
+)
+def test_docstring_grammar_matches_record_tables(doc, kinds):
+    # Required keys appear bare, optional keys in [...], ids as <id>.
+    for kind, table in kinds.items():
+        tokens = _grammar_line(doc, kind)
+        ids = [t for t in tokens if "=" not in t]
+        required = [t.split("=")[0] for t in tokens if "=" in t and not t.startswith("[")]
+        optional = [t[1:].split("=")[0] for t in tokens if t.startswith("[")]
+        assert len(ids) == table.ids
+        assert required == list(table.required)
+        assert sorted(required + optional) == sorted(table.readers)

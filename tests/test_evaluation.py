@@ -2,6 +2,7 @@ import importlib.util
 import math
 import random
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -904,6 +905,15 @@ class TestParsing:
             text = "evmap k=2 lambdas=1,2\n" + text
         with pytest.raises(ValidationError, match=re.escape(message)):
             parse_evmap(text + "\n", "m.txt")
+
+    @pytest.mark.parametrize("k", [1, 4, 10_000, 1_000_000])
+    def test_header_k_rejected_before_allocating(self, k):
+        # One polynomial of arity k - 1 per component used to be built
+        # before k was checked: 0.39 s at k = 10^4, minutes at k = 10^6.
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=re.escape(f"m.txt:1: unknown evmap k '{k}' (2|3)")):
+            parse_evmap(f"evmap k={k} lambdas=1,2\n", "m.txt")
+        assert time.perf_counter() - start < 0.25
 
 
 class TestSpecValidation:

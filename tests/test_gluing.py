@@ -109,6 +109,21 @@ class TestSimpsonRule:
         exact = antiderivative(2.0) - antiderivative(-1.5)
         assert weights @ cubic == pytest.approx(exact, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("n", [0, -1, -4])
+    def test_fewer_than_one_panel_rejected(self, n):
+        # n = 0 and -1 gave one node of infinite weight (nan pairings), and
+        # n = -4 numpy's "negative dimensions"; n_quad=0 meant s_grid.
+        params, spectrum = setup()
+        cok = CokernelBasisModel.exact(2, spectrum)
+        field = NeckField.end_from_above(spectrum, params, {1: 1.0})
+        with pytest.raises(ValidationError, match="at least one panel"):
+            gluing._simpson_rule(0.0, 1.0, n)
+        with pytest.raises(ValidationError, match="at least one panel"):
+            obstruction_pairing(cok.sigma(1), field, params, n_quad=n)
+        args = (3.0, 2.5, _two_sided_model(spectrum), [1.2, -0.4, 0.8], [0.5, -1.0, 0.3], params)
+        with pytest.raises(ValidationError, match="at least one panel"):
+            two_sided_pairing_quadrature(*args, n)
+
 
 class TestPreglue:
     def test_zero_ends_trivial_cylinder(self):

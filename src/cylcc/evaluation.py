@@ -271,14 +271,7 @@ class EvMapSpec(_ComponentMap):
             raise ValidationError("need one component per target coordinate")
         if any(c.nvars != self.nvars for c in self.components):
             raise ValidationError("component arity must match the domain dimension")
-        if len(self.lambdas) != self.k:
-            raise ValidationError("need one eigenvalue per component")
-        if any(not math.isfinite(l) or l <= 0 for l in self.lambdas):
-            raise ValidationError("flow eigenvalues must be finite and positive")
-        if any(b < a for a, b in zip(self.lambdas, self.lambdas[1:])):
-            raise ValidationError("flow eigenvalues must be nondecreasing")
-        if self.orientation not in (1, -1):
-            raise ValidationError("orientation flag must be +1 or -1")
+        _check_header(self.k, self.lambdas, self.orientation)
         n = _ORIGIN_GRID
         half = (_ORIGIN_BLOCK - 1) / (2.0 * n)
         centres = _param_grid(self.nvars, n // _ORIGIN_BLOCK) + half
@@ -298,6 +291,19 @@ class EvMapSpec(_ComponentMap):
     @property
     def nvars(self) -> int:
         return self.k - 1
+
+
+def _check_header(k: int, lambdas: Sequence[float], orientation: int) -> None:
+    """The fields of an evmap header: k finite, positive, nondecreasing
+    flow eigenvalues and an orientation flag of +1 or -1."""
+    if len(lambdas) != k:
+        raise ValidationError("need one eigenvalue per component")
+    if any(not math.isfinite(l) or l <= 0 for l in lambdas):
+        raise ValidationError("flow eigenvalues must be finite and positive")
+    if any(b < a for a, b in zip(lambdas, lambdas[1:])):
+        raise ValidationError("flow eigenvalues must be nondecreasing")
+    if orientation not in (1, -1):
+        raise ValidationError("orientation flag must be +1 or -1")
 
 
 def _param_grid(nvars: int, n: int) -> np.ndarray:
@@ -880,8 +886,9 @@ def parse_evmap(text: str, source_name: str = "<memory>") -> EvMapSpec:
 
     The first record that ``dataio.read_records`` rejects, or a second
     header, raises ValidationError naming its line; so does, after them,
-    a term whose component is not in 0..k-1 or whose order arity is not
-    k - 1.
+    a header whose ``lambdas`` are not k finite positive nondecreasing
+    numbers or whose orientation is not +1 or -1, and then a term whose
+    component is not in 0..k-1 or whose order arity is not k - 1.
     """
     problems, header, terms = [], None, []
     for record, loc, _, values in read_records(text, source_name, EVMAP_KINDS, problems):
@@ -892,12 +899,16 @@ def parse_evmap(text: str, source_name: str = "<memory>") -> EvMapSpec:
         elif header is not None:
             raise ValidationError(f"{loc}: duplicate evmap header")
         else:
-            header = values
+            header_loc, header = loc, values
     if problems:
         raise ValidationError(str(problems[0]))
     if header is None:
         raise ValidationError(f"{source_name}: missing evmap header")
     k = header["k"]
+    try:
+        _check_header(k, header["lambdas"], header.get("orientation", 1))
+    except ValidationError as exc:
+        raise ValidationError(f"{header_loc}: {exc}") from None
     nvars = k - 1
     by_comp = [[] for _ in range(k)]
     for loc, term in terms:

@@ -19,9 +19,9 @@ A finite-difference discretization provides an independent numeric
 oracle for the same spectra.  Its operator is block-circulant (periodic)
 or block-anticirculant (antiperiodic), so Fourier modes reduce it exactly
 to Hermitian 2x2 blocks, one per frequency; each block is solved
-numerically, and every eigenpair returned is certified by its residual
-against the operator itself, applied as a stencil without assembling a
-matrix.
+numerically, and every eigenpair returned, a single-frequency loop like
+the closed forms, is certified by its residual against the operator
+itself, applied as a stencil without assembling a matrix.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ class OperatorKind:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown operator kind {self.kind!r}")
+        if not math.isfinite(self.eps):
+            raise DomainError(f"eps must be finite, got eps={self.eps}")
         if self.kind == ELLIPTIC:
             if not 0.0 < self.eps < TWO_PI:
                 raise DomainError(
@@ -132,31 +134,10 @@ class TrigLoop:
 
 
 @dataclass(frozen=True)
-class SampledLoop:
-    """Eigenfunction known only through samples on a uniform t-grid."""
-
-    ts: np.ndarray
-    values: np.ndarray  # shape (n, 2)
-    period: float = 1.0
-
-    def sample(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.mod(np.asarray(ts, dtype=float), self.period)
-        out = np.empty((len(ts), 2))
-        grid = np.concatenate([self.ts, [self.period]])
-        closed = np.vstack([self.values, self.values[:1]])
-        for j in range(2):
-            out[:, j] = np.interp(ts, grid, closed[:, j])
-        return out
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.sample(np.array([t]))[0]
-
-
-@dataclass(frozen=True)
 class SpectrumEntry:
     index: int
     eigenvalue: float
-    eigenfunction: object
+    eigenfunction: TrigLoop
     winding: Optional[int]
 
     def __post_init__(self):
@@ -326,15 +307,27 @@ def finite_difference_operator(
 
 
 def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> SpectrumTable:
-    """Finite-difference oracle: the ``count`` eigenvalues closest to zero.
+    """Finite-difference oracle: ``count // 2`` eigenvalues of each sign.
+
+    The eigenvalues taken are the ``count // 2`` negative ones closest to
+    zero and the ``count - count // 2`` nonnegative ones closest to zero,
+    a sign short of modes giving its remainder to the other; this matches
+    the index convention of :func:`closed_form_spectrum`.  Ties keep the
+    order (block, column, part) of the modes below.
 
     The operator is block-circulant (block-anticirculant when antiperiodic),
     so the grid modes e^{2 pi i m t} u, m = k (or k + 1/2 if antiperiodic),
     reduce it to the Hermitian 2x2 blocks B_m = -i sigma_m j0 - S with
     sigma_m = sin(2 pi m h)/h.  Frequencies m and n/2 - m share sigma_m, so
     only 0 <= m < n/4 are physical; the others are sawtooth aliases.  Each
-    block is solved numerically; an eigenpair (lambda, u) of B_m gives the
-    real modes Re and Im of e^{2 pi i m t} u (one phase-fixed mode at m = 0).
+    block is solved numerically; an eigenpair (lambda, u) of column c of
+    B_m gives the real modes Re (part 0) and Im (part 1) of
+    e^{2 pi i m t} u (one phase-fixed mode at m = 0).  With u = a + i b
+    these are the loops a cos(2 pi m t) - b sin(2 pi m t) and
+    b cos(2 pi m t) + a sin(2 pi m t), returned as :class:`TrigLoop`
+    scaled to unit discrete L^2 on the grid, which for 0 <= m < n/4 is
+    unit L^2 over one period.  A winding is :func:`winding_number` of the
+    loop's grid samples over one loop period, None when ill-conditioned.
     Every returned pair is certified against the stencil operator,
     ||Av - lambda v|| <= 1e-7 (1 + |lambda|), or NumericError is raised.
     Its sign is certified as well: B_m differs from the continuum block
@@ -352,25 +345,24 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
     freqs = freqs[freqs < n / 4]
     sigma = np.sin(TWO_PI * freqs / n) * n
     vals, vecs = np.linalg.eigh(-1j * sigma[:, None, None] * J0 - kind.s_matrix())
-    modes = [
-        (vals[f, c], f, c, part)
-        for f in range(len(freqs))
-        for c in range(2)
-        for part in range(2 if freqs[f] > 0 else 1)
-    ]
 
+    # Modes flattened in (block, column, part) order; m = 0 has no part 1.
+    exists = np.ones((len(freqs), 2, 2), dtype=bool)
+    exists[freqs == 0, :, 1] = False
+    modes = np.flatnonzero(exists)
+    mode_vals = np.repeat(vals, 2, axis=1).ravel()[modes]
     # Balanced selection: count//2 per sign where available (hyperbolic
     # spectra are symmetric), falling back to closest-to-zero overall.
-    neg = sorted((m for m in modes if m[0] < 0), key=lambda m: -m[0])
-    pos = sorted((m for m in modes if m[0] >= 0), key=lambda m: m[0])
+    below, above = mode_vals < 0, mode_vals >= 0
+    neg = modes[below][np.argsort(-mode_vals[below], kind="stable")]
+    pos = modes[above][np.argsort(mode_vals[above], kind="stable")]
     take_neg = min(len(neg), count // 2)
     take_pos = min(len(pos), count - take_neg)
     take_neg = min(len(neg), count - take_pos)
-    chosen = neg[:take_neg] + pos[:take_pos]
+    chosen = np.concatenate([neg[:take_neg][::-1], pos[:take_pos]])
+    blocks, columns, parts = np.unravel_index(chosen, exists.shape)
 
-    ts = np.arange(n) / n
-    lams = np.array([m[0] for m in chosen])
-    blocks = np.array([m[1] for m in chosen])
+    lams = vals[blocks, columns]
     symbol_error = np.abs(TWO_PI * freqs[blocks] - sigma[blocks])
     if np.any(np.abs(lams) <= symbol_error):
         raise NumericError(
@@ -378,44 +370,40 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
             "(the margins |lambda| - |2 pi m - sigma_m| are the residuals)",
             residuals=(np.abs(lams) - symbol_error).tolist(),
         )
-    columns = []
-    for _, f, c, part in chosen:
-        u = vecs[f, :, c]
-        if freqs[f] == 0:
-            big = u[np.argmax(np.abs(u))]
-            u = u * (np.conj(big) / abs(big))
-        wave = np.exp(TWO_PI * 1j * freqs[f] * ts)[:, None] * u
-        v = (wave.imag if part else wave.real).ravel()
-        columns.append(v / np.linalg.norm(v))
-    modes_out = np.column_stack(columns)
+    u = vecs[blocks, :, columns]
+    const = np.flatnonzero(freqs[blocks] == 0)
+    big = u[const, np.argmax(np.abs(u[const]), axis=1)]
+    u[const] *= (np.conj(big) / np.abs(big))[:, None]
+    imag = parts[:, None] == 1
+    cos_coeff = np.where(imag, u.imag, u.real)
+    sin_coeff = np.where(imag, u.real, -u.imag)
+    ts = np.arange(round(n * kind.loop_period)) / n
+    loops, samples = [], []
+    for omega, cos_c, sin_c in zip(TWO_PI * freqs[blocks], cos_coeff, sin_coeff):
+        values = TrigLoop(omega, cos_c, sin_c).sample(ts)
+        scale = math.sqrt(n) / np.linalg.norm(values[:n])  # unit discrete L^2
+        values *= scale
+        samples.append(values)
+        cos_c, sin_c = (cos_c * scale).tolist(), (sin_c * scale).tolist()
+        loops.append(TrigLoop(float(omega), tuple(cos_c), tuple(sin_c), kind.loop_period))
+    on_grid = np.stack([v[:n] for v in samples], axis=-1).reshape(2 * n, -1) / math.sqrt(n)
 
     a = finite_difference_operator(kind.kind, kind.eps, n)
-    residuals = np.linalg.norm(a @ modes_out - modes_out * lams, axis=0)
+    residuals = np.linalg.norm(a @ on_grid - on_grid * lams, axis=0)
     if np.any(residuals > 1e-7 * (1.0 + np.abs(lams))):
         raise NumericError(
             "eigensolve residuals exceed tolerance", residuals=residuals.tolist()
         )
 
-    indices = [-(r + 1) for r in range(take_neg)] + [r + 1 for r in range(take_pos)]
-    entries = [
-        _numeric_entry(i, lams[j], modes_out[:, j], ts, kind) for j, i in enumerate(indices)
-    ]
-    return SpectrumTable(kind, tuple(sorted(entries, key=lambda e: e.index)))
-
-
-def _numeric_entry(
-    index: int, lam: float, vec: np.ndarray, ts: np.ndarray, kind: OperatorKind
-) -> SpectrumEntry:
-    n = len(ts)
-    values = vec.reshape(n, 2) * math.sqrt(n)  # unit discrete L^2 over one period
-    if kind.antiperiodic:
-        ts, values = np.concatenate([ts, ts + 1.0]), np.vstack([values, -values])
-    loop = SampledLoop(ts, values, period=kind.loop_period)
-    try:
-        wind = winding_number(values)
-    except IllConditionedInputError:
-        wind = None
-    return SpectrumEntry(index, float(lam), loop, wind)
+    indices = list(range(-take_neg, 0)) + list(range(1, take_pos + 1))
+    entries = []
+    for i, lam, loop, values in zip(indices, lams, loops, samples):
+        try:
+            wind = winding_number(values)
+        except IllConditionedInputError:
+            wind = None
+        entries.append(SpectrumEntry(i, float(lam), loop, wind))
+    return SpectrumTable(kind, tuple(entries))
 
 
 def winding_number(loop: Sequence) -> int:
@@ -427,6 +415,10 @@ def winding_number(loop: Sequence) -> int:
     pts = np.asarray(loop, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 1:
         raise ValidationError("loop must be an (n, 2) array of samples")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ValidationError(f"sample {j} is not finite: {tuple(pts[j].tolist())}")
     radii = np.hypot(pts[:, 0], pts[:, 1])
     if np.any(radii == 0.0):
         j = int(np.argmin(radii))
@@ -454,11 +446,5 @@ def gram_matrix(table: SpectrumTable, quad_points: int) -> np.ndarray:
     if quad_points < 2:
         raise DomainError("quad_points must be >= 2")
     ts = (np.arange(quad_points) + 0.5) / quad_points
-    samples = [e.eigenfunction.sample(ts) for e in table.entries]
-    m = len(samples)
-    gram = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            val = float(np.sum(samples[i] * samples[j])) / quad_points
-            gram[i, j] = gram[j, i] = val
-    return gram
+    samples = np.stack([e.eigenfunction.sample(ts).ravel() for e in table.entries])
+    return samples @ samples.T / quad_points

@@ -906,6 +906,26 @@ class TestParsing:
         with pytest.raises(ValidationError, match=re.escape(message)):
             parse_evmap(text + "\n", "m.txt")
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ("k=2 lambdas=1,2,3", "need one eigenvalue per component"),
+            ("k=2 lambdas=2,1", "flow eigenvalues must be nondecreasing"),
+            ("k=2 lambdas=0,2", "flow eigenvalues must be finite and positive"),
+            ("k=2 lambdas=1,2 orientation=2", "orientation flag must be +1 or -1"),
+        ],
+        ids=["lambda_count", "lambda_order", "lambda_zero", "orientation"],
+    )
+    def test_header_fields_rejected_at_header_line(self, fields, message):
+        text = f"# header after a comment and a blank line\n\nevmap {fields}\n"
+        with pytest.raises(ValidationError) as err:
+            parse_evmap(text + "term comp=0 kind=const order=0 value=1\n", "m.txt")
+        assert str(err.value) == f"m.txt:3: {message}"
+
+    def test_header_orientation_with_plus_sign(self):
+        spec = parse_evmap("evmap k=2 lambdas=1,2 orientation=+1\nterm comp=0 kind=const order=0 value=1\n")
+        assert spec.orientation == 1
+
     @pytest.mark.parametrize("k", [1, 4, 10_000, 1_000_000])
     def test_header_k_rejected_before_allocating(self, k):
         # One polynomial of arity k - 1 per component used to be built

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ class TestOperatorKind:
     def test_large_eps_warns(self):
         with pytest.warns(UserWarning):
             OperatorKind.pos_hyperbolic(2.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make", [OperatorKind.elliptic, OperatorKind.pos_hyperbolic, OperatorKind.neg_hyperbolic]
+    )
+    def test_non_finite_eps_rejected_before_warning(self, make, eps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                make(eps)
 
 
 class TestClosedForm:
@@ -247,9 +258,24 @@ class TestNumericSpectrum:
             bound = omega**3 * h * h / 6.0 + 1e-12 * (1.0 + abs(exact.eigenvalue))
             assert abs(entry.eigenvalue - exact.eigenvalue) <= bound, entry.index
             assert entry.winding == exact.winding, entry.index
-            v = entry.eigenfunction.values[:grid].ravel() / math.sqrt(grid)
+            v = entry.eigenfunction.sample(np.arange(grid) / grid).ravel() / math.sqrt(grid)
             residual = np.linalg.norm(a @ v - entry.eigenvalue * v)
             assert residual <= 1e-7 * (1.0 + abs(entry.eigenvalue)), entry.index
+
+    def test_balanced_selection_not_closest_to_zero(self):
+        # lambda = -12.28, -6, -6, 0.283, 0.283, 6.566: count // 2 per sign
+        # keeps -12.28, where the six closest to zero would take 6.566 twice.
+        kind = OperatorKind.elliptic(6.0)
+        grid = 1024
+        num = numeric_spectrum(kind, grid, 6)
+        closed = closed_form_spectrum(kind, 3)
+        assert num.indices == closed.indices == [-3, -2, -1, 1, 2, 3]
+        for entry in num.entries:
+            exact = closed.entry(entry.index)
+            omega = abs(exact.eigenfunction.omega)
+            bound = omega**3 / grid**2 / 6.0 + 1e-12 * (1.0 + abs(exact.eigenvalue))
+            assert abs(entry.eigenvalue - exact.eigenvalue) <= bound, entry.index
+            assert entry.winding == exact.winding, entry.index
 
 
 class TestWinding:
@@ -269,6 +295,11 @@ class TestWinding:
     def test_origin_sample_rejected(self):
         with pytest.raises(IllConditionedInputError):
             winding_number([(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"sample 1 is not finite"):
+            winding_number([(1.0, 0.0), (bad, 1.0), (0.0, 1.0), (1.0, bad)])
 
     def test_large_jump_rejected(self):
         with pytest.raises(IllConditionedInputError):
@@ -327,6 +358,21 @@ class TestGram:
             table = closed_form_spectrum(kind, 8)
             gram = gram_matrix(table, 4096)
             assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-10
+
+    @pytest.mark.parametrize("grid", [128, 1024])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            OperatorKind.elliptic(1.3),
+            OperatorKind.pos_hyperbolic(0.3),
+            OperatorKind.neg_hyperbolic(0.4),
+        ],
+        ids=lambda kind: kind.kind,
+    )
+    def test_numeric_orthonormality_between_grid_points(self, kind, grid):
+        # 4096 quadrature points lie between the grid points of either grid.
+        gram = gram_matrix(numeric_spectrum(kind, grid, 8), 4096)
+        assert np.max(np.abs(gram - np.eye(8))) < 1e-12
 
     def test_empty_table_rejected(self):
         from cylcc.spectral import SpectrumTable

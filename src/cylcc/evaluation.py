@@ -853,10 +853,7 @@ def lift_spec(
     if positions[0] < 0 or positions[-1] >= new_k:
         raise ValidationError("target slots out of range")
     lambdas = tuple(float(l) for l in new_lambdas)
-    if len(lambdas) != new_k:
-        raise ValidationError("need one eigenvalue per target coordinate")
-    if any(not math.isfinite(l) or l <= 0 for l in lambdas):
-        raise ValidationError("flow eigenvalues must be finite and positive")
+    _check_header(new_k, lambdas, 1)
     components = [TrigPolynomial.zero(spec.nvars)] * new_k
     for src, dst in enumerate(positions):
         components[dst] = spec.components[src]

@@ -18,7 +18,8 @@ is fixed once and for all so that downstream pairings are reproducible.
 A finite-difference discretization provides an independent numeric
 oracle for the same spectra.  Its operator is block-circulant (periodic)
 or block-anticirculant (antiperiodic), so Fourier modes reduce it exactly
-to Hermitian 2x2 blocks, one per frequency; each block is solved
+to Hermitian 2x2 blocks, one per frequency; the blocks that Weyl's
+inequality, less a rounding slack, cannot rule out are solved
 numerically, and every eigenpair returned, a single-frequency loop like
 the closed forms, is certified by its residual against the operator
 itself, applied as a stencil without assembling a matrix.
@@ -27,9 +28,10 @@ itself, applied as a stencil without assembling a matrix.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +45,11 @@ NEG_HYPERBOLIC = "neg_hyperbolic"
 KINDS = (ELLIPTIC, POS_HYPERBOLIC, NEG_HYPERBOLIC)
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _check_size(name: str, value, least: int) -> None:
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _s_matrix(kind_name: str, eps: float) -> np.ndarray:
@@ -122,12 +129,8 @@ class TrigLoop:
     period: float = 1.0
 
     def sample(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        c = np.cos(self.omega * ts)
-        s = np.sin(self.omega * ts)
-        a = np.asarray(self.cos_coeff)
-        b = np.asarray(self.sin_coeff)
-        return np.outer(c, a) + np.outer(s, b)
+        phase = self.omega * np.asarray(ts, dtype=float)
+        return np.outer(np.cos(phase), self.cos_coeff) + np.outer(np.sin(phase), self.sin_coeff)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sample(np.array([t]))[0]
@@ -277,12 +280,12 @@ class StencilOperator:
         """A v for a vector of length 2n, or for each column of a (2n, k) block."""
         v = np.asarray(v, dtype=float)
         loops = v.reshape(self.grid_size, 2, -1)
-        ahead = np.roll(loops, -1, axis=0)
-        behind = np.roll(loops, 1, axis=0)
-        ahead[-1] *= self.wrap
-        behind[0] *= self.wrap
-        diff = (ahead - behind) * (0.5 * self.grid_size)
-        return (-(J0 @ diff) - self.s_matrix @ loops).reshape(v.shape)
+        ext = np.concatenate([self.wrap * loops[-1:], loops, self.wrap * loops[:1]])
+        d0, d1 = ((ext[2:] - ext[:-2]) * (0.5 * self.grid_size)).transpose(1, 0, 2)
+        (s00, s01), (s10, s11) = self.s_matrix
+        x, y = loops[:, 0], loops[:, 1]  # -j0 d - S v = (d_1, -d_0) - S v
+        out = np.stack([d1 - (s00 * x + s01 * y), -d0 - (s10 * x + s11 * y)], axis=1)
+        return out.reshape(v.shape)
 
     def toarray(self) -> np.ndarray:
         return self @ np.eye(2 * self.grid_size)
@@ -302,6 +305,7 @@ def finite_difference_operator(
     """
     if kind_name not in KINDS:
         raise DomainError(f"unknown operator kind {kind_name!r}")
+    _check_size("grid_size", grid_size, 1)
     wrap = -1.0 if kind_name == NEG_HYPERBOLIC else 1.0
     return StencilOperator(grid_size, _s_matrix(kind_name, eps), wrap)
 
@@ -327,39 +331,51 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
     b cos(2 pi m t) + a sin(2 pi m t), returned as :class:`TrigLoop`
     scaled to unit discrete L^2 on the grid, which for 0 <= m < n/4 is
     unit L^2 over one period.  A winding is :func:`winding_number` of the
-    loop's grid samples over one loop period, None when ill-conditioned.
+    loop's grid samples over one loop period, None where that fails.
     Every returned pair is certified against the stencil operator,
     ||Av - lambda v|| <= 1e-7 (1 + |lambda|), or NumericError is raised.
     Its sign is certified as well: B_m differs from the continuum block
     (sigma_m replaced by 2 pi m) by |2 pi m - sigma_m| in norm, so when
     |lambda| is no larger than that the continuum eigenvalue may have the
     other sign, the index labels may be wrong, and NumericError is raised.
+
+    Only the first M blocks are solved, M = count + 2 doubling until it
+    covers all or each sign has its share and every chosen |lambda| is below
+    sigma_M - eps - 1e-9 (1 + sigma_M): B_m is -i sigma_m j0 (eigenvalues
+    +-sigma_m) minus S (norm eps), so by Weyl's inequality no later block,
+    sigma increasing, holds a smaller |lambda|; the slack absorbs rounding.
     """
-    if grid_size < 64:
-        raise DomainError("grid_size must be >= 64")
-    if count < 1 or count > grid_size // 4:
-        raise DomainError("count must satisfy 1 <= count <= grid_size/4")
+    _check_size("grid_size", grid_size, 64)
+    if not isinstance(count, numbers.Integral) or not 1 <= count <= grid_size // 4:
+        raise DomainError(f"count must be an integer in [1, grid_size/4], got {count!r}")
 
     n = grid_size
     freqs = np.arange(n) + (0.5 if kind.antiperiodic else 0.0)
     freqs = freqs[freqs < n / 4]
     sigma = np.sin(TWO_PI * freqs / n) * n
-    vals, vecs = np.linalg.eigh(-1j * sigma[:, None, None] * J0 - kind.s_matrix())
-
-    # Modes flattened in (block, column, part) order; m = 0 has no part 1.
-    exists = np.ones((len(freqs), 2, 2), dtype=bool)
-    exists[freqs == 0, :, 1] = False
-    modes = np.flatnonzero(exists)
-    mode_vals = np.repeat(vals, 2, axis=1).ravel()[modes]
-    # Balanced selection: count//2 per sign where available (hyperbolic
-    # spectra are symmetric), falling back to closest-to-zero overall.
-    below, above = mode_vals < 0, mode_vals >= 0
-    neg = modes[below][np.argsort(-mode_vals[below], kind="stable")]
-    pos = modes[above][np.argsort(mode_vals[above], kind="stable")]
-    take_neg = min(len(neg), count // 2)
-    take_pos = min(len(pos), count - take_neg)
-    take_neg = min(len(neg), count - take_pos)
-    chosen = np.concatenate([neg[:take_neg][::-1], pos[:take_pos]])
+    m = min(count + 2, len(freqs))
+    while True:
+        vals, vecs = np.linalg.eigh(-1j * sigma[:m, None, None] * J0 - kind.s_matrix())
+        # Modes flat in (block, column, part) order: mode // 2 is (block, column).
+        exists = np.ones((m, 2, 2), dtype=bool)
+        exists[freqs[:m] == 0, :, 1] = False  # frequency 0 has no part 1
+        modes = np.flatnonzero(exists)
+        mode_vals = vals.ravel()[modes // 2]
+        # Balanced selection: count//2 per sign where available (hyperbolic
+        # spectra are symmetric), falling back to closest-to-zero overall.
+        below, above = mode_vals < 0, mode_vals >= 0
+        neg = modes[below][np.argsort(-mode_vals[below], kind="stable")]
+        pos = modes[above][np.argsort(mode_vals[above], kind="stable")]
+        take_neg = min(len(neg), count // 2)
+        take_pos = min(len(pos), count - take_neg)
+        take_neg = min(len(neg), count - take_pos)
+        chosen = np.concatenate([neg[:take_neg][::-1], pos[:take_pos]])
+        # Weyl: no block from m on has an eigenvalue of modulus below sigma_m - eps.
+        if m == len(freqs) or take_neg == count // 2 and (
+            np.abs(vals.ravel()[chosen // 2]).max() < sigma[m] - kind.eps - 1e-9 * (1 + sigma[m])
+        ):
+            break
+        m = min(2 * m, len(freqs))
     blocks, columns, parts = np.unravel_index(chosen, exists.shape)
 
     lams = vals[blocks, columns]
@@ -377,17 +393,18 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
     imag = parts[:, None] == 1
     cos_coeff = np.where(imag, u.imag, u.real)
     sin_coeff = np.where(imag, u.real, -u.imag)
-    ts = np.arange(round(n * kind.loop_period)) / n
-    loops, samples = [], []
-    for omega, cos_c, sin_c in zip(TWO_PI * freqs[blocks], cos_coeff, sin_coeff):
-        values = TrigLoop(omega, cos_c, sin_c).sample(ts)
-        scale = math.sqrt(n) / np.linalg.norm(values[:n])  # unit discrete L^2
-        values *= scale
-        samples.append(values)
-        cos_c, sin_c = (cos_c * scale).tolist(), (sin_c * scale).tolist()
-        loops.append(TrigLoop(float(omega), tuple(cos_c), tuple(sin_c), kind.loop_period))
-    on_grid = np.stack([v[:n] for v in samples], axis=-1).reshape(2 * n, -1) / math.sqrt(n)
+    # The phase 2 pi m j / n is pi (2m j mod 2n) / n, with 2m an integer.
+    turns = np.outer((2 * freqs[blocks]).astype(int), np.arange(round(n * kind.loop_period)))
+    turns %= 2 * n
+    angles = np.arange(2 * n) * (math.pi / n)
+    xy = np.cos(angles)[turns] * cos_coeff.T[:, :, None]  # (component, mode, t)
+    xy += np.sin(angles)[turns] * sin_coeff.T[:, :, None]
+    scale = math.sqrt(n) / np.sqrt(np.vecdot(xy[..., :n], xy[..., :n]).sum(axis=0))
+    xy *= scale[:, None]  # unit discrete L^2
 
+    windings = [None if isinstance(w, Exception) else w for w in _windings(*xy)]
+    on_grid = np.stack(xy[..., :n], axis=2).reshape(count, 2 * n).T / math.sqrt(n)
+    del turns, xy  # lowers the peak memory of the residual certificate
     a = finite_difference_operator(kind.kind, kind.eps, n)
     residuals = np.linalg.norm(a @ on_grid - on_grid * lams, axis=0)
     if np.any(residuals > 1e-7 * (1.0 + np.abs(lams))):
@@ -396,14 +413,44 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
         )
 
     indices = list(range(-take_neg, 0)) + list(range(1, take_pos + 1))
+    coeffs = zip((cos_coeff * scale[:, None]).tolist(), (sin_coeff * scale[:, None]).tolist())
     entries = []
-    for i, lam, loop, values in zip(indices, lams, loops, samples):
-        try:
-            wind = winding_number(values)
-        except IllConditionedInputError:
-            wind = None
+    for i, lam, omega, (cos_c, sin_c), wind in zip(
+        indices, lams, TWO_PI * freqs[blocks], coeffs, windings
+    ):
+        loop = TrigLoop(float(omega), tuple(cos_c), tuple(sin_c), kind.loop_period)
         entries.append(SpectrumEntry(i, float(lam), loop, wind))
     return SpectrumTable(kind, tuple(entries))
+
+
+def _windings(x: np.ndarray, y: np.ndarray) -> Iterator:
+    """Winding about the origin of each closed curve sampled as a row of x and y.
+
+    Each gets its winding or the error it fails on: a non-finite sample
+    (ValidationError), a sample at the origin, an angular step of pi or
+    more, or a non-integral total (IllConditionedInputError).
+    """
+    finite = np.isfinite(x) & np.isfinite(y)
+    origin = (x == 0.0) & (y == 0.0)
+    angles = np.arctan2(y, x)
+    steps = np.diff(angles, axis=1, append=angles[:, :1])
+    steps[steps >= math.pi] -= TWO_PI  # into [-pi, pi)
+    steps[steps < -math.pi] += TWO_PI
+    firsts = np.argmin(finite, axis=1), np.argmax(origin, axis=1), np.argmax(abs(steps), axis=1)
+    for row, (bad, zero, jump) in enumerate(zip(*firsts)):
+        total = steps[row].sum() / TWO_PI
+        if not finite[row, bad]:
+            sample = (x[row, bad].item(), y[row, bad].item())
+            yield ValidationError(f"sample {bad} is not finite: {sample}")
+        elif origin[row, zero]:
+            yield IllConditionedInputError(f"sample {zero} lies at the origin")
+        elif abs(steps[row, jump]) >= math.pi * (1.0 - 1e-12):
+            reason = f"angular jump of {steps[row, jump]:.6f} rad at step {jump} is >= pi"
+            yield IllConditionedInputError(reason)
+        elif abs(total - round(total)) > 1e-6:
+            yield IllConditionedInputError(f"winding {total} is not integral")
+        else:
+            yield round(total)
 
 
 def winding_number(loop: Sequence) -> int:
@@ -415,27 +462,9 @@ def winding_number(loop: Sequence) -> int:
     pts = np.asarray(loop, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 1:
         raise ValidationError("loop must be an (n, 2) array of samples")
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        j = int(np.argmin(finite))
-        raise ValidationError(f"sample {j} is not finite: {tuple(pts[j].tolist())}")
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    if np.any(radii == 0.0):
-        j = int(np.argmin(radii))
-        raise IllConditionedInputError(f"sample {j} lies at the origin")
-    angles = np.arctan2(pts[:, 1], pts[:, 0])
-    closed = np.concatenate([angles, angles[:1]])
-    steps = np.diff(closed)
-    steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
-    if np.any(np.abs(steps) >= math.pi * (1.0 - 1e-12)):
-        j = int(np.argmax(np.abs(steps)))
-        raise IllConditionedInputError(
-            f"angular jump of {steps[j]:.6f} rad at step {j} is >= pi"
-        )
-    total = steps.sum() / (2.0 * math.pi)
-    wind = int(round(total))
-    if abs(total - wind) > 1e-6:
-        raise IllConditionedInputError(f"winding {total} is not integral")
+    wind = next(_windings(*pts.T[:, None]))
+    if isinstance(wind, Exception):
+        raise wind
     return wind
 
 
@@ -443,8 +472,7 @@ def gram_matrix(table: SpectrumTable, quad_points: int) -> np.ndarray:
     """Pairwise discrete L^2 inner products over one period [0, 1]."""
     if not table.entries:
         raise ValidationError("spectrum table is empty")
-    if quad_points < 2:
-        raise DomainError("quad_points must be >= 2")
+    _check_size("quad_points", quad_points, 2)
     ts = (np.arange(quad_points) + 0.5) / quad_points
     samples = np.stack([e.eigenfunction.sample(ts).ravel() for e in table.entries])
     return samples @ samples.T / quad_points

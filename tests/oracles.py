@@ -15,7 +15,9 @@ norm oracle applies the trapezoid rule to every point of the full grid,
 independently of the package's ramp points and geometric series.  The
 graded identity oracles stack every graded map into one dense matrix over
 all generators and multiply with the product oracle, independently of the
-package's block-by-block composition.
+package's block-by-block composition.  The FD selection oracle solves
+every Fourier block of the FD operator and sorts Python tuples, independently
+of the package's certified block prefix and array sorts.
 """
 
 import math
@@ -374,3 +376,48 @@ def star_norm_oracle(field):
         total += float(np.trapezoid(vals * vals, grid))
         dtotal += float(np.trapezoid(dvals * dvals, grid))
     return math.sqrt(total) + math.sqrt(dtotal)
+
+
+def fd_selection_oracle(kind, grid_size, count):
+    """The FD modes ``numeric_spectrum`` must choose, from eigh over all n/4 blocks.
+
+    The balanced rule: ``count // 2`` negative eigenvalues closest to zero
+    and ``count - count // 2`` nonnegative ones, a sign short of modes
+    giving its remainder to the other; one stable sort per sign, ties in
+    (block, column, part) order.  Returns the indices, the eigenvalues,
+    the frequency m of each chosen block, and each mode's grid samples:
+    Re (part 0) or Im (part 1) of e^{2 pi i m t} u at t = j/n, scaled to
+    unit discrete L^2, with u at m = 0 turned so its largest entry is
+    real and positive.
+    """
+    n = grid_size
+    freqs = np.arange(n) + (0.5 if kind.antiperiodic else 0.0)
+    freqs = freqs[freqs < n / 4]
+    sigma = np.sin(2.0 * math.pi * freqs / n) * n
+    j0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    vals, vecs = np.linalg.eigh(-1j * sigma[:, None, None] * j0 - kind.s_matrix())
+    modes = [
+        (b, c, p)
+        for b in range(len(freqs))
+        for c in range(2)
+        for p in range(2)
+        if freqs[b] != 0 or p == 0
+    ]
+    neg = sorted((m for m in modes if vals[m[:2]] < 0), key=lambda m: -vals[m[:2]])
+    pos = sorted((m for m in modes if vals[m[:2]] >= 0), key=lambda m: vals[m[:2]])
+    take_neg = min(len(neg), count // 2)
+    take_pos = min(len(pos), count - take_neg)
+    take_neg = min(len(neg), count - take_pos)
+    chosen = neg[:take_neg][::-1] + pos[:take_pos]
+    ts = np.arange(n) / n
+    samples = []
+    for b, c, p in chosen:
+        u = vecs[b, :, c]
+        if freqs[b] == 0:
+            big = u[np.argmax(np.abs(u))]
+            u = u * np.conj(big) / abs(big)
+        z = np.exp(2j * math.pi * freqs[b] * ts)[:, None] * u
+        f = z.imag if p else z.real
+        samples.append(f * math.sqrt(n) / np.linalg.norm(f))
+    indices = list(range(-take_neg, 0)) + list(range(1, take_pos + 1))
+    return indices, [float(vals[m[:2]]) for m in chosen], [freqs[m[0]] for m in chosen], samples

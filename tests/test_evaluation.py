@@ -873,6 +873,13 @@ class TestLift:
         with pytest.raises(ValidationError, match="finite"):
             lift_spec(spec, (0, 2), 3, (0.5, math.nan, 1.5))
 
+    def test_eigenvalues_checked_at_lift_time(self):
+        spec = bundled_spec("evmap_k2.txt")
+        with pytest.raises(ValidationError, match="nondecreasing"):
+            lift_spec(spec, (0, 2), 3, (3.0, 2.0, 1.0))
+        with pytest.raises(ValidationError, match="one eigenvalue per component"):
+            lift_spec(spec, (0, 2), 3, (0.5, 1.0))
+
 
 class TestParsing:
     def test_bundled_files_roundtrip(self):

@@ -10,9 +10,11 @@ from cylcc.spectral import (
     closed_form_spectrum,
     finite_difference_operator,
     gram_matrix,
+    _windings,
     numeric_spectrum,
     winding_number,
 )
+from .oracles import fd_selection_oracle
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -233,6 +235,22 @@ class TestNumericSpectrum:
         assert np.allclose(a @ block, a.toarray() @ block, rtol=1e-13, atol=1e-12)
         assert np.allclose(a @ block[:, 3], a.toarray() @ block[:, 3], rtol=1e-13, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind_name", ["elliptic", "pos_hyperbolic", "neg_hyperbolic"])
+    def test_stencil_on_tiny_grids(self, kind_name, n):
+        # Oracle: each term of (v_{j+1} - v_{j-1}) n/2 added to a dense matrix
+        # on its own, so the wrapped neighbours of a 1- or 2-point grid add up.
+        wrap = -1.0 if kind_name == "neg_hyperbolic" else 1.0
+        d = np.zeros((n, n))
+        for j in range(n):
+            d[j, (j + 1) % n] += (wrap if j == n - 1 else 1.0) * n / 2.0
+            d[j, (j - 1) % n] -= (wrap if j == 0 else 1.0) * n / 2.0
+        a = finite_difference_operator(kind_name, 0.3, n)
+        dense = -np.kron(d, J0) - np.kron(np.eye(n), a.s_matrix)
+        assert np.allclose(a.toarray(), dense, rtol=0.0, atol=1e-12)
+        v = np.random.default_rng(n).normal(size=2 * n)
+        assert np.allclose(a @ v, dense @ v, rtol=1e-13, atol=1e-12)
+
     @pytest.mark.parametrize("grid", [128, 1024])
     @pytest.mark.parametrize(
         "kind",
@@ -278,6 +296,79 @@ class TestNumericSpectrum:
             assert entry.winding == exact.winding, entry.index
 
 
+PREFIX_KINDS = [
+    *(OperatorKind.elliptic(eps) for eps in (0.05, 0.45, 6.0, 6.2)),
+    *(OperatorKind.pos_hyperbolic(eps) for eps in (0.05, 0.45)),
+    *(OperatorKind.neg_hyperbolic(eps) for eps in (0.05, 0.45)),
+]
+
+
+def assert_matches_selection_oracle(kind, grid, count):
+    indices, lams, freqs, samples = fd_selection_oracle(kind, grid, count)
+    table = numeric_spectrum(kind, grid, count)
+    assert table.indices == indices
+    assert [e.eigenvalue for e in table.entries] == lams
+    ts = np.arange(grid) / grid
+    for entry, freq, expected in zip(table.entries, freqs, samples):
+        # Same block (frequency), and the same column and part: modes of
+        # one block are orthogonal, so any other choice differs by O(1).
+        assert entry.eigenfunction.omega == 2.0 * math.pi * freq
+        assert np.max(np.abs(entry.eigenfunction.sample(ts) - expected)) < 1e-12
+
+
+class TestBlockPrefix:
+    @pytest.mark.parametrize("count", [1, 5, 8, "quarter"])
+    @pytest.mark.parametrize("grid", [64, 1024])
+    @pytest.mark.parametrize("kind", PREFIX_KINDS, ids=lambda k: f"{k.kind}-{k.eps}")
+    def test_matches_all_blocks_selection(self, kind, grid, count):
+        # Count grid/4 makes the certified prefix start at every block.
+        assert_matches_selection_oracle(kind, grid, grid // 4 if count == "quarter" else count)
+
+    @pytest.mark.parametrize("eps", [40.0, 300.0])
+    @pytest.mark.parametrize("kind_name", ["pos_hyperbolic", "neg_hyperbolic"])
+    def test_prefix_doubles_at_large_eps(self, kind_name, eps, monkeypatch):
+        # Every |lambda| is near eps, so sigma_M - eps rules out no block at
+        # first: the prefix of count + 2 blocks doubles, up to every block.
+        with pytest.warns(UserWarning, match="is large"):
+            kind = OperatorKind(kind_name, eps)
+        eigh, sizes = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+        for grid, count in ((64, 1), (256, 5), (1024, 8)):
+            sizes.clear()
+            numeric_spectrum(kind, grid, count)
+            assert sizes[:2] == [count + 2, 2 * (count + 2)]
+            assert sizes[-1] <= grid // 4
+            assert_matches_selection_oracle(kind, grid, count)
+
+
+class TestSizes:
+    @pytest.mark.parametrize("size", [0, -3, 2.5])
+    def test_operator_grid_size(self, size):
+        with pytest.raises(DomainError, match="grid_size must be an integer"):
+            finite_difference_operator("elliptic", 0.5, size)
+
+    @pytest.mark.parametrize("kind_name", ["elliptic", "pos_hyperbolic", "neg_hyperbolic"])
+    def test_spectrum_sizes(self, kind_name):
+        kind = OperatorKind(kind_name, 0.3)
+        with pytest.raises(DomainError, match="grid_size must be an integer"):
+            numeric_spectrum(kind, 64.7, 2)
+        with pytest.raises(DomainError, match="count must be an integer"):
+            numeric_spectrum(kind, 128, 2.5)
+
+    def test_numpy_integers_accepted(self):
+        kind = OperatorKind.pos_hyperbolic(0.3)
+        table = numeric_spectrum(kind, np.int64(128), np.int64(4))
+        assert table.indices == numeric_spectrum(kind, 128, 4).indices
+        assert finite_difference_operator("elliptic", 0.5, np.int32(3)).shape == (6, 6)
+
+    def test_gram_quad_points(self):
+        table = closed_form_spectrum(OperatorKind.pos_hyperbolic(0.3), 1)
+        with pytest.raises(DomainError, match="quad_points must be an integer"):
+            gram_matrix(table, 2.5)
+        with pytest.raises(DomainError, match="quad_points must be an integer"):
+            gram_matrix(table, 1)
+
+
 class TestWinding:
     def test_constant_loop(self):
         assert winding_number([(1.0, -1.0)] * 16) == 0
@@ -304,6 +395,37 @@ class TestWinding:
     def test_large_jump_rejected(self):
         with pytest.raises(IllConditionedInputError):
             winding_number([(1.0, 0.0), (-1.0, 1e-15), (1.0, 0.0), (-1.0, -1e-15)])
+
+    def test_stack_rules_per_loop(self):
+        # Each bad loop gets its own reason; the good loops beside it keep
+        # the windings winding_number gives them one at a time.
+        ts = np.arange(16) / 16
+        turn = 2.0 * math.pi * ts
+        good = [np.column_stack([np.cos(w * turn), np.sin(w * turn)]) for w in (1, -2, 0)]
+        origin = good[0].copy()
+        origin[5] = 0.0
+        flip = np.tile([[1.0, 0.0], [-1.0, 0.0]], (8, 1))  # every step is pi
+        # An arc that stops short of closing is closed by its last step, so
+        # its total is still integral (0 here): the integrality rule only
+        # guards rounding, since each reduced step is the raw angle
+        # difference plus a multiple of 2 pi.
+        arc = np.column_stack([np.cos(0.9 * math.pi * ts), np.sin(0.9 * math.pi * ts)])
+        nan = good[1].copy()
+        nan[3, 1] = math.nan
+        stack = np.stack([good[0], origin, good[1], flip, nan, arc, good[2]])
+        out = list(_windings(stack[..., 0], stack[..., 1]))
+        assert out[0] == 1 and out[2] == -2 and out[6] == 0
+        assert [out[j] for j in (0, 2, 6)] == [winding_number(good[j]) for j in range(3)]
+        assert isinstance(out[1], IllConditionedInputError)
+        assert str(out[1]) == "sample 5 lies at the origin"
+        assert isinstance(out[3], IllConditionedInputError)
+        assert "angular jump" in str(out[3]) and "is >= pi" in str(out[3])
+        assert isinstance(out[4], ValidationError)
+        assert str(out[4]).startswith("sample 3 is not finite")
+        assert out[5] == 0 == winding_number(arc)
+        for bad in (origin, flip):
+            with pytest.raises(IllConditionedInputError):
+                winding_number(bad)
 
     @pytest.mark.parametrize(
         "kind", [OperatorKind.pos_hyperbolic(0.2), OperatorKind.neg_hyperbolic(0.2)]

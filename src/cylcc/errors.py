@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size check that raises one."""
+
+import numbers
 
 
 class CylccError(Exception):
@@ -47,3 +49,9 @@ class DatasetError(CylccError, ValueError):
 
 class IntegerCoefficientWarning(UserWarning):
     """A differential/chain-map coefficient is not an integer."""
+
+
+def check_size(name: str, value, least: int) -> None:
+    """Raise DomainError unless ``value`` is an integer >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")

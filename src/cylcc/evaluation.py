@@ -19,6 +19,14 @@ rounding, so as a stand-in every bound carries a relative slack of 1e-9
 and every computed value an absolute slack of
 1e-12 (|const| + sum |amp|).
 
+The searches evaluate the components they need together (``_Stack``):
+at arbitrary points, values and gradients come from one sin/cos pass
+over every component's phases, and on a tensor lattice of points
+corner + step (i_1, ..., i_n) from per-axis sin/cos tables, by
+sin(u + b) = sin u cos b + cos u sin b.  Lattice values differ from
+point-by-point ones only by rounding, which the same absolute slack
+bounds, so every exclusion and screen below keeps its meaning on them.
+
 Pole preimages and meridian crossings are common zeros of all but one
 component, found on the circle and on the torus by one certified cell
 search (``_cell_zeros``): a cell is excluded when some component is
@@ -36,6 +44,7 @@ subdivides every closed cell on which each component takes both signs
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -44,7 +53,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .dataio import RecordKind, choice, comma_list, integer, read_records, real
-from .errors import DegeneracyError, DomainError, NumericError, ValidationError
+from .errors import DegeneracyError, DomainError, NumericError, ValidationError, check_size
 
 TWO_PI = 2.0 * math.pi
 
@@ -162,7 +171,7 @@ class TrigPolynomial:
     * ``grad_lipschitz`` >= sum |r| (2 pi |m|_1)^2, so
       |grad f(x) - grad f(y)|_1 <= grad_lipschitz |x - y|_max;
     * ``abs_slack`` = ABS_SLACK (|const| + sum |r|), the error allowed
-      in a computed value of f.
+      in a computed value of f, here or on a lattice (``_Stack.lattice``).
 
     Both Lipschitz bounds are inflated by the relative slack REL_SLACK.
     """
@@ -225,6 +234,73 @@ class TrigPolynomial:
         return cls(nvars, ())
 
 
+class _Stack:
+    """Trig polynomials in the same variables, evaluated together.
+
+    Every component's orders are rows of one matrix, with their shifts;
+    ``amp`` is the block matrix whose row i holds component i's
+    amplitudes r under its own orders and zeros elsewhere.  One sin (and
+    cos) pass over the phases thus serves every component.
+    """
+
+    def __init__(self, comps: Sequence[TrigPolynomial]):
+        ends = [0, *itertools.accumulate(len(f._amp) for f in comps)]
+        self._blocks = [(f._amp, slice(lo, hi)) for f, lo, hi in zip(comps, ends, ends[1:])]
+        self.nvars = comps[0].nvars
+        self.orders = np.concatenate([f._orders for f in comps])
+        self.shift = np.concatenate([f._shift for f in comps])
+        self.amp = np.zeros((len(comps), ends[-1]))
+        for row, (amp, cols) in zip(self.amp, self._blocks):
+            row[cols] = amp
+        self.const = np.array([[f._const] for f in comps])
+        self.lipschitz = np.array([f.lipschitz for f in comps])
+        self.abs_slack = np.array([f.abs_slack for f in comps])
+        self.grad_lipschitz = max(f.grad_lipschitz for f in comps)
+        self._wave = TWO_PI * self.orders
+        # (components, 1, 1, 2M): weights the sin/cos of a lattice's u, (corners[, run], 2M)
+        self._pair_amp = np.concatenate([self.amp, self.amp], axis=1)[:, None, None, :]
+
+    def value_and_grad(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Values (components, points) and gradients (components, nvars,
+        points) at the rows of ``x``.  Each value sums only its own
+        component's harmonics, as ``TrigPolynomial`` does."""
+        phases = TWO_PI * (self.orders @ x.T) + self.shift[:, None]
+        sin = np.sin(phases)
+        values = self.const + np.array([amp @ sin[rows] for amp, rows in self._blocks])
+        grad = self._wave.T @ (self.amp[:, :, None] * np.cos(phases))
+        return values, grad
+
+    def lattice(self, corners: np.ndarray, step: float, count: int) -> np.ndarray:
+        """Values at corner + step (i_1, ..., i_n), 0 <= i_d < count, for each corner.
+
+        Returns (components, corners, count, ..., count).  The phase of a
+        point is u + b with u = 2 pi m . corner + delta + b_1 + ... +
+        b_{n-1}, b_d = 2 pi m_d i_d step, and b = b_n; the last axis enters
+        through sin(u + b) = sin u cos b + cos u sin b, one matrix product
+        of the sin/cos of u against a table of cos b and sin b.  On the
+        circle the axis is read as runs of q points, i = q i' + i'', when
+        the largest divisor q of count up to its square root exceeds 1:
+        i' enters u and i'' the table, so each costs about sqrt(count)
+        sin/cos pairs.
+        """
+        n = self.nvars
+        runs, last = [(step, count)] * (n - 1), count
+        if n == 1:
+            q = max(q for q in range(1, math.isqrt(count) + 1) if count % q == 0)
+            if q > 1:
+                runs, last = [(step * q, count // q)], q
+        u = corners @ self._wave.T + self.shift
+        for d, (stride, size) in enumerate(runs):
+            u = u[..., None, :] + (np.arange(size) * stride)[:, None] * self._wave[:, d]
+        b = self._wave[:, -1:] * (np.arange(last) * step)
+        table = np.concatenate([np.cos(b), np.sin(b)])
+        halves = np.concatenate([np.sin(u), np.cos(u)], axis=-1)
+        weighted = self._pair_amp * halves
+        rows = math.prod(weighted.shape[:-1])
+        values = (weighted.reshape(rows, len(table)) @ table).reshape(len(self.const), -1)
+        return (values + self.const).reshape((len(self.const), len(corners)) + (count,) * n)
+
+
 class _ComponentMap:
     """Evaluation through ``components`` and the flow quotient by ``lambdas``."""
 
@@ -252,8 +328,10 @@ class EvMapSpec(_ComponentMap):
     and r the max-norm distance from a block's centre c to its farthest
     grid point, a block is skipped when |F(c)| - L_F r - s_F >= 1e-9,
     s_F being the components' ``abs_slack`` combined the same way; the
-    grid points of the other blocks are evaluated.  The verdict is that
-    of the dense grid.  ``lambdas`` are the finite positive eigenvalues
+    grid points of the other blocks are evaluated.  The 32-point lattice
+    of centres and each block's 8-point lattice are evaluated for all
+    components at once.  The verdict is that of the dense grid.
+    ``lambdas`` are the finite positive eigenvalues
     weighting the flow quotient. ``singular_params`` declares parameter
     points whose images a generic meridian must avoid.
     """
@@ -272,18 +350,17 @@ class EvMapSpec(_ComponentMap):
         if any(c.nvars != self.nvars for c in self.components):
             raise ValidationError("component arity must match the domain dimension")
         _check_header(self.k, self.lambdas, self.orientation)
-        n = _ORIGIN_GRID
-        half = (_ORIGIN_BLOCK - 1) / (2.0 * n)
-        centres = _param_grid(self.nvars, n // _ORIGIN_BLOCK) + half
-        lip = math.hypot(*(c.lipschitz for c in self.components))
-        slack = math.hypot(*(c.abs_slack for c in self.components))
-        margin = np.linalg.norm(self.evaluate(centres), axis=1) - lip * half - slack
-        corners = centres[margin < 1e-9] - half
-        offsets = _param_grid(self.nvars, _ORIGIN_BLOCK) * (_ORIGIN_BLOCK / n)
-        points = (corners[:, None, :] + offsets).reshape(-1, self.nvars)
-        if np.any(np.linalg.norm(self.evaluate(points), axis=1) < 1e-9):
-            dense = self.evaluate(_param_grid(self.nvars, n))
-            closest = float(np.min(np.linalg.norm(dense, axis=1)))
+        n, block = _ORIGIN_GRID, _ORIGIN_BLOCK
+        stack = _Stack(self.components)
+        half = (block - 1) / (2.0 * n)
+        centres = stack.lattice(np.full((1, self.nvars), half), block / n, n // block)[:, 0]
+        lip = math.hypot(*stack.lipschitz)
+        slack = math.hypot(*stack.abs_slack)
+        margin = np.linalg.norm(centres, axis=0) - lip * half - slack
+        corners = np.argwhere(margin < 1e-9) * (block / n)
+        if np.any(np.linalg.norm(stack.lattice(corners, 1.0 / n, block), axis=0) < 1e-9):
+            dense = stack.lattice(np.zeros((1, self.nvars)), 1.0 / n, n)
+            closest = float(np.min(np.linalg.norm(dense, axis=0)))
             raise ValidationError(
                 f"map image approaches the origin (min |F| = {closest:.2e})"
             )
@@ -306,12 +383,6 @@ def _check_header(k: int, lambdas: Sequence[float], orientation: int) -> None:
         raise ValidationError("orientation flag must be +1 or -1")
 
 
-def _param_grid(nvars: int, n: int) -> np.ndarray:
-    axes = [np.arange(n) / n for _ in range(nvars)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
-
-
 def _axis_index(spec: EvMapSpec, pole_choice: str) -> int:
     if pole_choice == "last_coordinate":
         return spec.k - 1
@@ -327,24 +398,23 @@ class PolePreimage:
     sign: int  # local orientation sign
 
 
-def _linearize(comps, x: np.ndarray):
-    """F, the adjugate of J and det J for n = len(comps) in {1, 2} at the points ``x``.
+def _linearize(stack: _Stack, x: np.ndarray):
+    """F, the adjugate of J and det J for n = ``stack.nvars`` in {1, 2} at the points ``x``.
 
     The points run along the last axis: F is (n, m), adj (n, n, m) and
     det (m,), so J^-1 = adj / det.  For n = 1, adj = 1 and det J = f'; for
     n = 2, J = [[a, b], [c, d]] has adj = [[d, -b], [-c, a]] and
     det J = ad - bc.
     """
-    (v1, g1), *rest = (f.value_and_grad(x) for f in comps)
-    if not rest:
-        return v1[None], np.ones((1, 1, 1)), g1[:, 0]
-    ((v2, g2),) = rest
-    (a, b), (c, d) = g1.T, g2.T
-    return np.array([v1, v2]), np.array([[d, -b], [-c, a]]), a * d - b * c
+    values, grad = stack.value_and_grad(x)
+    if stack.nvars == 1:
+        return values, np.ones((1, 1, 1)), grad[0, 0]
+    (a, b), (c, d) = grad
+    return values, np.array([[d, -b], [-c, a]]), a * d - b * c
 
 
-def _damped_newton(comps, theta: np.ndarray, newton_steps: int):
-    """Damped Newton for the common zeros of ``comps`` from each row of ``theta``.
+def _damped_newton(stack: _Stack, theta: np.ndarray, newton_steps: int):
+    """Damped Newton for the common zeros of the stacked components from each row of ``theta``.
 
     Steps are shortened to length 0.25 when longer.  Only active points
     are iterated, for at most ``newton_steps`` steps.  A point leaves the
@@ -359,7 +429,7 @@ def _damped_newton(comps, theta: np.ndarray, newton_steps: int):
         if not active.size:
             break
         t = theta[active]
-        values, adj, det = _linearize(comps, t)
+        values, adj, det = _linearize(stack, t)
         bad = np.abs(det) < 1e-14
         det[bad] = 1.0
         step = (adj * values).sum(axis=1) / det  # one row per coordinate
@@ -370,8 +440,8 @@ def _damped_newton(comps, theta: np.ndarray, newton_steps: int):
     return theta, ~singular
 
 
-def _kantorovich(comps, x: np.ndarray):
-    """Kantorovich balls for the common zeros of ``comps`` near the points ``x``.
+def _kantorovich(stack: _Stack, x: np.ndarray):
+    """Kantorovich balls for the common zeros of the stacked components near the points ``x``.
 
     In the max norm, with beta >= |J(x)^-1|, eta >= |J(x)^-1 F(x)| and
     K = max(grad_lipschitz) bounding the Lipschitz constant of J, a
@@ -388,13 +458,13 @@ def _kantorovich(comps, x: np.ndarray):
     Returns (certified mask, t*, t**); the radii are meaningful only
     where the mask is set.
     """
-    values, adj, det = _linearize(comps, x)
+    values, adj, det = _linearize(stack, x)
     ok = (np.abs(det) >= 1e-14) & (np.abs(values) < 1e-10).all(axis=0)
     det = np.where(ok, np.abs(det), 1.0)
     beta = (1.0 + REL_SLACK) * np.abs(adj).sum(axis=1).max(axis=0) / det
     step = np.abs((adj * values).sum(axis=1)).max(axis=0) / det
-    eta = (1.0 + REL_SLACK) * step + beta * max(f.abs_slack for f in comps)
-    lip = max(f.grad_lipschitz for f in comps)
+    eta = (1.0 + REL_SLACK) * step + beta * float(stack.abs_slack.max())
+    lip = stack.grad_lipschitz
     h = beta * lip * eta
     ok &= h < 0.5
     root = np.sqrt(np.where(ok, 1.0 - 2.0 * h, 1.0))
@@ -403,8 +473,8 @@ def _kantorovich(comps, x: np.ndarray):
     return ok, exist, unique
 
 
-def _cell_zeros(comps, n_cells: int, newton_steps: int = 60):
-    """Common zeros of n = len(comps) trig polynomials on R^n / Z^n, n = 1 or 2.
+def _cell_zeros(stack: _Stack, n_cells: int, newton_steps: int = 60):
+    """Common zeros of the n stacked trig polynomials on R^n / Z^n, n = 1 or 2.
 
     A certified cell search.  It starts from the n_cells^n cells of
     max-norm radius r = 1/(2 n_cells) centred on the grid points
@@ -422,50 +492,63 @@ def _cell_zeros(comps, n_cells: int, newton_steps: int = 60):
       neither is not used.  Cells the new balls cover are dropped;
     * every other cell is split into 2^n of radius r/2.
 
-    After ``_MAX_DEPTH`` splits the cells still left are uncertified:
-    each may hold a zero that no ball accounts for.
+    The centres of one level are lattices: the seed grid, and the 2^n
+    children of each cell split.  All components are evaluated on them
+    at once (``_Stack.lattice``), and only the cells that survive the
+    exclusion become points.  After ``_MAX_DEPTH`` splits the cells
+    still left are uncertified: each may hold a zero that no ball
+    accounts for.
 
     Returns (sorted roots as n-tuples, cells excluded, uncertified
     cells), each uncertified cell as its box, one (lo, hi) per coordinate.
     """
-    nvars = len(comps)
-    cells = _param_grid(nvars, n_cells)
+    nvars = stack.nvars
     half = 0.5 / n_cells
-    known = np.zeros((0, nvars + 2))  # certified roots as rows (x..., t*, t**)
+    values = stack.lattice(np.zeros((1, nvars)), 1.0 / n_cells, n_cells)
+    known = []  # certified roots as (x..., t*, t**)
     excluded = 0
 
     def uncovered(cells, half):
-        far = _torus_distance(cells[:, None, :], known[None, :, :nvars]) + half >= known[:, -1]
+        if not known:
+            return cells
+        balls = np.array(known)
+        far = _torus_distance(cells[:, None, :], balls[None, :, :nvars]) + half >= balls[:, -1]
         return cells[far.all(axis=1)]
 
     for depth in range(_MAX_DEPTH + 1):
-        zero_free = np.zeros(len(cells), dtype=bool)
-        for f in comps:
-            zero_free |= np.abs(f(cells)) > f.lipschitz * half + f.abs_slack
+        bound = (stack.lipschitz * half + stack.abs_slack).reshape((-1,) + (1,) * (nvars + 1))
+        zero_free = (np.abs(values) > bound).any(axis=0)
         excluded += int(zero_free.sum())
-        cells = uncovered(cells[~zero_free], half)
+        live = np.argwhere(~zero_free)
+        if depth == 0:
+            cells = live[:, 1:] / n_cells
+        else:
+            cells = cells[live[:, 0]] + (2 * live[:, 1:] - 1) * half
+        cells = uncovered(cells, half)
         if not cells.size:
             break
-        ends, live = _damped_newton(comps, cells, newton_steps)
+        ends, live = _damped_newton(stack, cells, newton_steps)
         ends = np.mod(ends[live], 1.0)
-        ok, t_exist, t_unique = _kantorovich(comps, ends)
-        balls = np.column_stack([ends, t_exist, t_unique])[ok]
-        while len(balls):
-            dist = _torus_distance(balls[:, None, :nvars], known[None, :, :nvars])
-            balls = balls[~(dist + balls[:, -2:-1] < known[:, -1]).any(axis=1)]
-            if len(balls) and np.all(
-                _torus_distance(known[:, :nvars], balls[0, :nvars]) > known[:, -2] + balls[0, -2]
-            ):
-                known = np.vstack([known, balls[:1]])
-            balls = balls[1:]
+        ok, t_exist, t_unique = _kantorovich(stack, ends)
+        for ball in np.column_stack([ends, t_exist, t_unique])[ok].tolist():
+            x, t = ball[:nvars], ball[-2]
+            if any(_point_distance(x, root) + t < root[-1] for root in known):
+                continue  # a known root
+            if all(_point_distance(x, root) > root[-2] + t for root in known):
+                known.append(ball)
         cells = uncovered(cells, half)
         if not cells.size or depth == _MAX_DEPTH:
             break
         half /= 2.0
-        children = (4.0 * _param_grid(nvars, 2) - 1.0) * half  # offsets +-half per axis
-        cells = (cells[:, None, :] + children).reshape(-1, nvars)
+        values = stack.lattice(cells - half, 2.0 * half, 2)
     uncertified = [tuple((x - half, x + half) for x in c) for c in np.mod(cells, 1.0).tolist()]
-    return sorted(tuple(p) for p in known[:, :nvars].tolist()), excluded, uncertified
+    roots = sorted(tuple(root[:nvars]) for root in known)
+    return roots, excluded, uncertified
+
+
+def _point_distance(x: Sequence[float], y: Sequence[float]) -> float:
+    """``_torus_distance`` of two points given as lists of floats."""
+    return max(min(d, 1.0 - d) for d in (abs(a - b) % 1.0 for a, b in zip(x, y)))
 
 
 def _torus_distance(a, b) -> np.ndarray:
@@ -496,8 +579,10 @@ def _signed_preimages(spec: EvMapSpec, axis: int, poles, n_scan, n_grid, degener
     Returns the preimages sorted by parameter, and the search line
     "cells excluded, roots certified, cells uncertified" for messages.
     """
-    comps = [c for j, c in enumerate(spec.components) if j != axis]
-    params, excluded, uncertified = _cell_zeros(comps, (n_scan, n_grid)[spec.nvars - 1])
+    check_size("n_scan", n_scan, 1)
+    check_size("n_grid", n_grid, 1)
+    stack = _Stack([c for j, c in enumerate(spec.components) if j != axis])
+    params, excluded, uncertified = _cell_zeros(stack, (n_scan, n_grid)[spec.nvars - 1])
     search = (
         f"{excluded} cells excluded, {len(params)} roots certified, "
         f"{len(uncertified)} cells uncertified"
@@ -512,7 +597,7 @@ def _signed_preimages(spec: EvMapSpec, axis: int, poles, n_scan, n_grid, degener
             where=tuple((lo + hi) / 2.0 for lo, hi in uncertified[0]),
         )
     theta = np.array(params, dtype=float).reshape(len(params), spec.nvars)
-    dets = _linearize(comps, theta)[2].tolist()
+    dets = _linearize(stack, theta)[2].tolist()
     out = []
     for p, det, value in zip(params, dets, spec.components[axis](theta).tolist()):
         pole = 1 if value > 0 else -1
@@ -551,7 +636,8 @@ def pole_preimages(
     components' Lipschitz bounds or covered by a ball.  A cell still
     uncertified after ``_MAX_DEPTH`` subdivisions (near a degenerate or
     nearly double root) raises DegeneracyError naming the cells, and so
-    does a preimage with |det J| < ``degeneracy_tol``.
+    does a preimage with |det J| < ``degeneracy_tol``.  ``n_scan`` and
+    ``n_grid`` must be integers >= 1, or DomainError is raised.
 
     Both poles are regular values, so the signed count over each equals
     the degree.  The two counts are compared as a cross-check of the
@@ -631,9 +717,9 @@ def path_intersections(
     signed by the local degree.  They are the preimages of the pole
     ``through_sign`` on axis ``through``, found and certified by the same
     cell search as in ``pole_preimages`` (``n_scan`` seed cells on the
-    circle, ``n_grid`` per axis on the torus).  For k = 2 the components
-    of the arc preimage are reported as well, with their endpoint pole
-    data.
+    circle, ``n_grid`` per axis on the torus; each an integer >= 1, or
+    DomainError is raised).  For k = 2 the components of the arc preimage
+    are reported as well, with their endpoint pole data.
     """
     axis = _axis_index(spec, path.pole_axis)
     if path.through == axis or not 0 <= path.through < spec.k:
@@ -733,8 +819,9 @@ def s0_zero_locus_check(
     exclusion and Kantorovich balls, that locates the pole preimages on
     both domains.  That search runs from the same seed cells, so a map
     with an uncertified cell raises DegeneracyError here as in
-    ``pole_preimages``.  A T that is not finite and positive, or at which
-    a section scale e^{-2 lambda_i T} underflows, raises DomainError.
+    ``pole_preimages``.  A T that is not finite and positive, a T at
+    which a section scale e^{-2 lambda_i T} underflows, or an ``n_scan``
+    or ``n_cells`` that is not an integer >= 1 raises DomainError.
     """
     if pole_choice != "last_coordinate":
         raise ValidationError(
@@ -743,6 +830,8 @@ def s0_zero_locus_check(
         )
     if not all(0.0 < T < math.inf for T in T_grid):
         raise DomainError("the gluing parameter T must be finite and positive")
+    check_size("n_scan", n_scan, 1)
+    check_size("n_cells", n_cells, 1)
     poles = pole_preimages(spec, pole_choice, n_scan=n_scan, n_grid=n_cells)
     pole_params = np.array([p.params for p in poles]).reshape(len(poles), spec.nvars)
     mismatches: List[ZeroLocusMismatch] = []
@@ -778,11 +867,12 @@ def _scan_zeros(spec: EvMapSpec, T: float, n_cells: int) -> List[Tuple[float, ..
     so it raises DomainError.
 
     Neighbouring cells share samples, so each level evaluates the
-    lattice of half steps over blocks of cells once and reads every
-    cell's 3^n minimum and maximum from it.  The first level is one
-    block of n_cells^n cells, whose (2 n_cells)^n lattice points wrap
-    around the domain; every later level has one block of 2^n cells,
-    with a 5^n lattice, per cell kept before it.
+    lattice of half steps over blocks of cells once, every component in
+    one ``_Stack.lattice`` call, and reads every cell's 3^n signs from it,
+    stored component first.  The first level is one block of n_cells^n
+    cells, whose (2 n_cells)^n lattice points wrap around the domain;
+    every later level has one block of 2^n cells, with a 5^n lattice,
+    per cell kept before it.
     """
     n = spec.nvars
     scales = [math.exp(-2.0 * spec.lambdas[i] * T) for i in range(n)]
@@ -791,21 +881,18 @@ def _scan_zeros(spec: EvMapSpec, T: float, n_cells: int) -> List[Tuple[float, ..
             raise DomainError(
                 f"the section scale e^(-2 lambda T) underflows at T = {T:g}, lambda = {lam:g}"
             )
+    stack = _Stack(spec.components[:n])
+    scales = np.array(scales).reshape((n,) + (1,) * (n + 1))
     corners, g, h, wrap = np.zeros((1, n)), n_cells, 1.0 / n_cells, True
-    block_lattice = np.indices((5,) * n).reshape(n, -1).T  # of every level but the first
     while corners.size and h >= 1e-11:
         m = 2 * g if wrap else 2 * g + 1  # distinct lattice points per axis
-        lattice = np.indices((m,) * n).reshape(n, -1).T if wrap else block_lattice
-        points = ((corners[:, None, :] + lattice * (h / 2.0)) % 1.0).reshape(-1, n)
-        values = np.array([scale * comp(points) for scale, comp in zip(scales, spec.components)])
-        values = values.reshape((n, len(corners)) + (m,) * n)
-        if wrap:
-            for d in range(2, n + 2):
-                values = np.take(values, np.arange(2 * g + 1) % m, axis=d)
+        values = stack.lattice(corners, h / 2.0, m) * scales
         signs = np.concatenate([values <= 0.0, values >= 0.0])
         for d in range(2, n + 2):
             # cell i of a block reads lattice rows 2i..2i+2 on each axis
             cut = (slice(None),) * d
+            if wrap:  # row 2g is row 0 again
+                signs = np.concatenate([signs, signs[cut + (slice(0, 1),)]], axis=d)
             signs = (
                 signs[cut + (slice(0, -2, 2),)]
                 | signs[cut + (slice(1, -1, 2),)]

@@ -13,16 +13,21 @@ is the normalization the closed-form pairing values assume.  The profile
 is the C^2 smoothstep 6x^5 - 15x^4 + 10x^3, fixed for reproducible
 quadrature; the pairings and residuals integrate by ``_simpson_rule``.
 
-Every coefficient the neck carries is a ``RampMode`` b(s) = a + c R(s),
-where R is one of the cutoff ramps or is absent.  The end data
-are constants, and preglue and the closed-form solve only multiply them
-by a ramp.  So b is constant off the ramp support, and the discrete
-norm ``NeckField.star_norm`` (the trapezoid rule on ``NeckParams.grid``)
-is evaluated point by point only on the support, its neighbouring grid
-points and the two grid ends.  Each remaining run of grid points lies
-where b = K, and contributes K^2 e^{2 lambda s_j} summed as a geometric
-series in log space, so no e^{lambda s} is formed there and none can
-overflow.  No full grid is built to solve a neck or to measure it.
+Every mode the neck carries is a ``RampMode``: the field
+(a + c R(s)) e^{lambda (s - A)}, where R is one of the cutoff ramps or
+is absent and A is the mode's anchor.  Bottom-end modes are anchored at
+s = 0 and top-end modes at s = 2T, so a top end c e^{lambda (s - 2T)}
+is stored as c itself: its factor e^{-2 lambda T}, which is subnormal or
+zero for large T, is never formed on the way to a value or a norm.  The
+end data are constants, and preglue and the closed-form solve only
+multiply them by a ramp and keep their anchors.  So a + c R is constant
+off the ramp support, and the discrete norm ``NeckField.star_norm`` (the
+trapezoid rule on ``NeckParams.grid``) is evaluated point by point only
+on the support, its neighbouring grid points and the two grid ends.
+Each remaining run of grid points lies where a + c R = K, and
+contributes K^2 e^{2 lambda (s_j - A)} summed as a geometric series in
+log space, so no e^{lambda s} is formed there and none can overflow.  No
+full grid is built to solve a neck or to measure it.
 """
 
 from __future__ import annotations
@@ -161,18 +166,21 @@ def make_cutoffs(params: NeckParams) -> Cutoffs:
 
 @dataclass(frozen=True)
 class RampMode:
-    """Coefficient b(s) = a + c R(s); without a ramp, the constant a.
+    """The mode field (a + c R(s)) e^{lambda (s - anchor)}; without a ramp, c = 0.
 
-    b is a below the ramp support and a + c above it.
+    ``value`` is the anchored coefficient a + c R(s): a below the ramp
+    support and a + c above it.  The coefficient of e^{lambda s} is that
+    times e^{-lambda anchor} (``NeckField.b``).
     """
 
     a: float
     c: float = 0.0
     ramp: Optional[Ramp] = None
+    anchor: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.c)):
-            raise ValidationError("mode coefficients must be finite")
+        if not (math.isfinite(self.a) and math.isfinite(self.c) and math.isfinite(self.anchor)):
+            raise ValidationError("mode coefficients and anchor must be finite")
         if self.ramp is None and self.c != 0.0:
             raise ValidationError("a mode without a ramp is the constant a; c must be 0")
 
@@ -196,11 +204,11 @@ class RampMode:
 _ZERO_MODE = RampMode(0.0)
 
 
-def _times_exp(b: np.ndarray, lam: float, s: np.ndarray) -> np.ndarray:
-    """b e^{lam s}; a zero coefficient wins over an overflowing exponential
-    (the product underflowed upstream)."""
+def _times_exp(b: np.ndarray, lam: float, s: np.ndarray, anchor: float) -> np.ndarray:
+    """b e^{lam (s - anchor)}; a zero coefficient wins over an overflowing
+    exponential (the product underflowed upstream)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(b == 0.0, 0.0, b * np.exp(lam * s))
+        return np.where(b == 0.0, 0.0, b * np.exp(lam * (s - anchor)))
 
 
 def _explicit_points(mode: RampMode, params: NeckParams) -> Tuple[np.ndarray, np.ndarray]:
@@ -220,8 +228,10 @@ def _explicit_points(mode: RampMode, params: NeckParams) -> Tuple[np.ndarray, np
     return j, params.grid_points(j)
 
 
-def _constant_run_sum(K: float, lam: float, j0: int, j1: int, params: NeckParams) -> float:
-    """step * sum_{j0<=j<=j1} K^2 e^{2 lambda s_j}, in log space; 0 for K = 0.
+def _constant_run_sum(
+    K: float, lam: float, anchor: float, j0: int, j1: int, params: NeckParams
+) -> float:
+    """step * sum_{j0<=j<=j1} K^2 e^{2 lambda (s_j - anchor)}, in log space; 0 for K = 0.
 
     The series is summed from its largest term, at s_top, down by the
     ratio e^{-y} per step.
@@ -233,7 +243,7 @@ def _constant_run_sum(K: float, lam: float, j0: int, j1: int, params: NeckParams
     y = 2.0 * abs(lam) * step
     count = j1 - j0 + 1
     series = count if y == 0.0 else math.expm1(-y * count) / math.expm1(-y)
-    log_sum = 2.0 * (math.log(abs(K)) + lam * top * step) + math.log(step * series)
+    log_sum = 2.0 * (math.log(abs(K)) + lam * top * step - lam * anchor) + math.log(step * series)
     try:
         return math.exp(log_sum)
     except OverflowError:
@@ -244,9 +254,9 @@ def _constant_run_sum(K: float, lam: float, j0: int, j1: int, params: NeckParams
 class NeckField:
     """Per-mode coefficient functions bound to a spectrum table.
 
-    The physical field is sum_i modes[i](s) e^{lambda_i s} f_i(t); the
-    eigenfunctions are orthonormal, so pairings and norms reduce to
-    one-dimensional s-integrals per mode.
+    The physical field is sum_i b_i(s) e^{lambda_i s} f_i(t), each mode
+    a ``RampMode``; the eigenfunctions are orthonormal, so pairings and
+    norms reduce to one-dimensional s-integrals per mode.
     """
 
     spectrum: SpectrumTable
@@ -273,13 +283,10 @@ class NeckField:
     def end_from_above(
         cls, spectrum: SpectrumTable, params: NeckParams, coeffs: Dict[int, float]
     ) -> "NeckField":
-        """eta_plus = sum c_i e^{lambda_i (s - 2T)} f_i, positive modes."""
+        """eta_plus = sum c_i e^{lambda_i (s - 2T)} f_i, positive modes anchored at 2T."""
         if any(i <= 0 for i in coeffs):
             raise ValidationError("a top end carries positive modes only")
-        modes = {
-            i: RampMode(c * math.exp(-2.0 * spectrum.eigenvalue(i) * params.T))
-            for i, c in coeffs.items()
-        }
+        modes = {i: RampMode(c, anchor=params.s_max) for i, c in coeffs.items()}
         return cls(spectrum, params, modes)
 
     @classmethod
@@ -291,15 +298,26 @@ class NeckField:
             raise ValidationError("a bottom end carries negative modes only")
         return cls(spectrum, params, {i: RampMode(d) for i, d in coeffs.items()})
 
-    def b(self, i: int, s) -> np.ndarray:
-        return self.modes.get(i, _ZERO_MODE).value(s)
+    def _anchored(self, i: int, s, anchor: float) -> np.ndarray:
+        """The coefficient of e^{lambda_i (s - anchor)} in mode i.
 
-    def b_deriv(self, i: int, s) -> np.ndarray:
-        return self.modes.get(i, _ZERO_MODE).deriv(s)
+        At the mode's own anchor this is a + c R(s) as stored; elsewhere it
+        carries a factor e^{lambda_i (anchor - A)}, which can underflow or
+        overflow, formed by ``_times_exp`` so a zero coefficient stays 0.
+        """
+        mode = self.modes.get(i, _ZERO_MODE)
+        return _times_exp(mode.value(s), self.spectrum.eigenvalue(i), anchor, mode.anchor)
+
+    def b(self, i: int, s) -> np.ndarray:
+        """b_i(s), the coefficient of e^{lambda_i s}."""
+        return self._anchored(i, s, 0.0)
 
     def mode_value(self, i: int, s) -> np.ndarray:
-        """b_i(s) e^{lambda_i s}, by ``_times_exp``."""
-        return _times_exp(self.b(i, s), self.spectrum.eigenvalue(i), np.asarray(s, float))
+        """b_i(s) e^{lambda_i s}, formed as (a + c R(s)) e^{lambda_i (s - anchor)}
+        by ``_times_exp``."""
+        mode = self.modes.get(i, _ZERO_MODE)
+        s = np.asarray(s, float)
+        return _times_exp(mode.value(s), self.spectrum.eigenvalue(i), s, mode.anchor)
 
     @property
     def mode_indices(self) -> List[int]:
@@ -309,10 +327,11 @@ class NeckField:
         """Discrete L^2 norm of the field plus that of its s-derivative.
 
         Both are the trapezoid rule on ``params.grid()`` for
-        (b e^{lambda s})^2 and ((b' + lambda b) e^{lambda s})^2, per mode.
-        The explicit points carry their own trapezoid weights; each run of
-        grid points between two of them is a geometric series in the
-        constant coefficient found at the run's lower neighbour.
+        (b e^{lambda s})^2 and ((b' + lambda b) e^{lambda s})^2, per mode,
+        formed from the anchored coefficient.  The explicit points carry
+        their own trapezoid weights; each run of grid points between two
+        of them is a geometric series in the constant coefficient found at
+        the run's lower neighbour.
         """
         total = 0.0
         dtotal = 0.0
@@ -326,14 +345,14 @@ class NeckField:
             weights = 0.5 * (above - below)
             b = mode.value(s)
             db = mode.deriv(s) + lam * b
-            vals, dvals = _times_exp(np.array([b, db]), lam, s)
+            vals, dvals = _times_exp(np.array([b, db]), lam, s, mode.anchor)
             with np.errstate(over="ignore"):
                 total += float(weights @ (vals * vals))
                 dtotal += float(weights @ (dvals * dvals))
             for k in np.flatnonzero(np.diff(j) > 1):
                 j0, j1 = int(j[k]) + 1, int(j[k + 1]) - 1
-                total += _constant_run_sum(float(b[k]), lam, j0, j1, params)
-                dtotal += _constant_run_sum(float(db[k]), lam, j0, j1, params)
+                total += _constant_run_sum(float(b[k]), lam, mode.anchor, j0, j1, params)
+                dtotal += _constant_run_sum(float(db[k]), lam, mode.anchor, j0, j1, params)
         return math.sqrt(total) + math.sqrt(dtotal)
 
 
@@ -349,15 +368,15 @@ def _check_ends(eta_plus: NeckField, eta_minus: NeckField):
         raise ValidationError("eta_minus must be supported in negative modes")
 
 
-def _end_constants(field: NeckField, end: str) -> Dict[int, float]:
-    """The constant coefficient of every mode of one end's data."""
+def _end_modes(field: NeckField, end: str) -> Dict[int, RampMode]:
+    """Every mode of one end's data, each checked to be constant."""
     for i, mode in field.modes.items():
         if not mode.is_constant:
             raise ValidationError(
                 f"{end}-end mode {i} is not constant; the closed-form solve "
                 "applies to end data only"
             )
-    return {i: field.modes[i].a for i in field.mode_indices}
+    return {i: field.modes[i] for i in field.mode_indices}
 
 
 def preglue(eta_plus: NeckField, eta_minus: NeckField, params: NeckParams) -> NeckField:
@@ -368,9 +387,11 @@ def preglue(eta_plus: NeckField, eta_minus: NeckField, params: NeckParams) -> Ne
     """
     _check_ends(eta_plus, eta_minus)
     cut = make_cutoffs(params)
-    modes = {i: RampMode(0.0, K, cut.plus) for i, K in _end_constants(eta_plus, "top").items()}
-    for i, d in _end_constants(eta_minus, "bottom").items():
-        modes[i] = RampMode(d, -d, cut.minus)  # d beta_minus = d - d ramp_minus
+    modes = {
+        i: RampMode(0.0, m.a, cut.plus, m.anchor) for i, m in _end_modes(eta_plus, "top").items()
+    }
+    for i, m in _end_modes(eta_minus, "bottom").items():
+        modes[i] = RampMode(m.a, -m.a, cut.minus, m.anchor)  # d beta_minus = d - d ramp_minus
     return NeckField(eta_plus.spectrum, params, modes)
 
 
@@ -389,13 +410,15 @@ def solve_neck(
       are removed by the orthogonality gauge.
     * psi_minus carries positive modes b_i(s) = c_i e^{-2 lambda_i T}
       (1 - beta_plus(s)), decaying above the T0 ramp.
+
+    Every solved mode keeps the anchor of the end mode it comes from.
     """
     _check_ends(eta_plus, eta_minus)
     cut = make_cutoffs(params)
-    top = _end_constants(eta_plus, "top")
-    bottom = _end_constants(eta_minus, "bottom")
-    psi_plus_modes = {i: RampMode(0.0, -d, cut.minus) for i, d in bottom.items()}
-    psi_minus_modes = {i: RampMode(b, -b, cut.plus) for i, b in top.items()}
+    top = _end_modes(eta_plus, "top")
+    bottom = _end_modes(eta_minus, "bottom")
+    psi_plus_modes = {i: RampMode(0.0, -m.a, cut.minus, m.anchor) for i, m in bottom.items()}
+    psi_minus_modes = {i: RampMode(m.a, -m.a, cut.plus, m.anchor) for i, m in top.items()}
     psi_plus = NeckField(eta_plus.spectrum, params, psi_plus_modes)
     psi_minus = NeckField(eta_plus.spectrum, params, psi_minus_modes)
     return psi_plus, psi_minus
@@ -437,11 +460,14 @@ def theta_residuals(
         rate = ramp.rate(nodes)
         worst = 0.0
         for i in modes:
-            forcing = -rate * sum(src.b(i, nodes) for src in sources)
+            # in the anchor of the first field carrying the mode, so a top
+            # mode whose e^{-2 lambda T} underflows is checked all the same
+            anchor = next((f.modes[i].anchor for f in (psi, *sources) if i in f.modes), 0.0)
+            forcing = -rate * sum(src._anchored(i, nodes, anchor) for src in sources)
             b = np.concatenate(([0.0], np.cumsum((forcing @ simpson) * widths)))
             if i > 0:
                 b -= b[-1]
-            integrated, solved = b[at_grid], psi.b(i, grid)
+            integrated, solved = b[at_grid], psi._anchored(i, grid, anchor)
             scale = max(np.max(np.abs(integrated)), np.max(np.abs(solved)))
             if scale > 0:
                 diff = np.max(np.abs(integrated - solved))
@@ -564,8 +590,9 @@ def momo_check(
 
     Returns the maximal deviations: positive-mode drift of psi_+ across
     the neck and |b_i(2T) + d_i| over the bottom-end modes.  Both are read
-    from the coefficients: a + c R varies by |c| across its ramp, and is
-    a + c at s = 2T, above every cutoff ramp.
+    from the anchored coefficients, which a psi_+ mode shares with its
+    eta_- mode: a + c R varies by |c| across its ramp, and is a + c at
+    s = 2T, above every cutoff ramp.
     """
     psi_plus, _ = solve_neck(eta_plus, eta_minus, params)
     drift = max((abs(m.c) for i, m in psi_plus.modes.items() if i > 0), default=0.0)

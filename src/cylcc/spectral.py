@@ -35,7 +35,13 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IllConditionedInputError, NumericError, ValidationError
+from .errors import (
+    DomainError,
+    IllConditionedInputError,
+    NumericError,
+    ValidationError,
+    check_size,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,11 +51,6 @@ NEG_HYPERBOLIC = "neg_hyperbolic"
 KINDS = (ELLIPTIC, POS_HYPERBOLIC, NEG_HYPERBOLIC)
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def _check_size(name: str, value, least: int) -> None:
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _s_matrix(kind_name: str, eps: float) -> np.ndarray:
@@ -305,7 +306,7 @@ def finite_difference_operator(
     """
     if kind_name not in KINDS:
         raise DomainError(f"unknown operator kind {kind_name!r}")
-    _check_size("grid_size", grid_size, 1)
+    check_size("grid_size", grid_size, 1)
     wrap = -1.0 if kind_name == NEG_HYPERBOLIC else 1.0
     return StencilOperator(grid_size, _s_matrix(kind_name, eps), wrap)
 
@@ -345,7 +346,7 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
     +-sigma_m) minus S (norm eps), so by Weyl's inequality no later block,
     sigma increasing, holds a smaller |lambda|; the slack absorbs rounding.
     """
-    _check_size("grid_size", grid_size, 64)
+    check_size("grid_size", grid_size, 64)
     if not isinstance(count, numbers.Integral) or not 1 <= count <= grid_size // 4:
         raise DomainError(f"count must be an integer in [1, grid_size/4], got {count!r}")
 
@@ -429,6 +430,11 @@ def _windings(x: np.ndarray, y: np.ndarray) -> Iterator:
     Each gets its winding or the error it fails on: a non-finite sample
     (ValidationError), a sample at the origin, an angular step of pi or
     more, or a non-integral total (IllConditionedInputError).
+
+    The last rule is a guard only.  The raw angle steps of a closed row,
+    the last one back to the first sample, sum to 0, and bringing a step
+    into [-pi, pi) adds a multiple of 2 pi, so the total is an integer up
+    to the rounding of the sum: no finite input is known to fail it.
     """
     finite = np.isfinite(x) & np.isfinite(y)
     origin = (x == 0.0) & (y == 0.0)
@@ -472,7 +478,7 @@ def gram_matrix(table: SpectrumTable, quad_points: int) -> np.ndarray:
     """Pairwise discrete L^2 inner products over one period [0, 1]."""
     if not table.entries:
         raise ValidationError("spectrum table is empty")
-    _check_size("quad_points", quad_points, 2)
+    check_size("quad_points", quad_points, 2)
     ts = (np.arange(quad_points) + 0.5) / quad_points
     samples = np.stack([e.eigenfunction.sample(ts).ravel() for e in table.entries])
     return samples @ samples.T / quad_points

@@ -326,32 +326,33 @@ def brentq_flow_normalize_oracle(lambdas, coeffs, radius):
 
 
 def torus_scan_oracle(components, scales, n_cells):
-    """Common zeros of scale_i * components[i] (i = 0, 1) by subdivision, one cell at a time.
+    """Common zeros of scale_i * components[i] on R^n / Z^n, n = len(components)
+    in {1, 2}, by subdivision, one cell at a time.
 
-    Cells of width h start as the n_cells x n_cells grid.  A cell is kept
-    while both scaled components take a value <= 0 and a value >= 0 among
-    its 3x3 samples h/2 apart (each cell evaluated separately), and is
-    then split into four, until h < 1e-11.  The centres of the last cells,
+    Cells of width h start as the n_cells^n grid.  A cell is kept while
+    every scaled component takes a value <= 0 and a value >= 0 among its
+    3^n samples h/2 apart (each cell evaluated separately), and is then
+    split into 2^n, until h < 1e-11.  The centres of the last cells,
     sorted, give the zeros; the first of any points within 1e-7 is kept.
     """
-    axis = np.arange(n_cells) / n_cells
-    x, y = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    n = len(components)
+
+    def grid(size, spacing):
+        axes = np.meshgrid(*[np.arange(size) * spacing] * n, indexing="ij")
+        return np.stack(axes, axis=-1).reshape(-1, n)
+
+    cells = grid(n_cells, 1.0 / n_cells)
     h = 1.0 / n_cells
-    while x.size and h >= 1e-11:
-        offsets = np.arange(3) * h / 2.0
-        px = ((x[:, None] + offsets) % 1.0)[:, :, None]
-        py = ((y[:, None] + offsets) % 1.0)[:, None, :]
-        sample = np.stack(np.broadcast_arrays(px, py), axis=-1).reshape(-1, 2)
-        hit = np.ones(x.size, dtype=bool)
+    while len(cells) and h >= 1e-11:
+        sample = ((cells[:, None, :] + grid(3, h / 2.0)) % 1.0).reshape(-1, n)
+        hit = np.ones(len(cells), dtype=bool)
         for scale, comp in zip(scales, components):
-            v = (scale * comp(sample)).reshape(x.size, 9)
+            v = (scale * comp(sample)).reshape(len(cells), 3**n)
             hit &= (v.min(axis=1) <= 0.0) & (v.max(axis=1) >= 0.0)
-        cx = (x[hit][:, None] + offsets[:2])[:, :, None]
-        cy = (y[hit][:, None] + offsets[:2])[:, None, :]
-        x, y = (a.ravel() for a in np.broadcast_arrays(cx, cy))
+        cells = (cells[hit][:, None, :] + grid(2, h / 2.0)).reshape(-1, n)
         h = h / 2.0
-    centres = np.column_stack([x + h / 2.0, y + h / 2.0])
-    points = np.mod(centres[np.lexsort((centres[:, 1], centres[:, 0]))], 1.0)
+    centres = cells + h / 2.0
+    points = np.mod(centres[np.lexsort(centres.T[::-1])], 1.0)
     zeros = []
     while len(points):
         zeros.append(tuple(float(v) for v in points[0]))
@@ -361,16 +362,21 @@ def torus_scan_oracle(components, scales, n_cells):
 
 
 def star_norm_oracle(field):
-    """NeckField.star_norm by np.trapezoid over every point of params.grid()."""
+    """NeckField.star_norm by np.trapezoid over every point of params.grid().
+
+    Each mode is (a + c R) e^{lambda (s - anchor)}, with the anchored
+    coefficient a + c R and its derivative read from the ``RampMode``.
+    """
     grid = field.params.grid()
     total = 0.0
     dtotal = 0.0
     for i in field.mode_indices:
         lam = field.spectrum.eigenvalue(i)
-        b = field.b(i, grid)
-        db = field.b_deriv(i, grid) + lam * b
+        mode = field.modes[i]
+        b = mode.value(grid)
+        db = mode.deriv(grid) + lam * b
         with np.errstate(over="ignore", invalid="ignore"):
-            weight = np.exp(lam * grid)
+            weight = np.exp(lam * (grid - mode.anchor))
             vals = np.where(b == 0.0, 0.0, b * weight)
             dvals = np.where(db == 0.0, 0.0, db * weight)
         total += float(np.trapezoid(vals * vals, grid))

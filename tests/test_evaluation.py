@@ -62,6 +62,21 @@ def bundled_spec(name):
     return parse_evmap(bundled_path(name).read_text(), name)
 
 
+def count_lattice_values(monkeypatch):
+    """Record the number of values (points times components) of every
+    ``_Stack.lattice`` call made from now on, in call order."""
+    real = evaluation._Stack.lattice
+    sizes = []
+
+    def counted(self, corners, step, count):
+        values = real(self, corners, step, count)
+        sizes.append(values.size)
+        return values
+
+    monkeypatch.setattr(evaluation._Stack, "lattice", counted)
+    return sizes
+
+
 def bisection_flow_point(coeffs, lambdas, radius):
     """Independent oracle: locate |c(s)| = r by plain bisection."""
     c = np.asarray(coeffs, float)
@@ -169,7 +184,7 @@ class TestFlowNormalize:
 class TestCircleRoots:
     @staticmethod
     def assert_same_roots(comp, n_cells, oracle):
-        roots, excluded, uncertified = evaluation._cell_zeros([comp], n_cells)
+        roots, excluded, uncertified = evaluation._cell_zeros(evaluation._Stack([comp]), n_cells)
         assert not uncertified and excluded > 0
         assert len(roots) == len(oracle)
         for (r,) in roots:
@@ -222,29 +237,42 @@ class TestCircleRoots:
         one = TrigPolynomial(1, (("const", (0,), 1.0),))
         self.assert_scan_matches(EvMapSpec(2, (comp, one), (0.5, 1.5)), 4096, oracle)
 
+    @staticmethod
+    def assert_scan_matches_per_cell_oracle(spec, n_scan):
+        zeros = evaluation._scan_zeros(spec, 60.0, n_scan)
+        scale = math.exp(-2.0 * spec.lambdas[0] * 60.0)
+        oracle = torus_scan_oracle(spec.components[:1], [scale], n_scan)
+        assert zeros and len(zeros) == len(oracle)
+        assert np.allclose(zeros, oracle, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_scan", [1024, 2048, 4096, 8192])
+    def test_scan_on_bundled_k2_matches_per_cell_oracle(self, n_scan):
+        self.assert_scan_matches_per_cell_oracle(bundled_spec("evmap_k2.txt"), n_scan)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_scan_on_random_trig_polynomials_matches_per_cell_oracle(self, seed):
+        comp, _ = self.random_trig_polynomial(seed)
+        one = TrigPolynomial(1, (("const", (0,), 1.0),))
+        self.assert_scan_matches_per_cell_oracle(EvMapSpec(2, (comp, one), (0.5, 1.5)), 4096)
+
     def test_scan_work_after_first_level(self, monkeypatch):
         # The first level evaluates the 2 * 8192 half steps of the circle
         # once; every later level only the 5 lattice points of each kept
         # cell, so the 20-odd levels down to 1e-11 stay cheap.
         spec = bundled_spec("evmap_k2.txt")
-        real = TrigPolynomial.__call__
-        calls = []
-
-        def counted(self, theta):
-            calls.append(len(np.atleast_2d(theta)))
-            return real(self, theta)
-
-        monkeypatch.setattr(TrigPolynomial, "__call__", counted)
+        sizes = count_lattice_values(monkeypatch)
         assert len(evaluation._scan_zeros(spec, 60.0, 8192)) == 4
-        assert calls[0] == 2 * 8192
-        assert sum(calls[1:]) < calls[0] / 2
+        assert sizes[0] == 2 * 8192
+        assert sum(sizes[1:]) < sizes[0] / 2
 
     def test_kantorovich_ball_on_the_circle(self):
         # sin 2 pi x at 0: beta = 1 / (2 pi), K = 4 pi^2 and f = 0, so eta is
         # beta times the absolute slack 1e-12, and the uniqueness radius is
         # 2 / (beta K) = 1 / pi.
         comp = TrigPolynomial(1, (("sin", (1,), 1.0),))
-        ok, t_exist, t_unique = evaluation._kantorovich([comp], np.array([[0.0], [1e-12]]))
+        ok, t_exist, t_unique = evaluation._kantorovich(
+            evaluation._Stack([comp]), np.array([[0.0], [1e-12]])
+        )
         assert ok.all()
         assert t_exist[0] == pytest.approx(1e-12 / (2.0 * math.pi), rel=1e-6, abs=0.0)
         assert t_exist[1] >= 1e-12
@@ -375,6 +403,53 @@ class TestTrigPolynomial:
             TrigPolynomial(1, (("cos", (1,), value),))
         with pytest.raises(ValidationError, match="not finite"):
             parse_evmap(f"evmap k=2 lambdas=1,2\nterm comp=0 kind=const order=0 value={value}\n")
+
+
+class TestStack:
+    @staticmethod
+    def components(rng, nvars):
+        """One to three seeded trig polynomials with orders up to 4, and constants."""
+        comps = []
+        for _ in range(rng.randint(1, 3)):
+            terms = [("const", (0,) * nvars, rng.uniform(-1.0, 1.0))]
+            for _ in range(rng.randint(0, 6)):
+                orders = tuple(rng.randint(-4, 4) for _ in range(nvars))
+                terms.append((rng.choice(("cos", "sin")), orders, rng.uniform(-1.5, 1.5)))
+            comps.append(TrigPolynomial(nvars, tuple(terms)))
+        return comps
+
+    @pytest.mark.parametrize("step", [1.0 / 48, 1.0 / 256, 1e-6, 1e-12])
+    @pytest.mark.parametrize("nvars, counts", [(1, (1, 2, 5, 97, 2042, 4096)), (2, (1, 2, 5, 48))])
+    def test_lattice_matches_point_evaluation(self, nvars, counts, step):
+        # Counts cover both circle layouts: the whole axis in the table (1,
+        # 2, 5 and the prime 97), and runs of q = 2 (2042 = 2 x 1021) and
+        # q = 64 (4096) points.
+        rng = random.Random(1000 * nvars + int(-math.log2(step)))
+        for _ in range(6):
+            comps = self.components(rng, nvars)
+            stack = evaluation._Stack(comps)
+            corners = np.array([[rng.random() for _ in range(nvars)] for _ in range(3)])
+            for count in counts:
+                values = stack.lattice(corners, step, count)
+                assert values.shape == (len(comps), len(corners)) + (count,) * nvars
+                axes = np.meshgrid(*[np.arange(count)] * nvars, indexing="ij")
+                offsets = np.stack(axes, axis=-1).reshape(-1, nvars) * step
+                for b, corner in enumerate(corners):
+                    for c, comp in enumerate(comps):
+                        error = np.abs(values[c, b].ravel() - comp(corner + offsets))
+                        assert error.max() <= comp.abs_slack
+
+    @pytest.mark.parametrize("nvars", [1, 2])
+    def test_value_and_grad_matches_each_component(self, nvars):
+        rng = random.Random(nvars)
+        x = np.array([[rng.random() for _ in range(nvars)] for _ in range(50)])
+        for _ in range(10):
+            comps = self.components(rng, nvars)
+            values, grad = evaluation._Stack(comps).value_and_grad(x)
+            for c, comp in enumerate(comps):
+                own_values, own_grad = comp.value_and_grad(x)
+                assert np.abs(values[c] - own_values).max() <= comp.abs_slack
+                assert np.allclose(grad[c], own_grad.T, rtol=0.0, atol=1e-14 * comp.lipschitz)
 
 
 class TestPolePreimages:
@@ -590,7 +665,8 @@ class TestCertifiedCellSearch:
         spec = torus_map(source)
         for omit in range(3):
             f1, f2 = (c for j, c in enumerate(spec.components) if j != omit)
-            roots, excluded, uncertified = evaluation._cell_zeros([f1, f2], n_grid)
+            stack = evaluation._Stack([f1, f2])
+            roots, excluded, uncertified = evaluation._cell_zeros(stack, n_grid)
             expected = torus_newton_oracle(f1, f2, n_grid)
             assert not uncertified and excluded > 0
             assert len(roots) == len(expected) >= 2
@@ -605,14 +681,14 @@ class TestCertifiedCellSearch:
         f1 = TrigPolynomial(2, (("sin", (1, 0), 1.0),))
         f2 = TrigPolynomial(2, (("sin", (0, 1), 1.0),))
         x = np.array([[1e-11, -1e-11], [0.0, 0.0], [1e-6, 0.0]])
-        ok, t_exist, t_unique = evaluation._kantorovich([f1, f2], x)
+        ok, t_exist, t_unique = evaluation._kantorovich(evaluation._Stack([f1, f2]), x)
         assert ok.tolist() == [True, True, False]  # the last fails |f| < 1e-10
         assert np.all(t_exist[:2] >= np.abs(x[:2]).max(axis=1))
         assert np.allclose(t_unique[:2], 1.0 / math.pi, rtol=1e-9) and np.all(t_unique[:2] < 0.5)
         # At a double root h tends to 1/2 from above: never certified.
         g1 = TrigPolynomial(2, (("const", (0, 0), 1.0), ("cos", (1, 0), -1.0)))
         near = np.array([[10.0**-e, 0.0] for e in (6, 7, 8)])
-        assert not evaluation._kantorovich([g1, f2], near)[0].any()
+        assert not evaluation._kantorovich(evaluation._Stack([g1, f2]), near)[0].any()
 
     def test_kantorovich_balls_nonsymmetric_jacobian(self):
         # (sin 2 pi x, sin 2 pi x + 0.2 sin 2 pi y): J(0, 0) = [[2 pi, 0], [2 pi, 0.4 pi]]
@@ -620,7 +696,7 @@ class TestCertifiedCellSearch:
         f1 = TrigPolynomial(2, (("sin", (1, 0), 1.0),))
         f2 = TrigPolynomial(2, (("sin", (1, 0), 1.0), ("sin", (0, 1), 0.2)))
         x = np.array([[0.0, 0.0], [1e-12, -2e-12], [-3e-12, 1e-12]])
-        ok, t_exist, t_unique = evaluation._kantorovich([f1, f2], x)
+        ok, t_exist, t_unique = evaluation._kantorovich(evaluation._Stack([f1, f2]), x)
         assert ok.all()
         lip = max(f1.grad_lipschitz, f2.grad_lipschitz)
         for p, t1, t2 in zip(x, t_exist, t_unique):
@@ -636,17 +712,19 @@ class TestCertifiedCellSearch:
 
     def test_meridian_search_work(self, monkeypatch):
         # The dense Newton sweep evaluated more than 60,000 points here.
+        # A point counts once per component: the size of its values.
         spec = bundled_spec("evmap_k3.txt")
-        real = TrigPolynomial.value_and_grad
-        points = []
+        real = evaluation._Stack.value_and_grad
+        values = []
 
-        def counted(self, theta):
-            points.append(len(np.atleast_2d(theta)))
-            return real(self, theta)
+        def counted(self, x):
+            out = real(self, x)
+            values.append(out[0].size)
+            return out
 
-        monkeypatch.setattr(TrigPolynomial, "value_and_grad", counted)
+        monkeypatch.setattr(evaluation._Stack, "value_and_grad", counted)
         assert path_intersections(spec, n_grid=48).total_signed == 1
-        assert sum(points) <= 200
+        assert 0 < sum(values) <= 200
 
 
 class TestPathIntersections:
@@ -799,9 +877,9 @@ class TestZeroLocus:
         real = evaluation._cell_zeros
         used = []
 
-        def recorded(comps, n_cells, *args):
+        def recorded(stack, n_cells, *args):
             used.append(n_cells)
-            return real(comps, n_cells, *args)
+            return real(stack, n_cells, *args)
 
         monkeypatch.setattr(evaluation, "_cell_zeros", recorded)
         assert s0_zero_locus_check(bundled_spec(name), [60.0], n_scan=seeds, n_cells=seeds).ok
@@ -838,17 +916,44 @@ class TestZeroLocus:
         # Sampling each cell's 3x3 grid separately took 9 * 64^2 = 36,864
         # points per component on the first level, for 128^2 distinct ones.
         spec = bundled_spec("evmap_k3.txt")
-        real = TrigPolynomial.__call__
-        calls = []
-
-        def counted(self, theta):
-            calls.append(len(np.atleast_2d(theta)))
-            return real(self, theta)
-
-        monkeypatch.setattr(TrigPolynomial, "__call__", counted)
+        sizes = count_lattice_values(monkeypatch)
         evaluation._scan_zeros(spec, 60.0, 64)
-        assert calls[:2] == [128 * 128] * 2
-        assert sum(calls[2:]) < sum(calls[:2]) / 2
+        assert sizes[0] == 2 * 128 * 128  # both components at each point
+        assert sum(sizes[1:]) < sizes[0] / 2
+
+
+class TestSearchSizes:
+    # Unchecked, n_scan = -5 seeded no cell, so pole_preimages returned no
+    # preimage and its degree check passed as 0 == 0; a size of 0 raised
+    # ZeroDivisionError, n_scan = 2048.5 TypeError, and n_scan = 100.5
+    # seeded 101 cells of width 1/100.5.
+    CALLS = {
+        "pole_preimages": lambda spec, **size: pole_preimages(spec, **size),
+        "path_intersections": lambda spec, **size: path_intersections(spec, **size),
+        "s0_zero_locus_check": lambda spec, **size: s0_zero_locus_check(spec, [60.0], **size),
+    }
+
+    @pytest.mark.parametrize("value", [-5, 0, 100.5, 2048.5, "64", None])
+    @pytest.mark.parametrize(
+        "call, name, map_name",
+        [
+            ("pole_preimages", "n_scan", "evmap_k2.txt"),
+            ("pole_preimages", "n_grid", "evmap_k3.txt"),
+            ("path_intersections", "n_scan", "evmap_k2.txt"),
+            ("path_intersections", "n_grid", "evmap_k3.txt"),
+            ("s0_zero_locus_check", "n_scan", "evmap_k2.txt"),
+            ("s0_zero_locus_check", "n_cells", "evmap_k3.txt"),
+        ],
+    )
+    def test_rejected(self, call, name, map_name, value):
+        message = re.escape(f"{name} must be an integer >= 1, got {value!r}")
+        with pytest.raises(DomainError, match=message):
+            self.CALLS[call](bundled_spec(map_name), **{name: value})
+
+    def test_least_and_numpy_integer_sizes_accepted(self):
+        assert len(pole_preimages(bundled_spec("evmap_k2.txt"), n_scan=1)) == 4
+        spec = bundled_spec("evmap_k3.txt")
+        assert s0_zero_locus_check(spec, [60.0], n_scan=np.int64(2048), n_cells=np.int64(64)).ok
 
 
 class TestLift:

@@ -245,8 +245,8 @@ class TestSolveNeck:
         # residual is relative to its own size, so its flips show as well.
         for psi, index, which in ((psi_plus, -1, 0), (psi_minus, 1, 1)):
             mode = psi.modes[index]
-            flipped = RampMode(-mode.a, -mode.c, mode.ramp)
-            value_only = _ValueFlipped(mode.a, mode.c, mode.ramp)
+            flipped = RampMode(-mode.a, -mode.c, mode.ramp, mode.anchor)
+            value_only = _ValueFlipped(mode.a, mode.c, mode.ramp, mode.anchor)
             for planted in (flipped, value_only):
                 bad = NeckField(spectrum, params, {**psi.modes, index: planted})
                 fields = [psi_plus, psi_minus]
@@ -327,12 +327,63 @@ class TestStarNorm:
             field = NeckField(spectrum, params, {i: RampMode(0.3, -0.7, Ramp(lo, width))})
             assert field.star_norm() == pytest.approx(star_norm_oracle(field), rel=1e-12, abs=0.0)
 
-    def test_underflowed_top_mode_contributes_nothing(self):
+    def test_top_mode_with_underflowing_scale_keeps_its_norm(self):
+        # e^{-2 lambda_3 T} underflows to 0 at T = 130; anchored at 2T, mode
+        # 3 is still 0.5 e^{lambda_3 (s - 2T)}, and its norm counts.
         params, spectrum = setup(T0=41.0, T=130.0, r=8.0, s_grid=32768)
         field = NeckField.end_from_above(spectrum, params, {1: 2.0, 3: 0.5})
-        assert field.modes[3] == RampMode(0.0)
+        assert field.modes[3] == RampMode(0.5, anchor=260.0)
+        assert field.b(3, np.array([0.0, 260.0])).tolist() == [0.0, 0.0]
         only_1 = NeckField.end_from_above(spectrum, params, {1: 2.0})
-        assert field.star_norm() == only_1.star_norm()
+        assert field.star_norm() == pytest.approx(star_norm_oracle(field), rel=1e-12, abs=0.0)
+        assert field.star_norm() > only_1.star_norm()
+
+    @pytest.mark.parametrize("T", [56.0, 57.5, 59.0, 60.0])
+    def test_top_end_anchored_at_2T(self, T):
+        # For mode 2 of pos_hyperbolic(0.5), e^{2 lambda T} overflows from
+        # T = 56.3 on, and c e^{-2 lambda T} is subnormal up to T = 59.1
+        # and 0 after it.  A stored c e^{-2 lambda T} was rejected as not
+        # finite-energy (inf times subnormal) at 57.5 and 59, and dropped
+        # at 60.  Expected values are formed in log space.
+        params = NeckParams(T=T)
+        spectrum = closed_form_spectrum(OperatorKind.pos_hyperbolic(0.5), 4)
+        lam, c = spectrum.eigenvalue(2), -1.5
+        field = NeckField.end_from_above(spectrum, params, {2: c})
+        grid = params.grid()
+        expected = -np.exp(math.log(-c) + lam * (grid - 2.0 * T))
+        # subnormal values near s = 0 carry few bits: compare them absolutely
+        assert np.allclose(field.mode_value(2, grid), expected, rtol=1e-12, atol=1e-300)
+        assert field.mode_value(2, np.array([2.0 * T])).tolist() == [c]
+        squares = np.exp(2.0 * (math.log(-c) + lam * (grid - 2.0 * T)))
+        norm = math.sqrt(float(np.trapezoid(squares, grid))) * (1.0 + lam)
+        assert field.star_norm() == pytest.approx(norm, rel=1e-12, abs=0.0)
+        bottom = NeckField.zero(spectrum, params)
+        psi_plus, psi_minus = solve_neck(field, bottom, params)
+        assert psi_minus.modes[2] == RampMode(c, -c, make_cutoffs(params).plus, 2.0 * T)
+        assert max(theta_residuals(field, bottom, psi_plus, psi_minus, params)) < 1e-9
+
+    @pytest.mark.parametrize("T", [56.0, 60.0])
+    def test_theta_residuals_mix_anchors(self, T):
+        # A top end stored the old way, K = c e^{-2 lambda T} anchored at 0,
+        # checked against a neck solved from the same end anchored at 2T.
+        # e^{2 lambda T} is a float at T = 56, where K is normal; at T = 60
+        # it overflows and K underflows to 0, so the end reads as zero and
+        # the whole of psi_- is residual.
+        params = NeckParams(T=T)
+        spectrum = closed_form_spectrum(OperatorKind.pos_hyperbolic(0.5), 4)
+        lam, c = spectrum.eigenvalue(2), -1.5
+        bottom = NeckField.zero(spectrum, params)
+        psi_plus, psi_minus = solve_neck(
+            NeckField.end_from_above(spectrum, params, {2: c}), bottom, params
+        )
+        K = c * math.exp(-2.0 * lam * T)
+        old_style = NeckField(spectrum, params, {2: RampMode(K)})
+        res_plus, res_minus = theta_residuals(old_style, bottom, psi_plus, psi_minus, params)
+        assert res_plus < 1e-9
+        if K != 0.0:
+            assert res_minus < 1e-9
+        else:
+            assert res_minus == 1.0
 
     @pytest.mark.parametrize(
         "T, i, a, c, ramp",

@@ -7,18 +7,29 @@ Everything at the chain level is exact rational arithmetic.
 A dataset may additionally carry cobordism-level counts (chain maps,
 grading 0), homotopy counts (levels ``k_plus``/``k_minus``, grading +1),
 a plus/minus side split, and a stage decomposition for direct limits.
+
+The differential strictly lowers action, so the generators of action
+below any L span a subcomplex C^{<L}.  With the columns of each block
+ordered by action, the blocks of C^{<L} are column prefixes of the full
+blocks (their rows below L hold every nonzero entry), and its d^2 is the
+same restriction of the full d^2.  So each (side, stage) selection of a
+dataset is assembled, squared and eliminated once, in action order
+(Zomorodian & Carlsson, "Computing persistent homology", 2005), and
+every action cut reads its d^2 verdict and ranks off that one filtration.
+Complex blocks are read-only once built.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ratmat
-from .errors import DatasetError, IntegerCoefficientWarning, ValidationError
+from .errors import DatasetError, DomainError, IntegerCoefficientWarning, ValidationError
 from .indices import ReebOrbit
 
 LEVEL_SYMPLECTIZATION = "symplectization"
@@ -69,8 +80,16 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class ModuliDataset:
+    """Validated orbits and curves; treat it, its dict included, as immutable.
+
+    :func:`differential_matrix` caches the filtration of each (side,
+    stage) selection on the dataset, for as long as the dataset lives.
+    """
+
     orbits: Dict[str, OrbitRecord]
     curves: Tuple[CurveRecord, ...]
+    # (side, stage) -> the _Filtration of that selection, built on first use.
+    _filtrations: Dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def orbit(self, oid: str) -> ReebOrbit:
         return self.orbits[oid].orbit
@@ -237,11 +256,18 @@ class GradedRationalComplex:
 
     ``blocks[g]`` is the matrix of the differential C_g -> C_{g-1}, with
     columns indexed by ``generators[g]`` and rows by ``generators[g-1]``.
-    Missing blocks are zero.
+    Missing blocks are zero.  Blocks are read-only once the complex is
+    built: :func:`homology` of a complex from :func:`differential_matrix`
+    reads its dataset's filtration, not these rows.
     """
 
     generators: Dict[int, Tuple[str, ...]]
     blocks: Dict[int, ratmat.Matrix]
+    # (filtration, k) when differential_matrix cut the complex from its
+    # dataset's filtration (k None: uncut); None for a complex built by hand.
+    _cut: Optional[Tuple["_Filtration", int]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         _check_shapes("differential", self.blocks, self, self, -1)
@@ -268,9 +294,10 @@ class GradedRationalComplex:
 
 def _check_shapes(what, blocks, source, target, degree):
     """Block g must be dim target(g + degree) x dim source(g)."""
+    sources, targets = source.generators, target.generators
     for g, block in blocks.items():
-        nrows, ncols = target.dim(g + degree), source.dim(g)
-        if len(block) != nrows or any(len(row) != ncols for row in block):
+        nrows, ncols = len(targets.get(g + degree, ())), len(sources.get(g, ()))
+        if len(block) != nrows or any(map(ncols.__ne__, map(len, block))):
             raise ValidationError(
                 f"{what} block at grading {g} has shape {ratmat.shape(block)}, "
                 f"expected ({nrows},{ncols})"
@@ -290,20 +317,196 @@ def differential_matrix(
     to gamma' divided by m(gamma'), restricted to orbits of action below
     ``action_max``.  Non-integer coefficients only trigger a warning: the
     integrality of true data is a theorem, not an input invariant.
+
+    The full complex of each (``side``, ``stage``) is assembled once per
+    dataset.  Since d strictly lowers action, the generators below
+    ``action_max`` span a subcomplex, whose blocks are column prefixes, in
+    action order, of the full blocks; each call returns fresh rows cut
+    from them.  Complex blocks are read-only.  Raises DomainError for a
+    NaN ``action_max``, and ValidationError for a side other than "plus"
+    or "minus", for a stage the dataset does not carry, and for an action
+    cut of a dataset (not built by :func:`load_dataset`) with a curve
+    count that does not lower action.
     """
-    selected = [
-        oid
-        for oid in dataset.orbit_ids(side=side, stage=stage)
-        if action_max is None or dataset.orbit(oid).action < action_max
-    ]
-    generators: Dict[int, List[str]] = {}
-    for oid in selected:
-        generators.setdefault(dataset.orbit(oid).cz, []).append(oid)
-    gen_tuples = {g: tuple(ids) for g, ids in generators.items()}
-    blocks = _assemble(
-        dataset, LEVEL_SYMPLECTIZATION, None, gen_tuples, gen_tuples, audit
-    )
-    return GradedRationalComplex(generators=gen_tuples, blocks=blocks)
+    if action_max is not None and action_max != action_max:  # only NaN
+        raise DomainError("action_max must be a number or None, not NaN")
+    filtration = dataset._filtrations.get((side, stage))
+    if filtration is None:
+        filtration = _Filtration.of_dataset(dataset, side, stage)
+        dataset._filtrations[(side, stage)] = filtration
+    k = None if action_max is None else filtration.below(action_max)
+    generators, blocks, nonintegral = filtration.cut(k)
+    if audit and nonintegral:
+        _warn_nonintegral(LEVEL_SYMPLECTIZATION, nonintegral)
+    cx = GradedRationalComplex(generators, blocks)
+    object.__setattr__(cx, "_cut", (filtration, k))
+    return cx
+
+
+def _submatrix(block: ratmat.Matrix, rows, cols) -> ratmat.Matrix:
+    return [[block[i][j] for j in cols] for i in rows]
+
+
+class _Filtration:
+    """A complex whose differential maps each generator to earlier ones.
+
+    The order is (action, id).  The cut at k keeps the first k
+    generators, a subcomplex: its blocks and its d^2 are the entries of
+    the full ones at places below k.  Taking each block's columns in
+    order, the rank of its cut is the number of pivot columns placed
+    below k, so one elimination per block ranks every cut.  The cut
+    k = None keeps everything.  The order, the d^2 product and the
+    elimination are computed on first use.  A complex built by hand is
+    its own filtration, with every action 0, and is never cut.
+    """
+
+    def __init__(self, generators, blocks, action, counts=(), nonintegral=()):
+        self.generators = generators
+        self.blocks = blocks
+        self.action = action  # generator id -> action
+        self.counts = counts  # ((gamma, gamma'), summed count) of each counted pair
+        self.nonintegral = nonintegral  # (gamma, gamma', non-integer coefficient)
+        self._order = None
+        self._sources = None
+        self._pivots = None
+        self._d_squared = None
+
+    @classmethod
+    def of_dataset(cls, dataset: ModuliDataset, side, stage) -> "_Filtration":
+        if side not in (None, "plus", "minus"):
+            raise ValidationError(f"side must be 'plus', 'minus' or None, not {side!r}")
+        generators: Dict[int, List[str]] = {}
+        action = {}
+        for oid in dataset.orbit_ids(side=side, stage=stage):
+            orbit = dataset.orbits[oid].orbit
+            generators.setdefault(orbit.cz, []).append(oid)
+            action[oid] = orbit.action
+        if not action and stage is not None and stage not in dataset.stages:
+            raise ValidationError(
+                f"stage {stage!r} is not among the dataset's stages {dataset.stages}"
+            )
+        gen_tuples = {g: tuple(ids) for g, ids in generators.items()}
+        blocks, items, nonintegral = _assemble(
+            dataset, LEVEL_SYMPLECTIZATION, None, gen_tuples, gen_tuples
+        )
+        return cls(gen_tuples, blocks, action, items, nonintegral)
+
+    def ordered(self):
+        """``(place, values, tie)``, computed on first use.
+
+        Generator j of grading g sits at ``place[g][j]``; ``values`` lists
+        the actions in order and ``tie[p]`` is the first place whose action
+        equals the action at p.
+        """
+        if self._order is None:
+            gens, action = self.generators, self.action
+            # Each action as an integer over the common denominator: exact,
+            # and much cheaper to sort than Fractions.
+            ratios = {oid: a.as_integer_ratio() for oid, a in action.items()}
+            scale = math.lcm(*(d for _, d in ratios.values()))
+            keyed = sorted(
+                (ratios[oid][0] * (scale // ratios[oid][1]), oid, g, j)
+                for g, ids in gens.items()
+                for j, oid in enumerate(ids)
+            )
+            place = {g: [0] * len(ids) for g, ids in gens.items()}
+            tie = []
+            for p, (key, _, g, j) in enumerate(keyed):
+                place[g][j] = p
+                tie.append(tie[-1] if p and key == keyed[p - 1][0] else p)
+            self._order = place, [action[oid] for _, oid, _, _ in keyed], tie
+        return self._order
+
+    def sources(self):
+        """``(first, nonintegral)`` of the curve counts, computed on first use.
+
+        ``first[g]`` is the earliest place of a source of block g, and
+        ``nonintegral`` pairs each non-integer entry with the place of its
+        source.  Raises ValidationError for an entry that does not lower
+        action, since a cut would then not be a subcomplex.
+        """
+        if self._sources is None:
+            place, values, tie = self.ordered()
+            at = {
+                oid: (g, place[g][j])
+                for g, ids in self.generators.items()
+                for j, oid in enumerate(ids)
+            }
+            first: Dict[int, int] = {}
+            for (fid, tid), _ in self.counts:
+                g, p = at[fid]
+                if at[tid][1] >= tie[p]:
+                    raise ValidationError(
+                        f"symplectization entry {fid} -> {tid} does not lower action "
+                        f"({values[p]} -> {values[at[tid][1]]}); action cuts need d "
+                        "to lower action"
+                    )
+                first[g] = min(first.get(g, p), p)
+            nonintegral = [(at[e[0]][1], e) for e in self.nonintegral]
+            self._sources = first, nonintegral
+        return self._sources
+
+    def below(self, action_max) -> int:
+        """How many generators have action below ``action_max``."""
+        return bisect_left(self.ordered()[1], action_max)
+
+    def columns(self, k: int) -> Dict[int, List[int]]:
+        """Per grading, the indices of the generators placed below k; none if empty."""
+        cols = {}
+        for g, places in self.ordered()[0].items():
+            kept = [j for j, p in enumerate(places) if p < k]
+            if kept:
+                cols[g] = kept
+        return cols
+
+    def cut(self, k: Optional[int]):
+        """Generators, fresh blocks and non-integer entries of the cut at k.
+
+        A block is kept when one of its curve counts starts below k.
+        """
+        if k is None:
+            blocks = {g: [row[:] for row in block] for g, block in self.blocks.items()}
+            return dict(self.generators), blocks, self.nonintegral
+        first, nonintegral = self.sources()
+        cols = self.columns(k)
+        generators = {g: tuple(self.generators[g][j] for j in c) for g, c in cols.items()}
+        blocks = {
+            g: _submatrix(block, cols.get(g - 1, ()), cols[g])
+            for g, block in self.blocks.items()
+            if first[g] < k
+        }
+        return generators, blocks, [e for p, e in nonintegral if p < k]
+
+    def d_squared(self, cut: GradedRationalComplex, k: Optional[int]) -> "IdentityCheck":
+        """The d^2 verdict of ``cut``, the cut at k: the full d^2 restricted to it."""
+        if self._d_squared is None:
+            d = GradedRationalComplex(self.generators, self.blocks).differential
+            self._d_squared = d.compose(d)
+        if k is None:
+            return self._d_squared.first_nonzero()
+        cols = self.columns(k)
+        blocks = {
+            g: _submatrix(block, cols.get(g - 2, ()), cols[g])
+            for g, block in self._d_squared.blocks.items()
+            if g in cols
+        }
+        return GradedMap(cut, cut, -2, blocks).first_nonzero()
+
+    def rank(self, g: int, k: Optional[int]) -> int:
+        """Rank of the cut at k of block g."""
+        if self._pivots is None:
+            place = self.ordered()[0]
+            self._pivots = {}
+            for h, block in self.blocks.items():
+                if not (block and block[0]):
+                    continue
+                by_place = sorted(range(len(place[h])), key=place[h].__getitem__)
+                ordered = [[row[j] for j in by_place] for row in block]
+                self._pivots[h] = [
+                    place[h][by_place[c]] for c in ratmat.pivot_columns(ordered)
+                ]
+        pivots = self._pivots.get(g, ())
+        return len(pivots) if k is None else bisect_left(pivots, k)
 
 
 def _assemble(
@@ -312,15 +515,17 @@ def _assemble(
     tag: Optional[str],
     source_ids: Dict[int, Tuple[str, ...]],
     target_ids: Dict[int, Tuple[str, ...]],
-    audit: bool,
-) -> Dict[int, ratmat.Matrix]:
+):
     """Blocks, keyed by source grading, of the map counted by ``level`` curves.
 
     Entry (gamma', gamma) sums the counts of the curves (with ``tag``, if
-    given) from gamma to gamma', divided by m(gamma').  Warnings point at
-    the caller of the public function that called this one.
+    given) from gamma to gamma', divided by m(gamma').  Returns the blocks,
+    the ``((gamma, gamma'), summed count)`` items in sorted order and the
+    ``(gamma, gamma', coefficient)`` entries whose coefficient is not an
+    integer.
     """
     drop = LEVEL_GRADING_DROP[level]
+    orbits = dataset.orbits
     src_pos = {oid: (g, j) for g, ids in source_ids.items() for j, oid in enumerate(ids)}
     dst_pos = {oid: j for ids in target_ids.values() for j, oid in enumerate(ids)}
 
@@ -337,23 +542,31 @@ def _assemble(
             totals[key] = cur.count
 
     blocks: Dict[int, ratmat.Matrix] = {}
-    for (fid, tid), count in sorted(totals.items()):
+    items = sorted(totals.items())
+    nonintegral = []
+    for (fid, tid), count in items:
         g, col = src_pos[fid]
-        mult = dataset.orbit(tid).multiplicity
+        mult = orbits[tid].orbit.multiplicity
         coeff = count if mult == 1 else count / mult
-        if audit and coeff.denominator != 1:
-            warnings.warn(
-                f"coefficient of {tid} in the {level} image of {fid} is "
-                f"{coeff}, not an integer",
-                IntegerCoefficientWarning,
-                stacklevel=3,
-            )
+        if coeff.denominator != 1:
+            nonintegral.append((fid, tid, coeff))
         if g not in blocks:
             blocks[g] = ratmat.zeros(
                 len(target_ids.get(g - drop, ())), len(source_ids[g])
             )
         blocks[g][dst_pos[tid]][col] = coeff
-    return blocks
+    return blocks, items, nonintegral
+
+
+def _warn_nonintegral(level: str, entries) -> None:
+    """Warn of each (non-integer) entry, at the caller of the public function."""
+    for fid, tid, coeff in entries:
+        warnings.warn(
+            f"coefficient of {tid} in the {level} image of {fid} is "
+            f"{coeff}, not an integer",
+            IntegerCoefficientWarning,
+            stacklevel=3,
+        )
 
 
 @dataclass(frozen=True)
@@ -462,9 +675,11 @@ def graded_map_from_dataset(
         raise ValidationError(f"graded maps come from cobordism or k levels, not {level}")
     if audit is None:
         audit = level == LEVEL_COBORDISM
-    blocks = _assemble(
-        dataset, level, tag, source.generators, target.generators, audit
+    blocks, _, nonintegral = _assemble(
+        dataset, level, tag, source.generators, target.generators
     )
+    if audit:
+        _warn_nonintegral(level, nonintegral)
     return GradedMap(
         source=source, target=target, degree=-LEVEL_GRADING_DROP[level], blocks=blocks
     )
@@ -480,18 +695,28 @@ def verify_d_squared(cx: GradedRationalComplex) -> IdentityCheck:
 
 
 def homology(cx: GradedRationalComplex) -> Dict[int, int]:
-    """Per-grading dimension of ker/im, by exact rational elimination."""
-    check = verify_d_squared(cx)
+    """Per-grading dimension of ker/im, by exact rational elimination.
+
+    Raises ValidationError unless d^2 = 0.  A complex cut from a dataset
+    by :func:`differential_matrix` reads both off its dataset's
+    filtration: since d lowers action, the cut's d^2 is the full d^2
+    restricted to it, and rank(d_g) of the cut counts the pivots below
+    the cut of one elimination of the full block, columns in action
+    order.  A complex built by hand is its own filtration, so each call
+    squares it and eliminates each block once.
+    """
+    if cx._cut is None:
+        actions = {oid: 0 for ids in cx.generators.values() for oid in ids}
+        filtration, k = _Filtration(cx.generators, cx.blocks, actions), None
+    else:
+        filtration, k = cx._cut
+    check = filtration.d_squared(cx, k)
     if not check.ok:
         raise ValidationError(
             f"d^2 != 0 at pair {check.pair} (grading {check.grading}); "
             "run verify_d_squared for details"
         )
-    # ranks[g] is the rank of d: C_g -> C_{g-1}, each block eliminated once.
-    ranks = {
-        g: ratmat.rank(cx.block(g)) if cx.dim(g) and cx.dim(g - 1) else 0
-        for g in cx.gradings
-    }
+    ranks = {g: filtration.rank(g, k) for g in cx.gradings}
     return {g: cx.dim(g) - ranks[g] - ranks.get(g + 1, 0) for g in cx.gradings}
 
 

@@ -18,7 +18,8 @@ Matrix = List[List[Fraction]]
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
+    zero = Fraction(0)  # immutable, so every entry may share it
+    return [[zero] * ncols for _ in range(nrows)]
 
 
 def identity(n: int) -> Matrix:

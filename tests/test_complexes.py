@@ -1,9 +1,14 @@
 import dataclasses
+import importlib.util
+import math
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from cylcc import ratmat
 from cylcc.complexes import (
@@ -11,6 +16,7 @@ from cylcc.complexes import (
     GradedMap,
     GradedRationalComplex,
     IdentityCheck,
+    ModuliDataset,
     OrbitRecord,
     chain_homotopy_check,
     chain_map_check,
@@ -25,12 +31,39 @@ from cylcc.complexes import (
     verify_d_squared,
 )
 from cylcc.dataio import bundled_path, read_dataset
-from cylcc.errors import DatasetError, IntegerCoefficientWarning, ValidationError
+from cylcc.errors import DatasetError, DomainError, IntegerCoefficientWarning, ValidationError
 from cylcc.indices import ReebOrbit
 
 from .oracles import chain_homotopy_oracle, chain_map_oracle, d_squared_oracle
 
 F = Fraction
+
+GEN_PATH = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+
+
+def _load_gen():
+    """The benchmark's seeded input generators (``bench/gen.py``), loaded by path."""
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GEN = _load_gen()
+
+
+def _actions_info(ds, side=None, stage=None):
+    """The generators' actions by grading, as ``bench/gen.py`` reports them."""
+    actions = {}
+    for oid in ds.orbit_ids(side=side, stage=stage):
+        actions.setdefault(ds.orbit(oid).cz, []).append(ds.orbit(oid).action)
+    return {"actions": actions}
+
+
+def _cut_values(ds):
+    """Every distinct action, the midpoints between them and a cut below all."""
+    values = sorted({rec.orbit.action for rec in ds.orbits.values()})
+    return [values[0] - 1] + values + [(a + b) / 2 for a, b in zip(values, values[1:])]
 
 
 def orbit(oid, cz, action, mult=1, simple_type=None):
@@ -252,13 +285,39 @@ class TestHomology:
         with pytest.raises(ValidationError, match="verify_d_squared"):
             homology(cx)
 
-    def test_each_block_ranked_once(self, monkeypatch):
-        cx = differential_matrix(consistent_random_dataset(1, dims=(10, 12, 10)))
-        rank = ratmat.rank
+    def test_each_block_eliminated_once_per_selection(self, monkeypatch):
+        gauss_jordan = ratmat._gauss_jordan
         calls = []
-        monkeypatch.setattr(ratmat, "rank", lambda m: calls.append(m) or rank(m))
-        homology(cx)
-        assert len(calls) == 2  # d_2 and d_1, one elimination each
+        monkeypatch.setattr(
+            ratmat, "_gauss_jordan", lambda rows: calls.append(rows) or gauss_jordan(rows)
+        )
+        bundled = read_dataset(
+            bundled_path("consistent_orbits.txt"), bundled_path("consistent_curves.txt")
+        )
+        limit = read_dataset(
+            bundled_path("direct_limit_orbits.txt"), bundled_path("direct_limit_curves.txt")
+        )
+        selections = [(consistent_random_dataset(1, dims=(10, 12, 10)), None, None)]
+        selections += [(bundled, side, None) for side in ("plus", "minus")]
+        selections += [(limit, None, stage) for stage in limit.stages]
+        blocks_seen = 0
+        for ds, side, stage in selections:
+            calls.clear()
+            cx = differential_matrix(ds, side=side, stage=stage)
+            homology(cx)
+            for cut in GEN.action_cuts(_actions_info(ds, side, stage), 8):
+                homology(differential_matrix(ds, action_max=cut, side=side, stage=stage))
+            homology(cx)
+            nonzero = sum(1 for b in cx.blocks.values() if not ratmat.is_zero(b))
+            assert len(calls) == nonzero, (side, stage)
+            blocks_seen += nonzero
+            # A complex built by hand is eliminated afresh on every call.
+            calls.clear()
+            by_hand = GradedRationalComplex(cx.generators, cx.blocks)
+            homology(by_hand)
+            homology(by_hand)
+            assert len(calls) == 2 * nonzero
+        assert blocks_seen >= 5
 
     def test_invariance_under_generator_permutation_and_basis_change(self):
         rng = random.Random(5)
@@ -295,6 +354,187 @@ class TestHomology:
             }
             changed = GradedRationalComplex(cx.generators, blocks2)
             assert homology(changed) == dims
+
+
+def _cut_oracle(ds, cut):
+    """Betti numbers below ``cut``: blocks rebuilt from ``ds.curves``, ranked by sympy."""
+    below = {}
+    for oid in sorted(ds.orbits):
+        if ds.orbit(oid).action < cut:
+            below.setdefault(ds.orbit(oid).cz, []).append(oid)
+    where = {oid: (g, j) for g, ids in below.items() for j, oid in enumerate(ids)}
+    blocks = {
+        g: [[F(0)] * len(ids) for _ in below.get(g - 1, ())] for g, ids in below.items()
+    }
+    for cur in ds.curves:
+        if cur.level == "symplectization" and cur.from_id in where:
+            g, col = where[cur.from_id]
+            row = where[cur.to_id][1]
+            blocks[g][row][col] += cur.count / ds.orbit(cur.to_id).multiplicity
+
+    def rank(block):
+        if not block or not block[0]:
+            return 0
+        rows = [[QQ(x.numerator, x.denominator) for x in row] for row in block]
+        return DomainMatrix(rows, (len(rows), len(rows[0])), QQ).rank()
+
+    ranks = {g: rank(b) for g, b in blocks.items()}
+    return {g: len(ids) - ranks[g] - ranks.get(g + 1, 0) for g, ids in below.items()}
+
+
+def _exact_dataset(seed, tmp_path):
+    orbits, curves, info = GEN.exact_complex_dataset(seed, (16, 20, 16), 5)
+    (tmp_path / "orbits.txt").write_text(orbits)
+    (tmp_path / "curves.txt").write_text(curves)
+    return read_dataset(tmp_path / "orbits.txt", tmp_path / "curves.txt"), info
+
+
+class TestActionCuts:
+    """Every action cut against a rebuild from the curves, d^2 verdicts and the cache."""
+
+    def _check_cuts(self, ds, info):
+        for cut in _cut_values(ds):
+            cx = differential_matrix(ds, action_max=cut)
+            below = {oid for oid, rec in ds.orbits.items() if rec.orbit.action < cut}
+            assert {oid for ids in cx.generators.values() for oid in ids} == below
+            # A block is present exactly when a curve leaves a generator below the cut.
+            assert set(cx.blocks) == {ds.orbit(c.from_id).cz for c in ds.curves if c.from_id in below}
+            dims = homology(cx)
+            assert dims == _cut_oracle(ds, cut), cut
+            euler = sum((-1) ** g * b for g, b in dims.items())
+            assert euler == GEN.euler_below(info, cut), cut
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_dataset_cuts_match_oracle(self, seed):
+        ds = consistent_random_dataset(seed)
+        self._check_cuts(ds, _actions_info(ds))
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_exact_dataset_cuts_match_oracle(self, seed, tmp_path):
+        self._check_cuts(*_exact_dataset(seed, tmp_path))
+
+    def test_d_squared_fails_only_above_planted_action(self):
+        for seed in range(5):
+            ds = consistent_random_dataset(seed)
+            lower = differential_matrix(ds).block(1)
+            col = next(c for c in range(len(lower[0])) if any(row[c] for row in lower))
+            planted = load_dataset(
+                [rec.orbit for rec in ds.orbits.values()],
+                ds.curves + (symp("g2_1", f"g1_{col}", 1),),
+            )
+            threshold = planted.orbit("g2_1").action
+            for cut in _cut_values(planted):
+                cx = differential_matrix(planted, action_max=cut)
+                if cut <= threshold:
+                    assert homology(cx) == homology(differential_matrix(ds, action_max=cut))
+                    continue
+                by_hand = GradedRationalComplex(
+                    {g: tuple(ids) for g, ids in cx.generators.items()},
+                    {g: ratmat.clone(b) for g, b in cx.blocks.items()},
+                )
+                check = verify_d_squared(by_hand)
+                assert not check.ok and check.grading == 2 and check.pair[0] == "g2_1"
+                with pytest.raises(ValidationError) as cut_err:
+                    homology(cx)
+                with pytest.raises(ValidationError) as hand_err:
+                    homology(by_hand)
+                assert str(cut_err.value) == str(hand_err.value)
+                assert f"at pair {check.pair} (grading {check.grading})" in str(cut_err.value)
+
+    def test_returned_complex_shares_nothing_with_the_cache(self):
+        ds = consistent_random_dataset(3, dims=(4, 5, 4))
+        cut = sorted({rec.orbit.action for rec in ds.orbits.values()})[-2]
+        for action_max in (None, cut):
+            first = differential_matrix(ds, action_max=action_max)
+            fresh = differential_matrix(consistent_random_dataset(3, dims=(4, 5, 4)), action_max)
+            assert first == fresh
+            for block in first.blocks.values():
+                for row in block:
+                    row[:] = [F(7)] * len(row)
+                block.append([F(7)] * len(block[0]))
+            first.generators[9] = ("extra",)
+            assert differential_matrix(ds, action_max=action_max) == fresh
+            assert homology(differential_matrix(ds, action_max=action_max)) == homology(fresh)
+
+    def test_datasets_read_twice_keep_their_own_filtration(self):
+        paths = (bundled_path("consistent_orbits.txt"), bundled_path("consistent_curves.txt"))
+        one, two = read_dataset(*paths), read_dataset(*paths)
+        assert one == two
+        a, b = differential_matrix(one, side="plus"), differential_matrix(two, side="plus")
+        assert a == b
+        assert a._cut[0] is not b._cut[0]
+        assert differential_matrix(one, side="plus")._cut[0] is a._cut[0]
+
+    def _two_noninteger_dataset(self):
+        orbits = [
+            orbit("a", 1, 10), orbit("b", 1, 5),
+            orbit("q", 0, 2, mult=2), orbit("r", 0, 1, mult=2),
+        ]
+        return load_dataset(orbits, [symp("a", "q", 1), symp("b", "r", 1), symp("b", "q", 3)])
+
+    def test_warnings_repeat_on_cached_calls_inside_the_cut(self):
+        ds = self._two_noninteger_dataset()
+        expected = {
+            None: [("q", "a", "1/2"), ("q", "b", "3/2"), ("r", "b", "1/2")],
+            F(6): [("q", "b", "3/2"), ("r", "b", "1/2")],
+            F(3): [],
+        }
+        for _ in range(2):
+            for action_max, entries in expected.items():
+                with warnings.catch_warnings(record=True) as record:
+                    warnings.simplefilter("always")
+                    differential_matrix(ds, action_max=action_max)
+                assert [str(w.message) for w in record] == [
+                    f"coefficient of {tid} in the symplectization image of {fid} "
+                    f"is {value}, not an integer"
+                    for tid, fid, value in entries
+                ]
+                assert all(w.category is IntegerCoefficientWarning for w in record)
+                assert all(w.filename == __file__ for w in record)
+
+    def test_unaudited_calls_stay_silent(self):
+        ds = self._two_noninteger_dataset()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                for action_max in (None, F(6)):
+                    differential_matrix(ds, action_max=action_max, audit=False)
+
+
+class TestSelectors:
+    """Selectors that name nothing in the dataset are refused, not answered empty."""
+
+    def test_nan_action_max_rejected(self):
+        ds = consistent_random_dataset(0)
+        with pytest.raises(DomainError, match="NaN"):
+            differential_matrix(ds, action_max=float("nan"))
+
+    def test_unknown_side_rejected(self):
+        ds = read_dataset(
+            bundled_path("consistent_orbits.txt"), bundled_path("consistent_curves.txt")
+        )
+        with pytest.raises(ValidationError, match="'left'"):
+            differential_matrix(ds, side="left")
+
+    def test_unknown_stage_rejected(self):
+        ds = read_dataset(
+            bundled_path("direct_limit_orbits.txt"), bundled_path("direct_limit_curves.txt")
+        )
+        assert ds.stages == [1, 2, 3]
+        with pytest.raises(ValidationError, match="stage 99"):
+            differential_matrix(ds, stage=99)
+
+    @pytest.mark.parametrize("source, target_action", [("a", 4), ("c", 4), ("a", 6)])
+    def test_cut_of_count_not_lowering_action_names_pair(self, source, target_action):
+        # load_dataset refuses such a curve; a dataset built around it cannot
+        # be cut.  Equal actions are refused whichever id sorts first.
+        orbits = {
+            source: OrbitRecord(orbit(source, 1, 4)),
+            "b": OrbitRecord(orbit("b", 0, target_action)),
+        }
+        ds = ModuliDataset(orbits=orbits, curves=(symp(source, "b", 1),))
+        with pytest.raises(ValidationError, match=f"{source} -> b does not lower action"):
+            differential_matrix(ds, action_max=F(10))
 
 
 def _invert(m):

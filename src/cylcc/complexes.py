@@ -689,9 +689,15 @@ def verify_d_squared(cx: GradedRationalComplex) -> IdentityCheck:
     """Exact check that consecutive differential blocks compose to zero.
 
     On failure reports the first offending generator pair (gamma, gamma')
-    with gamma in the higher grading.
+    with gamma in the higher grading.  A complex cut from a dataset by
+    :func:`differential_matrix` reads the verdict off its dataset's
+    filtration, which squares the full differential once, as
+    :func:`homology` does; a complex built by hand is squared afresh.
     """
-    return cx.differential.compose(cx.differential).first_nonzero()
+    if cx._cut is None:
+        return cx.differential.compose(cx.differential).first_nonzero()
+    filtration, k = cx._cut
+    return filtration.d_squared(cx, k)
 
 
 def homology(cx: GradedRationalComplex) -> Dict[int, int]:
@@ -899,13 +905,18 @@ def direct_limit(
     dims_by_stage: Dict[int, Dict[int, int]] = {g: {} for g in gradings}
 
     for g in gradings:
+        # A missing block is zero: its cycles are everything and its image
+        # is 0, with nothing to eliminate.
         boundary_in = last.block(g + 1)  # image of d at the horizon stage
-        rank_in = ratmat.rank(boundary_in) if last.dim(g + 1) else 0
+        rank_in = ratmat.rank(boundary_in) if g + 1 in last.blocks else 0
         for stage_i, (cx, push) in enumerate(zip(stages, to_last), start=1):
             if last.dim(g) == 0 or cx.dim(g) == 0:
                 dims_by_stage[g][stage_i] = 0
                 continue
-            cycles = ratmat.nullspace(cx.block(g), ncols=cx.dim(g))
+            if g in cx.blocks:
+                cycles = ratmat.nullspace(cx.blocks[g], ncols=cx.dim(g))
+            else:
+                cycles = ratmat.identity(cx.dim(g))
             if push is not None:
                 cycles = ratmat.mat_mul_shaped(
                     push.block(g), cycles, last.dim(g), cx.dim(g), len(cycles[0])

@@ -11,19 +11,26 @@ realize coker(phi) as a complement of phi(F) inside E.  The isomorphism
 is natural up to a positive constant: rescaling any basis vector by a
 positive factor or replacing F leaves all computed signs unchanged.
 
-Everything here is exact rational arithmetic.  Every basis claim rests
+Everything here is exact, and runs on Python integers.  Each input
+vector is rescaled once, at entry, by the positive lcm of its
+denominators, and phi by one positive lcm when the model is built; by
+the naturality above, membership, independence and the sign of a
+change-of-basis determinant are all unchanged.  Every basis claim rests
 on one certificate: if the coordinates of a family X in a family P
 exist, form a square matrix and have nonzero determinant, then X and P
 are bases of the same space, and the determinant's sign is the
-orientation sign.  ``ratmat.solve_coordinates`` leaves zeros at free
-columns, so a dependent P gives a zero determinant too.  One
-elimination answers for a whole family, and phi is applied to a family
-by one integer-row product.
+orientation sign.  One elimination of ``ratmat``'s integer Bareiss core
+gives the coordinates of a whole family as integer numerators N over
+the common pivot d, with zeros at free columns, so a dependent P gives a
+zero determinant too.  sign det(N / d) = sign(det N) sign(d)^k is read
+off a second elimination of N, so no Fraction is built; phi is applied
+to a family by one integer product.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -58,42 +65,69 @@ def wedge_sign(permutation: Sequence[int]) -> int:
     return sign
 
 
-def _as_vectors(vectors, dim: int, what: str) -> List[List[Fraction]]:
+def _rational(x):
+    """``x`` as a Python int, or a Fraction of Python ints."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    try:
+        return operator.index(x)  # numpy and other integer types
+    except TypeError:
+        return Fraction(x)
+
+
+def _integral(v) -> Tuple[List[int], int]:
+    """``v`` times the positive lcm of its denominators, as Python ints, and that lcm."""
+    v = list(v)
+    if all(type(x) is int for x in v):
+        return v, 1
+    return ratmat._clear([_rational(x) for x in v])
+
+
+def _as_vectors(vectors, dim: int, what: str) -> List[List[int]]:
+    """Each vector rescaled by its own positive factor to Python ints."""
     out = []
     for v in vectors:
-        v = [Fraction(x) for x in v]
+        v = _integral(v)[0]
         if len(v) != dim:
             raise ValidationError(f"{what}: vector of length {len(v)}, expected {dim}")
         out.append(v)
     return out
 
 
-def _columns(vectors: List[List[Fraction]]) -> ratmat.Matrix:
-    if not vectors:
-        return []
-    dim = len(vectors[0])
-    return [[vectors[j][i] for j in range(len(vectors))] for i in range(dim)]
-
-
 def _coordinates(basis, vectors):
-    """Coordinates of each vector in ``basis`` (one row each), or None.
+    """Coordinates of each vector in ``basis`` as ``(numerators, d)``, or None.
 
-    One elimination answers for the whole family; an empty basis spans
-    only the zero vector.
+    Coordinate c of vector j is ``numerators[j][c] / d``.  One
+    elimination answers for the whole family; an empty basis spans only
+    the zero vector.
     """
     if not vectors:
-        return []
+        return [], 1
     if not basis:
-        return None if any(x for v in vectors for x in v) else [[] for _ in vectors]
-    return ratmat.solve_coordinates(_columns(basis), vectors)
+        return None if any(x for v in vectors for x in v) else ([[] for _ in vectors], 1)
+    rows = [[*b_row, *v_row] for b_row, v_row in zip(zip(*basis), zip(*vectors))]
+    return ratmat._span_coordinates(rows, len(basis), len(vectors))
 
 
-def _det_sign(coords, message: str) -> int:
-    """Sign of det of square coordinates; a zero determinant raises ``message``."""
-    d = ratmat.det(coords) if coords else 1
-    if d == 0:
+def _int_det_sign(rows) -> int:
+    """Sign of the determinant of a square integer matrix, 0 if singular."""
+    _, pivots, d, swaps = ratmat._gauss_jordan(rows)
+    if len(pivots) < len(rows):
+        return 0
+    return swaps if d > 0 else -swaps
+
+
+def _det_sign(numerators, d: int, message: str) -> int:
+    """Sign of det(numerators / d) for square coordinates; zero raises ``message``.
+
+    det(N / d) = det(N) / d^k, so its sign is sign(det N) sign(d)^k.
+    """
+    if not numerators:
+        return 1
+    sign = _int_det_sign(numerators)
+    if sign == 0:
         raise ValidationError(message)
-    return 1 if d > 0 else -1
+    return sign if d > 0 or len(numerators) % 2 == 0 else -sign
 
 
 @dataclass(frozen=True)
@@ -103,32 +137,36 @@ class FredholmModel:
     ``matrix`` has one row per W-coordinate; ``e_basis`` lists vectors
     spanning E.  The comparison isomorphism needs Im(phi) + E = W.
     rank(phi) is computed once, at construction, from the same
-    elimination of [phi | E] that checks this.
+    elimination of [phi | E] that checks this.  phi is cleared of
+    denominators once, by one positive lcm, and applied on integers.
     """
 
     matrix: Tuple[Tuple[Fraction, ...], ...]
     e_basis: Tuple[Vector, ...]
     _rank: int = field(init=False, repr=False, compare=False)
+    # (integer rows, lcm) with phi = rows / lcm.
+    _phi: Tuple[List[List[int]], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = self._rows()
+        rows = [[_rational(x) for x in row] for row in self.matrix]
         if not rows:
             raise ValidationError("phi needs at least one row")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValidationError("ragged matrix")
+        flat, lcm = ratmat._clear([x for row in rows for x in row])
+        phi = [flat[i * width: (i + 1) * width] for i in range(len(rows))]
+        object.__setattr__(self, "_phi", (phi, lcm))
         e_vecs = _as_vectors(self.e_basis, len(rows), "E basis")
-        if e_vecs and ratmat.rank(_columns(e_vecs)) != len(e_vecs):
+        if e_vecs and len(ratmat._gauss_jordan(e_vecs)[1]) != len(e_vecs):
             raise ValidationError("E basis must be independent")
         # One elimination of [phi | E]: its pivots among the phi columns
         # give rank(phi), and all of them dim(Im phi + E).
-        pivots = ratmat.pivot_columns(_columns([list(col) for col in zip(*rows)] + e_vecs))
+        phi_e = [p + [e[i] for e in e_vecs] for i, p in enumerate(phi)]
+        pivots = ratmat._gauss_jordan(phi_e)[1]
         if len(pivots) != len(rows):
             raise ValidationError("Im(phi) + span(E) must be all of W")
         object.__setattr__(self, "_rank", sum(1 for c in pivots if c < width))
-
-    def _rows(self) -> ratmat.Matrix:
-        return [list(map(Fraction, row)) for row in self.matrix]
 
     @property
     def dim_w(self) -> int:
@@ -139,17 +177,16 @@ class FredholmModel:
         return len(self.matrix[0])
 
     def apply(self, v: Sequence[Fraction]) -> List[Fraction]:
-        return self._apply_all([v])[0]
-
-    def _apply_all(self, vectors: Sequence[Sequence]) -> List[List[Fraction]]:
-        """phi(v) for each vector, from one integer product."""
-        vs = [[Fraction(x) for x in v] for v in vectors]
-        if any(len(v) != self.dim_v for v in vs):
+        v, lcm = _integral(v)
+        if len(v) != self.dim_v:
             raise ValidationError("vector has wrong dimension for phi")
-        product = ratmat.mat_mul_shaped(
-            self._rows(), _columns(vs), self.dim_w, self.dim_v, len(vs)
-        )
-        return [list(col) for col in zip(*product)]
+        den = lcm * self._phi[1]
+        return [Fraction(x, den) for x in self._images([v])[0]]
+
+    def _images(self, vectors: Sequence[Sequence[int]]) -> List[List[int]]:
+        """phi(v) for integer vectors of length dim V, each rescaled by the lcm of phi."""
+        phi = self._phi[0]
+        return [[sum(map(operator.mul, row, v)) for row in phi] for v in vectors]
 
     def nullity(self) -> int:
         return self.dim_v - self._rank
@@ -215,7 +252,7 @@ def comparison_sign(
         raise ValidationError("reference E basis must be a basis of E")
 
     given = [] if preimage_basis is None else preimage
-    applied = model._apply_all(ker + f + given)
+    applied = model._images(ker + f + given)
     if any(x != 0 for w in applied[: len(ker)] for x in w):
         raise ValidationError("kernel basis vector not in ker(phi)")
     images = applied[len(ker): len(ker) + len(f)]
@@ -231,20 +268,21 @@ def comparison_sign(
         for family, message in families:
             if _coordinates(e_span, family) is None:
                 raise ValidationError(message)
-    coords = iter(in_e)
+    coords, d_e = in_e
+    coords = iter(coords)
     c_images, c_coker, c_phi_f, _, c_ref = [[next(coords) for _ in fam] for fam, _ in families]
 
     in_v = _coordinates(preimage, ker + f)
     if in_v is None:
         raise ValidationError("preimage basis must be a basis of phi^{-1}(E)")
-    sign_v = _det_sign(in_v, "(ker, F) must be independent")
-    sign_e = _det_sign(c_coker + c_images, "(coker, phi(F)) must be independent")
+    sign_v = _det_sign(*in_v, "(ker, F) must be independent")
+    sign_e = _det_sign(c_coker + c_images, d_e, "(coker, phi(F)) must be independent")
     in_images = _coordinates(images, phi_f)
     if in_images is None:
         raise ValidationError("phi(F) basis must lie in the image of F")
-    _det_sign(in_images, "phi(F) basis must be a basis of phi(F)")
+    _det_sign(*in_images, "phi(F) basis must be a basis of phi(F)")
     ref = c_coker + c_phi_f if e_ref is None else c_ref
-    return sign_v * sign_e * _det_sign(ref, "reference E basis must be a basis of E")
+    return sign_v * sign_e * _det_sign(ref, d_e, "reference E basis must be a basis of E")
 
 
 def glued_sign(sgn1: int, sgn2: int, direction: str = "a_points_away") -> int:
@@ -307,11 +345,11 @@ def ds0_sign(
     lams = [float(l) for l in lambdas]
     if len(lams) != k - 1 or any(not math.isfinite(l) or l <= 0 for l in lams):
         raise ValidationError("need k-1 finite positive eigenvalues")
-    jac = [list(map(Fraction, row)) for row in ev_jacobian]
+    # Each row rescaled by a positive factor: the determinant keeps its sign.
+    jac = [_integral(row)[0] for row in ev_jacobian]
     if len(jac) != k - 1 or any(len(row) != k - 1 for row in jac):
         raise ValidationError("ev_jacobian must be (k-1) x (k-1)")
-    d = ratmat.det(jac)
-    if d == 0:
+    sign = _int_det_sign(jac)
+    if sign == 0:
         raise DegeneracyError("singular evaluation Jacobian at the pole zero")
-    pole_sign = 1 if pole == "north" else -1
-    return pole_sign * (1 if d > 0 else -1)
+    return sign if pole == "north" else -sign

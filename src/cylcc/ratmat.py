@@ -1,18 +1,23 @@
 """Exact rational matrices as lists of Fraction rows.
 
 Products clear denominators first and sum on Python integers.  Rank,
-kernel, determinant and span coordinates read off one fraction-free
-Gauss-Jordan elimination: its reduced integer rows divided by the common
-denominator ``d`` are the reduced row echelon form.  Span coordinates of
-several vectors come from one elimination of the basis augmented by all
-of them.  Everything is exact; no floats enter or leave.
+kernel, determinant and span coordinates take two steps.  ``_clear``
+multiplies each row by the positive lcm of its denominators, which
+changes neither the row space, nor the pivots, nor the sign of a
+determinant.  The integer-only Bareiss core ``_gauss_jordan`` then
+eliminates the integer rows once, fraction-free: its reduced rows divided
+by the common pivot ``d`` are the reduced row echelon form.  Span
+coordinates of several vectors come from one elimination of the basis
+augmented by all of them, as integer numerators over ``d``.  Callers
+that hold integer rows already, as ``orientation`` does, call the core
+directly.  Everything is exact; no floats enter or leave.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 
@@ -99,22 +104,28 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     return [list(a[i]) + list(b[i]) for i in range(len(a))]
 
 
-def _gauss_jordan(rows: Sequence[Sequence]):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of a rational matrix.
+def _clear(row: Sequence) -> Tuple[List[int], int]:
+    """``row`` times the lcm of its denominators, as integers, and that lcm.
 
-    Each row is cleared of denominators by their lcm; ``scale`` is the
-    product of those lcms.  Every entry then stays an integer minor, so
-    the division by the previous pivot is exact.  Returns ``(reduced,
-    pivots, d, sign, scale)``: pivot r sits in row r at column
-    ``pivots[r]``, ``d`` is the last pivot (1 if none), ``sign`` the parity
-    of the row swaps, and the rows past ``len(pivots)`` are zero.
+    Entries are ints or Fractions.  The lcm is positive, so a cleared row
+    spans the same line, pointing the same way.
     """
-    reduced = []
-    scale = 1
-    for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        scale *= lcm
-        reduced.append([x.numerator * (lcm // x.denominator) for x in row])
+    lcm = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (lcm // x.denominator) for x in row], lcm
+
+
+def _gauss_jordan(rows: Sequence[Sequence[int]]):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
+
+    Every entry stays an integer minor, so the division by the previous
+    pivot is exact.  Returns ``(reduced, pivots, d, sign)``: pivot r sits
+    in row r at column ``pivots[r]``, ``d`` is the last pivot (1 if none)
+    and every pivot ends equal to it, ``sign`` is the parity of the row
+    swaps, and the rows past ``len(pivots)`` are zero.  ``reduced / d`` is
+    the reduced row echelon form, and a square matrix of full rank has
+    determinant ``sign * d``.  The input rows are not modified.
+    """
+    reduced = list(rows)
     nrows = len(reduced)
     ncols = len(reduced[0]) if reduced else 0
     pivots: List[int] = []
@@ -138,7 +149,26 @@ def _gauss_jordan(rows: Sequence[Sequence]):
                 reduced[i] = [(piv * x - f * y) // prev for x, y in zip(reduced[i], prow)]
         prev = piv
         pivots.append(c)
-    return reduced, pivots, prev, sign, scale
+    return reduced, pivots, prev, sign
+
+
+def _span_coordinates(rows: Sequence[Sequence[int]], ncols: int, nvec: int):
+    """Span coordinates from one elimination of the integer rows of [B | V].
+
+    B has ``ncols`` columns and V has ``nvec``.  Returns ``(numerators,
+    d)``: coordinate c of column j of V is ``numerators[j][c] / d``, zero
+    at the free columns of B; or None if a column of V lies outside the
+    span of B.
+    """
+    reduced, pivots, d, _ = _gauss_jordan(rows)
+    if pivots and pivots[-1] >= ncols:
+        return None
+    numerators = [[0] * ncols for _ in range(nvec)]
+    for r, pc in enumerate(pivots):
+        row = reduced[r]
+        for j, coords in enumerate(numerators):
+            coords[pc] = row[ncols + j]
+    return numerators, d
 
 
 def pivot_columns(a: Matrix) -> List[int]:
@@ -148,7 +178,7 @@ def pivot_columns(a: Matrix) -> List[int]:
     before it, so the pivots among the first k columns count the rank of
     those k columns.
     """
-    return _gauss_jordan(a)[1]
+    return _gauss_jordan([_clear(row)[0] for row in a])[1]
 
 
 def rank(a: Matrix) -> int:
@@ -159,7 +189,7 @@ def nullspace(a: Matrix, ncols: int = None) -> Matrix:
     """Basis of the kernel, returned as a matrix whose columns span it."""
     if not a:
         return identity(ncols or 0)
-    reduced, pivots, d, _, _ = _gauss_jordan(a)
+    reduced, pivots, d, _ = _gauss_jordan([_clear(row)[0] for row in a])
     n = len(a[0])
     free_cols = [c for c in range(n) if c not in pivots]
     basis = zeros(n, len(free_cols))
@@ -174,10 +204,11 @@ def det(a: Matrix) -> Fraction:
     n, m = shape(a)
     if n != m:
         raise ValueError("determinant needs a square matrix")
-    _, pivots, d, sign, scale = _gauss_jordan(a)
+    cleared = [_clear(row) for row in a]
+    _, pivots, d, sign = _gauss_jordan([row for row, _ in cleared])
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * d, scale)
+    return Fraction(sign * d, math.prod(lcm for _, lcm in cleared))
 
 
 def solve_coordinates(basis: Matrix, vectors: Sequence[Sequence[Fraction]]):
@@ -193,14 +224,11 @@ def solve_coordinates(basis: Matrix, vectors: Sequence[Sequence[Fraction]]):
     nrows, ncols = shape(basis)
     if any(len(v) != nrows for v in vectors):
         raise ValueError("dimension mismatch")
-    reduced, pivots, d, _, _ = _gauss_jordan(
-        [list(basis[i]) + [v[i] for v in vectors] for i in range(nrows)]
+    found = _span_coordinates(
+        [_clear(list(basis[i]) + [v[i] for v in vectors])[0] for i in range(nrows)],
+        ncols, len(vectors),
     )
-    if pivots and pivots[-1] >= ncols:
+    if found is None:
         return None
-    coords = [[Fraction(0)] * ncols for _ in vectors]
-    for r, pc in enumerate(pivots):
-        row = reduced[r]
-        for j, c in enumerate(coords):
-            c[pc] = Fraction(row[ncols + j], d)
-    return coords
+    numerators, d = found
+    return [[Fraction(x, d) for x in coords] for coords in numerators]

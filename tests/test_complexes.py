@@ -266,6 +266,43 @@ class TestDSquared:
                 )
                 assert verify_d_squared(mod).ok == direct
 
+    def test_dataset_complex_squared_once_per_selection(self, monkeypatch):
+        # verify_d_squared and homology of a complex cut from a dataset
+        # share the filtration's one d^2 product; a complex built by hand
+        # is squared afresh on every call.
+        mat_mul = ratmat.mat_mul_shaped
+        calls = []
+        monkeypatch.setattr(ratmat, "mat_mul_shaped", lambda *a: calls.append(a) or mat_mul(*a))
+        ds = consistent_random_dataset(1, dims=(10, 12, 10))
+        calls.clear()
+        cx = differential_matrix(ds)
+        assert verify_d_squared(cx).ok
+        homology(cx)
+        assert len(calls) == 1
+        calls.clear()
+        by_hand = GradedRationalComplex(cx.generators, cx.blocks)
+        assert verify_d_squared(by_hand).ok
+        homology(by_hand)
+        assert len(calls) == 2
+
+    def test_dataset_verdict_equals_a_fresh_square(self):
+        bundled, corrupted = (
+            read_dataset(bundled_path("consistent_orbits.txt"), bundled_path(curves))
+            for curves in ("consistent_curves.txt", "corrupted_curves.txt")
+        )
+        selections = [(ds, side) for ds in (bundled, corrupted) for side in ("plus", "minus")]
+        selections.append((consistent_random_dataset(4), None))
+        failed = 0
+        for ds, side in selections:
+            for cut in [None] + _cut_values(ds):
+                cx = differential_matrix(ds, action_max=cut, side=side)
+                fresh = GradedRationalComplex(cx.generators, cx.blocks)
+                check = verify_d_squared(cx)
+                assert check == fresh.differential.compose(fresh.differential).first_nonzero()
+                failed += not check.ok
+        assert failed > 0
+        assert verify_d_squared(differential_matrix(corrupted, side="plus")).pair == ("Pa", "Pq")
+
 
 class TestHomology:
     def test_zero_differential_counts_generators(self):
@@ -722,6 +759,33 @@ class TestDirectLimit:
         assert res.all_stable
         # stage 1 had a surviving class in grading 0; it dies at stage 2
         assert res.dims_by_stage[0] == {1: 0, 2: 0, 3: 0}
+
+    def test_absent_blocks_are_not_eliminated(self, monkeypatch):
+        # A missing block is zero: its cycles are the identity and its
+        # image is 0, so nothing is eliminated for it (stage 1 of the
+        # bundled data has no block 1; eliminating it made 10 calls).
+        ds = read_dataset(
+            bundled_path("direct_limit_orbits.txt"),
+            bundled_path("direct_limit_curves.txt"),
+        )
+        stages, maps = stage_sequence(ds)
+        gauss_jordan = ratmat._gauss_jordan
+        calls = []
+        monkeypatch.setattr(
+            ratmat, "_gauss_jordan", lambda rows: calls.append(rows) or gauss_jordan(rows)
+        )
+        res = direct_limit(stages, maps)
+        assert len(calls) == 9
+        assert res.dims_by_stage == {0: {1: 0, 2: 0, 3: 0}, 1: {1: 1, 2: 1, 3: 1}}
+        assert res.value == {0: 0, 1: 1}
+        assert res.stabilized_from == {0: 1, 1: 1}
+        # An explicit zero block gives what its absence gives.
+        absent = make_complex({1: ["x", "y"], 0: ["z"]}, {})
+        explicit = GradedRationalComplex(absent.generators, {1: ratmat.zeros(1, 2)})
+        for stages in ([absent, explicit], [explicit, absent]):
+            maps = [GradedMap(stages[0], stages[1], 0, {0: [[F(1)]], 1: ratmat.identity(2)})]
+            res = direct_limit(stages, maps)
+            assert res.dims_by_stage == {0: {1: 1, 2: 1}, 1: {1: 2, 2: 2}}
 
     def test_failed_chain_map_rejected(self):
         d_plus = make_complex({1: ["a"], 0: ["b"]}, {1: [[1]]})

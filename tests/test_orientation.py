@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cylcc import ratmat
@@ -15,7 +16,7 @@ from cylcc.orientation import (
     wedge_sign,
 )
 
-from .oracles import comparison_sign_oracle
+from .oracles import comparison_sign_oracle, laplace_det
 
 F = Fraction
 
@@ -171,6 +172,70 @@ class TestComparisonSign:
                 == base
             )
 
+    def test_rescaled_and_mixed_type_families_match_oracle(self):
+        # Every vector of every family, E included, rescaled by a random
+        # positive factor and given as Fractions, floats or numpy ints.
+        rng = random.Random(37)
+        flipped = 0
+        for _ in range(60):
+            model, ker, f_vecs, coker, images = random_instance(rng, max_dim=4)
+            phi_f = _random_recombination(rng, images)
+            preimage = _random_recombination(rng, ker + f_vecs)
+            e_ref = _random_recombination(rng, coker + images)
+            want = comparison_sign_oracle(model, ker, f_vecs, coker, phi_f, preimage, e_ref)
+            families = (ker, f_vecs, coker, phi_f, preimage, e_ref, model.e_basis)
+            scaled = [[_rescaled(rng, v) for v in fam] for fam in families]
+            ker_s, f_s, coker_s, phi_f_s, preimage_s, e_ref_s, e_s = (
+                [v for v, _ in fam] for fam in scaled
+            )
+            scaled_model = FredholmModel(matrix=model.matrix, e_basis=tuple(e_s))
+            refs = dict(preimage_basis=preimage_s, e_basis=e_ref_s)
+            assert comparison_sign(scaled_model, ker_s, f_s, coker_s, phi_f_s, **refs) == want
+            for (v, factor), exact in zip(scaled[1], f_vecs):
+                image = scaled_model.apply(v)
+                assert all(type(x) is Fraction for x in image)
+                assert image == [factor * x for x in model.apply(exact)]
+            if ker_s:
+                flipped += 1
+                negated = [[-x for x in ker_s[0]]] + ker_s[1:]
+                sign = comparison_sign(scaled_model, negated, f_s, coker_s, phi_f_s, **refs)
+                assert sign == -want
+        assert flipped >= 10
+
+    def test_only_integers_reach_the_elimination(self, monkeypatch):
+        eliminate = ratmat._gauss_jordan
+        entries = []
+        monkeypatch.setattr(
+            ratmat, "_gauss_jordan",
+            lambda rows: entries.extend(x for row in rows for x in row) or eliminate(rows),
+        )
+        rng = random.Random(43)
+        for _ in range(30):
+            instance = random_instance(rng, max_dim=4)
+            # The same instance given as Fractions, and cleared to Python ints.
+            as_int = [[_rescaled(rng, v, "int")[0] for v in fam] for fam in instance[1:]]
+            model = FredholmModel(matrix=instance[0].matrix, e_basis=instance[0].e_basis)
+            int_model = FredholmModel(
+                matrix=tuple(tuple(int(x) for x in row) for row in model.matrix),
+                e_basis=tuple(tuple(_rescaled(rng, v, "int")[0]) for v in model.e_basis),
+            )
+            sign = comparison_sign(model, *instance[1:])
+            assert comparison_sign(int_model, *as_int) == sign
+            k = rng.randint(2, 5)
+            jac = [
+                [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k - 1)]
+                for _ in range(k - 1)
+            ]
+            det = laplace_det(jac)
+            for given in (jac, [_rescaled(rng, row, "int")[0] for row in jac]):
+                if det:
+                    want = 1 if det > 0 else -1
+                    assert ds0_sign(k, "north", given, [1.0] * (k - 1), 10.0) == want
+                else:
+                    with pytest.raises(DegeneracyError):
+                        ds0_sign(k, "north", given, [1.0] * (k - 1), 10.0)
+        assert entries and all(type(x) is int for x in entries)
+
     def test_adjacent_transposition_flips(self):
         rng = random.Random(29)
         flips = 0
@@ -272,6 +337,23 @@ class TestComparisonSign:
             comparison_sign(model, [(0,)], [], [(1,)], [])  # zero kernel vector
         with pytest.raises(ValidationError):
             comparison_sign(model, [(1,)], [], [], [])  # coker missing
+
+
+def _rescaled(rng, v, kind=None):
+    """``(v * c, c)`` for a random positive c, as Fractions, floats, numpy or Python ints.
+
+    Floats and ints carry the lcm of the denominators of ``v``, the floats
+    halved: every entry stays exact.
+    """
+    kind = kind or rng.choice(("fraction", "float", "numpy"))
+    if kind == "fraction":
+        factor = F(rng.randint(1, 9), rng.randint(1, 9))
+        return [factor * x for x in v], factor
+    lcm = math.lcm(*(F(x).denominator for x in v))
+    ints = [int(F(x) * lcm) for x in v]
+    if kind == "float":
+        return [0.5 * x for x in ints], F(lcm, 2)
+    return [np.int64(x) for x in ints] if kind == "numpy" else ints, F(lcm)
 
 
 def _random_recombination(rng, vectors):

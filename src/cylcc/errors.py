@@ -52,6 +52,9 @@ class IntegerCoefficientWarning(UserWarning):
 
 
 def check_size(name: str, value, least: int) -> None:
-    """Raise DomainError unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """Raise DomainError unless ``value`` is an integer >= ``least``.
+
+    A bool is not taken as a size, although Python counts it as an integer.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")

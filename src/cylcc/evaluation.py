@@ -39,7 +39,10 @@ there raises DegeneracyError; no cell is dropped without a reason.
 over the two poles must agree.  The zero locus of s0 is found
 independently, on the circle and on the torus, by one scan that
 subdivides every closed cell on which each component takes both signs
-(``_scan_zeros``).
+(``_scan_zeros``).  Each of its levels is one lattice evaluation: the
+first covers the whole domain, every later one a 5^n lattice per cell
+kept before it, from which a precomputed gather hands each of the cell's
+2^n children its 3^n samples.
 """
 
 from __future__ import annotations
@@ -259,6 +262,8 @@ class _Stack:
         self._wave = TWO_PI * self.orders
         # (components, 1, 1, 2M): weights the sin/cos of a lattice's u, (corners[, run], 2M)
         self._pair_amp = np.concatenate([self.amp, self.amp], axis=1)[:, None, None, :]
+        # (components, 1, ..., 1): the constants, added in place to a lattice's values
+        self._lattice_const = self.const.reshape((len(comps),) + (1,) * (self.nvars + 1))
 
     def value_and_grad(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Values (components, points) and gradients (components, nvars,
@@ -284,21 +289,25 @@ class _Stack:
         sin/cos pairs.
         """
         n = self.nvars
-        runs, last = [(step, count)] * (n - 1), count
+        q = 1
         if n == 1:
             q = max(q for q in range(1, math.isqrt(count) + 1) if count % q == 0)
-            if q > 1:
-                runs, last = [(step * q, count // q)], q
+        if q > 1:
+            runs, last = [np.arange(count // q) * (step * q)], np.arange(q) * step
+        else:
+            last = np.arange(count) * step
+            runs = [last] * (n - 1)
         u = corners @ self._wave.T + self.shift
-        for d, (stride, size) in enumerate(runs):
-            u = u[..., None, :] + (np.arange(size) * stride)[:, None] * self._wave[:, d]
-        b = self._wave[:, -1:] * (np.arange(last) * step)
+        for d, run in enumerate(runs):
+            u = u[..., None, :] + run[:, None] * self._wave[:, d]
+        b = self._wave[:, -1:] * last
         table = np.concatenate([np.cos(b), np.sin(b)])
         halves = np.concatenate([np.sin(u), np.cos(u)], axis=-1)
         weighted = self._pair_amp * halves
-        rows = math.prod(weighted.shape[:-1])
-        values = (weighted.reshape(rows, len(table)) @ table).reshape(len(self.const), -1)
-        return (values + self.const).reshape((len(self.const), len(corners)) + (count,) * n)
+        values = weighted.reshape(math.prod(weighted.shape[:-1]), len(table)) @ table
+        values = values.reshape((len(self.const), len(corners)) + (count,) * n)
+        values += self._lattice_const
+        return values
 
 
 class _ComponentMap:
@@ -868,11 +877,17 @@ def _scan_zeros(spec: EvMapSpec, T: float, n_cells: int) -> List[Tuple[float, ..
 
     Neighbouring cells share samples, so each level evaluates the
     lattice of half steps over blocks of cells once, every component in
-    one ``_Stack.lattice`` call, and reads every cell's 3^n signs from it,
-    stored component first.  The first level is one block of n_cells^n
-    cells, whose (2 n_cells)^n lattice points wrap around the domain;
-    every later level has one block of 2^n cells, with a 5^n lattice,
-    per cell kept before it.
+    one ``_Stack.lattice`` call.  The first level is one block of
+    n_cells^n cells, whose (2 n_cells)^n lattice points wrap around the
+    domain; each cell's signs come from strided slices of the sign
+    arrays, one axis at a time.  Every later level has one block of 2^n
+    cells, with a 5^n lattice, per cell kept before it.  Its values are
+    scaled by minus and by plus each component's scale in one product,
+    one precomputed gather hands each child its 3^n samples of both, and
+    a child is kept when the largest of each is >= 0: the least scaled
+    value is <= 0 and the largest >= 0, the rule above.  A later level
+    thus costs one lattice call and a handful of array operations,
+    whatever the number of cells.
     """
     n = spec.nvars
     scales = [math.exp(-2.0 * spec.lambdas[i] * T) for i in range(n)]
@@ -883,26 +898,37 @@ def _scan_zeros(spec: EvMapSpec, T: float, n_cells: int) -> List[Tuple[float, ..
             )
     stack = _Stack(spec.components[:n])
     scales = np.array(scales).reshape((n,) + (1,) * (n + 1))
-    corners, g, h, wrap = np.zeros((1, n)), n_cells, 1.0 / n_cells, True
-    while corners.size and h >= 1e-11:
-        m = 2 * g if wrap else 2 * g + 1  # distinct lattice points per axis
-        values = stack.lattice(corners, h / 2.0, m) * scales
+    corners, h = np.zeros((1, n)), 1.0 / n_cells
+    if h >= 1e-11:
+        values = stack.lattice(corners, h / 2.0, 2 * n_cells)
+        values *= scales
         signs = np.concatenate([values <= 0.0, values >= 0.0])
         for d in range(2, n + 2):
-            # cell i of a block reads lattice rows 2i..2i+2 on each axis
+            # cell i reads lattice rows 2i..2i+2 on each axis, row 2 n_cells being row 0
             cut = (slice(None),) * d
-            if wrap:  # row 2g is row 0 again
-                signs = np.concatenate([signs, signs[cut + (slice(0, 1),)]], axis=d)
+            signs = np.concatenate([signs, signs[cut + (slice(0, 1),)]], axis=d)
             signs = (
                 signs[cut + (slice(0, -2, 2),)]
                 | signs[cut + (slice(1, -1, 2),)]
                 | signs[cut + (slice(2, None, 2),)]
             )
-        kept = np.argwhere(signs.all(axis=0))  # rows (block, cell index per axis)
-        corners = corners[kept[:, 0]] + kept[:, 1:] * h
-        g, h, wrap = 2, h / 2.0, False
-    children = corners[:, None, :] + np.indices((2,) * n).reshape(n, -1).T * h
-    centres = children.reshape(-1, n) + h / 2.0
+        corners = np.argwhere(signs.all(axis=0))[:, 1:] * h
+        h /= 2.0
+    # Child c of a kept cell reads the points samples[c] of its 5^n lattice.
+    children = np.indices((2,) * n).reshape(n, -1)
+    offsets = 2 * children[:, :, None] + np.indices((3,) * n).reshape(n, 1, -1)
+    samples = np.ravel_multi_index(tuple(offsets), (5,) * n)
+    children = children.T
+    # -scale and +scale: a child is kept when the largest of -v and of v,
+    # over its samples, is >= 0 for every component v.
+    signed = np.multiply.outer([-1.0, 1.0], scales.reshape(n, 1, 1))
+    while corners.size and h >= 1e-11:
+        values = stack.lattice(corners, h / 2.0, 5).reshape(n, len(corners), -1) * signed
+        reach = np.maximum.reduce(values[..., samples], axis=-1)  # (sign, component, block, child)
+        keep = np.logical_and.reduce(reach >= 0.0, axis=(0, 1))
+        corners = (corners[:, None, :] + children * h)[keep]
+        h /= 2.0
+    centres = (corners[:, None, :] + children * h).reshape(-1, n) + h / 2.0
     order = np.lexsort(centres.T[::-1])
     return _torus_dedup(centres[order] % 1.0)
 

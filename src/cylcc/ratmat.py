@@ -10,16 +10,22 @@ by the common pivot ``d`` are the reduced row echelon form.  Span
 coordinates of several vectors come from one elimination of the basis
 augmented by all of them, as integer numerators over ``d``.  Callers
 that hold integer rows already, as ``orientation`` does, call the core
-directly.  Everything is exact; no floats enter or leave.
+directly.  Everything is exact; no floats enter or leave.  Integral
+entries of other types, such as numpy integers, are taken as Python ints
+first (``_exact``), so no product wraps at 64 bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
+
+# Entry types taken as they are; ``_exact`` converts any other integral type.
+_EXACT = frozenset((int, Fraction))
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
@@ -60,11 +66,12 @@ def mat_mul_shaped(
     by one lcm, so the sums run on integers and each entry becomes a
     Fraction once.
     """
+    b = [_exact(row) for row in b]
     b_den = math.lcm(*(x.denominator for row in b for x in row))
     b_int = [[x.numerator * (b_den // x.denominator) for x in row] for row in b]
     zero = Fraction(0)
     out = []
-    for arow in a:
+    for arow in map(_exact, a):
         a_den = math.lcm(*(x.denominator for x in arow))
         acc = [0] * ncols
         for x, brow in zip(arow, b_int):
@@ -104,12 +111,24 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     return [list(a[i]) + list(b[i]) for i in range(len(a))]
 
 
+def _exact(row: Sequence) -> Sequence:
+    """``row`` with every entry an int or a Fraction.
+
+    Other integral entries, such as numpy integers, become ints through
+    ``operator.index``: their own products would wrap at 64 bits.
+    """
+    if _EXACT.issuperset(map(type, row)):
+        return row
+    return [x if isinstance(x, (int, Fraction)) else operator.index(x) for x in row]
+
+
 def _clear(row: Sequence) -> Tuple[List[int], int]:
     """``row`` times the lcm of its denominators, as integers, and that lcm.
 
-    Entries are ints or Fractions.  The lcm is positive, so a cleared row
-    spans the same line, pointing the same way.
+    Entries are integral or Fractions (see ``_exact``).  The lcm is
+    positive, so a cleared row spans the same line, pointing the same way.
     """
+    row = _exact(row)
     lcm = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (lcm // x.denominator) for x in row], lcm
 

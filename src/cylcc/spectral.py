@@ -266,7 +266,9 @@ class StencilOperator:
         (A v)_j = -j0 (v_{j+1} - v_{j-1}) / (2h) - S v_j,
 
     with v_n = wrap v_0 and v_{-1} = wrap v_{n-1}; wrap is -1 for the
-    antiperiodic model and 1 otherwise.
+    antiperiodic model and 1 otherwise.  Loops may also be given as an
+    (n, 2, k) array, v[j, :, i] the value of loop i at j h, in any memory
+    layout; the result then has that shape.
     """
 
     grid_size: int
@@ -278,14 +280,30 @@ class StencilOperator:
         return (2 * self.grid_size, 2 * self.grid_size)
 
     def __matmul__(self, v) -> np.ndarray:
-        """A v for a vector of length 2n, or for each column of a (2n, k) block."""
+        """A v for a vector of length 2n, or for each column of a (2n, k) block.
+
+        Each component of the result is formed in place in one output
+        array laid out in memory as ``v`` is, with no padded copy of
+        ``v``: the centred difference of the other component (its two
+        wrapped rows on their own), scaled by n/2 or -n/2, less its row
+        of S v.
+        """
         v = np.asarray(v, dtype=float)
-        loops = v.reshape(self.grid_size, 2, -1)
-        ext = np.concatenate([self.wrap * loops[-1:], loops, self.wrap * loops[:1]])
-        d0, d1 = ((ext[2:] - ext[:-2]) * (0.5 * self.grid_size)).transpose(1, 0, 2)
-        (s00, s01), (s10, s11) = self.s_matrix
-        x, y = loops[:, 0], loops[:, 1]  # -j0 d - S v = (d_1, -d_0) - S v
-        out = np.stack([d1 - (s00 * x + s01 * y), -d0 - (s10 * x + s11 * y)], axis=1)
+        n, wrap = self.grid_size, self.wrap
+        loops = v.reshape(n, 2, -1)
+        out = np.empty_like(loops)
+        x, y = loops[:, 0], loops[:, 1]
+        term = np.empty_like(x)
+        # -j0 d - S v = (d_1, -d_0) - S v
+        for row, other, half, s_row in zip(
+            out.transpose(1, 0, 2), (y, x), (0.5 * n, -0.5 * n), self.s_matrix
+        ):
+            np.subtract(other[2:], other[:-2], out=row[1:-1])
+            row[0] = (other[1] if n > 1 else wrap * other[0]) - wrap * other[-1]
+            row[-1] = wrap * other[0] - (other[-2] if n > 1 else wrap * other[-1])
+            row *= half
+            for s, z in zip(s_row, (x, y)):
+                row -= np.multiply(s, z, out=term)
         return out.reshape(v.shape)
 
     def toarray(self) -> np.ndarray:
@@ -331,10 +349,20 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
     these are the loops a cos(2 pi m t) - b sin(2 pi m t) and
     b cos(2 pi m t) + a sin(2 pi m t), returned as :class:`TrigLoop`
     scaled to unit discrete L^2 on the grid, which for 0 <= m < n/4 is
-    unit L^2 over one period.  A winding is :func:`winding_number` of the
-    loop's grid samples over one loop period, None where that fails.
-    Every returned pair is certified against the stencil operator,
-    ||Av - lambda v|| <= 1e-7 (1 + |lambda|), or NumericError is raised.
+    unit L^2 over one period.
+
+    The grid samples of all chosen modes fill one buffer, once: the cos
+    and sin rows of the few distinct frequencies times each mode's
+    coefficients, one matrix product.  The buffer is read in place for
+    the rest.  Its sums of squares give the scales.  Its rows give the
+    windings: a winding is that of the loop's samples over one loop
+    period (:func:`winding_number`), None where that fails; an
+    antiperiodic loop over two periods is its grid samples followed by
+    their negatives, so the grid samples alone decide it (``_windings``
+    with wrap -1).  Viewed as the stencil's (grid, 2, count) loops it is
+    certified: every returned pair satisfies
+    ||Av - lambda v|| <= 1e-7 (1 + |lambda|) ||v||, or NumericError is
+    raised (also when a residual is not a number).
     Its sign is certified as well: B_m differs from the continuum block
     (sigma_m replaced by 2 pi m) by |2 pi m - sigma_m| in norm, so when
     |lambda| is no larger than that the continuum eigenvalue may have the
@@ -347,7 +375,11 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
     sigma increasing, holds a smaller |lambda|; the slack absorbs rounding.
     """
     check_size("grid_size", grid_size, 64)
-    if not isinstance(count, numbers.Integral) or not 1 <= count <= grid_size // 4:
+    if (
+        not isinstance(count, numbers.Integral)
+        or isinstance(count, bool)
+        or not 1 <= count <= grid_size // 4
+    ):
         raise DomainError(f"count must be an integer in [1, grid_size/4], got {count!r}")
 
     n = grid_size
@@ -394,21 +426,30 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
     imag = parts[:, None] == 1
     cos_coeff = np.where(imag, u.imag, u.real)
     sin_coeff = np.where(imag, u.real, -u.imag)
-    # The phase 2 pi m j / n is pi (2m j mod 2n) / n, with 2m an integer.
-    turns = np.outer((2 * freqs[blocks]).astype(int), np.arange(round(n * kind.loop_period)))
-    turns %= 2 * n
+    # One product of the modes' weights with the cos/sin rows of the
+    # distinct frequencies fills the grid samples of every mode:
+    # samples[c, i, j] is component c of mode i at t = j / n.  The phase
+    # 2 pi m j / n is pi (2m j mod 2n) / n, with 2m an integer.
+    doubled, which = np.unique((2 * freqs[blocks]).astype(int), return_inverse=True)
     angles = np.arange(2 * n) * (math.pi / n)
-    xy = np.cos(angles)[turns] * cos_coeff.T[:, :, None]  # (component, mode, t)
-    xy += np.sin(angles)[turns] * sin_coeff.T[:, :, None]
-    scale = math.sqrt(n) / np.sqrt(np.vecdot(xy[..., :n], xy[..., :n]).sum(axis=0))
-    xy *= scale[:, None]  # unit discrete L^2
+    turns = np.multiply.outer(doubled, np.arange(n)) % (2 * n)
+    rows = np.take([np.cos(angles), np.sin(angles)], turns, axis=1)  # (cos/sin, frequency, j)
+    weights = np.zeros((2, count, 2, len(doubled)))  # (component, mode, cos/sin, frequency)
+    weights[:, np.arange(count), 0, which] = cos_coeff.T
+    weights[:, np.arange(count), 1, which] = sin_coeff.T
+    samples = (weights.reshape(2 * count, -1) @ rows.reshape(-1, n)).reshape(2, count, n)
+    del angles, turns, rows  # lowers the peak memory of what follows
+    norms = np.sqrt(np.einsum("cij,cij->i", samples, samples))
+    scale = math.sqrt(n) / norms  # unit L^2
 
-    windings = [None if isinstance(w, Exception) else w for w in _windings(*xy)]
-    on_grid = np.stack(xy[..., :n], axis=2).reshape(count, 2 * n).T / math.sqrt(n)
-    del turns, xy  # lowers the peak memory of the residual certificate
     a = finite_difference_operator(kind.kind, kind.eps, n)
-    residuals = np.linalg.norm(a @ on_grid - on_grid * lams, axis=0)
-    if np.any(residuals > 1e-7 * (1.0 + np.abs(lams))):
+    windings = [None if isinstance(w, Exception) else w for w in _windings(*samples, a.wrap)]
+    on_grid = samples.transpose(2, 0, 1)  # the stencil's (grid, 2, count) loops
+    residual = a @ on_grid
+    on_grid *= lams  # the samples are not read again
+    residual -= on_grid
+    residuals = np.sqrt(np.einsum("jci,jci->i", residual, residual)) / norms
+    if not np.all(residuals <= 1e-7 * (1.0 + np.abs(lams))):
         raise NumericError(
             "eigensolve residuals exceed tolerance", residuals=residuals.tolist()
         )
@@ -424,35 +465,58 @@ def numeric_spectrum(kind: OperatorKind, grid_size: int, count: int) -> Spectrum
     return SpectrumTable(kind, tuple(entries))
 
 
-def _windings(x: np.ndarray, y: np.ndarray) -> Iterator:
+def _windings(x: np.ndarray, y: np.ndarray, wrap: float = 1.0) -> Iterator:
     """Winding about the origin of each closed curve sampled as a row of x and y.
+
+    The steps run from each sample to the next and from the last to
+    ``wrap`` times the first.  With wrap = 1 a row is a closed curve;
+    with wrap = -1 it is the first half of one whose second half is the
+    row negated (an antiperiodic loop over two periods), whose steps,
+    and so whose total, count twice.
 
     Each gets its winding or the error it fails on: a non-finite sample
     (ValidationError), a sample at the origin, an angular step of pi or
-    more, or a non-integral total (IllConditionedInputError).
+    more, or a non-integral total (IllConditionedInputError).  The first
+    three rules are screened for all rows at once: a row passes when the
+    max-norm radii of its samples are all positive and finite (0 only at
+    the origin, finite only for finite samples) and its reduced steps
+    all lie strictly within pi (1 - 1e-12).  Only a row that fails the
+    screen is searched for the sample it fails on.
 
     The last rule is a guard only.  The raw angle steps of a closed row,
     the last one back to the first sample, sum to 0, and bringing a step
     into [-pi, pi) adds a multiple of 2 pi, so the total is an integer up
     to the rounding of the sum: no finite input is known to fail it.
     """
-    finite = np.isfinite(x) & np.isfinite(y)
-    origin = (x == 0.0) & (y == 0.0)
+    radii = np.abs(x)
+    np.maximum(radii, abs(y), out=radii)
+    fine = (radii.min(axis=1) > 0.0) & (radii.max(axis=1) < math.inf)
+    del radii
     angles = np.arctan2(y, x)
-    steps = np.diff(angles, axis=1, append=angles[:, :1])
-    steps[steps >= math.pi] -= TWO_PI  # into [-pi, pi)
-    steps[steps < -math.pi] += TWO_PI
-    firsts = np.argmin(finite, axis=1), np.argmax(origin, axis=1), np.argmax(abs(steps), axis=1)
-    for row, (bad, zero, jump) in enumerate(zip(*firsts)):
-        total = steps[row].sum() / TWO_PI
-        if not finite[row, bad]:
-            sample = (x[row, bad].item(), y[row, bad].item())
-            yield ValidationError(f"sample {bad} is not finite: {sample}")
-        elif origin[row, zero]:
-            yield IllConditionedInputError(f"sample {zero} lies at the origin")
-        elif abs(steps[row, jump]) >= math.pi * (1.0 - 1e-12):
-            reason = f"angular jump of {steps[row, jump]:.6f} rad at step {jump} is >= pi"
-            yield IllConditionedInputError(reason)
+    steps = np.empty(angles.shape)
+    flat = angles.ravel()
+    np.subtract(flat[1:], flat[:-1], out=steps.ravel()[:-1])  # the last column is set next
+    np.subtract(np.arctan2(wrap * y[:, 0], wrap * x[:, 0]), angles[:, -1], out=steps[:, -1])
+    del angles, flat
+    np.subtract(steps, TWO_PI, out=steps, where=steps >= math.pi)  # into [-pi, pi)
+    np.add(steps, TWO_PI, out=steps, where=steps < -math.pi)
+    totals = steps.sum(axis=1) * (1 if wrap > 0 else 2) / TWO_PI
+    limit = math.pi * (1.0 - 1e-12)
+    fine &= (steps.max(axis=1) < limit) & (steps.min(axis=1) > -limit)
+    for row, (total, ok) in enumerate(zip(totals.tolist(), fine.tolist())):
+        if not ok:
+            finite = np.isfinite(x[row]) & np.isfinite(y[row])
+            origin = (x[row] == 0.0) & (y[row] == 0.0)
+            if not finite.all():
+                bad = np.argmin(finite)
+                sample = (x[row, bad].item(), y[row, bad].item())
+                yield ValidationError(f"sample {bad} is not finite: {sample}")
+            elif origin.any():
+                yield IllConditionedInputError(f"sample {np.argmax(origin)} lies at the origin")
+            else:
+                jump = np.argmax(abs(steps[row]))
+                reason = f"angular jump of {steps[row, jump]:.6f} rad at step {jump} is >= pi"
+                yield IllConditionedInputError(reason)
         elif abs(total - round(total)) > 1e-6:
             yield IllConditionedInputError(f"winding {total} is not integral")
         else:

@@ -391,10 +391,11 @@ def fd_selection_oracle(kind, grid_size, count):
     and ``count - count // 2`` nonnegative ones, a sign short of modes
     giving its remainder to the other; one stable sort per sign, ties in
     (block, column, part) order.  Returns the indices, the eigenvalues,
-    the frequency m of each chosen block, and each mode's grid samples:
+    the frequency m of each chosen block, each mode's grid samples:
     Re (part 0) or Im (part 1) of e^{2 pi i m t} u at t = j/n, scaled to
     unit discrete L^2, with u at m = 0 turned so its largest entry is
-    real and positive.
+    real and positive; and each mode as the coefficients (A, B) of
+    A cos(2 pi m t) + B sin(2 pi m t) under the same scale.
     """
     n = grid_size
     freqs = np.arange(n) + (0.5 if kind.antiperiodic else 0.0)
@@ -416,7 +417,7 @@ def fd_selection_oracle(kind, grid_size, count):
     take_neg = min(len(neg), count - take_pos)
     chosen = neg[:take_neg][::-1] + pos[:take_pos]
     ts = np.arange(n) / n
-    samples = []
+    samples, loops = [], []
     for b, c, p in chosen:
         u = vecs[b, :, c]
         if freqs[b] == 0:
@@ -424,6 +425,11 @@ def fd_selection_oracle(kind, grid_size, count):
             u = u * np.conj(big) / abs(big)
         z = np.exp(2j * math.pi * freqs[b] * ts)[:, None] * u
         f = z.imag if p else z.real
-        samples.append(f * math.sqrt(n) / np.linalg.norm(f))
+        scale = math.sqrt(n) / np.linalg.norm(f)
+        samples.append(f * scale)
+        # Re e^{i theta} u = a cos - b sin, Im e^{i theta} u = b cos + a sin
+        coeffs = (u.imag, u.real) if p else (u.real, -u.imag)
+        loops.append(tuple(x * scale for x in coeffs))
     indices = list(range(-take_neg, 0)) + list(range(1, take_pos + 1))
-    return indices, [float(vals[m[:2]]) for m in chosen], [freqs[m[0]] for m in chosen], samples
+    lams = [float(vals[m[:2]]) for m in chosen]
+    return indices, lams, [freqs[m[0]] for m in chosen], samples, loops

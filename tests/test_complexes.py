@@ -20,7 +20,6 @@ from cylcc.complexes import (
     OrbitRecord,
     chain_homotopy_check,
     chain_map_check,
-    consistent_random_dataset,
     differential_matrix,
     direct_limit,
     graded_map_from_dataset,
@@ -34,6 +33,7 @@ from cylcc.dataio import bundled_path, read_dataset
 from cylcc.errors import DatasetError, DomainError, IntegerCoefficientWarning, ValidationError
 from cylcc.indices import ReebOrbit
 
+from .datasets import consistent_random_dataset
 from .oracles import chain_homotopy_oracle, chain_map_oracle, d_squared_oracle
 
 F = Fraction

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import random
 import re
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -912,6 +913,29 @@ class TestZeroLocus:
                 assert len(zeros) == len(oracle)
                 assert np.allclose(zeros, oracle, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "name, n_cells, sliced_calls", [("evmap_k2.txt", 8192, 997), ("evmap_k3.txt", 64, 1169)]
+    )
+    def test_scan_levels_take_few_calls(self, name, n_cells, sliced_calls):
+        # Python and C function calls inside one scan, as sys.setprofile
+        # sees them.  Levels that read their cells' signs through window
+        # slices and argwhere took about 30 calls each around the lattice,
+        # sliced_calls in all; one lattice and one gather of the children's
+        # samples per level must take at most 60% of that.
+        spec = bundled_spec(name)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        sys.setprofile(count)
+        try:
+            evaluation._scan_zeros(spec, 60.0, n_cells)
+        finally:
+            sys.setprofile(None)
+        assert calls <= 0.6 * sliced_calls
+
     def test_torus_scan_evaluates_each_lattice_point_once(self, monkeypatch):
         # Sampling each cell's 3x3 grid separately took 9 * 64^2 = 36,864
         # points per component on the first level, for 128^2 distinct ones.
@@ -933,7 +957,7 @@ class TestSearchSizes:
         "s0_zero_locus_check": lambda spec, **size: s0_zero_locus_check(spec, [60.0], **size),
     }
 
-    @pytest.mark.parametrize("value", [-5, 0, 100.5, 2048.5, "64", None])
+    @pytest.mark.parametrize("value", [-5, 0, 100.5, 2048.5, "64", None, True, False])
     @pytest.mark.parametrize(
         "call, name, map_name",
         [

@@ -9,6 +9,7 @@ from a seeded generator, one family per kind.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -200,6 +201,29 @@ def test_inputs_left_unchanged():
     ratmat.mat_mul(a, a)
     assert a == before
     assert vectors == [[F(1), F(1)], [F(1, 3), F(0)]]
+
+
+def test_numpy_integer_entries_past_64_bits():
+    # np.int64 entries used to be multiplied as np.int64 and wrap: det gave
+    # 1099511627761 and the product's first entry 15 (tier-1 turns the
+    # overflow RuntimeWarning into an error).  Every answer must equal the
+    # one for the same entries as Python ints.
+    big = [[2**40, 3], [5, 2**40 + 1]]
+    wide = [[np.int64(x) for x in row] for row in big]
+    assert ratmat.det(wide) == ratmat.det(big) == 2**80 + 2**40 - 15
+    assert ratmat.mat_mul(wide, wide) == ratmat.mat_mul(big, big)
+    assert ratmat.mat_mul(wide, wide)[0][0] == 2**80 + 15
+    assert ratmat.mat_mul(wide, big) == ratmat.mat_mul(big, wide) == ratmat.mat_mul(big, big)
+    dependent = [[2**62, 3 * 2**61], [2**61, 3 * 2**60]]
+    as_numpy = [[np.int64(x) for x in row] for row in dependent]
+    assert ratmat.rank(as_numpy) == ratmat.rank(dependent) == 1
+    assert ratmat.nullspace(as_numpy) == ratmat.nullspace(dependent) == [[F(-3, 2)], [F(1)]]
+    vectors = [[np.int64(2**62), np.int64(7)], [np.int64(-(2**63)), np.int64(0)]]
+    plain = [[int(x) for x in v] for v in vectors]
+    assert ratmat.solve_coordinates(wide, vectors) == ratmat.solve_coordinates(big, plain)
+    assert ratmat.solve_coordinates(wide, vectors) is not None
+    mixed = [[np.int32(3), F(1, 2)], [np.uint64(2**63 + 1), True]]
+    assert ratmat.det(mixed) == 3 - F(2**63 + 1, 2)
 
 
 def test_mat_mul_matches_shaped_product():

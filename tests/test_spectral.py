@@ -304,7 +304,7 @@ PREFIX_KINDS = [
 
 
 def assert_matches_selection_oracle(kind, grid, count):
-    indices, lams, freqs, samples = fd_selection_oracle(kind, grid, count)
+    indices, lams, freqs, samples, _ = fd_selection_oracle(kind, grid, count)
     table = numeric_spectrum(kind, grid, count)
     assert table.indices == indices
     assert [e.eigenvalue for e in table.entries] == lams
@@ -341,8 +341,77 @@ class TestBlockPrefix:
             assert_matches_selection_oracle(kind, grid, count)
 
 
+SAMPLED_KINDS = [
+    *(OperatorKind.elliptic(eps) for eps in (0.3, 1.0, 2.5, 4.5, 6.0)),
+    *(OperatorKind(name, eps) for name in ("pos_hyperbolic", "neg_hyperbolic")
+      for eps in (0.05, 0.2, 0.4, 0.7, 1.0)),
+]
+
+
+class TestSampleBuffer:
+    """The loops, windings and residual certificate read off one sample buffer."""
+
+    @pytest.mark.parametrize("grid", [64, 128, 256, 1024, 2048, 4096])
+    @pytest.mark.parametrize("kind", SAMPLED_KINDS, ids=lambda k: f"{k.kind}-{k.eps}")
+    def test_entries_match_oracle(self, kind, grid):
+        # Oracle: every block solved, each loop scaled from its own samples
+        # and wound over one loop period from its own coefficients.
+        count = 8
+        indices, lams, freqs, _, loops = fd_selection_oracle(kind, grid, count)
+        table = numeric_spectrum(kind, grid, count)
+        assert table.indices == indices
+        assert [e.eigenvalue for e in table.entries] == lams
+        ts = np.arange(round(grid * kind.loop_period)) / grid
+        for entry, freq, (cos_c, sin_c) in zip(table.entries, freqs, loops):
+            loop = entry.eigenfunction
+            assert loop.omega == 2.0 * math.pi * freq and loop.period == kind.loop_period
+            expected = np.concatenate([cos_c, sin_c])
+            got = np.concatenate([loop.cos_coeff, loop.sin_coeff])
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+            phase = loop.omega * ts
+            curve = np.outer(np.cos(phase), cos_c) + np.outer(np.sin(phase), sin_c)
+            try:
+                winding = winding_number(curve)
+            except IllConditionedInputError:
+                winding = None
+            assert entry.winding == winding
+
+    def test_planted_eigenvalue_error_fails_residual(self, monkeypatch):
+        # lambda_1 = eps = 0.3 sits in block 0, where the symbol error is 0,
+        # so only the stencil residual, ~1e-6 against 1.3e-7, can reject it.
+        kind = OperatorKind.pos_hyperbolic(0.3)
+        eigh = np.linalg.eigh
+
+        def planted(a):
+            vals, vecs = eigh(a)
+            vals = vals.copy()
+            vals[0, 1] += 1e-6
+            return vals, vecs
+
+        assert numeric_spectrum(kind, 256, 4).eigenvalue(1) == 0.3
+        monkeypatch.setattr(np.linalg, "eigh", planted)
+        with pytest.raises(NumericError, match="residuals exceed tolerance") as info:
+            numeric_spectrum(kind, 256, 4)
+        assert max(info.value.residuals) == pytest.approx(1e-6, rel=1e-3)
+
+    def test_windings_on_mode_views(self):
+        # numeric_spectrum hands _windings the (mode, component, sample)
+        # buffer as strided rows; a sample at the origin (here -0.0, 0.0)
+        # still fails its own row only, which the spectrum reports as None.
+        turn = 2.0 * math.pi * np.arange(64) / 64
+        buffer = np.empty((4, 2, 64))
+        for mode, w in enumerate((1, -2, 3, 1)):
+            buffer[mode] = np.cos(w * turn), np.sin(w * turn)
+        buffer[1, :, 10] = -0.0, 0.0
+        buffer[2, :, 5] = 5e-324, 0.0  # subnormal, not the origin
+        out = list(_windings(buffer[:, 0], buffer[:, 1]))
+        assert out[0] == 1 and out[2] == 3 and out[3] == 1
+        assert isinstance(out[1], IllConditionedInputError)
+        assert str(out[1]) == "sample 10 lies at the origin"
+
+
 class TestSizes:
-    @pytest.mark.parametrize("size", [0, -3, 2.5])
+    @pytest.mark.parametrize("size", [0, -3, 2.5, True])
     def test_operator_grid_size(self, size):
         with pytest.raises(DomainError, match="grid_size must be an integer"):
             finite_difference_operator("elliptic", 0.5, size)
@@ -354,6 +423,11 @@ class TestSizes:
             numeric_spectrum(kind, 64.7, 2)
         with pytest.raises(DomainError, match="count must be an integer"):
             numeric_spectrum(kind, 128, 2.5)
+        # bool is an int subclass; unchecked, True reached numpy as a size.
+        with pytest.raises(DomainError, match="count must be an integer"):
+            numeric_spectrum(kind, 128, True)
+        with pytest.raises(DomainError, match="grid_size must be an integer"):
+            numeric_spectrum(kind, True, 1)
 
     def test_numpy_integers_accepted(self):
         kind = OperatorKind.pos_hyperbolic(0.3)
@@ -367,6 +441,8 @@ class TestSizes:
             gram_matrix(table, 2.5)
         with pytest.raises(DomainError, match="quad_points must be an integer"):
             gram_matrix(table, 1)
+        with pytest.raises(DomainError, match="quad_points must be an integer"):
+            gram_matrix(table, True)
 
 
 class TestWinding:

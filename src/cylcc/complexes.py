@@ -257,14 +257,14 @@ class GradedRationalComplex:
     ``blocks[g]`` is the matrix of the differential C_g -> C_{g-1}, with
     columns indexed by ``generators[g]`` and rows by ``generators[g-1]``.
     Missing blocks are zero.  Blocks are read-only once the complex is
-    built: :func:`homology` of a complex from :func:`differential_matrix`
-    reads its dataset's filtration, not these rows.
+    built: :func:`verify_d_squared` and :func:`homology` read the
+    complex's filtration, not these rows.
     """
 
     generators: Dict[int, Tuple[str, ...]]
     blocks: Dict[int, ratmat.Matrix]
-    # (filtration, k) when differential_matrix cut the complex from its
-    # dataset's filtration (k None: uncut); None for a complex built by hand.
+    # (filtration, k): the complex is the cut at k (None: uncut) of its
+    # dataset's filtration, or of itself, made on first use by _filtered.
     _cut: Optional[Tuple["_Filtration", int]] = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -285,6 +285,14 @@ class GradedRationalComplex:
 
     def dim(self, g: int) -> int:
         return len(self.generators.get(g, ()))
+
+    def _filtered(self) -> Tuple["_Filtration", Optional[int]]:
+        """``(filtration, k)``: this complex is the cut at k of the filtration."""
+        if self._cut is None:
+            actions = {oid: 0 for ids in self.generators.values() for oid in ids}
+            filtration = _Filtration(self.generators, self.blocks, actions)
+            object.__setattr__(self, "_cut", (filtration, None))
+        return self._cut
 
     @property
     def differential(self) -> "GradedMap":
@@ -309,14 +317,14 @@ def differential_matrix(
     action_max: Optional[Fraction] = None,
     side: Optional[str] = None,
     stage: Optional[int] = None,
-    audit: bool = True,
 ) -> GradedRationalComplex:
     """Assemble the differential from index-1 curve counts.
 
     Entry (gamma', gamma) is the summed signed count of curves from gamma
     to gamma' divided by m(gamma'), restricted to orbits of action below
-    ``action_max``.  Non-integer coefficients only trigger a warning: the
-    integrality of true data is a theorem, not an input invariant.
+    ``action_max``.  Non-integer coefficients only trigger an
+    ``IntegerCoefficientWarning``: the integrality of true data is a
+    theorem, not an input invariant.
 
     The full complex of each (``side``, ``stage``) is assembled once per
     dataset.  Since d strictly lowers action, the generators below
@@ -336,7 +344,7 @@ def differential_matrix(
         dataset._filtrations[(side, stage)] = filtration
     k = None if action_max is None else filtration.below(action_max)
     generators, blocks, nonintegral = filtration.cut(k)
-    if audit and nonintegral:
+    if nonintegral:
         _warn_nonintegral(LEVEL_SYMPLECTIZATION, nonintegral)
     cx = GradedRationalComplex(generators, blocks)
     object.__setattr__(cx, "_cut", (filtration, k))
@@ -357,7 +365,8 @@ class _Filtration:
     below k, so one elimination per block ranks every cut.  The cut
     k = None keeps everything.  The order, the d^2 product and the
     elimination are computed on first use.  A complex built by hand is
-    its own filtration, with every action 0, and is never cut.
+    its own filtration, with every action 0, and is never cut
+    (``GradedRationalComplex._filtered``).
     """
 
     def __init__(self, generators, blocks, action, counts=(), nonintegral=()):
@@ -663,22 +672,20 @@ def graded_map_from_dataset(
     target: GradedRationalComplex,
     level: str,
     tag: Optional[str] = None,
-    audit: Optional[bool] = None,
 ) -> GradedMap:
     """Assemble a chain map (cobordism) or homotopy map (k levels).
 
     Curves are matched by level and, when given, by tag.  Coefficients
-    carry the 1/m(target) weight.  Cobordism coefficients are audited for
-    integrality; homotopy maps are genuinely rational and are not.
+    carry the 1/m(target) weight.  A non-integer cobordism coefficient
+    triggers an ``IntegerCoefficientWarning``; homotopy maps are
+    genuinely rational and are not checked.
     """
     if level not in (LEVEL_COBORDISM, LEVEL_K_PLUS, LEVEL_K_MINUS):
         raise ValidationError(f"graded maps come from cobordism or k levels, not {level}")
-    if audit is None:
-        audit = level == LEVEL_COBORDISM
     blocks, _, nonintegral = _assemble(
         dataset, level, tag, source.generators, target.generators
     )
-    if audit:
+    if level == LEVEL_COBORDISM:
         _warn_nonintegral(level, nonintegral)
     return GradedMap(
         source=source, target=target, degree=-LEVEL_GRADING_DROP[level], blocks=blocks
@@ -689,33 +696,26 @@ def verify_d_squared(cx: GradedRationalComplex) -> IdentityCheck:
     """Exact check that consecutive differential blocks compose to zero.
 
     On failure reports the first offending generator pair (gamma, gamma')
-    with gamma in the higher grading.  A complex cut from a dataset by
-    :func:`differential_matrix` reads the verdict off its dataset's
-    filtration, which squares the full differential once, as
-    :func:`homology` does; a complex built by hand is squared afresh.
+    with gamma in the higher grading.  The verdict is read off the
+    complex's filtration, which squares its differential once for this
+    and :func:`homology`: its dataset's for a complex from
+    :func:`differential_matrix`, else the complex itself.
     """
-    if cx._cut is None:
-        return cx.differential.compose(cx.differential).first_nonzero()
-    filtration, k = cx._cut
+    filtration, k = cx._filtered()
     return filtration.d_squared(cx, k)
 
 
 def homology(cx: GradedRationalComplex) -> Dict[int, int]:
     """Per-grading dimension of ker/im, by exact rational elimination.
 
-    Raises ValidationError unless d^2 = 0.  A complex cut from a dataset
-    by :func:`differential_matrix` reads both off its dataset's
-    filtration: since d lowers action, the cut's d^2 is the full d^2
-    restricted to it, and rank(d_g) of the cut counts the pivots below
-    the cut of one elimination of the full block, columns in action
-    order.  A complex built by hand is its own filtration, so each call
-    squares it and eliminates each block once.
+    Raises ValidationError unless d^2 = 0.  Both are read off the
+    complex's filtration (see :func:`verify_d_squared`): since d lowers
+    action, the cut's d^2 is the full d^2 restricted to it, and rank(d_g)
+    of the cut counts the pivots below the cut of one elimination of the
+    full block, columns in action order.  So a complex is squared and
+    each block eliminated once, however often it is asked.
     """
-    if cx._cut is None:
-        actions = {oid: 0 for ids in cx.generators.values() for oid in ids}
-        filtration, k = _Filtration(cx.generators, cx.blocks, actions), None
-    else:
-        filtration, k = cx._cut
+    filtration, k = cx._filtered()
     check = filtration.d_squared(cx, k)
     if not check.ok:
         raise ValidationError(
@@ -767,21 +767,17 @@ def chain_homotopy_check(
     )
 
 
-def side_complexes(dataset: ModuliDataset, action_max=None):
+def side_complexes(dataset: ModuliDataset):
     """The plus and minus differentials of a two-sided dataset."""
-    d_plus = differential_matrix(dataset, action_max=action_max, side="plus")
-    d_minus = differential_matrix(dataset, action_max=action_max, side="minus")
-    return d_plus, d_minus
+    return differential_matrix(dataset, side="plus"), differential_matrix(dataset, side="minus")
 
 
-def stage_sequence(dataset: ModuliDataset, action_max=None):
+def stage_sequence(dataset: ModuliDataset):
     """Per-stage complexes and the cobordism maps between them."""
     stages = dataset.stages
     if not stages:
         raise ValidationError("dataset carries no stage labels")
-    complexes = [
-        differential_matrix(dataset, action_max=action_max, stage=s) for s in stages
-    ]
+    complexes = [differential_matrix(dataset, stage=s) for s in stages]
     maps = [
         graded_map_from_dataset(
             dataset, complexes[i], complexes[i + 1], LEVEL_COBORDISM
@@ -806,22 +802,22 @@ class DirectLimitResult:
 def direct_limit(
     stages: Sequence[GradedRationalComplex],
     maps: Sequence[GradedMap],
-    horizon: Optional[int] = None,
 ) -> DirectLimitResult:
-    """Images of each stage's homology in the horizon stage's homology.
+    """Images of each stage's homology in the last stage's homology.
 
-    For each grading the sequence dim im(H(stage i) -> H(horizon)) is
-    reported for i = 1..horizon; the value is declared stable when the
-    last two stages agree.
+    For each grading the sequence dim im(H(stage i) -> H(last stage)) is
+    reported for every stage i; the value is declared stable when the
+    last two stages agree.  Raises ValidationError for an empty stage
+    list, and unless ``maps`` holds a chain map between each two
+    consecutive stages.
     """
-    if horizon is None:
-        horizon = len(stages)
-    if not 1 <= horizon <= len(stages):
-        raise ValidationError("horizon must index an available stage")
-    if len(maps) < horizon - 1:
+    n = len(stages)
+    if not n:
+        raise ValidationError("a direct limit needs at least one stage")
+    if len(maps) < n - 1:
         raise ValidationError("need a chain map between each consecutive stage")
 
-    for i in range(horizon - 1):
+    for i in range(n - 1):
         check = chain_map_check(stages[i], stages[i + 1], maps[i])
         if not check.ok:
             raise ValidationError(
@@ -829,18 +825,18 @@ def direct_limit(
                 f"(fails at {check.pair}, grading {check.grading})"
             )
 
-    last = stages[horizon - 1]
-    # to_last[i] maps stage i + 1 to the horizon stage; None for the horizon.
+    last = stages[-1]
+    # to_last[i] maps stage i + 1 to the last stage; None for the last.
     to_last = [None]
-    for phi in reversed(maps[: horizon - 1]):
+    for phi in reversed(maps[: n - 1]):
         to_last.insert(0, phi if to_last[0] is None else to_last[0].compose(phi))
-    gradings = sorted({g for s in stages[:horizon] for g in s.gradings})
+    gradings = sorted({g for s in stages for g in s.gradings})
     dims_by_stage: Dict[int, Dict[int, int]] = {g: {} for g in gradings}
 
     for g in gradings:
         # A missing block is zero: its cycles are everything and its image
         # is 0, with nothing to eliminate.
-        boundary_in = last.block(g + 1)  # image of d at the horizon stage
+        boundary_in = last.block(g + 1)  # image of d at the last stage
         rank_in = ratmat.rank(boundary_in) if g + 1 in last.blocks else 0
         for stage_i, (cx, push) in enumerate(zip(stages, to_last), start=1):
             if last.dim(g) == 0 or cx.dim(g) == 0:
@@ -860,17 +856,15 @@ def direct_limit(
     value = {}
     stabilized_from: Dict[int, Optional[int]] = {}
     for g in gradings:
-        seq = [dims_by_stage[g][i] for i in range(1, horizon + 1)]
-        stable = len(seq) < 2 or seq[-1] == seq[-2]
-        stabilized[g] = stable
+        seq = list(dims_by_stage[g].values())  # stages 1..n in order
+        stabilized[g] = len(seq) < 2 or seq[-1] == seq[-2]
         value[g] = seq[-1]
-        if stable:
-            start = horizon
-            while start > 1 and dims_by_stage[g][start - 1] == seq[-1]:
+        start = None
+        if stabilized[g]:
+            start = n
+            while start > 1 and seq[start - 2] == seq[-1]:
                 start -= 1
-            stabilized_from[g] = start
-        else:
-            stabilized_from[g] = None
+        stabilized_from[g] = start
     return DirectLimitResult(
         dims_by_stage=dims_by_stage,
         stabilized=stabilized,

@@ -78,6 +78,14 @@ _ORIGIN_BLOCK = 8
 # Newton steps allowed to ``flow_normalize`` before it gives up.
 _FLOW_STEPS = 100
 
+# Damped Newton steps the cell search runs from each cell centre.
+_NEWTON_STEPS = 60
+
+# A pole preimage or crossing is transverse when |det J| >= _MIN_DET
+# there; a zero of s0 matches a pole preimage within _MATCH_DISTANCE.
+_MIN_DET = 1e-8
+_MATCH_DISTANCE = 1e-8
+
 
 @dataclass(frozen=True)
 class EndExpansion:
@@ -321,8 +329,8 @@ class _ComponentMap:
         values = self.evaluate(np.atleast_2d(theta))[0]
         return EndExpansion(tuple(self.lambdas), tuple(float(v) for v in values))
 
-    def normalized(self, theta, radius: float = 1.0) -> np.ndarray:
-        return flow_normalize(self.expansion_at(theta), radius)
+    def normalized(self, theta) -> np.ndarray:
+        return flow_normalize(self.expansion_at(theta))
 
 
 @dataclass(frozen=True)
@@ -422,11 +430,11 @@ def _linearize(stack: _Stack, x: np.ndarray):
     return values, np.array([[d, -b], [-c, a]]), a * d - b * c
 
 
-def _damped_newton(stack: _Stack, theta: np.ndarray, newton_steps: int):
+def _damped_newton(stack: _Stack, theta: np.ndarray):
     """Damped Newton for the common zeros of the stacked components from each row of ``theta``.
 
     Steps are shortened to length 0.25 when longer.  Only active points
-    are iterated, for at most ``newton_steps`` steps.  A point leaves the
+    are iterated, for at most ``_NEWTON_STEPS`` steps.  A point leaves the
     active set when its Newton step is at most 1e-12 (it has converged)
     or when its Jacobian determinant is below 1e-14 in magnitude (it is
     lost).  Returns the end points and the mask of points not lost.
@@ -434,7 +442,7 @@ def _damped_newton(stack: _Stack, theta: np.ndarray, newton_steps: int):
     theta = theta.copy()
     singular = np.zeros(len(theta), dtype=bool)
     active = np.arange(len(theta))
-    for _ in range(newton_steps):
+    for _ in range(_NEWTON_STEPS):
         if not active.size:
             break
         t = theta[active]
@@ -482,7 +490,7 @@ def _kantorovich(stack: _Stack, x: np.ndarray):
     return ok, exist, unique
 
 
-def _cell_zeros(stack: _Stack, n_cells: int, newton_steps: int = 60):
+def _cell_zeros(stack: _Stack, n_cells: int):
     """Common zeros of the n stacked trig polynomials on R^n / Z^n, n = 1 or 2.
 
     A certified cell search.  It starts from the n_cells^n cells of
@@ -536,7 +544,7 @@ def _cell_zeros(stack: _Stack, n_cells: int, newton_steps: int = 60):
         cells = uncovered(cells, half)
         if not cells.size:
             break
-        ends, live = _damped_newton(stack, cells, newton_steps)
+        ends, live = _damped_newton(stack, cells)
         ends = np.mod(ends[live], 1.0)
         ok, t_exist, t_unique = _kantorovich(stack, ends)
         for ball in np.column_stack([ends, t_exist, t_unique])[ok].tolist():
@@ -575,14 +583,14 @@ def _torus_dedup(points: np.ndarray) -> List[Tuple[float, ...]]:
     return out
 
 
-def _signed_preimages(spec: EvMapSpec, axis: int, poles, n_scan, n_grid, degeneracy_tol):
+def _signed_preimages(spec: EvMapSpec, axis: int, poles, n_scan, n_grid):
     """Preimages of the poles ``poles`` (+1, -1 or both) on ``axis``, with local signs.
 
     They are the common zeros of the other components, found by
     ``_cell_zeros`` from ``n_scan`` cells on the circle or ``n_grid``
     cells per axis on the torus; the sign of component ``axis`` at a zero
     names its pole.  A kept preimage must be transverse, |det J| >=
-    ``degeneracy_tol``, and its sign is that of det J, corrected for the
+    ``_MIN_DET``, and its sign is that of det J, corrected for the
     place of ``axis`` and the pole and by ``spec.orientation``.
 
     Returns the preimages sorted by parameter, and the search line
@@ -612,7 +620,7 @@ def _signed_preimages(spec: EvMapSpec, axis: int, poles, n_scan, n_grid, degener
         pole = 1 if value > 0 else -1
         if pole not in poles:
             continue
-        if abs(det) < degeneracy_tol:
+        if abs(det) < _MIN_DET:
             raise DegeneracyError(
                 f"preimage at {p} of the {pole:+d} pole on axis {axis} is not "
                 f"transverse (|det J| = {abs(det):.2e})",
@@ -629,7 +637,6 @@ def pole_preimages(
     pole_choice: str = "last_coordinate",
     n_scan: int = 8192,
     n_grid: int = 96,
-    degeneracy_tol: float = 1e-8,
 ) -> List[PolePreimage]:
     """All preimages of the two poles on the chosen axis, with local signs.
 
@@ -645,7 +652,7 @@ def pole_preimages(
     components' Lipschitz bounds or covered by a ball.  A cell still
     uncertified after ``_MAX_DEPTH`` subdivisions (near a degenerate or
     nearly double root) raises DegeneracyError naming the cells, and so
-    does a preimage with |det J| < ``degeneracy_tol``.  ``n_scan`` and
+    does a preimage with |det J| < 1e-8 (``_MIN_DET``).  ``n_scan`` and
     ``n_grid`` must be integers >= 1, or DomainError is raised.
 
     Both poles are regular values, so the signed count over each equals
@@ -655,7 +662,7 @@ def pole_preimages(
     certified, cells uncertified".
     """
     axis = _axis_index(spec, pole_choice)
-    out, search = _signed_preimages(spec, axis, (1, -1), n_scan, n_grid, degeneracy_tol)
+    out, search = _signed_preimages(spec, axis, (1, -1), n_scan, n_grid)
     north = sum(r.sign for r in out if r.pole == 1)
     south = sum(r.sign for r in out if r.pole == -1)
     if north != south:
@@ -717,7 +724,6 @@ def path_intersections(
     path: MeridianPath = MeridianPath(),
     n_scan: int = 8192,
     n_grid: int = 96,
-    degeneracy_tol: float = 1e-8,
 ) -> PathIntersections:
     """Signed crossings of the normalized map through the meridian midpoint.
 
@@ -727,7 +733,8 @@ def path_intersections(
     ``through_sign`` on axis ``through``, found and certified by the same
     cell search as in ``pole_preimages`` (``n_scan`` seed cells on the
     circle, ``n_grid`` per axis on the torus; each an integer >= 1, or
-    DomainError is raised).  For k = 2 the components of the arc preimage
+    DomainError is raised), and each must be transverse in the same
+    sense.  For k = 2 the components of the arc preimage
     are reported as well, with their endpoint pole data.
     """
     axis = _axis_index(spec, path.pole_axis)
@@ -745,25 +752,18 @@ def path_intersections(
                 f"declared singular image at parameters {p} lies on the meridian"
             )
 
-    kept, _ = _signed_preimages(
-        spec, path.through, (path.through_sign,), n_scan, n_grid, degeneracy_tol
-    )
+    kept, _ = _signed_preimages(spec, path.through, (path.through_sign,), n_scan, n_grid)
     crossings = [Crossing(p.params, p.sign) for p in kept]
 
     components: Tuple[ArcComponent, ...] = ()
     if spec.nvars == 1:
-        components = tuple(_arc_components(spec, path, crossings, n_scan, degeneracy_tol))
+        components = tuple(_arc_components(spec, path, crossings, n_scan))
     return PathIntersections(crossings=tuple(crossings), components=components)
 
 
-def _arc_components(spec, path, crossings, n_scan, degeneracy_tol):
+def _arc_components(spec, path, crossings, n_scan):
     """Components of {theta : normalized image on the chosen half circle}."""
-    poles = pole_preimages(
-        spec,
-        path.pole_axis,
-        n_scan=n_scan,
-        degeneracy_tol=degeneracy_tol,
-    )
+    poles = pole_preimages(spec, path.pole_axis, n_scan=n_scan)
     if not poles:
         return []
     through = spec.components[path.through]
@@ -813,12 +813,14 @@ class ZeroLocusReport:
 def s0_zero_locus_check(
     spec: EvMapSpec,
     T_grid: Sequence[float],
-    pole_choice: str = "last_coordinate",
-    tol: float = 1e-8,
     n_scan: int = 4096,
     n_cells: int = 128,
 ) -> ZeroLocusReport:
     """Zeros of the linearized section versus pole preimages, per T.
+
+    The poles are those on the last axis, as the section quotients by the
+    last cokernel element.  A zero matches a pole preimage within 1e-8
+    (``_MATCH_DISTANCE``) in the max-norm distance on the domain.
 
     The zero finder works directly on the scaled section values: it
     subdivides closed cells, ``n_scan`` seed cells on the circle and
@@ -832,23 +834,18 @@ def s0_zero_locus_check(
     which a section scale e^{-2 lambda_i T} underflows, or an ``n_scan``
     or ``n_cells`` that is not an integer >= 1 raises DomainError.
     """
-    if pole_choice != "last_coordinate":
-        raise ValidationError(
-            "the linearized section quotients by the last cokernel element; "
-            "use last_coordinate poles"
-        )
     if not all(0.0 < T < math.inf for T in T_grid):
         raise DomainError("the gluing parameter T must be finite and positive")
     check_size("n_scan", n_scan, 1)
     check_size("n_cells", n_cells, 1)
-    poles = pole_preimages(spec, pole_choice, n_scan=n_scan, n_grid=n_cells)
+    poles = pole_preimages(spec, n_scan=n_scan, n_grid=n_cells)
     pole_params = np.array([p.params for p in poles]).reshape(len(poles), spec.nvars)
     mismatches: List[ZeroLocusMismatch] = []
     for T in T_grid:
         zeros = _scan_zeros(spec, float(T), (n_scan, n_cells)[spec.nvars - 1])
         matched = np.zeros(len(poles), dtype=bool)
         for z in zeros:
-            near = np.flatnonzero(_torus_distance(pole_params, z) < tol)
+            near = np.flatnonzero(_torus_distance(pole_params, z) < _MATCH_DISTANCE)
             if near.size:
                 matched[near[0]] = True
             else:

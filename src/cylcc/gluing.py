@@ -38,7 +38,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_size
 from .spectral import OperatorKind, SpectrumTable, closed_form_spectrum
 
 # Simpson panels per ramp width in theta_residuals: the quadrature error
@@ -68,10 +68,9 @@ class NeckParams:
             raise DomainError(f"need T0 > 5r = {5.0 * self.r}")
         if self.T <= 2.0 * self.T0:
             raise DomainError(f"need T > 2*T0 = {2.0 * self.T0}")
-        if self.s_grid < 64:
-            raise DomainError("s_grid must be >= 64")
-        if self.t_modes < 1:
-            raise DomainError("t_modes must be >= 1")
+        for name, least in (("s_grid", 64), ("t_modes", 1)):
+            check_size(name, getattr(self, name), least)
+            object.__setattr__(self, name, int(getattr(self, name)))  # numpy ints become ints
 
     @property
     def ramp_width(self) -> float:
@@ -313,11 +312,9 @@ class NeckField:
         return self._anchored(i, s, 0.0)
 
     def mode_value(self, i: int, s) -> np.ndarray:
-        """b_i(s) e^{lambda_i s}, formed as (a + c R(s)) e^{lambda_i (s - anchor)}
-        by ``_times_exp``."""
-        mode = self.modes.get(i, _ZERO_MODE)
+        """b_i(s) e^{lambda_i s}: mode i anchored at s itself."""
         s = np.asarray(s, float)
-        return _times_exp(mode.value(s), self.spectrum.eigenvalue(i), s, mode.anchor)
+        return self._anchored(i, s, s)
 
     @property
     def mode_indices(self) -> List[int]:
@@ -604,14 +601,18 @@ def momo_check(
     return {"positive_mode_drift": drift, "endpoint_deviation": endpoint}
 
 
-def _check_pairing_inputs(
+def _case_b_pairing(
     T_minus: float,
     T_plus: float,
     cokernel: CokernelBasisModel,
     c_coeffs: Sequence[float],
     d_coeffs: Sequence[float],
-):
-    """The argument checks of the closed-form pairing and its oracle."""
+    top: float,
+    bottom: float,
+) -> np.ndarray:
+    """The case-B sums of ``two_sided_pairing``, the top one times
+    ``top`` and the bottom one times ``bottom``: the integrals of the two
+    ramp rates, 1.0 each in closed form."""
     if not (0.0 < T_minus < math.inf and 0.0 < T_plus < math.inf):
         raise DomainError("gluing parameters must be finite and positive")
     k = cokernel.k
@@ -621,6 +622,22 @@ def _check_pairing_inputs(
         raise ValidationError(f"need {k} bottom-end coefficients")
     if not all(map(math.isfinite, (*c_coeffs, *d_coeffs))):
         raise ValidationError("end coefficients must be finite")
+    lam_plus = [cokernel.spectrum_plus.eigenvalue(j) for j in range(1, k + 1)]
+    if cokernel.d is not None:
+        lam_minus = [cokernel.spectrum_minus.eigenvalue(j) for j in range(-k, 0)]
+    out = np.zeros(k - 1)
+    for i in range(1, k):
+        # sigma tail e^{-lam s} against c_j e^{lam (s - 2T_+)}
+        out[i - 1] = top * sum(
+            cokernel.c[i - 1][j] * c_coeffs[j] * math.exp(-2.0 * lam_plus[j] * T_plus)
+            for j in range(i - 1, k)
+        )
+        if cokernel.d is not None:
+            out[i - 1] -= bottom * sum(
+                cokernel.d[i - 1][col] * d_coeffs[col] * math.exp(2.0 * lam_minus[col] * T_minus)
+                for col in range(k)
+            )
+    return out
 
 
 def two_sided_pairing(
@@ -637,23 +654,7 @@ def two_sided_pairing(
         sum_{i<=j<=k} c_{i,j} c_j e^{-2 lambda_j T_+}
         - sum_{-k<=j<=-k+i-1} d_{i,j} d_j e^{2 lambda'_j T_-}.
     """
-    _check_pairing_inputs(T_minus, T_plus, cokernel, c_coeffs, d_coeffs)
-    k = cokernel.k
-    lam_plus = [cokernel.spectrum_plus.eigenvalue(j) for j in range(1, k + 1)]
-    if cokernel.d is not None:
-        lam_minus = [cokernel.spectrum_minus.eigenvalue(j) for j in range(-k, 0)]
-    out = np.zeros(k - 1)
-    for i in range(1, k):
-        out[i - 1] = sum(
-            cokernel.c[i - 1][j] * c_coeffs[j] * math.exp(-2.0 * lam_plus[j] * T_plus)
-            for j in range(i - 1, k)
-        )
-        if cokernel.d is not None:
-            out[i - 1] -= sum(
-                cokernel.d[i - 1][col] * d_coeffs[col] * math.exp(2.0 * lam_minus[col] * T_minus)
-                for col in range(k)
-            )
-    return out
+    return _case_b_pairing(T_minus, T_plus, cokernel, c_coeffs, d_coeffs, 1.0, 1.0)
 
 
 def two_sided_pairing_quadrature(
@@ -673,8 +674,6 @@ def two_sided_pairing_quadrature(
     is symmetric, so the downward rate is that of a ramp climbing across
     [-T0 - w, -T0].
     """
-    _check_pairing_inputs(T_minus, T_plus, cokernel, c_coeffs, d_coeffs)
-    k = cokernel.k
     w = params.ramp_width
 
     def rate_integral(ramp: Ramp) -> float:
@@ -683,22 +682,7 @@ def two_sided_pairing_quadrature(
 
     top = rate_integral(Ramp(params.T0, w))
     bottom = rate_integral(Ramp(-params.T0 - w, w))
-    lam_plus = [cokernel.spectrum_plus.eigenvalue(j) for j in range(1, k + 1)]
-    if cokernel.d is not None:
-        lam_minus = [cokernel.spectrum_minus.eigenvalue(j) for j in range(-k, 0)]
-    out = np.zeros(k - 1)
-    for i in range(1, k):
-        # sigma tail e^{-lam s} against c_j e^{lam (s - 2T_+)}
-        out[i - 1] = top * sum(
-            cokernel.c[i - 1][j] * c_coeffs[j] * math.exp(-2.0 * lam_plus[j] * T_plus)
-            for j in range(i - 1, k)
-        )
-        if cokernel.d is not None:
-            out[i - 1] -= bottom * sum(
-                cokernel.d[i - 1][col] * d_coeffs[col] * math.exp(2.0 * lam_minus[col] * T_minus)
-                for col in range(k)
-            )
-    return out
+    return _case_b_pairing(T_minus, T_plus, cokernel, c_coeffs, d_coeffs, top, bottom)
 
 
 @dataclass(frozen=True)
@@ -720,15 +704,16 @@ class SweepReport:
     def max_ratio(self) -> float:
         return max((row.ratio for row in self.rows), default=0.0)
 
-    def ratios_nonincreasing_in_T(self, tol: float = 1e-5) -> bool:
-        """Monotonicity up to the discrete-norm quadrature jitter."""
+    def ratios_nonincreasing_in_T(self) -> bool:
+        """Monotonicity in T per (r, h, amplitude), up to a relative 1e-5
+        of discrete-norm quadrature jitter."""
         by_key: Dict[Tuple[float, float, float], List[SweepRow]] = {}
         for row in self.rows:
             by_key.setdefault((row.r, row.h, row.amplitude), []).append(row)
         for rows in by_key.values():
             rows = sorted(rows, key=lambda r: r.T)
             for a, b in zip(rows, rows[1:]):
-                if b.ratio > a.ratio * (1.0 + tol):
+                if b.ratio > a.ratio * (1.0 + 1e-5):
                     return False
         return True
 
@@ -736,19 +721,19 @@ class SweepReport:
 def estimate_sweep(
     params_grid: Sequence[NeckParams],
     amplitudes: Sequence[float],
-    kind: Optional[OperatorKind] = None,
 ) -> SweepReport:
     """Measured solution norms against the contraction-estimate bound.
 
     For each neck geometry and bottom-end amplitude, solve the linear
     neck problem with eta_minus = amplitude * (mode -1) and report
     ||psi_+||_* / (r^{-1}(e^{-lambda T} + ||psi_-||_*)), the measured
-    analogue of the a-priori bound constant.
+    analogue of the a-priori bound constant, on the closed-form
+    pos_hyperbolic(0.5) spectrum with ``t_modes`` modes a side.
     """
-    kind = kind or OperatorKind.pos_hyperbolic(0.5)
+    kind = OperatorKind.pos_hyperbolic(0.5)
     rows: List[SweepRow] = []
     for params in params_grid:
-        spectrum = closed_form_spectrum(kind, max(params.t_modes, 1))
+        spectrum = closed_form_spectrum(kind, params.t_modes)
         lam = min(
             spectrum.eigenvalue(1), abs(spectrum.eigenvalue(-1))
         )

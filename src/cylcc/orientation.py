@@ -65,29 +65,11 @@ def wedge_sign(permutation: Sequence[int]) -> int:
     return sign
 
 
-def _rational(x):
-    """``x`` as a Python int, or a Fraction of Python ints."""
-    if type(x) is int or type(x) is Fraction:
-        return x
-    try:
-        return operator.index(x)  # numpy and other integer types
-    except TypeError:
-        return Fraction(x)
-
-
-def _integral(v) -> Tuple[List[int], int]:
-    """``v`` times the positive lcm of its denominators, as Python ints, and that lcm."""
-    v = list(v)
-    if all(type(x) is int for x in v):
-        return v, 1
-    return ratmat._clear([_rational(x) for x in v])
-
-
 def _as_vectors(vectors, dim: int, what: str) -> List[List[int]]:
     """Each vector rescaled by its own positive factor to Python ints."""
     out = []
     for v in vectors:
-        v = _integral(v)[0]
+        v = ratmat._clear(v)[0]
         if len(v) != dim:
             raise ValidationError(f"{what}: vector of length {len(v)}, expected {dim}")
         out.append(v)
@@ -148,7 +130,7 @@ class FredholmModel:
     _phi: Tuple[List[List[int]], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = [[_rational(x) for x in row] for row in self.matrix]
+        rows = [list(row) for row in self.matrix]
         if not rows:
             raise ValidationError("phi needs at least one row")
         width = len(rows[0])
@@ -177,7 +159,7 @@ class FredholmModel:
         return len(self.matrix[0])
 
     def apply(self, v: Sequence[Fraction]) -> List[Fraction]:
-        v, lcm = _integral(v)
+        v, lcm = ratmat._clear(v)
         if len(v) != self.dim_v:
             raise ValidationError("vector has wrong dimension for phi")
         den = lcm * self._phi[1]
@@ -346,7 +328,7 @@ def ds0_sign(
     if len(lams) != k - 1 or any(not math.isfinite(l) or l <= 0 for l in lams):
         raise ValidationError("need k-1 finite positive eigenvalues")
     # Each row rescaled by a positive factor: the determinant keeps its sign.
-    jac = [_integral(row)[0] for row in ev_jacobian]
+    jac = [ratmat._clear(row)[0] for row in ev_jacobian]
     if len(jac) != k - 1 or any(len(row) != k - 1 for row in jac):
         raise ValidationError("ev_jacobian must be (k-1) x (k-1)")
     sign = _int_det_sign(jac)

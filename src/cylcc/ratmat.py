@@ -10,9 +10,10 @@ by the common pivot ``d`` are the reduced row echelon form.  Span
 coordinates of several vectors come from one elimination of the basis
 augmented by all of them, as integer numerators over ``d``.  Callers
 that hold integer rows already, as ``orientation`` does, call the core
-directly.  Everything is exact; no floats enter or leave.  Integral
-entries of other types, such as numpy integers, are taken as Python ints
-first (``_exact``), so no product wraps at 64 bits.
+directly.  Everything is exact, and only Fractions leave.  An entry of
+any other type is taken at its exact value first (``_exact``): integral
+ones, such as numpy integers, as Python ints, so no product wraps at 64
+bits, and any other number, a float included, as its exact Fraction.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 
-# Entry types taken as they are; ``_exact`` converts any other integral type.
+# Entry types taken as they are; ``_exact`` converts any other.
 _EXACT = frozenset((int, Fraction))
+_INT = frozenset((int,))
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
@@ -112,22 +114,33 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _exact(row: Sequence) -> Sequence:
-    """``row`` with every entry an int or a Fraction.
+    """``row`` with every entry an int or a Fraction of the same value.
 
     Other integral entries, such as numpy integers, become ints through
-    ``operator.index``: their own products would wrap at 64 bits.
+    ``operator.index``: their own products would wrap at 64 bits.  Any
+    other number, a float included, becomes its exact Fraction.
     """
     if _EXACT.issuperset(map(type, row)):
         return row
-    return [x if isinstance(x, (int, Fraction)) else operator.index(x) for x in row]
+    return [x if isinstance(x, (int, Fraction)) else _exact_number(x) for x in row]
+
+
+def _exact_number(x):
+    try:
+        return operator.index(x)
+    except TypeError:
+        return Fraction(x)
 
 
 def _clear(row: Sequence) -> Tuple[List[int], int]:
     """``row`` times the lcm of its denominators, as integers, and that lcm.
 
-    Entries are integral or Fractions (see ``_exact``).  The lcm is
-    positive, so a cleared row spans the same line, pointing the same way.
+    Entries are taken at their exact value (``_exact``); a row of ints is
+    returned as it is, with lcm 1.  The lcm is positive, so a cleared row
+    spans the same line, pointing the same way.
     """
+    if _INT.issuperset(map(type, row)):
+        return list(row), 1
     row = _exact(row)
     lcm = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (lcm // x.denominator) for x in row], lcm

@@ -246,9 +246,8 @@ def _closed_form_entry(kind: OperatorKind, i: int) -> SpectrumEntry:
 
 
 def closed_form_spectrum(kind: OperatorKind, max_index: int) -> SpectrumTable:
-    """Closed-form spectrum for indices -max_index..-1, 1..max_index."""
-    if max_index < 1:
-        raise DomainError("max_index must be >= 1")
+    """Closed-form spectrum for indices -max_index..-1, 1..max_index, max_index >= 1."""
+    check_size("max_index", max_index, 1)
     entries = [
         _closed_form_entry(kind, i)
         for i in list(range(-max_index, 0)) + list(range(1, max_index + 1))

@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from cylcc import dataio
+from cylcc.complexes import load_dataset
 from cylcc.dataio import bundled_path, parse_records, read_dataset
 from cylcc.errors import DatasetError, ValidationError
 from cylcc.evaluation import EVMAP_KINDS, parse_evmap
@@ -77,6 +79,64 @@ def test_orbit_parity_violation_reported_at_line(tmp_path):
     with pytest.raises(DatasetError) as err:
         read_dataset(orbits, curves)
     assert any("even cz" in str(d) for d in err.value.diagnostics)
+
+
+# A small valid two-sided, two-stage dataset; each case below edits one line.
+VALID_ORBITS = (
+    "orbit a simple=sa mult=1 type=neg_hyp action=4 cz=1 side=plus stage=1",
+    "orbit b simple=sb mult=1 type=pos_hyp action=2 cz=0 side=plus stage=1",
+    "orbit c simple=sc mult=1 type=neg_hyp action=3 cz=1 side=minus stage=2",
+    "orbit d simple=sd mult=1 type=pos_hyp action=1 cz=0 side=minus stage=2",
+)
+VALID_CURVES = (
+    "curve level=symp ind=1 from=a to=b count=1",
+    "curve level=cob ind=0 from=a to=c count=1",
+)
+
+
+@pytest.mark.parametrize(
+    "file, lineno, edit, diagnostic",
+    [
+        ("orbits.txt", 4, "orbit d simple=sa mult=3 type=pos_hyp action=12 cz=2 side=minus stage=2",
+         "orbits.txt:4: orbit d: simple orbit sa type disagrees with a"),
+        ("orbits.txt", 4, "orbit d simple=sa mult=3 type=neg_hyp action=12 cz=3 side=minus stage=2",
+         "orbits.txt:4: orbit d: cz of simple orbit sa disagrees with a"),
+        # The file grammar cannot spell an unknown level, so the parsed record is edited.
+        ("curves.txt", 1, None, "curves.txt:1: unknown curve level 'bogus'"),
+        ("orbits.txt", 2, "orbit b simple=sb mult=2 type=neg_hyp action=2 cz=1 side=plus stage=1",
+         "curves.txt:1: orbit b is bad (even cover of a negative hyperbolic orbit) "
+         "and cannot be a generator"),
+        ("orbits.txt", 2, "orbit b simple=sb mult=1 type=pos_hyp action=2 cz=2 side=plus stage=1",
+         "curves.txt:1: symplectization curve must drop the grading by 1; cz(a)=1, cz(b)=2"),
+        ("orbits.txt", 2, "orbit b simple=sb mult=1 type=pos_hyp action=2 cz=0 side=minus stage=1",
+         "curves.txt:1: symplectization curve endpoints lie on different sides"),
+        ("orbits.txt", 2, "orbit b simple=sb mult=1 type=pos_hyp action=2 cz=0 side=plus stage=2",
+         "curves.txt:1: symplectization curve endpoints lie in different stages"),
+        ("orbits.txt", 3, "orbit c simple=sc mult=1 type=neg_hyp action=5 cz=1 side=minus stage=2",
+         "curves.txt:2: action must weakly decrease along cobordism curves: 4 -> 5"),
+        ("orbits.txt", 3, "orbit c simple=sc mult=1 type=neg_hyp action=3 cz=1 side=plus stage=2",
+         "curves.txt:2: cobordism curve must run from side plus to side minus"),
+        ("orbits.txt", 3, "orbit c simple=sc mult=1 type=neg_hyp action=3 cz=1 side=minus stage=3",
+         "curves.txt:2: cobordism curve must connect consecutive stages, got 1 -> 3"),
+    ],
+)
+def test_load_dataset_diagnostic_located(file, lineno, edit, diagnostic):
+    def records(orbit_lines, curve_lines):
+        orbits, _, problems = parse_records("\n".join(orbit_lines), "orbits.txt")
+        _, curves, more = parse_records("\n".join(curve_lines), "curves.txt")
+        assert not problems + more
+        return orbits, curves
+
+    assert len(load_dataset(*records(VALID_ORBITS, VALID_CURVES)).orbits) == 4
+    lines = {"orbits.txt": list(VALID_ORBITS), "curves.txt": list(VALID_CURVES)}
+    if edit is not None:
+        lines[file][lineno - 1] = edit
+    orbits, curves = records(lines["orbits.txt"], lines["curves.txt"])
+    if edit is None:
+        curves[lineno - 1] = dataclasses.replace(curves[lineno - 1], level="bogus")
+    with pytest.raises(DatasetError) as err:
+        load_dataset(orbits, curves)
+    assert diagnostic in [str(d) for d in err.value.diagnostics]
 
 
 def test_bundled_datasets_readable():

@@ -552,6 +552,21 @@ class TestPolePreimages:
             pole_preimages(spec)
         assert "cells excluded" in str(info.value)
 
+    def test_non_transverse_preimage_rejected(self):
+        # The sine's root at 0 is certified, but |det J| = 2 pi 1e-9 there.
+        spec = parse_evmap(
+            "evmap k=2 lambdas=1,2\n"
+            "term comp=0 kind=sin order=1 value=1e-9\n"
+            "term comp=1 kind=const order=0 value=1\n"
+            "term comp=1 kind=cos order=1 value=0.5\n"
+        )
+        message = re.escape(
+            "preimage at (0.0,) of the +1 pole on axis 1 is not transverse (|det J| = 6.28e-09)"
+        )
+        with pytest.raises(DegeneracyError, match=message) as info:
+            pole_preimages(spec)
+        assert info.value.where == (0.0,)
+
     def test_double_root_leaves_cells_uncertified(self):
         # (0, 0) and (0, 1/2) are double roots of (f1, f2): no Kantorovich
         # ball certifies them and f1 is too flat there to exclude the cells.
@@ -866,11 +881,27 @@ class TestZeroLocus:
         report = s0_zero_locus_check(identity_angle_map(), np.linspace(5, 50, 10))
         assert report.ok
 
+    def test_zero_without_pole_preimage_reported(self, monkeypatch):
+        real = evaluation.pole_preimages
+        dropped = []
+
+        def drop_first(*args, **kwargs):
+            poles = real(*args, **kwargs)
+            dropped.append(poles[0])
+            return poles[1:]
+
+        monkeypatch.setattr(evaluation, "pole_preimages", drop_first)
+        report = s0_zero_locus_check(bundled_spec("evmap_k2.txt"), [60.0])
+        assert not report.ok
+        (mismatch,) = report.mismatches
+        assert (mismatch.T, mismatch.reason) == (60.0, "zero without pole preimage")
+        assert abs(mismatch.parameter[0] - dropped[0].params[0]) < 1e-8
+
     def test_bundled_specs_agree(self):
         for name in ("evmap_k2.txt", "evmap_k3.txt"):
             spec = bundled_spec(name)
             grid = np.linspace(40.0, 80.0, 4)
-            report = s0_zero_locus_check(spec, grid, tol=1e-8)
+            report = s0_zero_locus_check(spec, grid)
             assert report.ok, report.mismatches
 
     @pytest.mark.parametrize("name, seeds", [("evmap_k2.txt", 1024), ("evmap_k3.txt", 40)])

@@ -11,6 +11,8 @@ from cylcc.gluing import (
     NeckParams,
     Ramp,
     RampMode,
+    SweepReport,
+    SweepRow,
     estimate_sweep,
     make_cutoffs,
     momo_check,
@@ -59,6 +61,26 @@ class TestNeckParams:
         # "mode -1 is not finite-energy", and T0 = nan gave a sweep row.
         with pytest.raises(DomainError, match="must be finite"):
             NeckParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("s_grid", 100.5), ("s_grid", math.nan), ("s_grid", True), ("s_grid", 63),
+         ("t_modes", 2.5), ("t_modes", math.nan), ("t_modes", True), ("t_modes", 0)],
+    )
+    def test_sizes_must_be_integers(self, field, value):
+        # s_grid = 100.5 gave a sweep row, nan passed every inequality, and
+        # t_modes = 2.5 failed later with a TypeError from range.
+        least = 64 if field == "s_grid" else 1
+        with pytest.raises(DomainError, match=f"{field} must be an integer >= {least}, got"):
+            NeckParams(**{field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        # A numpy s_grid used to reach list repetition as a numpy bool.
+        sizes = NeckParams(s_grid=np.int64(256), t_modes=np.int32(2))
+        assert (type(sizes.s_grid), type(sizes.t_modes)) == (int, int)
+        assert estimate_sweep([sizes], [1.0]) == estimate_sweep(
+            [NeckParams(s_grid=256, t_modes=2)], [1.0]
+        )
 
     def test_defaults_satisfy_paper_constraints(self):
         p = NeckParams()
@@ -689,6 +711,16 @@ class TestSweep:
         report = estimate_sweep(self._grids(), [0.5, 1.0])
         assert report.max_ratio < 50.0
         assert report.ratios_nonincreasing_in_T()
+
+    def test_ratio_rising_beyond_the_jitter_fails(self):
+        def row(T, ratio, r=4.0):
+            return SweepRow(T=T, r=r, h=0.5, amplitude=1.0, psi_plus_norm=1.0,
+                            psi_minus_norm=1.0, ratio=ratio)
+
+        # Rows of another (r, h, amplitude) are not compared across.
+        base = (row(45.0, 2.0), row(90.0, 1.0), row(60.0, 3.0, r=8.0))
+        assert SweepReport(base + (row(60.0, 2.0 * (1.0 + 0.9e-5)),)).ratios_nonincreasing_in_T()
+        assert not SweepReport(base + (row(60.0, 2.0 * (1.0 + 2e-5)),)).ratios_nonincreasing_in_T()
 
     def test_r_doubling_norm_factor(self):
         # Frozen from the exact per-mode solve at T = 90, h = 0.5,

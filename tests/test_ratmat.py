@@ -226,6 +226,25 @@ def test_numpy_integer_entries_past_64_bits():
     assert ratmat.det(mixed) == 3 - F(2**63 + 1, 2)
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_float_entries_taken_at_their_exact_value(kind):
+    # Float entries used to raise TypeError from operator.index.  Now each
+    # is its exact Fraction (a non-dyadic one, such as 0.1, included).
+    for a in instances(kind):
+        floats = [[float(x) / 10.0 for x in row] for row in a]
+        floats[0] = [np.float64(x) for x in floats[0]]
+        exact = [[F(x) for x in row] for row in floats]
+        assert ratmat.rank(floats) == ratmat.rank(exact)
+        assert ratmat.nullspace(floats) == ratmat.nullspace(exact)
+        if len(a) == len(a[0]):
+            assert ratmat.det(floats) == ratmat.det(exact)
+        vectors = [[row[j] for row in floats] for j in range(len(a[0]))] + [[0.1] * len(a)]
+        exact_vectors = [[F(x) for x in v] for v in vectors]
+        assert ratmat.solve_coordinates(floats, vectors) == ratmat.solve_coordinates(
+            exact, exact_vectors
+        )
+
+
 def test_mat_mul_matches_shaped_product():
     rng = random.Random(7)
     for _ in range(10):

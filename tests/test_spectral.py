@@ -435,6 +435,17 @@ class TestSizes:
         assert table.indices == numeric_spectrum(kind, 128, 4).indices
         assert finite_difference_operator("elliptic", 0.5, np.int32(3)).shape == (6, 6)
 
+    @pytest.mark.parametrize("max_index", [0, 2.5, math.nan, True])
+    def test_closed_form_max_index(self, max_index):
+        # 2.5 failed with a TypeError from range, and True gave a table.
+        with pytest.raises(DomainError, match="max_index must be an integer >= 1"):
+            closed_form_spectrum(OperatorKind.pos_hyperbolic(0.3), max_index)
+
+    def test_closed_form_numpy_max_index_accepted(self):
+        kind = OperatorKind.pos_hyperbolic(0.3)
+        table = closed_form_spectrum(kind, np.int64(3))
+        assert table.indices == closed_form_spectrum(kind, 3).indices
+
     def test_gram_quad_points(self):
         table = closed_form_spectrum(OperatorKind.pos_hyperbolic(0.3), 1)
         with pytest.raises(DomainError, match="quad_points must be an integer"):

@@ -789,10 +789,33 @@ def stage_sequence(dataset: ModuliDataset):
 
 @dataclass(frozen=True)
 class DirectLimitResult:
-    dims_by_stage: Dict[int, Dict[int, int]]  # grading -> {stage -> dim of image}
-    stabilized: Dict[int, bool]
-    value: Dict[int, int]
-    stabilized_from: Dict[int, Optional[int]]
+    """``dims_by_stage[g][i]`` is dim im(H_g(stage i) -> H_g(last)), stages from 1.
+
+    The value at g is the last stage's, and g is stable when the last two
+    stages agree; ``stabilized_from[g]`` is then the first stage from
+    which the dimension stays at the value, else None.
+    """
+
+    dims_by_stage: Dict[int, Dict[int, int]]
+
+    @property
+    def value(self) -> Dict[int, int]:
+        return {g: list(dims.values())[-1] for g, dims in self.dims_by_stage.items()}
+
+    @property
+    def stabilized_from(self) -> Dict[int, Optional[int]]:
+        out = {}
+        for g, dims in self.dims_by_stage.items():
+            seq = list(dims.values())  # stages 1..n in order
+            start = len(seq)
+            while start > 1 and seq[start - 2] == seq[-1]:
+                start -= 1
+            out[g] = None if start == len(seq) > 1 else start
+        return out
+
+    @property
+    def stabilized(self) -> Dict[int, bool]:
+        return {g: start is not None for g, start in self.stabilized_from.items()}
 
     @property
     def all_stable(self) -> bool:
@@ -805,11 +828,13 @@ def direct_limit(
 ) -> DirectLimitResult:
     """Images of each stage's homology in the last stage's homology.
 
-    For each grading the sequence dim im(H(stage i) -> H(last stage)) is
-    reported for every stage i; the value is declared stable when the
-    last two stages agree.  Raises ValidationError for an empty stage
-    list, and unless ``maps`` holds a chain map between each two
-    consecutive stages.
+    Per grading, each stage's cycles are appended to the earlier stages'
+    cycles, carried forward to it.  A chain map sends cycles to cycles, so
+    up to stage i's own, the columns span B + (stage i's cycles pushed to
+    the last stage), where B are the last stage's boundaries.  So one
+    elimination of [B | carried] gives every image: its pivots past B.
+    Raises ValidationError for an empty stage list, and unless ``maps``
+    holds a chain map between each two consecutive stages.
     """
     n = len(stages)
     if not n:
@@ -826,48 +851,23 @@ def direct_limit(
             )
 
     last = stages[-1]
-    # to_last[i] maps stage i + 1 to the last stage; None for the last.
-    to_last = [None]
-    for phi in reversed(maps[: n - 1]):
-        to_last.insert(0, phi if to_last[0] is None else to_last[0].compose(phi))
-    gradings = sorted({g for s in stages for g in s.gradings})
-    dims_by_stage: Dict[int, Dict[int, int]] = {g: {} for g in gradings}
-
-    for g in gradings:
-        # A missing block is zero: its cycles are everything and its image
-        # is 0, with nothing to eliminate.
-        boundary_in = last.block(g + 1)  # image of d at the last stage
-        rank_in = ratmat.rank(boundary_in) if g + 1 in last.blocks else 0
-        for stage_i, (cx, push) in enumerate(zip(stages, to_last), start=1):
-            if last.dim(g) == 0 or cx.dim(g) == 0:
-                dims_by_stage[g][stage_i] = 0
-                continue
-            if g in cx.blocks:
-                cycles = ratmat.nullspace(cx.blocks[g], ncols=cx.dim(g))
-            else:
-                cycles = ratmat.identity(cx.dim(g))
-            if push is not None:
-                cycles = ratmat.mat_mul_shaped(
-                    push.block(g), cycles, last.dim(g), cx.dim(g), len(cycles[0])
+    dims_by_stage: Dict[int, Dict[int, int]] = {}
+    for g in sorted({g for s in stages for g in s.gradings}):
+        # ends[i]: the carried columns up to stage i's own.
+        carried, ends = ratmat.zeros(stages[0].dim(g), 0), [0]
+        for i, cx in enumerate(stages):
+            if i:
+                carried = ratmat.mat_mul_shaped(
+                    maps[i - 1].block(g), carried, cx.dim(g), stages[i - 1].dim(g), ends[-1]
                 )
-            combined = ratmat.hstack(cycles, boundary_in)
-            dims_by_stage[g][stage_i] = ratmat.rank(combined) - rank_in
-    stabilized = {}
-    value = {}
-    stabilized_from: Dict[int, Optional[int]] = {}
-    for g in gradings:
-        seq = list(dims_by_stage[g].values())  # stages 1..n in order
-        stabilized[g] = len(seq) < 2 or seq[-1] == seq[-2]
-        value[g] = seq[-1]
-        start = None
-        if stabilized[g]:
-            start = n
-            while start > 1 and seq[start - 2] == seq[-1]:
-                start -= 1
-        stabilized_from[g] = start
-    return DirectLimitResult(
-        dims_by_stage=dims_by_stage,
-        stabilized=stabilized,
-        value=value,
-        stabilized_from=stabilized_from,
-    )
+            # A missing block is zero: nullspace gives the identity, uneliminated.
+            cycles = ratmat.nullspace(cx.blocks.get(g, []), ncols=cx.dim(g))
+            carried = [row + own for row, own in zip(carried, cycles)]
+            ends.append(ends[-1] + (len(cycles[0]) if cycles else 0))
+        width = last.dim(g + 1)
+        pivots = ratmat.pivot_columns([[*b, *c] for b, c in zip(last.block(g + 1), carried)])
+        dims_by_stage[g] = {
+            i: bisect_left(pivots, width + end) - bisect_left(pivots, width)
+            for i, end in enumerate(ends[1:], start=1)
+        }
+    return DirectLimitResult(dims_by_stage)

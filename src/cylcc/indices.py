@@ -15,6 +15,8 @@ re-derived.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
@@ -27,6 +29,12 @@ if TYPE_CHECKING:  # spectral pulls in numpy; the exact stack does not need it
 POS_HYP = "pos_hyperbolic"
 NEG_HYP = "neg_hyperbolic"
 SIMPLE_TYPES = (POS_HYP, NEG_HYP)
+
+
+def _check_integer(what: str, value) -> None:
+    """Raise ValidationError unless ``value`` is an integer; a bool is not one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,10 +59,14 @@ class ReebOrbit:
             raise ValidationError(
                 f"orbit {self.id}: unknown simple_type {self.simple_type!r}"
             )
+        _check_integer(f"orbit {self.id}: multiplicity", self.multiplicity)
         if self.multiplicity < 1:
             raise ValidationError(f"orbit {self.id}: multiplicity must be >= 1")
         if self.action <= 0:
             raise ValidationError(f"orbit {self.id}: action must be positive")
+        if not self.action < math.inf:  # NaN fails this too
+            raise ValidationError(f"orbit {self.id}: action must be finite, got {self.action!r}")
+        _check_integer(f"orbit {self.id}: cz_simple", self.cz_simple)
         # Even CZ index <-> positive hyperbolic, for the simple orbit.
         if self.simple_type == POS_HYP and self.cz_simple % 2 != 0:
             raise ValidationError(
@@ -115,6 +127,7 @@ class CurveTopology:
     c1: int
 
     def __post_init__(self):
+        _check_integer("genus", self.genus)
         if self.genus < 0:
             raise ValidationError("genus must be nonnegative")
         if not self.positive_punctures and not self.negative_punctures:
@@ -144,6 +157,8 @@ def fredholm_index(
 
 def cover_index(base_index: int, degree: int, branching: int) -> int:
     """Index of a degree-k branched cover with total branching b."""
+    _check_integer("cover degree", degree)
+    _check_integer("branching", branching)
     if degree < 1:
         raise ValidationError("cover degree must be >= 1")
     if branching < 0:

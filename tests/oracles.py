@@ -17,7 +17,10 @@ graded identity oracles stack every graded map into one dense matrix over
 all generators and multiply with the product oracle, independently of the
 package's block-by-block composition.  The FD selection oracle solves
 every Fourier block of the FD operator and sorts Python tuples, independently
-of the package's certified block prefix and array sorts.
+of the package's certified block prefix and array sorts.  The direct-limit
+oracle composes the stage maps into maps to the last stage and ranks
+[pushed cycles | boundaries] stage by stage with sympy, independently of
+the package's single elimination of the carried cycles per grading.
 """
 
 import math
@@ -25,6 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import sympy
 from scipy.optimize import brentq
 
 
@@ -433,3 +437,34 @@ def fd_selection_oracle(kind, grid_size, count):
     indices = list(range(-take_neg, 0)) + list(range(1, take_pos + 1))
     lams = [float(vals[m[:2]]) for m in chosen]
     return indices, lams, [freqs[m[0]] for m in chosen], samples, loops
+
+
+def direct_limit_oracle(stages, maps):
+    """``dims_by_stage`` of :func:`cylcc.complexes.direct_limit`, stage by stage.
+
+    Per grading g, the maps after stage i compose to its map to the last
+    stage, which pushes stage i's cycles (the kernel of its block g, all
+    of C_g when the block is absent) there; the image of H_g(stage i) has
+    the rank of [pushed cycles | last boundaries] less that of the
+    boundaries.
+    """
+
+    def dense(block, nrows, ncols):
+        if block is None:
+            return sympy.zeros(nrows, ncols)
+        return sympy.Matrix(nrows, ncols, lambda i, j: sympy.Rational(block[i][j]))
+
+    last = stages[-1]
+    dims = {}
+    for g in sorted({g for cx in stages for g in cx.gradings}):
+        to_last = [sympy.eye(last.dim(g))]
+        for phi, source in reversed(list(zip(maps, stages[:-1]))):
+            block = dense(phi.blocks.get(g), phi.target.dim(g), source.dim(g))
+            to_last.insert(0, to_last[0] * block)
+        boundaries = dense(last.blocks.get(g + 1), last.dim(g), last.dim(g + 1))
+        dims[g] = {}
+        for i, (cx, push) in enumerate(zip(stages, to_last), start=1):
+            cycles = dense(cx.blocks.get(g), cx.dim(g - 1), cx.dim(g)).nullspace()
+            pushed = push * sympy.Matrix.hstack(sympy.zeros(cx.dim(g), 0), *cycles)
+            dims[g][i] = sympy.Matrix.hstack(pushed, boundaries).rank() - boundaries.rank()
+    return dims

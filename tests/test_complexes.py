@@ -2,11 +2,14 @@ import dataclasses
 import importlib.util
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
@@ -29,12 +32,17 @@ from cylcc.complexes import (
     stage_sequence,
     verify_d_squared,
 )
-from cylcc.dataio import bundled_path, read_dataset
+from cylcc.dataio import bundled_path, parse_records, read_dataset
 from cylcc.errors import DatasetError, DomainError, IntegerCoefficientWarning, ValidationError
 from cylcc.indices import ReebOrbit
 
 from .datasets import consistent_random_dataset
-from .oracles import chain_homotopy_oracle, chain_map_oracle, d_squared_oracle
+from .oracles import (
+    chain_homotopy_oracle,
+    chain_map_oracle,
+    d_squared_oracle,
+    direct_limit_oracle,
+)
 
 F = Fraction
 
@@ -754,9 +762,10 @@ class TestDirectLimit:
         assert res.dims_by_stage[0] == {1: 0, 2: 0, 3: 0}
 
     def test_absent_blocks_are_not_eliminated(self, monkeypatch):
-        # A missing block is zero: its cycles are the identity and its
-        # image is 0, so nothing is eliminated for it (stage 1 of the
-        # bundled data has no block 1; eliminating it made 10 calls).
+        # A missing block is zero: its cycles are the identity, with
+        # nothing to eliminate.  Stage 1 of the bundled data has no block
+        # 1, so the 4 calls are one per grading (0 and 1) and the kernels
+        # of block 1 at stages 2 and 3.
         ds = read_dataset(
             bundled_path("direct_limit_orbits.txt"),
             bundled_path("direct_limit_curves.txt"),
@@ -768,7 +777,7 @@ class TestDirectLimit:
             ratmat, "_gauss_jordan", lambda rows: calls.append(rows) or gauss_jordan(rows)
         )
         res = direct_limit(stages, maps)
-        assert len(calls) == 9
+        assert len(calls) == 4
         assert res.dims_by_stage == {0: {1: 0, 2: 0, 3: 0}, 1: {1: 1, 2: 1, 3: 1}}
         assert res.value == {0: 0, 1: 1}
         assert res.stabilized_from == {0: 1, 1: 1}
@@ -779,6 +788,28 @@ class TestDirectLimit:
             maps = [GradedMap(stages[0], stages[1], 0, {0: [[F(1)]], 1: ratmat.identity(2)})]
             res = direct_limit(stages, maps)
             assert res.dims_by_stage == {0: {1: 1, 2: 1}, 1: {1: 2, 2: 2}}
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_one_elimination_per_grading_and_block(self, seed, monkeypatch):
+        # Gradings 0, 1, 2 and blocks 1, 2 at each of 3 stages: 3 + 6 eliminations.
+        (stages, maps), info = _staged(seed, (8, 10, 8), 3)
+        gauss_jordan, compose = ratmat._gauss_jordan, GradedMap.compose
+        calls, composers = [], []
+        monkeypatch.setattr(
+            ratmat, "_gauss_jordan", lambda rows: calls.append(rows) or gauss_jordan(rows)
+        )
+
+        def traced_compose(outer, inner):
+            composers.append(sys._getframe(1).f_code.co_name)
+            return compose(outer, inner)
+
+        monkeypatch.setattr(GradedMap, "compose", traced_compose)
+        res = direct_limit(stages, maps)
+        assert len(calls) == 9
+        # Two products per chain-map check, and no composite of stage maps.
+        assert composers == ["chain_map_check"] * 4
+        assert res.value == info["betti"]
+        assert set(res.stabilized_from.values()) == {1}
 
     def test_grading_absent_from_a_stage(self):
         # Grading 1 lives at stage 1 only, so no class of it reaches the last stage.
@@ -810,6 +841,56 @@ class TestDirectLimit:
         other = make_complex({1: ["u"], 0: ["v"]}, {})
         with pytest.raises(ValidationError, match="cannot compose"):
             direct_limit(stages, [GradedMap.identity(other)])
+
+
+@st.composite
+def zero_differential_sequences(draw):
+    """1-4 stages with zero differential, joined by arbitrary integer maps.
+
+    The maps may be singular and a stage may lack a grading, so images
+    shrink, grow back and vanish along the sequence.
+    """
+    n = draw(st.integers(1, 4))
+    gradings = range(draw(st.integers(1, 3)))
+    stages = []
+    for s in range(n):
+        dims = {g: draw(st.integers(0, 3)) for g in gradings}
+        generators = {g: tuple(f"s{s}g{g}_{j}" for j in range(d)) for g, d in dims.items() if d}
+        stages.append(GradedRationalComplex(generators, {}))
+    maps = []
+    for source, target in zip(stages, stages[1:]):
+        blocks = {}
+        for g in gradings:
+            if draw(st.booleans()):
+                rows, cols = target.dim(g), source.dim(g)
+                size = rows * cols
+                entries = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+                blocks[g] = [[F(x) for x in entries[r * cols:(r + 1) * cols]] for r in range(rows)]
+        maps.append(GradedMap(source, target, 0, blocks))
+    return stages, maps
+
+
+def _staged(seed, dims, n):
+    """The stage sequence of ``gen.staged_dataset`` and its generator info."""
+    orbit_text, curve_text, info = GEN.staged_dataset(seed, dims, n)
+    orbits, curves = parse_records(orbit_text, "orbits")[0], parse_records(curve_text, "curves")[1]
+    return stage_sequence(load_dataset(orbits, curves)), info
+
+
+class TestDirectLimitProperty:
+    """direct_limit against the stage-by-stage sympy oracle."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(zero_differential_sequences())
+    def test_zero_differential_chains_match_oracle(self, sequence):
+        stages, maps = sequence
+        assert direct_limit(stages, maps).dims_by_stage == direct_limit_oracle(stages, maps)
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 5))
+    def test_staged_datasets_match_oracle(self, seed, n):
+        (stages, maps), _ = _staged(seed, (3, 4, 3), n)
+        assert direct_limit(stages, maps).dims_by_stage == direct_limit_oracle(stages, maps)
 
 
 class TestGradedMapAlgebra:
@@ -968,3 +1049,49 @@ def test_identity_checks_match_dense_oracle():
         outcomes[res.ok] += 1
     # Both outcomes are well represented: 55 pass and 1015 fail.
     assert outcomes[True] >= 40 and outcomes[False] >= 900
+
+
+
+UNSTAGED = load_dataset([orbit("a", 1, 2), orbit("b", 0, 1)], [])
+UNSTAGED_CX = differential_matrix(UNSTAGED)
+
+
+def _homotopy_check(k_degree, phi_degree):
+    cx = make_complex({1: ["a"], 0: ["b"]}, {})
+    phi, k = GradedMap(cx, cx, phi_degree, {}), GradedMap(cx, cx, k_degree, {})
+    return chain_homotopy_check(phi, phi, k, k, cx, cx)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(
+        lambda: make_complex({1: ["a"], 0: ["b"]}, {1: [[1, 2]]}), ValidationError,
+        "differential block at grading 1 has shape (1, 2), expected (1,1)", id="block-shape",
+    ),
+    pytest.param(
+        lambda: graded_map_from_dataset(UNSTAGED, UNSTAGED_CX, UNSTAGED_CX, "symplectization"),
+        ValidationError, "graded maps come from cobordism or k levels, not symplectization",
+        id="map-level",
+    ),
+    pytest.param(
+        lambda: chain_map_check(
+            UNSTAGED_CX, UNSTAGED_CX, GradedMap.zero(UNSTAGED_CX, UNSTAGED_CX, 1)
+        ),
+        ValidationError, "chain maps must preserve the grading", id="chain-map-degree",
+    ),
+    pytest.param(
+        lambda: _homotopy_check(0, 0), ValidationError,
+        "homotopy maps must raise the grading by 1", id="homotopy-degree",
+    ),
+    pytest.param(
+        lambda: _homotopy_check(1, 1), ValidationError,
+        "chain maps must preserve the grading", id="homotopy-chain-map-degree",
+    ),
+    pytest.param(
+        lambda: stage_sequence(UNSTAGED), ValidationError,
+        "dataset carries no stage labels", id="no-stages",
+    ),
+])
+def test_raises(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), info.value.args[0]) == (error, message)

@@ -1161,3 +1161,44 @@ class TestSpecValidation:
                 EvMapSpec(k, tuple(comps), (0.5, 1.5, 2.5)[:k])
             verdicts.append(rejected)
         assert verdicts.count(True) == 3
+
+
+def _cos_sin(orders_cos=(1,), orders_sin=(1,)):
+    return (TrigPolynomial(len(orders_cos), (("cos", orders_cos, 1.0),)),
+            TrigPolynomial(len(orders_sin), (("sin", orders_sin, 1.0),)))
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: EndExpansion((1.0,), ()), "lambdas and coeffs must have equal length",
+                 id="end-lengths"),
+    pytest.param(lambda: EndExpansion((), ()), "an end expansion needs at least one mode",
+                 id="end-empty"),
+    pytest.param(lambda: s0_eval(1.0, EndExpansion((1.0,), (1.0,))), "s0 needs k >= 2 modes",
+                 id="s0-k"),
+    pytest.param(lambda: TrigPolynomial(1, (("tan", (1,), 1.0),)), "unknown term kind 'tan'",
+                 id="term-kind"),
+    pytest.param(lambda: TrigPolynomial(1, (("cos", (1, 2), 1.0),)),
+                 "term order tuple has wrong arity", id="term-arity"),
+    pytest.param(lambda: EvMapSpec(4, _cos_sin() * 2, (0.5, 1.0, 1.5, 2.0)),
+                 "evaluation maps are implemented for k in {2, 3}", id="spec-k"),
+    pytest.param(lambda: EvMapSpec(2, _cos_sin()[:1], (0.5, 1.5)),
+                 "need one component per target coordinate", id="spec-components"),
+    pytest.param(lambda: EvMapSpec(2, _cos_sin(orders_sin=(1, 1)), (0.5, 1.5)),
+                 "component arity must match the domain dimension", id="spec-arity"),
+    pytest.param(lambda: pole_preimages(identity_angle_map(), pole_choice="middle"),
+                 "pole_choice must be last_coordinate or first_coordinate", id="pole-choice"),
+    pytest.param(lambda: MeridianPath(through_sign=0), "through_sign must be +1 or -1",
+                 id="through-sign"),
+    pytest.param(lambda: path_intersections(identity_angle_map(), MeridianPath(through=1)),
+                 "the meridian must pass through a distinct axis", id="meridian-axis"),
+    pytest.param(lambda: parse_evmap("evmap k=2 lambdas=1,2\nevmap k=2 lambdas=1,2\n"),
+                 "<memory>:2: duplicate evmap header", id="duplicate-header"),
+    pytest.param(
+        lambda: parse_evmap("evmap k=2 lambdas=1,2\nterm comp=0 kind=cos order=1,2 value=1\n"),
+        "<memory>:2: order arity 2 != 1", id="order-arity",
+    ),
+])
+def test_raises(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert (type(info.value), info.value.args[0]) == (ValidationError, message)

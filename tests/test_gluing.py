@@ -735,3 +735,60 @@ class TestSweep:
         ).rows
         factor = rows[1].psi_plus_norm / rows[0].psi_plus_norm
         assert 1.30 < factor < 1.45
+
+
+def _end(kind=KIND, **params):
+    """A top end on the given spectrum kind and neck grid."""
+    return NeckField.end_from_above(closed_form_spectrum(kind, 2), NeckParams(**params), {1: 1.0})
+
+
+def _bottom():
+    return NeckField.end_from_below(closed_form_spectrum(KIND, 2), NeckParams(), {-1: 1.0})
+
+
+def _cokernel(**kw):
+    return CokernelBasisModel(**{"k": 2, "spectrum_plus": closed_form_spectrum(KIND, 3), **kw})
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: Ramp(0.0, 0.0), DomainError,
+                 "a ramp needs a finite start and a finite positive width", id="ramp-width"),
+    pytest.param(
+        lambda: NeckField.end_from_below(closed_form_spectrum(KIND, 2), NeckParams(), {1: 1.0}),
+        ValidationError, "a bottom end carries negative modes only", id="bottom-modes",
+    ),
+    pytest.param(
+        lambda: preglue(_end(OperatorKind.pos_hyperbolic(0.25)), _bottom(), NeckParams()),
+        ValidationError, "fields are bound to different spectrum tables", id="ends-spectra",
+    ),
+    pytest.param(
+        lambda: preglue(_end(T=50.0), _bottom(), NeckParams()),
+        ValidationError, "fields live on different neck grids", id="ends-grids",
+    ),
+    pytest.param(lambda: _cokernel(k=0), ValidationError, "cokernel rank k must be >= 1",
+                 id="cokernel-rank"),
+    pytest.param(lambda: _cokernel(c=((1.0,),)), ValidationError, "c must be a k x k matrix",
+                 id="c-shape"),
+    pytest.param(lambda: _cokernel(c=((2.0, 0.0), (0.0, 1.0))), ValidationError,
+                 "c must have unit diagonal", id="c-diagonal"),
+    pytest.param(lambda: _cokernel(c=((1.0, 0.0), (0.5, 1.0))), ValidationError,
+                 "c must be upper triangular", id="c-triangular"),
+    pytest.param(lambda: _cokernel(k=4), ValidationError,
+                 "spectrum table too small for the cokernel rank", id="cokernel-spectrum"),
+    pytest.param(lambda: _cokernel(d=((1.0, 0.0), (0.0, 1.0))), ValidationError,
+                 "negative-end data needs its spectrum table", id="d-spectrum"),
+    pytest.param(
+        lambda: _cokernel(d=((1.0,),), spectrum_minus=closed_form_spectrum(KIND, 3)),
+        ValidationError, "d must be a k x k matrix", id="d-shape",
+    ),
+    pytest.param(lambda: _cokernel().sigma(0), ValidationError,
+                 "sigma index 0 out of range 1..2", id="sigma-index"),
+    pytest.param(
+        lambda: two_sided_pairing(1.0, 1.0, _cokernel(), [1.0, 1.0], [1.0]),
+        ValidationError, "need 2 bottom-end coefficients", id="bottom-coefficients",
+    ),
+])
+def test_raises(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), info.value.args[0]) == (error, message)

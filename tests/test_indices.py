@@ -1,12 +1,16 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cylcc.errors import ValidationError
 from cylcc.indices import (
     CurveTopology,
     ReebOrbit,
+    WindingViolation,
     automatic_transversality,
     classify_orbit,
     cover_index,
@@ -175,3 +179,81 @@ class TestWindingBounds:
         report = winding_bounds_check(table, cz=2)
         assert not report.ok
         assert any(v.index == 1 for v in report.violations)
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(
+        lambda: orbit("a", 1, "elliptic", 0), "orbit a: unknown simple_type 'elliptic'",
+        id="simple-type",
+    ),
+    pytest.param(lambda: orbit("a", 0, "pos_hyperbolic", 0), "orbit a: multiplicity must be >= 1",
+                 id="multiplicity"),
+    pytest.param(lambda: orbit("a", 1, "pos_hyperbolic", 0, action=0),
+                 "orbit a: action must be positive", id="action"),
+    pytest.param(lambda: CurveTopology(-1, ("a",), (), 0), "genus must be nonnegative", id="genus"),
+    pytest.param(lambda: cover_index(1, 0, 0), "cover degree must be >= 1", id="degree"),
+    pytest.param(lambda: cover_index(1, 1, -1), "branching must be >= 0", id="branching"),
+    # Non-integral and bool counts, and non-finite actions, constructed.
+    pytest.param(
+        lambda: ReebOrbit("a", "a", 1.5, "pos_hyperbolic", Fraction(1), 2),
+        "orbit a: multiplicity must be an integer, got 1.5", id="multiplicity-half",
+    ),
+    pytest.param(
+        lambda: ReebOrbit("a", "a", True, "pos_hyperbolic", Fraction(1), 2),
+        "orbit a: multiplicity must be an integer, got True", id="multiplicity-bool",
+    ),
+    pytest.param(
+        lambda: ReebOrbit("a", "a", 1, "neg_hyperbolic", Fraction(1), 1.5),
+        "orbit a: cz_simple must be an integer, got 1.5", id="cz-half",
+    ),
+    pytest.param(
+        lambda: ReebOrbit("a", "a", 1, "pos_hyperbolic", Fraction(1), False),
+        "orbit a: cz_simple must be an integer, got False", id="cz-bool",
+    ),
+    pytest.param(
+        lambda: ReebOrbit("a", "a", 1, "neg_hyperbolic", math.nan, 1),
+        "orbit a: action must be finite, got nan", id="action-nan",
+    ),
+    pytest.param(
+        lambda: ReebOrbit("a", "a", 1, "neg_hyperbolic", math.inf, 1),
+        "orbit a: action must be finite, got inf", id="action-inf",
+    ),
+    pytest.param(
+        lambda: ReebOrbit("a", "a", 1, "neg_hyperbolic", -math.inf, 1),
+        "orbit a: action must be positive", id="action-minus-inf",
+    ),
+    pytest.param(lambda: cover_index(2, 1.5, 0), "cover degree must be an integer, got 1.5",
+                 id="degree-half"),
+    pytest.param(lambda: cover_index(2, True, 0), "cover degree must be an integer, got True",
+                 id="degree-bool"),
+    pytest.param(lambda: cover_index(2, 1, 0.5), "branching must be an integer, got 0.5",
+                 id="branching-half"),
+    pytest.param(lambda: CurveTopology(0.5, ("a",), (), 0), "genus must be an integer, got 0.5",
+                 id="genus-half"),
+    pytest.param(lambda: CurveTopology(True, ("a",), (), 0), "genus must be an integer, got True",
+                 id="genus-bool"),
+])
+def test_raises(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert (type(info.value), info.value.args[0]) == (ValidationError, message)
+
+
+def test_integral_numbers_of_other_types_accepted():
+    o = ReebOrbit("a", "a", np.int64(3), "neg_hyperbolic", Fraction(3), np.int32(-1))
+    assert o.cz == -3 and isinstance(o.cz, (int, np.integer))
+    assert cover_index(2, np.int64(3), np.int8(1)) == 7
+    assert CurveTopology(np.int64(1), ("a",), (), 0).euler_characteristic == -1
+
+
+def test_winding_violation_reads_as_the_failed_bound():
+    assert str(WindingViolation(-1, 1, 1, "<")) == "index -1: 2*wind = 2 fails 2*wind < cz = 1"
+
+
+def test_entries_without_a_winding_are_skipped():
+    table = closed_form_spectrum(OperatorKind.pos_hyperbolic(0.1), 2)
+    shifted = winding_bounds_check(table, cz=2)
+    assert not shifted.ok
+    unknown = [dataclasses.replace(e, winding=None) for e in table.entries]
+    report = winding_bounds_check(dataclasses.replace(table, entries=tuple(unknown)), cz=2)
+    assert report.ok and report.cz == 2

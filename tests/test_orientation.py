@@ -473,3 +473,55 @@ class TestDs0Sign:
         with pytest.raises(DegeneracyError):
             ds0_sign(3, "north", jac, (0.5, 1.5), 40.0)
 
+
+
+IDENTITY_2 = ((F(1), F(0)), (F(0), F(1)))
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(
+        lambda: FredholmModel(IDENTITY_2, ((F(1), F(0), F(0)),)),
+        "E basis: vector of length 3, expected 2", id="e-vector-length",
+    ),
+    pytest.param(lambda: FredholmModel((), ()), "phi needs at least one row", id="no-rows"),
+    pytest.param(lambda: FredholmModel(((F(1), F(0)), (F(1),)), ()), "ragged matrix", id="ragged"),
+    pytest.param(
+        lambda: FredholmModel(((F(0),), (F(0),)), ((F(1), F(0)), (F(2), F(0)))),
+        "E basis must be independent", id="e-dependent",
+    ),
+    pytest.param(
+        lambda: FredholmModel(((F(1),), (F(0),)), ()),
+        "Im(phi) + span(E) must be all of W", id="not-onto",
+    ),
+    pytest.param(
+        lambda: comparison_sign(DIAG_MODEL, **{**DIAG_ARGS, "f_basis": []}),
+        "F basis has 0 vectors; phi^{-1}(E) needs 1 beyond the kernel", id="f-count",
+    ),
+    pytest.param(
+        lambda: comparison_sign(DIAG_MODEL, **{**DIAG_ARGS, "phi_f_basis": []}),
+        "phi(F) basis must be a basis of phi(F)", id="phi-f-count",
+    ),
+    pytest.param(
+        lambda: comparison_sign(DIAG_MODEL, **{**DIAG_ARGS, "ker_basis": [(1, 0, 0)]}),
+        "kernel basis vector not in ker(phi)", id="kernel-vector",
+    ),
+    pytest.param(
+        lambda: glued_sign(1, 1, "sideways"),
+        "direction must be a_points_away or a_points_toward", id="direction",
+    ),
+    pytest.param(
+        lambda: ds0_sign(1, "north", (), (), 40.0), "ds0 sign needs k >= 2", id="ds0-k",
+    ),
+    pytest.param(
+        lambda: ds0_sign(3, "east", IDENTITY_2, (0.5, 1.5), 40.0),
+        "pole must be north or south", id="ds0-pole",
+    ),
+    pytest.param(
+        lambda: ds0_sign(3, "north", ((F(1), F(0)),), (0.5, 1.5), 40.0),
+        "ev_jacobian must be (k-1) x (k-1)", id="ds0-jacobian-shape",
+    ),
+])
+def test_raises(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert (type(info.value), info.value.args[0]) == (ValidationError, message)

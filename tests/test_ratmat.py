@@ -308,3 +308,17 @@ def test_product_rows_are_independent():
     out = ratmat.mat_mul_shaped(a, [[F(0), F(3)]], 2, 1, 2)
     out[0][1] *= 5
     assert out == [[F(0), F(15)], [F(0), F(6)]]
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: ratmat.mat_sub([[F(1)]], [[F(1), F(2)]]), "shape mismatch in subtraction",
+                 id="sub"),
+    pytest.param(lambda: ratmat.mat_add([[F(1)]], [[F(1)], [F(2)]]), "shape mismatch in addition",
+                 id="add"),
+    pytest.param(lambda: ratmat.hstack([[F(1)]], [[F(1)], [F(2)]]), "row count mismatch in hstack",
+                 id="hstack"),
+])
+def test_raises(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), info.value.args[0]) == (ValueError, message)

@@ -7,6 +7,9 @@ import pytest
 from cylcc.errors import DomainError, IllConditionedInputError, NumericError, ValidationError
 from cylcc.spectral import (
     OperatorKind,
+    SpectrumEntry,
+    SpectrumTable,
+    TrigLoop,
     closed_form_spectrum,
     finite_difference_operator,
     gram_matrix,
@@ -590,3 +593,44 @@ class TestGram:
             gram_matrix(
                 SpectrumTable(OperatorKind.pos_hyperbolic(0.3), ()), 128
             )
+
+
+LOOP = TrigLoop(0.0, (1.0, 0.0), (0.0, 0.0))
+KIND_POS = OperatorKind.pos_hyperbolic(0.3)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: OperatorKind("parabolic", 0.5), DomainError,
+                 "unknown operator kind 'parabolic'", id="kind"),
+    pytest.param(lambda: SpectrumEntry(0, 1.0, LOOP, 0), ValidationError,
+                 "spectrum indices are nonzero integers", id="index-zero"),
+    pytest.param(
+        lambda: SpectrumTable(KIND_POS, (SpectrumEntry(1, 1.0, LOOP, 0),) * 2),
+        ValidationError, "duplicate spectrum indices", id="duplicate-index",
+    ),
+    pytest.param(
+        lambda: SpectrumTable(KIND_POS, (SpectrumEntry(1, -1.0, LOOP, 0),)),
+        ValidationError, "sign(lambda_1) != sign(1) violates the ordering", id="sign-order",
+    ),
+    pytest.param(lambda: closed_form_spectrum(KIND_POS, 2).entry(3), KeyError,
+                 "no spectrum entry with index 3", id="missing-entry"),
+    pytest.param(lambda: finite_difference_operator("parabolic", 0.5, 8), DomainError,
+                 "unknown operator kind 'parabolic'", id="fd-kind"),
+    pytest.param(lambda: winding_number([[1.0, 0.0, 0.0]]), ValidationError,
+                 "loop must be an (n, 2) array of samples", id="loop-shape"),
+    pytest.param(lambda: numeric_spectrum(KIND_POS, 64, 17), DomainError,
+                 "count must be at most grid_size/4 = 16, got 17", id="count-above-grid"),
+])
+def test_raises(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), info.value.args[0]) == (error, message)
+
+
+@pytest.mark.parametrize("eps", [5e-324, math.nextafter(2 * math.pi, 0)])
+def test_elliptic_signs_at_the_ends_of_the_eps_range(eps):
+    # 0 < eps < 2 pi, enforced by OperatorKind, keeps 2 pi n - eps off zero.
+    table = closed_form_spectrum(OperatorKind.elliptic(eps), 8)
+    assert table.indices == [*range(-8, 0), *range(1, 9)]
+    for e in table.entries:
+        assert e.eigenvalue > 0 if e.index > 0 else e.eigenvalue < 0, (e.index, e.eigenvalue)

@@ -277,11 +277,7 @@ class GradedRationalComplex:
         return sorted(self.generators)
 
     def block(self, g: int) -> ratmat.Matrix:
-        if g in self.blocks:
-            return self.blocks[g]
-        return ratmat.zeros(
-            len(self.generators.get(g - 1, ())), len(self.generators.get(g, ()))
-        )
+        return self.differential.block(g)
 
     def dim(self, g: int) -> int:
         return len(self.generators.get(g, ()))
@@ -401,11 +397,11 @@ class _Filtration:
         return cls(gen_tuples, blocks, action, items, nonintegral)
 
     def ordered(self):
-        """``(place, values, tie)``, computed on first use.
+        """``(place, values, key)``, computed on first use.
 
         Generator j of grading g sits at ``place[g][j]``; ``values`` lists
-        the actions in order and ``tie[p]`` is the first place whose action
-        equals the action at p.
+        the actions in order and ``key[oid]`` is the integer sort key of
+        the action of ``oid``, ordered as the actions are.
         """
         if self._order is None:
             gens, action = self.generators, self.action
@@ -413,17 +409,14 @@ class _Filtration:
             # and much cheaper to sort than Fractions.
             ratios = {oid: a.as_integer_ratio() for oid, a in action.items()}
             scale = math.lcm(*(d for _, d in ratios.values()))
+            key = {oid: n * (scale // d) for oid, (n, d) in ratios.items()}
             keyed = sorted(
-                (ratios[oid][0] * (scale // ratios[oid][1]), oid, g, j)
-                for g, ids in gens.items()
-                for j, oid in enumerate(ids)
+                (key[oid], oid, g, j) for g, ids in gens.items() for j, oid in enumerate(ids)
             )
             place = {g: [0] * len(ids) for g, ids in gens.items()}
-            tie = []
-            for p, (key, _, g, j) in enumerate(keyed):
+            for p, (_, _, g, j) in enumerate(keyed):
                 place[g][j] = p
-                tie.append(tie[-1] if p and key == keyed[p - 1][0] else p)
-            self._order = place, [action[oid] for _, oid, _, _ in keyed], tie
+            self._order = place, [action[oid] for _, oid, _, _ in keyed], key
         return self._order
 
     def sources(self):
@@ -435,7 +428,7 @@ class _Filtration:
         action, since a cut would then not be a subcomplex.
         """
         if self._sources is None:
-            place, values, tie = self.ordered()
+            place, _, key = self.ordered()
             at = {
                 oid: (g, place[g][j])
                 for g, ids in self.generators.items()
@@ -444,10 +437,10 @@ class _Filtration:
             first: Dict[int, int] = {}
             for (fid, tid), _ in self.counts:
                 g, p = at[fid]
-                if at[tid][1] >= tie[p]:
+                if not key[tid] < key[fid]:
                     raise ValidationError(
                         f"symplectization entry {fid} -> {tid} does not lower action "
-                        f"({values[p]} -> {values[at[tid][1]]}); action cuts need d "
+                        f"({self.action[fid]} -> {self.action[tid]}); action cuts need d "
                         "to lower action"
                     )
                 first[g] = min(first.get(g, p), p)

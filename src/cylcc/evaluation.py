@@ -99,12 +99,9 @@ class EndExpansion:
             raise ValidationError("lambdas and coeffs must have equal length")
         if len(self.lambdas) < 1:
             raise ValidationError("an end expansion needs at least one mode")
-        if not all(math.isfinite(x) for x in (*self.lambdas, *self.coeffs)):
+        if not all(math.isfinite(x) for x in self.coeffs):
             raise ValidationError("end expansion data must be finite")
-        if any(l <= 0 for l in self.lambdas):
-            raise ValidationError("end expansions use positive eigenvalues only")
-        if any(b < a for a, b in zip(self.lambdas, self.lambdas[1:])):
-            raise ValidationError("eigenvalues must be nondecreasing")
+        _check_header(self.k, self.lambdas, 1)
 
     @property
     def k(self) -> int:
@@ -319,18 +316,11 @@ class _Stack:
 
 
 class _ComponentMap:
-    """Evaluation through ``components`` and the flow quotient by ``lambdas``."""
+    """Evaluation through ``components``, one column per component."""
 
     def evaluate(self, theta) -> np.ndarray:
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         return np.column_stack([comp(theta) for comp in self.components])
-
-    def expansion_at(self, theta) -> EndExpansion:
-        values = self.evaluate(np.atleast_2d(theta))[0]
-        return EndExpansion(tuple(self.lambdas), tuple(float(v) for v in values))
-
-    def normalized(self, theta) -> np.ndarray:
-        return flow_normalize(self.expansion_at(theta))
 
 
 @dataclass(frozen=True)
@@ -691,12 +681,6 @@ class MeridianPath:
 
 
 @dataclass(frozen=True)
-class Crossing:
-    params: Tuple[float, ...]
-    sign: int
-
-
-@dataclass(frozen=True)
 class ArcComponent:
     """One component of the preimage of the meridian (k = 2 only)."""
 
@@ -711,7 +695,7 @@ class ArcComponent:
 
 @dataclass(frozen=True)
 class PathIntersections:
-    crossings: Tuple[Crossing, ...]
+    crossings: Tuple[PolePreimage, ...]  # of pole through_sign on axis through
     components: Tuple[ArcComponent, ...] = ()
 
     @property
@@ -741,7 +725,7 @@ def path_intersections(
     if path.through == axis or not 0 <= path.through < spec.k:
         raise ValidationError("the meridian must pass through a distinct axis")
     for p in spec.singular_params:
-        image = spec.normalized(np.asarray(p))
+        image = flow_normalize(EndExpansion(spec.lambdas, tuple(spec.evaluate(p)[0].tolist())))
         on_plane = all(
             abs(image[j]) < 1e-9
             for j in range(spec.k)
@@ -752,8 +736,7 @@ def path_intersections(
                 f"declared singular image at parameters {p} lies on the meridian"
             )
 
-    kept, _ = _signed_preimages(spec, path.through, (path.through_sign,), n_scan, n_grid)
-    crossings = [Crossing(p.params, p.sign) for p in kept]
+    crossings, _ = _signed_preimages(spec, path.through, (path.through_sign,), n_scan, n_grid)
 
     components: Tuple[ArcComponent, ...] = ()
     if spec.nvars == 1:

@@ -183,10 +183,6 @@ class RampMode:
         if self.ramp is None and self.c != 0.0:
             raise ValidationError("a mode without a ramp is the constant a; c must be 0")
 
-    @property
-    def is_constant(self) -> bool:
-        return self.ramp is None or self.c == 0.0
-
     def value(self, s) -> np.ndarray:
         s = np.asarray(s, float)
         if self.ramp is None:
@@ -368,7 +364,7 @@ def _check_ends(eta_plus: NeckField, eta_minus: NeckField):
 def _end_modes(field: NeckField, end: str) -> Dict[int, RampMode]:
     """Every mode of one end's data, each checked to be constant."""
     for i, mode in field.modes.items():
-        if not mode.is_constant:
+        if mode.ramp is not None and mode.c != 0.0:
             raise ValidationError(
                 f"{end}-end mode {i} is not constant; the closed-form solve "
                 "applies to end data only"
@@ -510,26 +506,23 @@ class CokernelBasisModel:
         if self.c is None:
             identity = tuple(tuple(float(i == j) for j in range(self.k)) for i in range(self.k))
             object.__setattr__(self, "c", identity)
-        if len(self.c) != self.k or any(len(row) != self.k for row in self.c):
-            raise ValidationError("c must be a k x k matrix")
-        if not all(math.isfinite(x) for row in self.c for x in row):
-            raise ValidationError("c must be finite")
+        if self.d is not None and self.spectrum_minus is None:
+            raise ValidationError("negative-end data needs its spectrum table")
+        for name in ("c", "d") if self.d is not None else ("c",):
+            m = getattr(self, name)
+            if len(m) != self.k or any(len(row) != self.k for row in m):
+                raise ValidationError(f"{name} must be a k x k matrix")
+            if not all(math.isfinite(x) for row in m for x in row):
+                raise ValidationError(f"{name} must be finite")
         for i in range(self.k):
             if self.c[i][i] != 1.0:
                 raise ValidationError("c must have unit diagonal")
             for j in range(i):
                 if self.c[i][j] != 0.0:
                     raise ValidationError("c must be upper triangular")
-        max_index = max(self.spectrum_plus.indices)
-        if max_index < self.k:
+        if max(self.spectrum_plus.indices) < self.k:
             raise ValidationError("spectrum table too small for the cokernel rank")
         if self.d is not None:
-            if self.spectrum_minus is None:
-                raise ValidationError("negative-end data needs its spectrum table")
-            if len(self.d) != self.k or any(len(row) != self.k for row in self.d):
-                raise ValidationError("d must be a k x k matrix")
-            if not all(math.isfinite(x) for row in self.d for x in row):
-                raise ValidationError("d must be finite")
             for i in range(self.k):
                 for col in range(self.k):
                     # 0-based row i is sigma'_{i+1}: columns 0..i allowed
@@ -586,10 +579,10 @@ def momo_check(
     """Constancy of positive modes and ramp endpoints of negative modes.
 
     Returns the maximal deviations: positive-mode drift of psi_+ across
-    the neck and |b_i(2T) + d_i| over the bottom-end modes.  Both are read
-    from the anchored coefficients, which a psi_+ mode shares with its
-    eta_- mode: a + c R varies by |c| across its ramp, and is a + c at
-    s = 2T, above every cutoff ramp.
+    the neck and |b_i(2T) + d_i| over the bottom-end modes.  For valid
+    ends both are exactly 0.0: psi_+ has no positive modes, so the drift
+    is the default 0.0, and each endpoint is 0.0 + (-d) + d.  This guards
+    ``solve_neck`` against regression; it measures no numerical error.
     """
     psi_plus, _ = solve_neck(eta_plus, eta_minus, params)
     drift = max((abs(m.c) for i, m in psi_plus.modes.items() if i > 0), default=0.0)

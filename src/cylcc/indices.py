@@ -62,6 +62,8 @@ class ReebOrbit:
         _check_integer(f"orbit {self.id}: multiplicity", self.multiplicity)
         if self.multiplicity < 1:
             raise ValidationError(f"orbit {self.id}: multiplicity must be >= 1")
+        if not isinstance(self.action, numbers.Real):
+            raise ValidationError(f"orbit {self.id}: action must be a real number, got {self.action!r}")
         if self.action <= 0:
             raise ValidationError(f"orbit {self.id}: action must be positive")
         if not self.action < math.inf:  # NaN fails this too
@@ -128,6 +130,7 @@ class CurveTopology:
 
     def __post_init__(self):
         _check_integer("genus", self.genus)
+        _check_integer("c1", self.c1)
         if self.genus < 0:
             raise ValidationError("genus must be nonnegative")
         if not self.positive_punctures and not self.negative_punctures:
@@ -157,6 +160,7 @@ def fredholm_index(
 
 def cover_index(base_index: int, degree: int, branching: int) -> int:
     """Index of a degree-k branched cover with total branching b."""
+    _check_integer("base index", base_index)
     _check_integer("cover degree", degree)
     _check_integer("branching", branching)
     if degree < 1:

@@ -30,6 +30,7 @@ to a family by one integer product.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -324,8 +325,8 @@ def ds0_sign(
         raise ValidationError("pole must be north or south")
     if not math.isfinite(T) or T <= 0:
         raise ValidationError("T must be finite and positive")
-    lams = [float(l) for l in lambdas]
-    if len(lams) != k - 1 or any(not math.isfinite(l) or l <= 0 for l in lams):
+    real = all(isinstance(l, numbers.Real) for l in lambdas)
+    if len(lambdas) != k - 1 or not real or any(not 0 < l < math.inf for l in lambdas):
         raise ValidationError("need k-1 finite positive eigenvalues")
     # Each row rescaled by a positive factor: the determinant keeps its sign.
     jac = [ratmat._clear(row)[0] for row in ev_jacobian]

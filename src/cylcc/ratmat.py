@@ -68,17 +68,15 @@ def mat_mul_shaped(
     by one lcm, so the sums run on integers and each entry becomes a
     Fraction once.
     """
-    b = [_exact(row) for row in b]
-    b_den = math.lcm(*(x.denominator for row in b for x in row))
-    b_int = [[x.numerator * (b_den // x.denominator) for x in row] for row in b]
+    b_flat, b_den = _clear([x for row in b for x in row])
+    b_int = [b_flat[i * ncols:(i + 1) * ncols] for i in range(len(b))]
     zero = Fraction(0)
     out = []
-    for arow in map(_exact, a):
-        a_den = math.lcm(*(x.denominator for x in arow))
+    for arow in a:
+        a_int, a_den = _clear(arow)
         acc = [0] * ncols
-        for x, brow in zip(arow, b_int):
-            if x:
-                c = x.numerator * (a_den // x.denominator)
+        for c, brow in zip(a_int, b_int):
+            if c:
                 acc = [s + c * y for s, y in zip(acc, brow)]
         den = a_den * b_den
         out.append([Fraction(v, den) if v else zero for v in acc])

@@ -186,16 +186,13 @@ def _closed_form_entry(kind: OperatorKind, i: int) -> SpectrumEntry:
 
     if kind.kind == ELLIPTIC:
         # f_{2n-1} = e^{2pi i n t}, f_{2n} = i e^{2pi i n t} for n >= 1;
-        # f_{2n-2} = e^{2pi i n t}, f_{2n-1} = i e^{2pi i n t} for n <= 0.
-        if i > 0:
-            n = (i + 1) // 2
-            member = "e" if i % 2 == 1 else "ie"
-        else:
-            n = (i + 2) // 2 if i % 2 == 0 else (i + 1) // 2
-            member = "e" if i % 2 == 0 else "ie"
+        # f_{2n-2} = e^{2pi i n t}, f_{2n-1} = i e^{2pi i n t} for n <= 0:
+        # j = i, or i + 1 for i <= 0, is 2n - 1 for e and 2n for i e.
+        j = i if i > 0 else i + 1
+        n = (j + 1) // 2
         lam = TWO_PI * n - eps  # 0 < eps < 2 pi gives it the sign of i
         omega = TWO_PI * n
-        if member == "e":  # (cos, sin)
+        if j % 2 == 1:  # e^{i omega t} = (cos, sin)
             loop = TrigLoop(omega, (1.0, 0.0), (0.0, 1.0))
         else:  # i*e^{i omega t} = (-sin, cos)
             loop = TrigLoop(omega, (0.0, 1.0), (-1.0, 0.0))
@@ -209,7 +206,7 @@ def _closed_form_entry(kind: OperatorKind, i: int) -> SpectrumEntry:
         return SpectrumEntry(i, lam, loop, winding=0)
 
     if kind.kind == POS_HYPERBOLIC:
-        n = a // 2 if a % 2 == 0 else (a - 1) // 2
+        n = a // 2
         member = "c" if a % 2 == 0 else "s"
         omega = TWO_PI * n
         wind = sgn * n

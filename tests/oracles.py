@@ -3,9 +3,11 @@
 The orientation oracle chases top wedges through explicit maximal
 minors (Laplace expansion), independently of the package's Gaussian
 elimination route.  The product oracle multiplies Fractions entry by
-entry, independently of the package's integer rows.  The trig-polynomial
-oracles sum and differentiate the terms one at a time, independently of
-the package's order-matrix evaluation.  The torus Newton oracle seeds
+entry, independently of the package's integer rows; the sum and
+side-by-side oracles read every entry by its index, independently of the
+package's row handling.  The trig-polynomial oracles sum and
+differentiate the terms one at a time, independently of the package's
+order-matrix evaluation.  The torus Newton oracle seeds
 damped Newton at every grid point and keeps what converges, independently
 of the package's certified cell search.  The brentq oracles refine one
 bracket at a time with scipy, independently of the package's batched
@@ -63,6 +65,16 @@ def mat_mul_oracle(a, b, nrows, nmid, ncols):
                 if brow[j] != 0:
                     orow[j] += aik * brow[j]
     return out
+
+
+def mat_add_oracle(a, b, nrows, ncols):
+    """Sum of two nrows x ncols matrices, one Fraction at a time."""
+    return [[Fraction(a[i][j]) + Fraction(b[i][j]) for j in range(ncols)] for i in range(nrows)]
+
+
+def hstack_oracle(a, b, nrows, na, nb):
+    """[a | b] of an nrows x na and an nrows x nb matrix; one with no columns is never read."""
+    return [[a[i][j] for j in range(na)] + [b[i][j] for j in range(nb)] for i in range(nrows)]
 
 
 def graded_index(generators):

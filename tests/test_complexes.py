@@ -231,6 +231,13 @@ class TestDSquared:
         cx = make_complex({1: ["a", "b"], 0: ["c"]}, {})
         assert verify_d_squared(cx).ok
 
+    def test_verdict_truth_is_its_ok(self):
+        # ``if verify_d_squared(cx):`` reads the verdict, not the object.
+        good = make_complex({1: ["a", "b"], 0: ["c"]}, {})
+        bad = make_complex({2: ["a"], 1: ["b"], 0: ["c"]}, {2: [[1]], 1: [[1]]})
+        assert bool(verify_d_squared(good)) is True
+        assert bool(verify_d_squared(bad)) is False
+
     def test_cancelling_paths_ok(self):
         cx = make_complex(
             {2: ["a"], 1: ["b", "c"], 0: ["d"]},
@@ -316,6 +323,11 @@ class TestHomology:
     def test_zero_differential_counts_generators(self):
         cx = make_complex({2: ["a", "b", "c"]}, {})
         assert homology(cx) == {2: 3}
+
+    def test_block_with_no_columns_is_skipped(self):
+        # A block of a grading with no generators has rows but no columns.
+        cx = GradedRationalComplex({4: ("a", "b")}, {5: [[], []]})
+        assert homology(cx) == {4: 2}
 
     def test_acyclic_pair(self):
         cx = make_complex({1: ["a"], 0: ["b"]}, {1: [[1]]})

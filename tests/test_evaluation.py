@@ -881,6 +881,11 @@ class TestZeroLocus:
         report = s0_zero_locus_check(identity_angle_map(), np.linspace(5, 50, 10))
         assert report.ok
 
+    def test_report_truth_is_its_ok(self):
+        assert bool(s0_zero_locus_check(identity_angle_map(), [20.0])) is True
+        mismatch = evaluation.ZeroLocusMismatch(20.0, (0.5,), "zero without pole preimage")
+        assert bool(evaluation.ZeroLocusReport(False, (mismatch,))) is False
+
     def test_zero_without_pole_preimage_reported(self, monkeypatch):
         real = evaluation.pole_preimages
         dropped = []

@@ -88,6 +88,20 @@ class TestNeckParams:
         assert p.T0 > 5.0 * p.r
         assert p.T > 2.0 * p.T0
 
+    @pytest.mark.parametrize("x", [
+        37 * NeckParams().grid_step,  # ceil(x / step) = 38: one step down
+        np.nextafter(1091 * NeckParams().grid_step, math.inf),  # ceil = 1091: one step up
+    ])
+    def test_count_below_corrects_the_rounded_guess(self, x):
+        params = NeckParams()
+        assert params.count_below(x) == np.count_nonzero(params.grid() < x)
+
+    def test_run_sum_overflows_to_inf(self):
+        # K^2 = 1e600 is past the float range although its logarithm is not.
+        params, spectrum = setup()
+        assert gluing._constant_run_sum(1e300, 1.0, 0.0, 0, 10, params) == math.inf
+        assert NeckField.end_from_above(spectrum, params, {1: 1e300}).star_norm() == math.inf
+
 
 class TestCutoffs:
     def test_endpoint_values(self):
@@ -218,6 +232,20 @@ class TestSolveNeck:
         checks = momo_check(eta_p, eta_m, params)
         assert checks["positive_mode_drift"] < 1e-9
         assert checks["endpoint_deviation"] < 1e-9
+
+    def test_momo_check_reads_exactly_zero_on_valid_ends(self):
+        # Both values are exact by construction: psi_+ has no positive
+        # modes, and each endpoint is 0.0 + (-d) + d.
+        params, spectrum = setup()
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            top = {i: float(rng.uniform(-5, 5)) for i in (1, 2, 3) if rng.random() < 0.7}
+            bottom = {i: float(rng.uniform(-5, 5)) for i in (-1, -2, -3) if rng.random() < 0.7}
+            eta_p = NeckField.end_from_above(spectrum, params, top)
+            eta_m = NeckField.end_from_below(spectrum, params, bottom)
+            assert momo_check(eta_p, eta_m, params) == {
+                "positive_mode_drift": 0.0, "endpoint_deviation": 0.0,
+            }
 
     def test_residuals_tiny(self):
         params, spectrum = setup()

@@ -232,6 +232,17 @@ class TestWindingBounds:
                  id="genus-half"),
     pytest.param(lambda: CurveTopology(True, ("a",), (), 0), "genus must be an integer, got True",
                  id="genus-bool"),
+    # Non-integral c1 and base index, and a non-numeric action.
+    pytest.param(lambda: CurveTopology(0, ("a",), (), 0.5), "c1 must be an integer, got 0.5",
+                 id="c1-half"),
+    pytest.param(lambda: CurveTopology(0, ("a",), (), True), "c1 must be an integer, got True",
+                 id="c1-bool"),
+    pytest.param(lambda: cover_index(1.5, 2, 0), "base index must be an integer, got 1.5",
+                 id="base-index-half"),
+    pytest.param(
+        lambda: ReebOrbit("a", "a", 1, "neg_hyperbolic", "2", 1),
+        "orbit a: action must be a real number, got '2'", id="action-string",
+    ),
 ])
 def test_raises(call, message):
     with pytest.raises(ValidationError) as info:

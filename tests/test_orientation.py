@@ -520,6 +520,14 @@ IDENTITY_2 = ((F(1), F(0)), (F(0), F(1)))
         lambda: ds0_sign(3, "north", ((F(1), F(0)),), (0.5, 1.5), 40.0),
         "ev_jacobian must be (k-1) x (k-1)", id="ds0-jacobian-shape",
     ),
+    pytest.param(
+        lambda: ds0_sign(2, "north", [[1]], ["a"], 1.0),
+        "need k-1 finite positive eigenvalues", id="ds0-eigenvalue-string",
+    ),
+    pytest.param(
+        lambda: ds0_sign(2, "north", [[1]], [1j], 1.0),
+        "need k-1 finite positive eigenvalues", id="ds0-eigenvalue-complex",
+    ),
 ])
 def test_raises(call, message):
     with pytest.raises(ValidationError) as info:

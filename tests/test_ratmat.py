@@ -15,7 +15,7 @@ import sympy
 
 from cylcc import ratmat
 
-from .oracles import laplace_det, mat_mul_oracle
+from .oracles import hstack_oracle, laplace_det, mat_add_oracle, mat_mul_oracle
 
 F = Fraction
 
@@ -255,6 +255,32 @@ def test_mat_mul_matches_shaped_product():
         assert ratmat.mat_mul(a, b) == ratmat.mat_mul_shaped(a, b, nrows, nmid, ncols)
     with pytest.raises(ValueError):
         ratmat.mat_mul([[F(1), F(2)]], [[F(1), F(2)]])
+
+
+def test_mat_add_matches_fraction_oracle():
+    rng = random.Random("mat-add")
+    for _ in range(100):
+        nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
+        a, b = (_entries(rng, nrows, ncols, max_den=4, zero_frac=0.3) for _ in range(2))
+        got = ratmat.mat_add(a, b)
+        assert got == mat_add_oracle(a, b, nrows, ncols)
+        assert len(got) == nrows and all(len(row) == ncols for row in got)
+
+
+def test_hstack_matches_oracle_with_empty_operands():
+    # An operand with no columns may come as rows of nothing or as no rows;
+    # when both do, the row count is lost, so one keeps its rows.
+    rng = random.Random("hstack")
+    for _ in range(100):
+        nrows, na, nb = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a, b = _entries(rng, nrows, na, max_den=4), _entries(rng, nrows, nb, max_den=4)
+        want = hstack_oracle(a, b, nrows, na, nb)
+        assert ratmat.hstack(a, b) == want
+        collapsed_a = [] if na == 0 else a
+        collapsed_b = [] if nb == 0 and na > 0 else b
+        assert ratmat.hstack(collapsed_a, collapsed_b) == want
+    with pytest.raises(ValueError, match="row count mismatch"):
+        ratmat.hstack([[F(1)]], [[F(1)], [F(2)]])
 
 
 def _mixed(rng, nrows, ncols):

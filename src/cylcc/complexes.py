@@ -21,11 +21,12 @@ Complex blocks are read-only once built.
 
 from __future__ import annotations
 
-import math
+import numbers
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ratmat
@@ -174,6 +175,9 @@ def load_dataset(orbit_records, curve_records) -> ModuliDataset:
         if cur.level not in LEVELS:
             diagnostics.append(Diagnostic(loc, f"unknown curve level {cur.level!r}"))
             continue
+        # Fraction first: files give Fractions, and the ABC check is slower.
+        if isinstance(cur.count, bool) or not isinstance(cur.count, (Fraction, numbers.Rational)):
+            diagnostics.append(Diagnostic(loc, f"curve count must be rational, got {cur.count!r}"))
         missing = [oid for oid in (cur.from_id, cur.to_id) if oid not in orbits]
         if missing:
             for oid in missing:
@@ -290,9 +294,9 @@ class GradedRationalComplex:
             object.__setattr__(self, "_cut", (filtration, None))
         return self._cut
 
-    @property
+    @cached_property
     def differential(self) -> "GradedMap":
-        """The differential as a degree -1 self-map."""
+        """The differential as a degree -1 self-map, built on first use."""
         return GradedMap(source=self, target=self, degree=-1, blocks=self.blocks)
 
 
@@ -371,10 +375,6 @@ class _Filtration:
         self.action = action  # generator id -> action
         self.counts = counts  # ((gamma, gamma'), summed count) of each counted pair
         self.nonintegral = nonintegral  # (gamma, gamma', non-integer coefficient)
-        self._order = None
-        self._sources = None
-        self._pivots = None
-        self._d_squared = None
 
     @classmethod
     def of_dataset(cls, dataset: ModuliDataset, side, stage) -> "_Filtration":
@@ -396,6 +396,7 @@ class _Filtration:
         )
         return cls(gen_tuples, blocks, action, items, nonintegral)
 
+    @cached_property
     def ordered(self):
         """``(place, values, key)``, computed on first use.
 
@@ -403,59 +404,53 @@ class _Filtration:
         the actions in order and ``key[oid]`` is the integer sort key of
         the action of ``oid``, ordered as the actions are.
         """
-        if self._order is None:
-            gens, action = self.generators, self.action
-            # Each action as an integer over the common denominator: exact,
-            # and much cheaper to sort than Fractions.
-            ratios = {oid: a.as_integer_ratio() for oid, a in action.items()}
-            scale = math.lcm(*(d for _, d in ratios.values()))
-            key = {oid: n * (scale // d) for oid, (n, d) in ratios.items()}
-            keyed = sorted(
-                (key[oid], oid, g, j) for g, ids in gens.items() for j, oid in enumerate(ids)
-            )
-            place = {g: [0] * len(ids) for g, ids in gens.items()}
-            for p, (_, _, g, j) in enumerate(keyed):
-                place[g][j] = p
-            self._order = place, [action[oid] for _, oid, _, _ in keyed], key
-        return self._order
+        gens, action = self.generators, self.action
+        # Each action as an integer over the common denominator: exact,
+        # and much cheaper to sort than Fractions.
+        key = dict(zip(action, ratmat.clear(list(action.values()))[0]))
+        keyed = sorted(
+            (key[oid], oid, g, j) for g, ids in gens.items() for j, oid in enumerate(ids)
+        )
+        place = {g: [0] * len(ids) for g, ids in gens.items()}
+        for p, (_, _, g, j) in enumerate(keyed):
+            place[g][j] = p
+        return place, [action[oid] for _, oid, _, _ in keyed], key
 
+    @cached_property
     def sources(self):
         """``(first, nonintegral)`` of the curve counts, computed on first use.
 
         ``first[g]`` is the earliest place of a source of block g, and
         ``nonintegral`` pairs each non-integer entry with the place of its
-        source.  Raises ValidationError for an entry that does not lower
-        action, since a cut would then not be a subcomplex.
+        source.  Raises ValidationError, on every use, for an entry that
+        does not lower action, since a cut would then not be a subcomplex.
         """
-        if self._sources is None:
-            place, _, key = self.ordered()
-            at = {
-                oid: (g, place[g][j])
-                for g, ids in self.generators.items()
-                for j, oid in enumerate(ids)
-            }
-            first: Dict[int, int] = {}
-            for (fid, tid), _ in self.counts:
-                g, p = at[fid]
-                if not key[tid] < key[fid]:
-                    raise ValidationError(
-                        f"symplectization entry {fid} -> {tid} does not lower action "
-                        f"({self.action[fid]} -> {self.action[tid]}); action cuts need d "
-                        "to lower action"
-                    )
-                first[g] = min(first.get(g, p), p)
-            nonintegral = [(at[e[0]][1], e) for e in self.nonintegral]
-            self._sources = first, nonintegral
-        return self._sources
+        place, _, key = self.ordered
+        at = {
+            oid: (g, place[g][j])
+            for g, ids in self.generators.items()
+            for j, oid in enumerate(ids)
+        }
+        first: Dict[int, int] = {}
+        for (fid, tid), _ in self.counts:
+            g, p = at[fid]
+            if not key[tid] < key[fid]:
+                raise ValidationError(
+                    f"symplectization entry {fid} -> {tid} does not lower action "
+                    f"({self.action[fid]} -> {self.action[tid]}); action cuts need d "
+                    "to lower action"
+                )
+            first[g] = min(first.get(g, p), p)
+        return first, [(at[e[0]][1], e) for e in self.nonintegral]
 
     def below(self, action_max) -> int:
         """How many generators have action below ``action_max``."""
-        return bisect_left(self.ordered()[1], action_max)
+        return bisect_left(self.ordered[1], action_max)
 
     def columns(self, k: int) -> Dict[int, List[int]]:
         """Per grading, the indices of the generators placed below k; none if empty."""
         cols = {}
-        for g, places in self.ordered()[0].items():
+        for g, places in self.ordered[0].items():
             kept = [j for j, p in enumerate(places) if p < k]
             if kept:
                 cols[g] = kept
@@ -469,7 +464,7 @@ class _Filtration:
         if k is None:
             blocks = {g: [row[:] for row in block] for g, block in self.blocks.items()}
             return dict(self.generators), blocks, self.nonintegral
-        first, nonintegral = self.sources()
+        first, nonintegral = self.sources
         cols = self.columns(k)
         generators = {g: tuple(self.generators[g][j] for j in c) for g, c in cols.items()}
         blocks = {
@@ -479,35 +474,39 @@ class _Filtration:
         }
         return generators, blocks, [e for p, e in nonintegral if p < k]
 
+    @cached_property
+    def full_d_squared(self) -> "GradedMap":
+        """d^2 of the whole complex, computed on first use."""
+        d = GradedRationalComplex(self.generators, self.blocks).differential
+        return d.compose(d)
+
     def d_squared(self, cut: GradedRationalComplex, k: Optional[int]) -> "IdentityCheck":
         """The d^2 verdict of ``cut``, the cut at k: the full d^2 restricted to it."""
-        if self._d_squared is None:
-            d = GradedRationalComplex(self.generators, self.blocks).differential
-            self._d_squared = d.compose(d)
         if k is None:
-            return self._d_squared.first_nonzero()
+            return self.full_d_squared.first_nonzero()
         cols = self.columns(k)
         blocks = {
             g: _submatrix(block, cols.get(g - 2, ()), cols[g])
-            for g, block in self._d_squared.blocks.items()
+            for g, block in self.full_d_squared.blocks.items()
             if g in cols
         }
         return GradedMap(cut, cut, -2, blocks).first_nonzero()
 
-    def rank(self, g: int, k: Optional[int]) -> int:
-        """Rank of the cut at k of block g."""
-        if self._pivots is None:
-            place = self.ordered()[0]
-            self._pivots = {}
-            for h, block in self.blocks.items():
-                if not (block and block[0]):
-                    continue
+    @cached_property
+    def pivots(self) -> Dict[int, List[int]]:
+        """Per nonempty block, the places of its pivot columns in action order."""
+        place = self.ordered[0]
+        pivots = {}
+        for h, block in self.blocks.items():
+            if block and block[0]:
                 by_place = sorted(range(len(place[h])), key=place[h].__getitem__)
                 ordered = [[row[j] for j in by_place] for row in block]
-                self._pivots[h] = [
-                    place[h][by_place[c]] for c in ratmat.pivot_columns(ordered)
-                ]
-        pivots = self._pivots.get(g, ())
+                pivots[h] = [place[h][by_place[c]] for c in ratmat.pivot_columns(ordered)]
+        return pivots
+
+    def rank(self, g: int, k: Optional[int]) -> int:
+        """Rank of the cut at k of block g."""
+        pivots = self.pivots.get(g, ())
         return len(pivots) if k is None else bisect_left(pivots, k)
 
 
@@ -549,7 +548,8 @@ def _assemble(
     for (fid, tid), count in items:
         g, col = src_pos[fid]
         mult = orbits[tid].orbit.multiplicity
-        coeff = count if mult == 1 else count / mult
+        # As a Python int: a numpy count's own products would wrap at 64 bits.
+        coeff = count if mult == 1 else Fraction(int(count.numerator), count.denominator * mult)
         if coeff.denominator != 1:
             nonintegral.append((fid, tid, coeff))
         if g not in blocks:

@@ -62,7 +62,7 @@ class ReebOrbit:
         _check_integer(f"orbit {self.id}: multiplicity", self.multiplicity)
         if self.multiplicity < 1:
             raise ValidationError(f"orbit {self.id}: multiplicity must be >= 1")
-        if not isinstance(self.action, numbers.Real):
+        if not isinstance(self.action, numbers.Real) or isinstance(self.action, bool):
             raise ValidationError(f"orbit {self.id}: action must be a real number, got {self.action!r}")
         if self.action <= 0:
             raise ValidationError(f"orbit {self.id}: action must be positive")

@@ -13,15 +13,15 @@ positive factor or replacing F leaves all computed signs unchanged.
 
 Everything here is exact, and runs on Python integers.  Each input
 vector is rescaled once, at entry, by the positive lcm of its
-denominators, and phi by one positive lcm when the model is built; by
+denominators (``ratmat.clear``), and phi by one (``ratmat.clear_rows``); by
 the naturality above, membership, independence and the sign of a
 change-of-basis determinant are all unchanged.  Every basis claim rests
 on one certificate: if the coordinates of a family X in a family P
 exist, form a square matrix and have nonzero determinant, then X and P
 are bases of the same space, and the determinant's sign is the
-orientation sign.  One elimination of ``ratmat``'s integer Bareiss core
-gives the coordinates of a whole family as integer numerators N over
-the common pivot d, with zeros at free columns, so a dependent P gives a
+orientation sign.  One elimination (``ratmat.span_coordinates``) gives
+the coordinates of a whole family as integer numerators N over the
+common pivot d, with zeros at free columns, so a dependent P gives a
 zero determinant too.  sign det(N / d) = sign(det N) sign(d)^k is read
 off a second elimination of N, so no Fraction is built; phi is applied
 to a family by one integer product.
@@ -70,7 +70,7 @@ def _as_vectors(vectors, dim: int, what: str) -> List[List[int]]:
     """Each vector rescaled by its own positive factor to Python ints."""
     out = []
     for v in vectors:
-        v = ratmat._clear(v)[0]
+        v = ratmat.clear(v)[0]
         if len(v) != dim:
             raise ValidationError(f"{what}: vector of length {len(v)}, expected {dim}")
         out.append(v)
@@ -89,12 +89,12 @@ def _coordinates(basis, vectors):
     if not basis:
         return None if any(x for v in vectors for x in v) else ([[] for _ in vectors], 1)
     rows = [[*b_row, *v_row] for b_row, v_row in zip(zip(*basis), zip(*vectors))]
-    return ratmat._span_coordinates(rows, len(basis), len(vectors))
+    return ratmat.span_coordinates(rows, len(basis), len(vectors))
 
 
 def _int_det_sign(rows) -> int:
     """Sign of the determinant of a square integer matrix, 0 if singular."""
-    _, pivots, d, swaps = ratmat._gauss_jordan(rows)
+    _, pivots, d, swaps = ratmat.eliminate(rows)
     if len(pivots) < len(rows):
         return 0
     return swaps if d > 0 else -swaps
@@ -137,16 +137,15 @@ class FredholmModel:
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValidationError("ragged matrix")
-        flat, lcm = ratmat._clear([x for row in rows for x in row])
-        phi = [flat[i * width: (i + 1) * width] for i in range(len(rows))]
+        phi, lcm = ratmat.clear_rows(rows, width)
         object.__setattr__(self, "_phi", (phi, lcm))
         e_vecs = _as_vectors(self.e_basis, len(rows), "E basis")
-        if e_vecs and len(ratmat._gauss_jordan(e_vecs)[1]) != len(e_vecs):
+        if e_vecs and len(ratmat.eliminate(e_vecs)[1]) != len(e_vecs):
             raise ValidationError("E basis must be independent")
         # One elimination of [phi | E]: its pivots among the phi columns
         # give rank(phi), and all of them dim(Im phi + E).
         phi_e = [p + [e[i] for e in e_vecs] for i, p in enumerate(phi)]
-        pivots = ratmat._gauss_jordan(phi_e)[1]
+        pivots = ratmat.eliminate(phi_e)[1]
         if len(pivots) != len(rows):
             raise ValidationError("Im(phi) + span(E) must be all of W")
         object.__setattr__(self, "_rank", sum(1 for c in pivots if c < width))
@@ -160,7 +159,7 @@ class FredholmModel:
         return len(self.matrix[0])
 
     def apply(self, v: Sequence[Fraction]) -> List[Fraction]:
-        v, lcm = ratmat._clear(v)
+        v, lcm = ratmat.clear(v)
         if len(v) != self.dim_v:
             raise ValidationError("vector has wrong dimension for phi")
         den = lcm * self._phi[1]
@@ -329,7 +328,7 @@ def ds0_sign(
     if len(lambdas) != k - 1 or not real or any(not 0 < l < math.inf for l in lambdas):
         raise ValidationError("need k-1 finite positive eigenvalues")
     # Each row rescaled by a positive factor: the determinant keeps its sign.
-    jac = [ratmat._clear(row)[0] for row in ev_jacobian]
+    jac = [ratmat.clear(row)[0] for row in ev_jacobian]
     if len(jac) != k - 1 or any(len(row) != k - 1 for row in jac):
         raise ValidationError("ev_jacobian must be (k-1) x (k-1)")
     sign = _int_det_sign(jac)

@@ -1,19 +1,19 @@
-"""Exact rational matrices as lists of Fraction rows.
+"""Exact rational matrices as lists of Fraction rows, on a public integer core.
 
-Products clear denominators first and sum on Python integers.  Rank,
-kernel, determinant and span coordinates take two steps.  ``_clear``
-multiplies each row by the positive lcm of its denominators, which
-changes neither the row space, nor the pivots, nor the sign of a
-determinant.  The integer-only Bareiss core ``_gauss_jordan`` then
-eliminates the integer rows once, fraction-free: its reduced rows divided
-by the common pivot ``d`` are the reduced row echelon form.  Span
-coordinates of several vectors come from one elimination of the basis
-augmented by all of them, as integer numerators over ``d``.  Callers
-that hold integer rows already, as ``orientation`` does, call the core
-directly.  Everything is exact, and only Fractions leave.  An entry of
-any other type is taken at its exact value first (``_exact``): integral
-ones, such as numpy integers, as Python ints, so no product wraps at 64
-bits, and any other number, a float included, as its exact Fraction.
+The core runs on Python integers.  ``clear`` takes each entry of a row at
+its exact value and multiplies the row by the positive lcm of its
+denominators, which changes neither the row space, nor the pivots, nor the
+sign of a determinant; ``clear_rows`` clears a whole matrix by one lcm.
+``eliminate`` is fraction-free (Bareiss) Gauss-Jordan elimination: its
+reduced rows over the common pivot ``d`` are the reduced row echelon form.
+``span_coordinates`` reads the coordinates of several vectors off one
+elimination of the basis augmented by all of them, as numerators over
+``d``.  Products, rank, kernel, determinant and span coordinates of
+Fraction matrices clear, then run on the core, and only Fractions leave;
+``orientation`` holds integer rows and calls the core directly.  An
+integral entry, such as a numpy integer, becomes a Python int, so no
+product wraps at 64 bits; any other number, a float of any width
+included, becomes its exact Fraction.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 
-# Entry types taken as they are; ``_exact`` converts any other.
+# Entry types taken as they are; ``clear`` converts any other.
 _EXACT = frozenset((int, Fraction))
 _INT = frozenset((int,))
 
@@ -40,10 +40,6 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         m[i][i] = Fraction(1)
     return m
-
-
-def clone(a: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in a]
 
 
 def shape(a: Matrix):
@@ -68,12 +64,11 @@ def mat_mul_shaped(
     by one lcm, so the sums run on integers and each entry becomes a
     Fraction once.
     """
-    b_flat, b_den = _clear([x for row in b for x in row])
-    b_int = [b_flat[i * ncols:(i + 1) * ncols] for i in range(len(b))]
+    b_int, b_den = clear_rows(b, ncols)
     zero = Fraction(0)
     out = []
     for arow in a:
-        a_int, a_den = _clear(arow)
+        a_int, a_den = clear(arow)
         acc = [0] * ncols
         for c, brow in zip(a_int, b_int):
             if c:
@@ -97,54 +92,48 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[a[i][j] + b[i][j] for j in range(an)] for i in range(am)]
 
 
-def is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return clone(b)
-    if not b:
-        return clone(a)
+    if not a or not b:
+        return [[Fraction(x) for x in row] for row in a or b]
     if len(a) != len(b):
         raise ValueError("row count mismatch in hstack")
     return [list(a[i]) + list(b[i]) for i in range(len(a))]
 
 
-def _exact(row: Sequence) -> Sequence:
-    """``row`` with every entry an int or a Fraction of the same value.
-
-    Other integral entries, such as numpy integers, become ints through
-    ``operator.index``: their own products would wrap at 64 bits.  Any
-    other number, a float included, becomes its exact Fraction.
-    """
-    if _EXACT.issuperset(map(type, row)):
-        return row
-    return [x if isinstance(x, (int, Fraction)) else _exact_number(x) for x in row]
-
-
-def _exact_number(x):
-    try:
-        return operator.index(x)
-    except TypeError:
-        return Fraction(x)
-
-
-def _clear(row: Sequence) -> Tuple[List[int], int]:
+def clear(row: Sequence) -> Tuple[List[int], int]:
     """``row`` times the lcm of its denominators, as integers, and that lcm.
 
-    Entries are taken at their exact value (``_exact``); a row of ints is
-    returned as it is, with lcm 1.  The lcm is positive, so a cleared row
-    spans the same line, pointing the same way.
+    Each entry is taken at its exact value (``_exact_number``); a row of
+    ints is returned as it is, with lcm 1.  The lcm is positive, so a
+    cleared row spans the same line, pointing the same way.
     """
     if _INT.issuperset(map(type, row)):
         return list(row), 1
-    row = _exact(row)
+    if not _EXACT.issuperset(map(type, row)):
+        row = [x if isinstance(x, (int, Fraction)) else _exact_number(x) for x in row]
     lcm = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (lcm // x.denominator) for x in row], lcm
 
 
-def _gauss_jordan(rows: Sequence[Sequence[int]]):
+def _exact_number(x):
+    """``x`` as an int if integral, else as its exact Fraction.
+
+    Floats of every width, numpy's float32 included, have ``as_integer_ratio``.
+    """
+    try:
+        return operator.index(x)
+    except TypeError:
+        ratio = getattr(x, "as_integer_ratio", None)
+    return Fraction(*ratio()) if ratio else Fraction(x)
+
+
+def clear_rows(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List[int]], int]:
+    """Rows of ``ncols`` entries times one positive lcm, as integer rows, and the lcm."""
+    flat, lcm = clear([x for row in rows for x in row])
+    return [flat[i * ncols:(i + 1) * ncols] for i in range(len(rows))], lcm
+
+
+def eliminate(rows: Sequence[Sequence[int]]):
     """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
 
     Every entry stays an integer minor, so the division by the previous
@@ -182,7 +171,7 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]):
     return reduced, pivots, prev, sign
 
 
-def _span_coordinates(rows: Sequence[Sequence[int]], ncols: int, nvec: int):
+def span_coordinates(rows: Sequence[Sequence[int]], ncols: int, nvec: int):
     """Span coordinates from one elimination of the integer rows of [B | V].
 
     B has ``ncols`` columns and V has ``nvec``.  Returns ``(numerators,
@@ -190,7 +179,7 @@ def _span_coordinates(rows: Sequence[Sequence[int]], ncols: int, nvec: int):
     at the free columns of B; or None if a column of V lies outside the
     span of B.
     """
-    reduced, pivots, d, _ = _gauss_jordan(rows)
+    reduced, pivots, d, _ = eliminate(rows)
     if pivots and pivots[-1] >= ncols:
         return None
     numerators = [[0] * ncols for _ in range(nvec)]
@@ -208,7 +197,7 @@ def pivot_columns(a: Matrix) -> List[int]:
     before it, so the pivots among the first k columns count the rank of
     those k columns.
     """
-    return _gauss_jordan([_clear(row)[0] for row in a])[1]
+    return eliminate([clear(row)[0] for row in a])[1]
 
 
 def rank(a: Matrix) -> int:
@@ -219,7 +208,7 @@ def nullspace(a: Matrix, ncols: int = None) -> Matrix:
     """Basis of the kernel, returned as a matrix whose columns span it."""
     if not a:
         return identity(ncols or 0)
-    reduced, pivots, d, _ = _gauss_jordan([_clear(row)[0] for row in a])
+    reduced, pivots, d, _ = eliminate([clear(row)[0] for row in a])
     n = len(a[0])
     free_cols = [c for c in range(n) if c not in pivots]
     basis = zeros(n, len(free_cols))
@@ -234,8 +223,8 @@ def det(a: Matrix) -> Fraction:
     n, m = shape(a)
     if n != m:
         raise ValueError("determinant needs a square matrix")
-    cleared = [_clear(row) for row in a]
-    _, pivots, d, sign = _gauss_jordan([row for row, _ in cleared])
+    cleared = [clear(row) for row in a]
+    _, pivots, d, sign = eliminate([row for row, _ in cleared])
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(sign * d, math.prod(lcm for _, lcm in cleared))
@@ -254,8 +243,8 @@ def solve_coordinates(basis: Matrix, vectors: Sequence[Sequence[Fraction]]):
     nrows, ncols = shape(basis)
     if any(len(v) != nrows for v in vectors):
         raise ValueError("dimension mismatch")
-    found = _span_coordinates(
-        [_clear(list(basis[i]) + [v[i] for v in vectors])[0] for i in range(nrows)],
+    found = span_coordinates(
+        [clear(list(basis[i]) + [v[i] for v in vectors])[0] for i in range(nrows)],
         ncols, len(vectors),
     )
     if found is None:

@@ -7,13 +7,14 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from cylcc import ratmat
+from cylcc import complexes, ratmat
 from cylcc.complexes import (
     CurveRecord,
     GradedMap,
@@ -89,6 +90,14 @@ def orbit(oid, cz, action, mult=1, simple_type=None):
 
 def symp(fid, tid, count):
     return CurveRecord("symplectization", 1, fid, tid, F(count))
+
+
+def _is_zero(a):
+    return all(x == 0 for row in a for x in row)
+
+
+def _copy(a):
+    return [list(row) for row in a]
 
 
 def make_complex(generators, entries):
@@ -173,7 +182,7 @@ class TestDifferential:
     def test_empty_curves_zero_differential(self):
         ds = load_dataset([orbit("a", 1, 2), orbit("b", 0, 1)], [])
         cx = differential_matrix(ds)
-        assert ratmat.is_zero(cx.block(1))
+        assert _is_zero(cx.block(1))
 
     def test_triple_cover_weight(self):
         orbits = [orbit("a", 4, 9), orbit("t", 1, 6, mult=3, simple_type="neg_hyperbolic")]
@@ -204,6 +213,26 @@ class TestDifferential:
         with pytest.warns(IntegerCoefficientWarning) as record:
             graded_map_from_dataset(ds, d_plus, d_minus, "cobordism")
         assert record[0].filename == __file__
+
+    def test_integer_counts_of_any_type_accepted(self):
+        # A count into a double cover used to be divided as a float, and
+        # the coefficient then failed with a bare AttributeError.
+        orbits = [orbit("a", 1, 4), orbit("b", 0, 1), orbit("q", 0, 2, mult=2)]
+        for count in (3, np.int64(3), np.uint8(3)):
+            curves = [symp("a", "b", 3), CurveRecord("symplectization", 1, "a", "q", count)]
+            with pytest.warns(IntegerCoefficientWarning):
+                cx = differential_matrix(load_dataset(orbits, curves))
+            assert cx.block(1) == [[3], [F(3, 2)]] and homology(cx) == {1: 0, 0: 1}
+            assert type(cx.block(1)[1][0].numerator) is int
+
+    def test_differential_built_once(self, monkeypatch):
+        cx = differential_matrix(consistent_random_dataset(2))
+        differential = cx.differential
+        checks = []
+        monkeypatch.setattr(complexes, "_check_shapes", lambda *args: checks.append(args))
+        assert [cx.block(g) for g in (0, 1, 2, 3)] == [differential.block(g) for g in (0, 1, 2, 3)]
+        assert cx.differential is cx.differential is differential
+        assert checks == []
 
     def test_consistent_dataset_coefficients_integral(self):
         ds = read_dataset(
@@ -257,7 +286,7 @@ class TestDSquared:
             prod = ratmat.mat_mul_shaped(
                 cx.block(1), cx.block(2), cx.dim(0), cx.dim(1), cx.dim(2)
             )
-            assert ratmat.is_zero(prod)
+            assert _is_zero(prod)
             betti = homology(cx)
             assert betti[2] - betti[1] + betti[0] == dims[0] - dims[1] + dims[2]
 
@@ -270,11 +299,11 @@ class TestDSquared:
             for g, col_gen in ((2, 0), (1, 0)):
                 if cx.dim(g) == 0:
                     continue
-                blocks = {h: ratmat.clone(cx.block(h)) for h in (1, 2)}
+                blocks = {h: _copy(cx.block(h)) for h in (1, 2)}
                 for row in blocks[g]:
                     row[col_gen] = -row[col_gen]
                 mod = GradedRationalComplex(cx.generators, blocks)
-                direct = ratmat.is_zero(
+                direct = _is_zero(
                     ratmat.mat_mul_shaped(
                         mod.block(1), mod.block(2), cx.dim(0), cx.dim(1), cx.dim(2)
                     )
@@ -343,10 +372,10 @@ class TestHomology:
             homology(cx)
 
     def test_each_block_eliminated_once_per_selection(self, monkeypatch):
-        gauss_jordan = ratmat._gauss_jordan
+        eliminate = ratmat.eliminate
         calls = []
         monkeypatch.setattr(
-            ratmat, "_gauss_jordan", lambda rows: calls.append(rows) or gauss_jordan(rows)
+            ratmat, "eliminate", lambda rows: calls.append(rows) or eliminate(rows)
         )
         bundled = read_dataset(
             bundled_path("consistent_orbits.txt"), bundled_path("consistent_curves.txt")
@@ -365,7 +394,7 @@ class TestHomology:
             for cut in GEN.action_cuts(_actions_info(ds, side, stage), 8):
                 homology(differential_matrix(ds, action_max=cut, side=side, stage=stage))
             homology(cx)
-            nonzero = sum(1 for b in cx.blocks.values() if not ratmat.is_zero(b))
+            nonzero = sum(1 for b in cx.blocks.values() if not _is_zero(b))
             assert len(calls) == nonzero, (side, stage)
             blocks_seen += nonzero
             # A complex built by hand is its own filtration: each of its
@@ -471,6 +500,31 @@ class TestActionCuts:
     def test_exact_dataset_cuts_match_oracle(self, seed, tmp_path):
         self._check_cuts(*_exact_dataset(seed, tmp_path))
 
+    @pytest.mark.parametrize(
+        "kind", [np.float16, np.float32, np.float64, float, F],
+        ids=lambda kind: kind.__name__,
+    )
+    def test_actions_of_every_number_type_cut_as_their_exact_values(self, kind):
+        # The filtration orders actions by their exact values, numpy's
+        # float32 included; the same dataset with those values as Fractions
+        # gives the same cuts.
+        ds = consistent_random_dataset(5)
+
+        def rebuilt(action):
+            orbits = [
+                dataclasses.replace(rec.orbit, action=action(rec.orbit.action))
+                for rec in ds.orbits.values()
+            ]
+            return load_dataset(orbits, ds.curves)
+
+        typed = rebuilt(lambda a: kind(a / 10))
+        exact = rebuilt(lambda a: F(*kind(a / 10).as_integer_ratio()))
+        for cut in [None] + _cut_values(exact):
+            got, want = (differential_matrix(d, action_max=cut) for d in (typed, exact))
+            assert (got.generators, got.blocks) == (want.generators, want.blocks)
+            assert verify_d_squared(got) == verify_d_squared(want)
+            assert homology(got) == homology(want)
+
     def test_d_squared_fails_only_above_planted_action(self):
         for seed in range(5):
             ds = consistent_random_dataset(seed)
@@ -488,7 +542,7 @@ class TestActionCuts:
                     continue
                 by_hand = GradedRationalComplex(
                     {g: tuple(ids) for g, ids in cx.generators.items()},
-                    {g: ratmat.clone(b) for g, b in cx.blocks.items()},
+                    {g: _copy(b) for g, b in cx.blocks.items()},
                 )
                 check = verify_d_squared(by_hand)
                 assert not check.ok and check.grading == 2 and check.pair[0] == "g2_1"
@@ -573,6 +627,13 @@ class TestSelectors:
         assert ds.stages == [1, 2, 3]
         with pytest.raises(ValidationError, match="stage 99"):
             differential_matrix(ds, stage=99)
+
+    def test_cut_of_count_not_lowering_action_raises_every_time(self):
+        orbits = {"a": OrbitRecord(orbit("a", 1, 4)), "b": OrbitRecord(orbit("b", 0, 6))}
+        ds = ModuliDataset(orbits=orbits, curves=(symp("a", "b", 1),))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="a -> b does not lower action"):
+                differential_matrix(ds, action_max=F(10))
 
     @pytest.mark.parametrize("source, target_action", [("a", 4), ("c", 4), ("a", 6)])
     def test_cut_of_count_not_lowering_action_names_pair(self, source, target_action):
@@ -783,10 +844,10 @@ class TestDirectLimit:
             bundled_path("direct_limit_curves.txt"),
         )
         stages, maps = stage_sequence(ds)
-        gauss_jordan = ratmat._gauss_jordan
+        eliminate = ratmat.eliminate
         calls = []
         monkeypatch.setattr(
-            ratmat, "_gauss_jordan", lambda rows: calls.append(rows) or gauss_jordan(rows)
+            ratmat, "eliminate", lambda rows: calls.append(rows) or eliminate(rows)
         )
         res = direct_limit(stages, maps)
         assert len(calls) == 4
@@ -805,10 +866,10 @@ class TestDirectLimit:
     def test_one_elimination_per_grading_and_block(self, seed, monkeypatch):
         # Gradings 0, 1, 2 and blocks 1, 2 at each of 3 stages: 3 + 6 eliminations.
         (stages, maps), info = _staged(seed, (8, 10, 8), 3)
-        gauss_jordan, compose = ratmat._gauss_jordan, GradedMap.compose
+        eliminate, compose = ratmat.eliminate, GradedMap.compose
         calls, composers = [], []
         monkeypatch.setattr(
-            ratmat, "_gauss_jordan", lambda rows: calls.append(rows) or gauss_jordan(rows)
+            ratmat, "eliminate", lambda rows: calls.append(rows) or eliminate(rows)
         )
 
         def traced_compose(outer, inner):
@@ -951,7 +1012,7 @@ def _raised(m):
         for i, row in enumerate(block):
             for j in range(len(row)):
                 blocks = dict(m.blocks)
-                blocks[g] = ratmat.clone(block)
+                blocks[g] = _copy(block)
                 blocks[g][i][j] += 1
                 yield dataclasses.replace(m, blocks=blocks)
 
@@ -1068,6 +1129,11 @@ UNSTAGED = load_dataset([orbit("a", 1, 2), orbit("b", 0, 1)], [])
 UNSTAGED_CX = differential_matrix(UNSTAGED)
 
 
+def _with_count(count):
+    curve = CurveRecord("symplectization", 1, "a", "b", count)
+    return load_dataset(UNSTAGED.orbits.values(), [curve])
+
+
 def _homotopy_check(k_degree, phi_degree):
     cx = make_complex({1: ["a"], 0: ["b"]}, {})
     phi, k = GradedMap(cx, cx, phi_degree, {}), GradedMap(cx, cx, k_degree, {})
@@ -1101,6 +1167,32 @@ def _homotopy_check(k_degree, phi_degree):
     pytest.param(
         lambda: stage_sequence(UNSTAGED), ValidationError,
         "dataset carries no stage labels", id="no-stages",
+    ),
+
+    pytest.param(
+        lambda: _with_count(0.5), DatasetError,
+        "dataset validation failed: <memory>: curve count must be rational, got 0.5",
+        id="count-half",
+    ),
+    pytest.param(
+        lambda: _with_count(2.0), DatasetError,
+        "dataset validation failed: <memory>: curve count must be rational, got 2.0",
+        id="count-float-integer",
+    ),
+    pytest.param(
+        lambda: _with_count(math.nan), DatasetError,
+        "dataset validation failed: <memory>: curve count must be rational, got nan",
+        id="count-nan",
+    ),
+    pytest.param(
+        lambda: _with_count(True), DatasetError,
+        "dataset validation failed: <memory>: curve count must be rational, got True",
+        id="count-bool",
+    ),
+    pytest.param(
+        lambda: _with_count("1"), DatasetError,
+        "dataset validation failed: <memory>: curve count must be rational, got '1'",
+        id="count-string",
     ),
 ])
 def test_raises(call, error, message):

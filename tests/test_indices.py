@@ -243,6 +243,10 @@ class TestWindingBounds:
         lambda: ReebOrbit("a", "a", 1, "neg_hyperbolic", "2", 1),
         "orbit a: action must be a real number, got '2'", id="action-string",
     ),
+    pytest.param(
+        lambda: ReebOrbit("a", "a", 1, "neg_hyperbolic", True, 1),
+        "orbit a: action must be a real number, got True", id="action-bool",
+    ),
 ])
 def test_raises(call, message):
     with pytest.raises(ValidationError) as info:

@@ -20,6 +20,8 @@ from .oracles import comparison_sign_oracle, laplace_det
 
 F = Fraction
 
+FLOAT_TYPES = [np.float16, np.float32, np.float64, np.longdouble, float]
+
 
 class TestWedgeSign:
     def test_identity(self):
@@ -203,10 +205,10 @@ class TestComparisonSign:
         assert flipped >= 10
 
     def test_only_integers_reach_the_elimination(self, monkeypatch):
-        eliminate = ratmat._gauss_jordan
+        eliminate = ratmat.eliminate
         entries = []
         monkeypatch.setattr(
-            ratmat, "_gauss_jordan",
+            ratmat, "eliminate",
             lambda rows: entries.extend(x for row in rows for x in row) or eliminate(rows),
         )
         rng = random.Random(43)
@@ -235,6 +237,22 @@ class TestComparisonSign:
                     with pytest.raises(DegeneracyError):
                         ds0_sign(k, "north", given, [1.0] * (k - 1), 10.0)
         assert entries and all(type(x) is int for x in entries)
+
+    @pytest.mark.parametrize("kind", FLOAT_TYPES, ids=lambda kind: kind.__name__)
+    def test_every_float_width_taken_at_its_exact_value(self, kind):
+        # numpy floats other than float64 used to raise a bare TypeError.
+        def as_kind(family):
+            return [[kind(x) for x in v] for v in family]
+
+        model = FredholmModel(
+            matrix=tuple(map(tuple, as_kind(DIAG_MODEL.matrix))),
+            e_basis=tuple(map(tuple, as_kind(DIAG_MODEL.e_basis))),
+        )
+        args = {name: as_kind(family) for name, family in DIAG_ARGS.items()}
+        assert comparison_sign(model, **args) == comparison_sign(DIAG_MODEL, **DIAG_ARGS)
+        assert model.apply([kind(0.1), kind(0.5), kind(3)]) == [
+            F(*kind(0.1).as_integer_ratio()), F(1, 2), F(0)
+        ]
 
     def test_adjacent_transposition_flips(self):
         rng = random.Random(29)
@@ -289,10 +307,10 @@ class TestComparisonSign:
             )
 
     def test_eliminations_per_instance(self, monkeypatch):
-        eliminate = ratmat._gauss_jordan
+        eliminate = ratmat.eliminate
         calls = []
         monkeypatch.setattr(
-            ratmat, "_gauss_jordan", lambda rows: calls.append(rows) or eliminate(rows)
+            ratmat, "eliminate", lambda rows: calls.append(rows) or eliminate(rows)
         )
         assert comparison_sign(DIAG_MODEL, **DIAG_ARGS) == -1
         # One solve in E, then a solve or a determinant per basis claim:
@@ -392,11 +410,11 @@ class TestFredholmModel:
         # rank(phi) and dim(Im phi + E); without E only the second.
         rng = random.Random(17)
         fixtures = [DIAG_MODEL] + [random_instance(rng)[0] for _ in range(20)]
-        eliminate = ratmat._gauss_jordan
+        eliminate = ratmat.eliminate
         for fixture in fixtures:
             calls = []
             monkeypatch.setattr(
-                ratmat, "_gauss_jordan", lambda rows: calls.append(rows) or eliminate(rows)
+                ratmat, "eliminate", lambda rows: calls.append(rows) or eliminate(rows)
             )
             model = FredholmModel(matrix=fixture.matrix, e_basis=fixture.e_basis)
             monkeypatch.undo()
@@ -467,6 +485,19 @@ class TestDs0Sign:
             ds0_sign(3, "north", jac, (0.5, 1.5), bad)
         with pytest.raises(ValidationError):
             ds0_sign(3, "north", jac, (bad, 1.5), 40.0)
+
+    @pytest.mark.parametrize("kind", FLOAT_TYPES, ids=lambda kind: kind.__name__)
+    def test_every_float_width_gives_the_exact_sign(self, kind):
+        rng = random.Random(f"ds0-{kind.__name__}")
+        for _ in range(40):
+            k = rng.randint(2, 5)
+            jac = [[kind(rng.randint(-3, 3) / 10) for _ in range(k - 1)] for _ in range(k - 1)]
+            det = laplace_det([[F(*x.as_integer_ratio()) for x in row] for row in jac])
+            if det == 0:
+                with pytest.raises(DegeneracyError):
+                    ds0_sign(k, "north", jac, [1.0] * (k - 1), 10.0)
+            else:
+                assert ds0_sign(k, "north", jac, [1.0] * (k - 1), 10.0) == (1 if det > 0 else -1)
 
     def test_singular_jacobian_rejected(self):
         jac = ((F(1), F(2)), (F(2), F(4)))

@@ -1,9 +1,8 @@
-"""No ``cylcc`` module reads another one's private names, except the pinned few.
+"""No ``cylcc`` module reads another one's private names.
 
 A read is ``module._name`` on a name bound to a ``cylcc`` module, or
-``from .module import _name``.  The pinned reads are the elimination
-core that ``orientation`` drives with integer rows; the table only
-shrinks, so a pinned read that disappears fails too.
+``from .module import _name``.  ``PINNED`` lists the reads allowed; it
+is empty, and a pinned read that disappears fails too.
 """
 
 import ast
@@ -12,11 +11,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "cylcc"
 MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 
-PINNED = {
-    ("orientation", "ratmat", "_clear"),
-    ("orientation", "ratmat", "_gauss_jordan"),
-    ("orientation", "ratmat", "_span_coordinates"),
-}
+PINNED = set()
 
 
 def _private(name):

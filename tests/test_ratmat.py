@@ -12,6 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylcc import ratmat
 
@@ -192,7 +194,7 @@ def test_empty_matrices():
 
 def test_inputs_left_unchanged():
     a = [[F(0), F(2)], [F(3, 2), F(1)]]
-    before = ratmat.clone(a)
+    before = [list(row) for row in a]
     ratmat.rank(a)
     ratmat.nullspace(a)
     ratmat.det(a)
@@ -243,6 +245,115 @@ def test_float_entries_taken_at_their_exact_value(kind):
         assert ratmat.solve_coordinates(floats, vectors) == ratmat.solve_coordinates(
             exact, exact_vectors
         )
+
+
+FLOAT_TYPES = [np.float16, np.float32, np.float64, np.longdouble, float]
+
+
+@pytest.mark.parametrize("kind", FLOAT_TYPES, ids=lambda kind: kind.__name__)
+def test_every_float_width_taken_at_its_exact_value(kind):
+    # numpy floats other than float64 are neither floats nor Rationals, and
+    # used to raise a bare TypeError in every kernel.
+    rng = random.Random(f"float-width-{kind.__name__}")
+    for a in instances("non_integer"):
+        floats = [[kind(float(x)) for x in row] for row in a]
+        exact = [[F(*x.as_integer_ratio()) for x in row] for row in floats]
+        nrows, ncols = len(a), len(a[0])
+        assert ratmat.rank(floats) == ratmat.rank(exact)
+        assert ratmat.nullspace(floats) == ratmat.nullspace(exact)
+        if nrows == ncols:
+            assert ratmat.det(floats) == ratmat.det(exact)
+        vectors = [[kind(rng.randint(-3, 3) / 4) for _ in range(nrows)] for _ in range(2)]
+        exact_vectors = [[F(*x.as_integer_ratio()) for x in v] for v in vectors]
+        assert ratmat.solve_coordinates(floats, vectors) == ratmat.solve_coordinates(
+            exact, exact_vectors
+        )
+        columns = [[kind(0.1)] * 2 for _ in range(ncols)]
+        exact_columns = [[F(*x.as_integer_ratio()) for x in row] for row in columns]
+        assert ratmat.mat_mul(floats, columns) == mat_mul_oracle(
+            exact, exact_columns, nrows, ncols, 2
+        )
+        cleared, lcm = ratmat.clear(floats[0])
+        assert [F(x, lcm) for x in cleared] == exact[0]
+
+
+def _core_matrix(draw, nrows, ncols):
+    """Small integers with some rows and columns zeroed."""
+    rows = [[draw(st.integers(-4, 4)) for _ in range(ncols)] for _ in range(nrows)]
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2))
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+def _sympy_of(rows, ncols):
+    return sympy.Matrix(len(rows), ncols, [x for row in rows for x in row])
+
+
+CORE = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@CORE
+@given(st.data())
+def test_eliminate_gives_sympy_rref_and_det(data):
+    nrows, ncols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    rows = _core_matrix(data.draw, nrows, ncols)
+    reduced, pivots, d, sign = ratmat.eliminate(rows)
+    rref, sympy_pivots = _sympy_of(rows, ncols).rref()
+    assert pivots == list(sympy_pivots)
+    assert [[F(x, d) for x in row] for row in reduced] == [
+        [to_fraction(rref[i, j]) for j in range(ncols)] for i in range(nrows)
+    ]
+    if nrows == ncols == len(pivots):
+        assert sign * d == _sympy_of(rows, ncols).det()
+
+
+ENTRIES = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=50),
+    st.integers(2**63, 2**64 - 1).map(np.uint64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+)
+
+
+def _exact_value(x):
+    if isinstance(x, (int, np.integer)):
+        return F(int(x))
+    return F(x) if isinstance(x, F) else F(*x.as_integer_ratio())
+
+
+@CORE
+@given(st.lists(ENTRIES, max_size=6))
+def test_clear_keeps_every_value(row):
+    cleared, lcm = ratmat.clear(row)
+    assert lcm > 0 and all(type(x) is int for x in cleared)
+    assert [F(x, lcm) for x in cleared] == [_exact_value(x) for x in row]
+
+
+@CORE
+@given(st.data())
+def test_span_coordinates_agree_with_sympy_solve(data):
+    nrows, ncols, nvec = (data.draw(st.integers(1, 4)) for _ in range(3))
+    basis = _core_matrix(data.draw, nrows, ncols)
+    vectors = _core_matrix(data.draw, nrows, nvec)
+    found = ratmat.span_coordinates([b + v for b, v in zip(basis, vectors)], ncols, nvec)
+    sym = _sympy_of(basis, ncols)
+    solutions = []
+    for j in range(nvec):
+        try:
+            solution, params = sym.gauss_jordan_solve(_sympy_of([[v[j]] for v in vectors], 1))
+        except ValueError:  # no solution
+            assert found is None
+            return
+        solutions.append(solution.subs({p: 0 for p in params}))
+    numerators, d = found
+    assert [[F(x, d) for x in coords] for coords in numerators] == [
+        [to_fraction(s[c]) for c in range(ncols)] for s in solutions
+    ]
 
 
 def test_mat_mul_matches_shaped_product():

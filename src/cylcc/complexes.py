@@ -9,18 +9,20 @@ grading 0), homotopy counts (levels ``k_plus``/``k_minus``, grading +1),
 a plus/minus side split, and a stage decomposition for direct limits.
 
 The differential strictly lowers action, so the generators of action
-below any L span a subcomplex C^{<L}.  With the columns of each block
-ordered by action, the blocks of C^{<L} are column prefixes of the full
-blocks (their rows below L hold every nonzero entry), and its d^2 is the
-same restriction of the full d^2.  So each (side, stage) selection of a
-dataset is assembled, squared and eliminated once, in action order
-(Zomorodian & Carlsson, "Computing persistent homology", 2005), and
-every action cut reads its d^2 verdict and ranks off that one filtration.
-Complex blocks are read-only once built.
+below any L span a subcomplex C^{<L}.  A dataset's complexes list each
+grading's generators in (action, id) order, so the generators below L
+are a prefix of each grading, and the blocks of C^{<L} are leading
+corners of the full blocks (column prefixes, whose rows below L hold
+every nonzero entry); its d^2 is the same corner of the full d^2.  So
+each (side, stage) selection of a dataset is assembled, squared and
+eliminated once (Zomorodian & Carlsson, "Computing persistent
+homology", 2005), and every action cut reads its d^2 verdict and ranks
+off that one filtration.  Complex blocks are read-only once built.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from bisect import bisect_left
@@ -85,6 +87,7 @@ class ModuliDataset:
 
     :func:`differential_matrix` caches the filtration of each (side,
     stage) selection on the dataset, for as long as the dataset lives.
+    Actions are compared by their exact integer keys (``_action_keys``).
     """
 
     orbits: Dict[str, OrbitRecord]
@@ -108,6 +111,12 @@ class ModuliDataset:
     @property
     def stages(self) -> List[int]:
         return sorted({r.stage for r in self.orbits.values() if r.stage is not None})
+
+    @cached_property
+    def _action_keys(self) -> Tuple[Dict[str, int], int]:
+        """``(key, lcm)``: each orbit's exact action times one positive lcm, an int."""
+        keys, lcm = ratmat.clear([rec.orbit.action for rec in self.orbits.values()])
+        return dict(zip(self.orbits, keys)), lcm
 
 
 def load_dataset(orbit_records, curve_records) -> ModuliDataset:
@@ -144,6 +153,9 @@ def load_dataset(orbit_records, curve_records) -> ModuliDataset:
                 )
             )
 
+    dataset = ModuliDataset(orbits=orbits, curves=tuple(curve_records))
+    key, _ = dataset._action_keys
+
     # Orbits sharing a simple orbit must agree on its type, action and cz.
     by_simple: Dict[str, OrbitRecord] = {}
     for rec in orbits.values():
@@ -158,7 +170,7 @@ def load_dataset(orbit_records, curve_records) -> ModuliDataset:
                 Diagnostic(rec.location, f"orbit {o.id}: simple orbit {o.simple_id} "
                            f"type disagrees with {p.id}")
             )
-        if p.simple_action != o.simple_action:
+        if key[o.id] * p.multiplicity != key[p.id] * o.multiplicity:
             diagnostics.append(
                 Diagnostic(rec.location, f"orbit {o.id}: action/multiplicity ratio "
                            f"disagrees with {p.id} over simple orbit {o.simple_id}")
@@ -169,8 +181,7 @@ def load_dataset(orbit_records, curve_records) -> ModuliDataset:
                            f"{o.simple_id} disagrees with {p.id}")
             )
 
-    curves = tuple(curve_records)
-    for cur in curves:
+    for cur in dataset.curves:
         loc = cur.location
         if cur.level not in LEVELS:
             diagnostics.append(Diagnostic(loc, f"unknown curve level {cur.level!r}"))
@@ -211,7 +222,7 @@ def load_dataset(orbit_records, curve_records) -> ModuliDataset:
                 )
             )
         if cur.level == LEVEL_SYMPLECTIZATION:
-            if src.orbit.action <= dst.orbit.action:
+            if key[cur.from_id] <= key[cur.to_id]:
                 diagnostics.append(
                     Diagnostic(
                         loc,
@@ -230,7 +241,7 @@ def load_dataset(orbit_records, curve_records) -> ModuliDataset:
                                "different stages")
                 )
         else:
-            if src.orbit.action < dst.orbit.action:
+            if key[cur.from_id] < key[cur.to_id]:
                 diagnostics.append(
                     Diagnostic(
                         loc,
@@ -251,7 +262,7 @@ def load_dataset(orbit_records, curve_records) -> ModuliDataset:
 
     if diagnostics:
         raise DatasetError(diagnostics)
-    return ModuliDataset(orbits=orbits, curves=curves)
+    return dataset
 
 
 @dataclass(frozen=True)
@@ -260,16 +271,19 @@ class GradedRationalComplex:
 
     ``blocks[g]`` is the matrix of the differential C_g -> C_{g-1}, with
     columns indexed by ``generators[g]`` and rows by ``generators[g-1]``.
-    Missing blocks are zero.  Blocks are read-only once the complex is
-    built: :func:`verify_d_squared` and :func:`homology` read the
-    complex's filtration, not these rows.
+    Missing blocks are zero.  A complex from :func:`differential_matrix`
+    lists each grading in (action, id) order; one built by hand keeps the
+    order it is given.  Blocks are read-only once the complex is built:
+    :func:`verify_d_squared` and :func:`homology` read the complex's
+    filtration, not these rows.
     """
 
     generators: Dict[int, Tuple[str, ...]]
     blocks: Dict[int, ratmat.Matrix]
-    # (filtration, k): the complex is the cut at k (None: uncut) of its
-    # dataset's filtration, or of itself, made on first use by _filtered.
-    _cut: Optional[Tuple["_Filtration", int]] = field(
+    # (filtration, n): the complex keeps the first n[g] generators of each
+    # grading g (n None: all) of its dataset's filtration, or is all of
+    # its own, made on first use by _filtered.
+    _cut: Optional[Tuple["_Filtration", Optional[Dict[int, int]]]] = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -286,12 +300,10 @@ class GradedRationalComplex:
     def dim(self, g: int) -> int:
         return len(self.generators.get(g, ()))
 
-    def _filtered(self) -> Tuple["_Filtration", Optional[int]]:
-        """``(filtration, k)``: this complex is the cut at k of the filtration."""
+    def _filtered(self) -> Tuple["_Filtration", Optional[Dict[int, int]]]:
+        """``(filtration, n)``: this complex is the cut n of the filtration."""
         if self._cut is None:
-            actions = {oid: 0 for ids in self.generators.values() for oid in ids}
-            filtration = _Filtration(self.generators, self.blocks, actions)
-            object.__setattr__(self, "_cut", (filtration, None))
+            object.__setattr__(self, "_cut", (_Filtration(self.generators, self.blocks), None))
         return self._cut
 
     @cached_property
@@ -322,157 +334,134 @@ def differential_matrix(
 
     Entry (gamma', gamma) is the summed signed count of curves from gamma
     to gamma' divided by m(gamma'), restricted to orbits of action below
-    ``action_max``.  Non-integer coefficients only trigger an
+    ``action_max``, compared at its exact value.  Each grading lists its
+    generators in (action, id) order, and the blocks' rows and columns
+    follow it.  Non-integer coefficients only trigger an
     ``IntegerCoefficientWarning``: the integrality of true data is a
     theorem, not an input invariant.
 
     The full complex of each (``side``, ``stage``) is assembled once per
     dataset.  Since d strictly lowers action, the generators below
-    ``action_max`` span a subcomplex, whose blocks are column prefixes, in
-    action order, of the full blocks; each call returns fresh rows cut
-    from them.  Complex blocks are read-only.  Raises DomainError for a
-    NaN ``action_max``, and ValidationError for a side other than "plus"
-    or "minus", for a stage the dataset does not carry, and for an action
-    cut of a dataset (not built by :func:`load_dataset`) with a curve
-    count that does not lower action.
+    ``action_max`` span a subcomplex, whose blocks are leading corners of
+    the full blocks; each call returns fresh rows cut from them.  Complex
+    blocks are read-only.  Raises DomainError for an ``action_max`` that
+    is NaN, a bool or not a real number, and ValidationError for a side
+    other than "plus" or "minus", for a stage the dataset does not carry,
+    and for an action cut of a dataset (not built by :func:`load_dataset`)
+    with a curve count that does not lower action.
     """
-    if action_max is not None and action_max != action_max:  # only NaN
-        raise DomainError("action_max must be a number or None, not NaN")
+    if action_max is not None:
+        if isinstance(action_max, bool) or not isinstance(action_max, numbers.Real):
+            raise DomainError(f"action_max must be a real number or None, not {action_max!r}")
+        if action_max != action_max:  # only NaN
+            raise DomainError("action_max must be a number or None, not NaN")
     filtration = dataset._filtrations.get((side, stage))
     if filtration is None:
         filtration = _Filtration.of_dataset(dataset, side, stage)
         dataset._filtrations[(side, stage)] = filtration
-    k = None if action_max is None else filtration.below(action_max)
-    generators, blocks, nonintegral = filtration.cut(k)
+    n = None if action_max is None else filtration.below(action_max)
+    generators, blocks, nonintegral = filtration.cut(n)
     if nonintegral:
         _warn_nonintegral(LEVEL_SYMPLECTIZATION, nonintegral)
     cx = GradedRationalComplex(generators, blocks)
-    object.__setattr__(cx, "_cut", (filtration, k))
+    object.__setattr__(cx, "_cut", (filtration, n))
     return cx
-
-
-def _submatrix(block: ratmat.Matrix, rows, cols) -> ratmat.Matrix:
-    return [[block[i][j] for j in cols] for i in rows]
 
 
 class _Filtration:
     """A complex whose differential maps each generator to earlier ones.
 
-    The order is (action, id).  The cut at k keeps the first k
-    generators, a subcomplex: its blocks and its d^2 are the entries of
-    the full ones at places below k.  Taking each block's columns in
-    order, the rank of its cut is the number of pivot columns placed
-    below k, so one elimination per block ranks every cut.  The cut
-    k = None keeps everything.  The order, the d^2 product and the
-    elimination are computed on first use.  A complex built by hand is
-    its own filtration, with every action 0, and is never cut
-    (``GradedRationalComplex._filtered``).
+    A dataset's filtration lists each grading g in (action, id) order and
+    keeps the ascending integer keys ``keys[g]`` of its actions (see
+    ``ModuliDataset._action_keys``).  A cut keeps the first ``n[g]``
+    generators of each grading, a subcomplex: its blocks and its d^2 are
+    leading corners of the full ones.  The rank of a cut block is the
+    number of pivot columns of the full block below ``n[g]``, so one
+    elimination per block ranks every cut.  The cut n = None keeps
+    everything.  The d^2 product and the elimination are computed on
+    first use.  A complex built by hand is its own filtration, in the
+    order it is given, and is never cut (``GradedRationalComplex._filtered``).
     """
 
-    def __init__(self, generators, blocks, action, counts=(), nonintegral=()):
+    def __init__(
+        self, generators, blocks, keys=None, lcm=1, counts=(), nonintegral=(), orbits=None
+    ):
         self.generators = generators
         self.blocks = blocks
-        self.action = action  # generator id -> action
+        self.keys = keys  # grading -> ascending action keys of its generators
+        self.lcm = lcm  # the keys are actions times lcm
         self.counts = counts  # ((gamma, gamma'), summed count) of each counted pair
         self.nonintegral = nonintegral  # (gamma, gamma', non-integer coefficient)
+        self.orbits = orbits  # the dataset's orbit records, for messages
 
     @classmethod
     def of_dataset(cls, dataset: ModuliDataset, side, stage) -> "_Filtration":
         if side not in (None, "plus", "minus"):
             raise ValidationError(f"side must be 'plus', 'minus' or None, not {side!r}")
-        generators: Dict[int, List[str]] = {}
-        action = {}
+        key, lcm = dataset._action_keys
+        keyed: Dict[int, List[Tuple[int, str]]] = {}
         for oid in dataset.orbit_ids(side=side, stage=stage):
-            orbit = dataset.orbits[oid].orbit
-            generators.setdefault(orbit.cz, []).append(oid)
-            action[oid] = orbit.action
-        if not action and stage is not None and stage not in dataset.stages:
+            keyed.setdefault(dataset.orbits[oid].orbit.cz, []).append((key[oid], oid))
+        if not keyed and stage is not None and stage not in dataset.stages:
             raise ValidationError(
                 f"stage {stage!r} is not among the dataset's stages {dataset.stages}"
             )
-        gen_tuples = {g: tuple(ids) for g, ids in generators.items()}
+        generators, keys = {}, {}
+        for g, pairs in keyed.items():
+            keys[g], generators[g] = zip(*sorted(pairs))
         blocks, items, nonintegral = _assemble(
-            dataset, LEVEL_SYMPLECTIZATION, None, gen_tuples, gen_tuples
+            dataset, LEVEL_SYMPLECTIZATION, None, generators, generators
         )
-        return cls(gen_tuples, blocks, action, items, nonintegral)
-
-    @cached_property
-    def ordered(self):
-        """``(place, values, key)``, computed on first use.
-
-        Generator j of grading g sits at ``place[g][j]``; ``values`` lists
-        the actions in order and ``key[oid]`` is the integer sort key of
-        the action of ``oid``, ordered as the actions are.
-        """
-        gens, action = self.generators, self.action
-        # Each action as an integer over the common denominator: exact,
-        # and much cheaper to sort than Fractions.
-        key = dict(zip(action, ratmat.clear(list(action.values()))[0]))
-        keyed = sorted(
-            (key[oid], oid, g, j) for g, ids in gens.items() for j, oid in enumerate(ids)
-        )
-        place = {g: [0] * len(ids) for g, ids in gens.items()}
-        for p, (_, _, g, j) in enumerate(keyed):
-            place[g][j] = p
-        return place, [action[oid] for _, oid, _, _ in keyed], key
+        return cls(generators, blocks, keys, lcm, items, nonintegral, dataset.orbits)
 
     @cached_property
     def sources(self):
         """``(first, nonintegral)`` of the curve counts, computed on first use.
 
-        ``first[g]`` is the earliest place of a source of block g, and
-        ``nonintegral`` pairs each non-integer entry with the place of its
-        source.  Raises ValidationError, on every use, for an entry that
-        does not lower action, since a cut would then not be a subcomplex.
+        ``first[g]`` is the first column of a source in block g, and
+        ``nonintegral`` pairs each non-integer entry with the grading and
+        column of its source.  Raises ValidationError, on every use, for
+        an entry that does not lower action, since a cut would then not be
+        a subcomplex.
         """
-        place, _, key = self.ordered
-        at = {
-            oid: (g, place[g][j])
-            for g, ids in self.generators.items()
-            for j, oid in enumerate(ids)
-        }
+        at = {oid: (g, j) for g, ids in self.generators.items() for j, oid in enumerate(ids)}
         first: Dict[int, int] = {}
         for (fid, tid), _ in self.counts:
-            g, p = at[fid]
-            if not key[tid] < key[fid]:
+            (g, j), (h, i) = at[fid], at[tid]
+            if not self.keys[h][i] < self.keys[g][j]:
                 raise ValidationError(
                     f"symplectization entry {fid} -> {tid} does not lower action "
-                    f"({self.action[fid]} -> {self.action[tid]}); action cuts need d "
-                    "to lower action"
+                    f"({self.orbits[fid].orbit.action} -> {self.orbits[tid].orbit.action}); "
+                    "action cuts need d to lower action"
                 )
-            first[g] = min(first.get(g, p), p)
-        return first, [(at[e[0]][1], e) for e in self.nonintegral]
+            first[g] = min(first.get(g, j), j)
+        return first, [(at[e[0]], e) for e in self.nonintegral]
 
-    def below(self, action_max) -> int:
-        """How many generators have action below ``action_max``."""
-        return bisect_left(self.ordered[1], action_max)
+    def below(self, action_max) -> Dict[int, int]:
+        """Per grading, how many generators have action below ``action_max``."""
+        if -math.inf < action_max < math.inf:
+            (num,), den = ratmat.clear([action_max])
+            bound = -(-num * self.lcm // den)  # keys are ints: below ceil(bound) is below bound
+        else:
+            bound = math.inf if action_max > 0 else -math.inf
+        return {g: bisect_left(keys, bound) for g, keys in self.keys.items()}
 
-    def columns(self, k: int) -> Dict[int, List[int]]:
-        """Per grading, the indices of the generators placed below k; none if empty."""
-        cols = {}
-        for g, places in self.ordered[0].items():
-            kept = [j for j, p in enumerate(places) if p < k]
-            if kept:
-                cols[g] = kept
-        return cols
+    def cut(self, n: Optional[Dict[int, int]]):
+        """Generators, fresh blocks and non-integer entries of the cut n.
 
-    def cut(self, k: Optional[int]):
-        """Generators, fresh blocks and non-integer entries of the cut at k.
-
-        A block is kept when one of its curve counts starts below k.
+        A block is kept when one of its curve counts starts in the cut.
         """
-        if k is None:
+        if n is None:
             blocks = {g: [row[:] for row in block] for g, block in self.blocks.items()}
             return dict(self.generators), blocks, self.nonintegral
         first, nonintegral = self.sources
-        cols = self.columns(k)
-        generators = {g: tuple(self.generators[g][j] for j in c) for g, c in cols.items()}
+        generators = {g: ids[:n[g]] for g, ids in self.generators.items() if n[g]}
         blocks = {
-            g: _submatrix(block, cols.get(g - 1, ()), cols[g])
+            g: [row[:n[g]] for row in block[:n[g - 1]]]
             for g, block in self.blocks.items()
-            if first[g] < k
+            if first[g] < n[g]
         }
-        return generators, blocks, [e for p, e in nonintegral if p < k]
+        return generators, blocks, [e for (g, j), e in nonintegral if j < n[g]]
 
     @cached_property
     def full_d_squared(self) -> "GradedMap":
@@ -480,34 +469,26 @@ class _Filtration:
         d = GradedRationalComplex(self.generators, self.blocks).differential
         return d.compose(d)
 
-    def d_squared(self, cut: GradedRationalComplex, k: Optional[int]) -> "IdentityCheck":
-        """The d^2 verdict of ``cut``, the cut at k: the full d^2 restricted to it."""
-        if k is None:
+    def d_squared(self, cut: GradedRationalComplex, n) -> "IdentityCheck":
+        """The d^2 verdict of ``cut``, the cut n: a leading corner of the full d^2."""
+        if n is None:
             return self.full_d_squared.first_nonzero()
-        cols = self.columns(k)
         blocks = {
-            g: _submatrix(block, cols.get(g - 2, ()), cols[g])
+            g: [row[:n[g]] for row in block[:n[g - 2]]]
             for g, block in self.full_d_squared.blocks.items()
-            if g in cols
+            if n[g]
         }
         return GradedMap(cut, cut, -2, blocks).first_nonzero()
 
     @cached_property
     def pivots(self) -> Dict[int, List[int]]:
-        """Per nonempty block, the places of its pivot columns in action order."""
-        place = self.ordered[0]
-        pivots = {}
-        for h, block in self.blocks.items():
-            if block and block[0]:
-                by_place = sorted(range(len(place[h])), key=place[h].__getitem__)
-                ordered = [[row[j] for j in by_place] for row in block]
-                pivots[h] = [place[h][by_place[c]] for c in ratmat.pivot_columns(ordered)]
-        return pivots
+        """Per nonempty block, its pivot columns."""
+        return {h: ratmat.pivot_columns(b) for h, b in self.blocks.items() if b and b[0]}
 
-    def rank(self, g: int, k: Optional[int]) -> int:
-        """Rank of the cut at k of block g."""
+    def rank(self, g: int, n: Optional[Dict[int, int]]) -> int:
+        """Rank of block g of the cut n."""
         pivots = self.pivots.get(g, ())
-        return len(pivots) if k is None else bisect_left(pivots, k)
+        return len(pivots) if n is None else bisect_left(pivots, n[g])
 
 
 def _assemble(
@@ -689,13 +670,17 @@ def verify_d_squared(cx: GradedRationalComplex) -> IdentityCheck:
     """Exact check that consecutive differential blocks compose to zero.
 
     On failure reports the first offending generator pair (gamma, gamma')
-    with gamma in the higher grading.  The verdict is read off the
+    with gamma in the higher grading: in the highest failing grading, the
+    first gamma in the complex's order, then its first gamma' in the order
+    of the grading below.  For a complex from :func:`differential_matrix`
+    that is the first pair in (action, id) order; a complex built by hand
+    is scanned in the order it is given.  The verdict is read off the
     complex's filtration, which squares its differential once for this
     and :func:`homology`: its dataset's for a complex from
     :func:`differential_matrix`, else the complex itself.
     """
-    filtration, k = cx._filtered()
-    return filtration.d_squared(cx, k)
+    filtration, n = cx._filtered()
+    return filtration.d_squared(cx, n)
 
 
 def homology(cx: GradedRationalComplex) -> Dict[int, int]:
@@ -703,19 +688,19 @@ def homology(cx: GradedRationalComplex) -> Dict[int, int]:
 
     Raises ValidationError unless d^2 = 0.  Both are read off the
     complex's filtration (see :func:`verify_d_squared`): since d lowers
-    action, the cut's d^2 is the full d^2 restricted to it, and rank(d_g)
-    of the cut counts the pivots below the cut of one elimination of the
-    full block, columns in action order.  So a complex is squared and
-    each block eliminated once, however often it is asked.
+    action, the cut's d^2 is a leading corner of the full d^2, and
+    rank(d_g) of the cut counts the pivots among its columns of one
+    elimination of the full block, columns in action order.  So a complex
+    is squared and each block eliminated once, however often it is asked.
     """
-    filtration, k = cx._filtered()
-    check = filtration.d_squared(cx, k)
+    filtration, n = cx._filtered()
+    check = filtration.d_squared(cx, n)
     if not check.ok:
         raise ValidationError(
             f"d^2 != 0 at pair {check.pair} (grading {check.grading}); "
             "run verify_d_squared for details"
         )
-    ranks = {g: filtration.rank(g, k) for g in cx.gradings}
+    ranks = {g: filtration.rank(g, n) for g in cx.gradings}
     return {g: cx.dim(g) - ranks[g] - ranks.get(g + 1, 0) for g in cx.gradings}
 
 

@@ -84,10 +84,6 @@ class ReebOrbit:
         return self.multiplicity * self.cz_simple
 
     @property
-    def simple_action(self) -> Fraction:
-        return self.action / self.multiplicity
-
-    @property
     def is_bad(self) -> bool:
         """Bad = even multiple cover of a negative hyperbolic orbit."""
         return self.simple_type == NEG_HYP and self.multiplicity % 2 == 0
@@ -171,7 +167,18 @@ def cover_index(base_index: int, degree: int, branching: int) -> int:
 
 
 def automatic_transversality(ind: int, genus: int, gamma0_count: int) -> bool:
-    """True iff ind > 2*genus - 2 + (# ends on even orbits)."""
+    """True iff ind > 2*genus - 2 + (# ends on even orbits).
+
+    Raises ValidationError unless all three are integers and the genus and
+    the count are nonnegative.
+    """
+    _check_integer("index", ind)
+    _check_integer("genus", genus)
+    _check_integer("even end count", gamma0_count)
+    if genus < 0:
+        raise ValidationError("genus must be nonnegative")
+    if gamma0_count < 0:
+        raise ValidationError("even end count must be nonnegative")
     return ind > 2 * genus - 2 + gamma0_count
 
 
@@ -203,8 +210,10 @@ def winding_bounds_check(spectrum: SpectrumTable, cz: int) -> WindingReport:
     """Check 2*wind(f_i) <= cz for i < 0 and 2*wind(f_i) >= cz for i > 0.
 
     Equality is permitted only when cz is even (even orbits).  Violations
-    are report content, not errors.
+    are report content, not errors.  Raises ValidationError unless ``cz``
+    is an integer.
     """
+    _check_integer("cz", cz)
     even = cz % 2 == 0
     violations = []
     for entry in spectrum.entries:

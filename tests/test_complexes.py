@@ -111,6 +111,21 @@ def make_complex(generators, entries):
 
 
 class TestLoadDataset:
+    def test_actions_of_mixed_number_types_load_and_cut(self):
+        a = dataclasses.replace(orbit("a", 1, 4), action=np.longdouble(4))
+        ds = load_dataset([a, orbit("b", 0, 2)], [symp("a", "b", 1)])
+        for cut, kept in [(F(3), {0: ("b",)}), (np.longdouble(5), {1: ("a",), 0: ("b",)})]:
+            assert differential_matrix(ds, action_max=cut).generators == kept
+        with pytest.raises(DatasetError, match="strictly decrease"):
+            load_dataset([a, orbit("b", 0, 4)], [symp("a", "b", 1)])
+
+    def test_covers_of_mixed_number_types_share_a_simple_action(self):
+        a = ReebOrbit("a", "s", 2, "pos_hyperbolic", np.longdouble(4), 0)
+        b = ReebOrbit("b", "s", 1, "pos_hyperbolic", F(2), 0)
+        assert set(load_dataset([a, b], []).orbits) == {"a", "b"}
+        with pytest.raises(DatasetError, match="ratio disagrees"):
+            load_dataset([a, dataclasses.replace(b, action=F(3))], [])
+
     def test_action_violation_rejected(self):
         orbits = [orbit("a", 1, 1), orbit("b", 0, 2)]
         with pytest.raises(DatasetError) as err:
@@ -476,6 +491,69 @@ def _exact_dataset(seed, tmp_path):
     return read_dataset(tmp_path / "orbits.txt", tmp_path / "curves.txt"), info
 
 
+def _permuted_actions(ds, seed):
+    """``ds`` with the actions of each (stage, side, grading) shuffled against the ids, some tied.
+
+    Curves join other gradings or stages, whose actions stay apart, so
+    the result loads whenever those ranges do not overlap.
+    """
+    rng = random.Random(seed)
+    groups = {}
+    for oid, rec in ds.orbits.items():
+        groups.setdefault((rec.stage, rec.side, rec.orbit.cz), []).append(oid)
+    action = {}
+    for ids in groups.values():
+        values = [ds.orbit(oid).action for oid in ids]
+        rng.shuffle(values)
+        for i in range(1, len(values), 3):
+            values[i] = values[i - 1]
+        action.update(zip(ids, values))
+    return load_dataset(
+        [
+            dataclasses.replace(rec, orbit=dataclasses.replace(rec.orbit, action=action[oid]))
+            for oid, rec in ds.orbits.items()
+        ],
+        ds.curves,
+    )
+
+
+class TestActionOrder:
+    """Dataset complexes list each grading in (action, id) order, so cuts are leading corners."""
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(st.integers(0, 10**6), st.tuples(*[st.integers(1, 5)] * 3))
+    def test_permuted_actions_cut_as_leading_corners(self, seed, dims):
+        ds = _permuted_actions(consistent_random_dataset(seed, dims), seed)
+        full = differential_matrix(ds)
+        for ids in full.generators.values():
+            assert list(ids) == sorted(ids, key=lambda oid: (ds.orbit(oid).action, oid))
+        for cut in _cut_values(ds):
+            cx = differential_matrix(ds, action_max=cut)
+            for g, ids in cx.generators.items():
+                assert ids == full.generators[g][:len(ids)]
+            for g, block in cx.blocks.items():
+                assert block == [row[:cx.dim(g)] for row in full.block(g)[:cx.dim(g - 1)]]
+            assert homology(cx) == _cut_oracle(ds, cut), cut
+
+    def test_ties_are_listed_by_id(self):
+        orbits = [orbit("c", 1, 5), orbit("a", 1, 5), orbit("b", 1, 4), orbit("z", 0, 1)]
+        curves = [symp("c", "z", 1), symp("a", "z", 2), symp("b", "z", 3)]
+        cx = differential_matrix(load_dataset(orbits, curves))
+        assert cx.generators == {1: ("b", "a", "c"), 0: ("z",)}
+        assert cx.blocks == {1: [[F(3), F(2), F(1)]]}
+
+    def test_first_failing_pair_is_first_in_action_order(self):
+        # d^2(a) = 2z and d^2(c) = z, with a before c by id, after it by action.
+        orbits = [
+            orbit("a", 2, 7), orbit("c", 2, 6), orbit("x", 1, 3), orbit("y", 1, 4),
+            orbit("z", 0, 1),
+        ]
+        curves = [symp("a", "x", 2), symp("c", "y", 1), symp("x", "z", 1), symp("y", "z", 1)]
+        cx = differential_matrix(load_dataset(orbits, curves))
+        check = verify_d_squared(cx)
+        assert (check.ok, check.grading, check.pair, check.value) == (False, 2, ("c", "z"), 1)
+
+
 class TestActionCuts:
     """Every action cut against a rebuild from the curves, d^2 verdicts and the cache."""
 
@@ -501,7 +579,7 @@ class TestActionCuts:
         self._check_cuts(*_exact_dataset(seed, tmp_path))
 
     @pytest.mark.parametrize(
-        "kind", [np.float16, np.float32, np.float64, float, F],
+        "kind", [np.float16, np.float32, np.float64, np.longdouble, float, F],
         ids=lambda kind: kind.__name__,
     )
     def test_actions_of_every_number_type_cut_as_their_exact_values(self, kind):
@@ -612,6 +690,21 @@ class TestSelectors:
         ds = consistent_random_dataset(0)
         with pytest.raises(DomainError, match="NaN"):
             differential_matrix(ds, action_max=float("nan"))
+
+    @pytest.mark.parametrize("action_max", ["5", 1 + 0j, True], ids=repr)
+    def test_action_max_not_a_real_number_rejected(self, action_max):
+        ds = consistent_random_dataset(0)
+        with pytest.raises(DomainError, match="real number"):
+            differential_matrix(ds, action_max=action_max)
+
+    @pytest.mark.parametrize("inf", [math.inf, np.longdouble(math.inf)], ids=repr)
+    def test_infinite_action_max_keeps_everything_or_nothing(self, inf):
+        ds = consistent_random_dataset(0)
+        whole = differential_matrix(ds)
+        above = differential_matrix(ds, action_max=inf)
+        assert above == whole and homology(above) == homology(whole)
+        below = differential_matrix(ds, action_max=-inf)
+        assert (below.generators, below.blocks, homology(below)) == ({}, {}, {})
 
     def test_unknown_side_rejected(self):
         ds = read_dataset(
@@ -943,11 +1036,17 @@ def zero_differential_sequences(draw):
     return stages, maps
 
 
-def _staged(seed, dims, n):
-    """The stage sequence of ``gen.staged_dataset`` and its generator info."""
+def _staged_dataset(seed, dims, n):
+    """``gen.staged_dataset`` loaded, and its generator info."""
     orbit_text, curve_text, info = GEN.staged_dataset(seed, dims, n)
     orbits, curves = parse_records(orbit_text, "orbits")[0], parse_records(curve_text, "curves")[1]
-    return stage_sequence(load_dataset(orbits, curves)), info
+    return load_dataset(orbits, curves), info
+
+
+def _staged(seed, dims, n):
+    """The stage sequence of ``gen.staged_dataset`` and its generator info."""
+    ds, info = _staged_dataset(seed, dims, n)
+    return stage_sequence(ds), info
 
 
 class TestDirectLimitProperty:
@@ -963,6 +1062,13 @@ class TestDirectLimitProperty:
     @given(st.integers(1, 10), st.integers(1, 5))
     def test_staged_datasets_match_oracle(self, seed, n):
         (stages, maps), _ = _staged(seed, (3, 4, 3), n)
+        assert direct_limit(stages, maps).dims_by_stage == direct_limit_oracle(stages, maps)
+
+    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
+    @given(st.integers(1, 10), st.integers(2, 4))
+    def test_staged_datasets_with_permuted_actions_match_oracle(self, seed, n):
+        ds, _ = _staged_dataset(seed, (3, 4, 3), n)
+        stages, maps = stage_sequence(_permuted_actions(ds, seed))
         assert direct_limit(stages, maps).dims_by_stage == direct_limit_oracle(stages, maps)
 
 

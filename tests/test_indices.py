@@ -247,6 +247,28 @@ class TestWindingBounds:
         lambda: ReebOrbit("a", "a", 1, "neg_hyperbolic", True, 1),
         "orbit a: action must be a real number, got True", id="action-bool",
     ),
+    # A cz or transversality input that is no integer, or a negative count.
+    *[
+        pytest.param(
+            lambda cz=cz: winding_bounds_check(
+                closed_form_spectrum(OperatorKind.pos_hyperbolic(0.1), 6), cz
+            ),
+            f"cz must be an integer, got {cz!r}", id=f"winding-cz-{name}",
+        )
+        for cz, name in [(math.nan, "nan"), (1.5, "half"), ("1", "string"), (True, "bool")]
+    ],
+    pytest.param(lambda: automatic_transversality(1.5, 0, 0), "index must be an integer, got 1.5",
+                 id="transversality-index-half"),
+    pytest.param(lambda: automatic_transversality(True, 0, 0),
+                 "index must be an integer, got True", id="transversality-index-bool"),
+    pytest.param(lambda: automatic_transversality(3, 0.5, 0), "genus must be an integer, got 0.5",
+                 id="transversality-genus-half"),
+    pytest.param(lambda: automatic_transversality(3, -1, 0), "genus must be nonnegative",
+                 id="transversality-genus-negative"),
+    pytest.param(lambda: automatic_transversality(3, 0, 1.0),
+                 "even end count must be an integer, got 1.0", id="transversality-count-float"),
+    pytest.param(lambda: automatic_transversality(3, 0, -1), "even end count must be nonnegative",
+                 id="transversality-count-negative"),
 ])
 def test_raises(call, message):
     with pytest.raises(ValidationError) as info:

@@ -595,10 +595,7 @@ class GradedMap:
         for g, block in inner.blocks.items():
             mid = g + inner.degree
             if mid in self.blocks:
-                blocks[g] = ratmat.mat_mul_shaped(
-                    self.blocks[mid], block, self.target.dim(mid + self.degree),
-                    self.source.dim(mid), inner.source.dim(g),
-                )
+                blocks[g] = ratmat.mat_mul_shaped(self.blocks[mid], block, inner.source.dim(g))
         return GradedMap(inner.source, self.target, self.degree + inner.degree, blocks)
 
     def minus(self, other: "GradedMap") -> "GradedMap":
@@ -835,9 +832,7 @@ def direct_limit(
         carried, ends = ratmat.zeros(stages[0].dim(g), 0), [0]
         for i, cx in enumerate(stages):
             if i:
-                carried = ratmat.mat_mul_shaped(
-                    maps[i - 1].block(g), carried, cx.dim(g), stages[i - 1].dim(g), ends[-1]
-                )
+                carried = ratmat.mat_mul_shaped(maps[i - 1].block(g), carried, ends[-1])
             # A missing block is zero: nullspace gives the identity, uneliminated.
             cycles = ratmat.nullspace(cx.blocks.get(g, []), ncols=cx.dim(g))
             carried = [row + own for row, own in zip(carried, cycles)]

@@ -928,17 +928,15 @@ class LiftedEvMap(_ComponentMap):
 
 
 def lift_spec(
-    spec: EvMapSpec,
-    positions: Sequence[int],
-    new_k: int,
-    new_lambdas: Sequence[float],
+    spec: EvMapSpec, positions: Sequence[int], new_lambdas: Sequence[float]
 ) -> LiftedEvMap:
-    """Embed a spec along coordinate inclusions R^k -> R^{new_k}.
+    """Embed a spec along coordinate inclusions R^k -> R^{new_k}, where
+    new_k is the number of ``new_lambdas``.
 
     Models the covered-curve inclusion (x_1, 0, ..., 0, x_2, 0, ...);
     which slots receive the old coordinates is explicit input.
     """
-    positions = list(positions)
+    positions, new_k = list(positions), len(new_lambdas)
     if len(positions) != spec.k:
         raise ValidationError("need one target slot per original component")
     if positions != sorted(positions) or len(set(positions)) != len(positions):

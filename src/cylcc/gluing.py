@@ -28,12 +28,15 @@ Each remaining run of grid points lies where a + c R = K, and
 contributes K^2 e^{2 lambda (s_j - A)} summed as a geometric series in
 log space, so no e^{lambda s} is formed there and none can overflow.  No
 full grid is built to solve a neck or to measure it.
+
+Each ``NeckField`` carries its ``NeckParams``: every function here reads
+the neck from its fields and refuses fields on different necks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,14 +51,14 @@ RESIDUAL_PANELS_PER_RAMP = 512
 
 @dataclass(frozen=True)
 class NeckParams:
-    """Gluing-neck geometry; the defaults satisfy the constraints minimally."""
+    """Gluing-neck geometry, carried by each ``NeckField``; the defaults
+    satisfy the constraints minimally."""
 
     T0: float = 21.0
     T: float = 60.0
     h: float = 0.5
     r: float = 4.0
     s_grid: int = 2048
-    t_modes: int = 3
 
     def __post_init__(self):
         if not all(math.isfinite(x) for x in (self.T0, self.T, self.h, self.r)):
@@ -68,9 +71,8 @@ class NeckParams:
             raise DomainError(f"need T0 > 5r = {5.0 * self.r}")
         if self.T <= 2.0 * self.T0:
             raise DomainError(f"need T > 2*T0 = {2.0 * self.T0}")
-        for name, least in (("s_grid", 64), ("t_modes", 1)):
-            check_size(name, getattr(self, name), least)
-            object.__setattr__(self, name, int(getattr(self, name)))  # numpy ints become ints
+        check_size("s_grid", self.s_grid, 64)
+        object.__setattr__(self, "s_grid", int(self.s_grid))  # a numpy int becomes an int
 
     @property
     def ramp_width(self) -> float:
@@ -349,52 +351,56 @@ class NeckField:
         return math.sqrt(total) + math.sqrt(dtotal)
 
 
-def _check_ends(eta_plus: NeckField, eta_minus: NeckField):
-    """One spectrum and grid; eta_plus in positive modes, eta_minus in negative."""
-    if eta_plus.spectrum.kind != eta_minus.spectrum.kind:
+def _shared_params(*fields: NeckField) -> NeckParams:
+    """The one neck of ``fields``, which must share a spectrum kind too."""
+    if any(f.spectrum.kind != fields[0].spectrum.kind for f in fields):
         raise ValidationError("fields are bound to different spectrum tables")
-    if eta_plus.params != eta_minus.params:
+    if any(f.params != fields[0].params for f in fields):
         raise ValidationError("fields live on different neck grids")
+    return fields[0].params
+
+
+def _ends(
+    eta_plus: NeckField, eta_minus: NeckField
+) -> Tuple[Cutoffs, Dict[int, RampMode], Dict[int, RampMode]]:
+    """The cutoffs of the ends' shared neck and each end's modes by index;
+    eta_plus carries positive modes, eta_minus negative ones, all constant."""
+    cut = make_cutoffs(_shared_params(eta_plus, eta_minus))
     if any(i <= 0 for i in eta_plus.mode_indices):
         raise ValidationError("eta_plus must be supported in positive modes")
     if any(i >= 0 for i in eta_minus.mode_indices):
         raise ValidationError("eta_minus must be supported in negative modes")
+    ends = []
+    for field, end in ((eta_plus, "top"), (eta_minus, "bottom")):
+        for i, mode in field.modes.items():
+            if mode.ramp is not None and mode.c != 0.0:
+                raise ValidationError(
+                    f"{end}-end mode {i} is not constant; the closed-form solve "
+                    "applies to end data only"
+                )
+        ends.append({i: field.modes[i] for i in field.mode_indices})
+    return cut, ends[0], ends[1]
 
 
-def _end_modes(field: NeckField, end: str) -> Dict[int, RampMode]:
-    """Every mode of one end's data, each checked to be constant."""
-    for i, mode in field.modes.items():
-        if mode.ramp is not None and mode.c != 0.0:
-            raise ValidationError(
-                f"{end}-end mode {i} is not constant; the closed-form solve "
-                "applies to end data only"
-            )
-    return {i: field.modes[i] for i in field.mode_indices}
+def preglue(eta_plus: NeckField, eta_minus: NeckField) -> NeckField:
+    """v_* = beta_plus eta_plus + beta_minus eta_minus on the ends' neck.
 
-
-def preglue(eta_plus: NeckField, eta_minus: NeckField, params: NeckParams) -> NeckField:
-    """v_* = beta_plus eta_plus + beta_minus eta_minus on the neck.
-
-    Both ends must be constant end data.  Above the top ramp only
-    eta_plus survives; below the bottom ramp only eta_minus does.
+    Both ends must be constant end data on one neck.  Above the top ramp
+    only eta_plus survives; below the bottom ramp only eta_minus does.
     """
-    _check_ends(eta_plus, eta_minus)
-    cut = make_cutoffs(params)
-    modes = {
-        i: RampMode(0.0, m.a, cut.plus, m.anchor) for i, m in _end_modes(eta_plus, "top").items()
-    }
-    for i, m in _end_modes(eta_minus, "bottom").items():
+    cut, top, bottom = _ends(eta_plus, eta_minus)
+    modes = {i: RampMode(0.0, m.a, cut.plus, m.anchor) for i, m in top.items()}
+    for i, m in bottom.items():
         modes[i] = RampMode(m.a, -m.a, cut.minus, m.anchor)  # d beta_minus = d - d ramp_minus
-    return NeckField(eta_plus.spectrum, params, modes)
+    return NeckField(eta_plus.spectrum, eta_plus.params, modes)
 
 
-def solve_neck(
-    eta_plus: NeckField, eta_minus: NeckField, params: NeckParams
-) -> Tuple[NeckField, NeckField]:
+def solve_neck(eta_plus: NeckField, eta_minus: NeckField) -> Tuple[NeckField, NeckField]:
     """Solve Theta_+ = 0 and the projected Theta_- equation per mode.
 
-    Both ends must be constant end data.  The solutions are then the
-    exact cumulative-rate integrals of the forcing:
+    Both ends must be constant end data on one neck, and the solutions
+    live on it.  They are the exact cumulative-rate integrals of the
+    forcing:
 
     * psi_plus carries the negative modes b_i(s) = -d_i * ramp(s), where
       ramp climbs 0 -> 1 across the bottom cutoff ramp; so b_i is 0 deep
@@ -406,14 +412,11 @@ def solve_neck(
 
     Every solved mode keeps the anchor of the end mode it comes from.
     """
-    _check_ends(eta_plus, eta_minus)
-    cut = make_cutoffs(params)
-    top = _end_modes(eta_plus, "top")
-    bottom = _end_modes(eta_minus, "bottom")
+    cut, top, bottom = _ends(eta_plus, eta_minus)
     psi_plus_modes = {i: RampMode(0.0, -m.a, cut.minus, m.anchor) for i, m in bottom.items()}
     psi_minus_modes = {i: RampMode(m.a, -m.a, cut.plus, m.anchor) for i, m in top.items()}
-    psi_plus = NeckField(eta_plus.spectrum, params, psi_plus_modes)
-    psi_minus = NeckField(eta_plus.spectrum, params, psi_minus_modes)
+    psi_plus = NeckField(eta_plus.spectrum, eta_plus.params, psi_plus_modes)
+    psi_minus = NeckField(eta_plus.spectrum, eta_plus.params, psi_minus_modes)
     return psi_plus, psi_minus
 
 
@@ -422,11 +425,11 @@ def theta_residuals(
     eta_minus: NeckField,
     psi_plus: NeckField,
     psi_minus: NeckField,
-    params: NeckParams,
 ) -> Tuple[float, float]:
     """Check a neck solve against an independent integration of Theta = 0.
 
-    Per mode, Theta_+ = 0 reads b' = -R_-' (b[eta_-] + b[psi_-]) for
+    The four fields must share one spectrum kind and one neck.  Per mode,
+    Theta_+ = 0 reads b' = -R_-' (b[eta_-] + b[psi_-]) for
     the coefficient b of psi_+, and Theta_- = 0 reads
     b' = -R_+' (b[eta_+] + b[psi_+]) for that of psi_-, where R_+ and R_-
     are the cutoff ramps ``plus`` and ``minus``.  Each is
@@ -438,6 +441,8 @@ def theta_residuals(
     integrated and given max|b| (0 where both are 0), so modes as small
     as the e^{-2 lambda T} of psi_- are checked as closely as the others.
     """
+    fields = (eta_plus, eta_minus, psi_plus, psi_minus)
+    params = _shared_params(*fields)
     cut = make_cutoffs(params)
     grid = params.grid()
     knots = np.union1d(grid, [cut.plus.lo, cut.plus.hi, cut.minus.lo, cut.minus.hi])
@@ -446,7 +451,6 @@ def theta_residuals(
     unit_nodes, simpson = _simpson_rule(0.0, 1.0, 2 * panels)
     nodes = knots[:-1, None] + widths[:, None] * unit_nodes
     at_grid = np.searchsorted(knots, grid)
-    fields = (eta_plus, eta_minus, psi_plus, psi_minus)
     modes = sorted(set().union(*(f.modes for f in fields)))
 
     def residual(psi, ramp, *sources):
@@ -546,14 +550,10 @@ class CokernelBasisModel:
         return SigmaEntry(index=i, coeffs=coeffs, spectrum=self.spectrum_plus)
 
 
-def obstruction_pairing(
-    sigma: SigmaEntry,
-    fld: NeckField,
-    params: NeckParams,
-    n_quad: Optional[int] = None,
-) -> float:
-    """Discrete L^2 pairing <sigma, R_+' * field> over the neck, R_+ the
-    ``plus`` cutoff ramp, by Simpson with n_quad (default s_grid) panels.
+def obstruction_pairing(sigma: SigmaEntry, fld: NeckField, n_quad: Optional[int] = None) -> float:
+    """Discrete L^2 pairing <sigma, R_+' * field> over the field's neck,
+    R_+ its ``plus`` cutoff ramp, by Simpson with n_quad (default the
+    neck's s_grid) panels.
 
     For a single constant mode this reduces to c_i e^{-2 lambda_i T}
     times the ramp-rate integral (which is one), so the value is pure
@@ -561,8 +561,8 @@ def obstruction_pairing(
     """
     if sigma.spectrum.kind != fld.spectrum.kind:
         raise ValidationError("sigma and field are bound to different spectra")
-    ramp = make_cutoffs(params).plus
-    s, weights = _simpson_rule(ramp.lo, ramp.hi, params.s_grid if n_quad is None else n_quad)
+    ramp = make_cutoffs(fld.params).plus
+    s, weights = _simpson_rule(ramp.lo, ramp.hi, fld.params.s_grid if n_quad is None else n_quad)
     rate = ramp.rate(s)
     total = 0.0
     for j, coeff in sigma.coeffs.items():
@@ -571,11 +571,7 @@ def obstruction_pairing(
     return total
 
 
-def momo_check(
-    eta_plus: NeckField,
-    eta_minus: NeckField,
-    params: NeckParams,
-) -> Dict[str, float]:
+def momo_check(eta_plus: NeckField, eta_minus: NeckField) -> Dict[str, float]:
     """Constancy of positive modes and ramp endpoints of negative modes.
 
     Returns the maximal deviations: positive-mode drift of psi_+ across
@@ -584,7 +580,7 @@ def momo_check(
     is the default 0.0, and each endpoint is 0.0 + (-d) + d.  This guards
     ``solve_neck`` against regression; it measures no numerical error.
     """
-    psi_plus, _ = solve_neck(eta_plus, eta_minus, params)
+    psi_plus, _ = solve_neck(eta_plus, eta_minus)
     drift = max((abs(m.c) for i, m in psi_plus.modes.items() if i > 0), default=0.0)
     endpoint = max(
         (abs(psi_plus.modes[i].a + psi_plus.modes[i].c + eta_minus.modes[i].a)
@@ -680,9 +676,9 @@ def two_sided_pairing_quadrature(
 
 @dataclass(frozen=True)
 class SweepRow:
-    T: float
-    r: float
-    h: float
+    """One neck and bottom-end amplitude of ``estimate_sweep``, its norms and their ratio."""
+
+    params: NeckParams
     amplitude: float
     psi_plus_norm: float
     psi_minus_norm: float
@@ -691,6 +687,8 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """The rows of ``estimate_sweep``, one per neck and amplitude, in input order."""
+
     rows: Tuple[SweepRow, ...]
 
     @property
@@ -698,13 +696,16 @@ class SweepReport:
         return max((row.ratio for row in self.rows), default=0.0)
 
     def ratios_nonincreasing_in_T(self) -> bool:
-        """Monotonicity in T per (r, h, amplitude), up to a relative 1e-5
-        of discrete-norm quadrature jitter."""
-        by_key: Dict[Tuple[float, float, float], List[SweepRow]] = {}
+        """Monotonicity in T within each family (rows whose amplitudes and
+        neck fields but T agree), up to a relative 1e-5 of discrete-norm
+        quadrature jitter; rows of different families are not compared."""
+        others = [f.name for f in dataclass_fields(NeckParams) if f.name != "T"]
+        by_family: Dict[tuple, List[SweepRow]] = {}
         for row in self.rows:
-            by_key.setdefault((row.r, row.h, row.amplitude), []).append(row)
-        for rows in by_key.values():
-            rows = sorted(rows, key=lambda r: r.T)
+            family = (row.amplitude, *(getattr(row.params, name) for name in others))
+            by_family.setdefault(family, []).append(row)
+        for rows in by_family.values():
+            rows = sorted(rows, key=lambda row: row.params.T)
             for a, b in zip(rows, rows[1:]):
                 if b.ratio > a.ratio * (1.0 + 1e-5):
                     return False
@@ -721,29 +722,22 @@ def estimate_sweep(
     neck problem with eta_minus = amplitude * (mode -1) and report
     ||psi_+||_* / (r^{-1}(e^{-lambda T} + ||psi_-||_*)), the measured
     analogue of the a-priori bound constant, on the closed-form
-    pos_hyperbolic(0.5) spectrum with ``t_modes`` modes a side.
+    pos_hyperbolic(0.5) spectrum of modes -1 and 1, the only ones it reads.
     """
-    kind = OperatorKind.pos_hyperbolic(0.5)
+    spectrum = closed_form_spectrum(OperatorKind.pos_hyperbolic(0.5), 1)
+    lam = min(spectrum.eigenvalue(1), abs(spectrum.eigenvalue(-1)))
     rows: List[SweepRow] = []
     for params in params_grid:
-        spectrum = closed_form_spectrum(kind, params.t_modes)
-        lam = min(
-            spectrum.eigenvalue(1), abs(spectrum.eigenvalue(-1))
-        )
         for amp in amplitudes:
             eta_plus = NeckField.zero(spectrum, params)
-            eta_minus = NeckField.end_from_below(
-                spectrum, params, {-1: amp} if amp != 0.0 else {}
-            )
-            psi_plus, psi_minus = solve_neck(eta_plus, eta_minus, params)
+            eta_minus = NeckField.end_from_below(spectrum, params, {-1: amp} if amp else {})
+            psi_plus, psi_minus = solve_neck(eta_plus, eta_minus)
             plus_norm = psi_plus.star_norm()
             minus_norm = psi_minus.star_norm()
             denom = (math.exp(-lam * params.T) + minus_norm) / params.r
             rows.append(
                 SweepRow(
-                    T=params.T,
-                    r=params.r,
-                    h=params.h,
+                    params=params,
                     amplitude=amp,
                     psi_plus_norm=plus_norm,
                     psi_minus_norm=minus_norm,

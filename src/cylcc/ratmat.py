@@ -50,16 +50,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     (am, an), (bm, bn) = shape(a), shape(b)
     if an != bm:
         raise ValueError(f"shape mismatch: ({am},{an}) @ ({bm},{bn})")
-    return mat_mul_shaped(a, b, am, an, bn)
+    return mat_mul_shaped(a, b, bn)
 
 
-def mat_mul_shaped(
-    a: Matrix, b: Matrix, nrows: int, nmid: int, ncols: int
-) -> Matrix:
-    """Product with explicit dimensions; safe when any dimension is zero.
+def mat_mul_shaped(a: Matrix, b: Matrix, ncols: int) -> Matrix:
+    """Product with an explicit column count; safe when any dimension is zero.
 
-    Bare list-of-rows matrices lose their column count when a dimension
-    collapses, so callers that track graded dimensions pass them in.
+    ``a`` has one row per row of the product, and ``b`` one row per
+    column of ``a``; a ``b`` with no rows has lost its column count, so
+    callers that track graded dimensions pass it in.
     Each row of ``a`` is cleared of denominators by its own lcm and ``b``
     by one lcm, so the sums run on integers and each entry becomes a
     Fraction once.
@@ -104,15 +103,19 @@ def clear(row: Sequence) -> Tuple[List[int], int]:
     """``row`` times the lcm of its denominators, as integers, and that lcm.
 
     Each entry is taken at its exact value (``_exact_number``); a row of
-    ints is returned as it is, with lcm 1.  The lcm is positive, so a
-    cleared row spans the same line, pointing the same way.
+    ints is returned as it is, with lcm 1.  A Fraction built from numpy
+    integers keeps them as its parts, so each part is taken as a Python
+    int.  The lcm is positive, so a cleared row spans the same line,
+    pointing the same way.
     """
     if _INT.issuperset(map(type, row)):
         return list(row), 1
     if not _EXACT.issuperset(map(type, row)):
         row = [x if isinstance(x, (int, Fraction)) else _exact_number(x) for x in row]
     lcm = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (lcm // x.denominator) for x in row], lcm
+    if lcm == 1:  # most rows: without the divisions the int() calls cost nothing
+        return [int(x.numerator) for x in row], 1
+    return [int(x.numerator) * (lcm // int(x.denominator)) for x in row], lcm
 
 
 def _exact_number(x):

@@ -33,7 +33,7 @@ def consistent_random_dataset(
     kernel = ratmat.nullspace(lower, ncols=n1)
     kdim = len(kernel[0]) if kernel else 0
     mix = [[Fraction(rand_int()) for _ in range(n2)] for _ in range(kdim)]
-    upper = ratmat.mat_mul_shaped(kernel, mix, n1, kdim, n2)
+    upper = ratmat.mat_mul_shaped(kernel, mix, n2)
     # Clear denominators columnwise so the counts stay integral.
     for col in range(n2):
         denom = math.lcm(*(upper[row][col].denominator for row in range(n1)))

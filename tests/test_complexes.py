@@ -298,9 +298,7 @@ class TestDSquared:
             assert len(ds.orbits) == sum(dims)
             cx = differential_matrix(ds)
             assert verify_d_squared(cx).ok
-            prod = ratmat.mat_mul_shaped(
-                cx.block(1), cx.block(2), cx.dim(0), cx.dim(1), cx.dim(2)
-            )
+            prod = ratmat.mat_mul_shaped(cx.block(1), cx.block(2), cx.dim(2))
             assert _is_zero(prod)
             betti = homology(cx)
             assert betti[2] - betti[1] + betti[0] == dims[0] - dims[1] + dims[2]
@@ -319,9 +317,7 @@ class TestDSquared:
                     row[col_gen] = -row[col_gen]
                 mod = GradedRationalComplex(cx.generators, blocks)
                 direct = _is_zero(
-                    ratmat.mat_mul_shaped(
-                        mod.block(1), mod.block(2), cx.dim(0), cx.dim(1), cx.dim(2)
-                    )
+                    ratmat.mat_mul_shaped(mod.block(1), mod.block(2), cx.dim(2))
                 )
                 assert verify_d_squared(mod).ok == direct
 
@@ -451,8 +447,8 @@ class TestHomology:
                     break
             uinv = _invert(u)
             blocks2 = {
-                2: ratmat.mat_mul_shaped(uinv, cx.block(2), n, n, cx.dim(2)),
-                1: ratmat.mat_mul_shaped(cx.block(1), u, cx.dim(0), n, n),
+                2: ratmat.mat_mul_shaped(uinv, cx.block(2), cx.dim(2)),
+                1: ratmat.mat_mul_shaped(cx.block(1), u, n),
             }
             changed = GradedRationalComplex(cx.generators, blocks2)
             assert homology(changed) == dims

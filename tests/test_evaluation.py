@@ -1019,7 +1019,8 @@ class TestSearchSizes:
 class TestLift:
     def test_inclusion_identity(self):
         spec = bundled_spec("evmap_k2.txt")
-        lifted = lift_spec(spec, (0, 2), 3, (0.5, 1.0, 1.5))
+        lifted = lift_spec(spec, (0, 2), (0.5, 1.0, 1.5))
+        assert lifted.k == 3
         theta = np.linspace(0, 1, 13).reshape(-1, 1)
         base = spec.evaluate(theta)
         big = lifted.evaluate(theta)
@@ -1029,21 +1030,22 @@ class TestLift:
 
     def test_position_validation(self):
         spec = bundled_spec("evmap_k2.txt")
-        with pytest.raises(ValidationError):
-            lift_spec(spec, (2, 0), 3, (0.5, 1.0, 1.5))
-        with pytest.raises(ValidationError):
-            lift_spec(spec, (0,), 3, (0.5, 1.0, 1.5))
-        with pytest.raises(ValidationError):
-            lift_spec(spec, (0, 5), 3, (0.5, 1.0, 1.5))
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            lift_spec(spec, (2, 0), (0.5, 1.0, 1.5))
+        with pytest.raises(ValidationError, match="one target slot per original component"):
+            lift_spec(spec, (0,), (0.5, 1.0, 1.5))
+        with pytest.raises(ValidationError, match="out of range"):
+            lift_spec(spec, (0, 5), (0.5, 1.0, 1.5))
         with pytest.raises(ValidationError, match="finite"):
-            lift_spec(spec, (0, 2), 3, (0.5, math.nan, 1.5))
+            lift_spec(spec, (0, 2), (0.5, math.nan, 1.5))
 
     def test_eigenvalues_checked_at_lift_time(self):
         spec = bundled_spec("evmap_k2.txt")
         with pytest.raises(ValidationError, match="nondecreasing"):
-            lift_spec(spec, (0, 2), 3, (3.0, 2.0, 1.0))
-        with pytest.raises(ValidationError, match="one eigenvalue per component"):
-            lift_spec(spec, (0, 2), 3, (0.5, 1.0))
+            lift_spec(spec, (0, 2), (3.0, 2.0, 1.0))
+        # new_k is the number of eigenvalues, so too few leave a slot out of range
+        with pytest.raises(ValidationError, match="target slots out of range"):
+            lift_spec(spec, (0, 2), (0.5, 1.0))
 
 
 class TestParsing:

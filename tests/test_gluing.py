@@ -64,23 +64,18 @@ class TestNeckParams:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("s_grid", 100.5), ("s_grid", math.nan), ("s_grid", True), ("s_grid", 63),
-         ("t_modes", 2.5), ("t_modes", math.nan), ("t_modes", True), ("t_modes", 0)],
+        [("s_grid", 100.5), ("s_grid", math.nan), ("s_grid", True), ("s_grid", 63)],
     )
     def test_sizes_must_be_integers(self, field, value):
-        # s_grid = 100.5 gave a sweep row, nan passed every inequality, and
-        # t_modes = 2.5 failed later with a TypeError from range.
-        least = 64 if field == "s_grid" else 1
-        with pytest.raises(DomainError, match=f"{field} must be an integer >= {least}, got"):
+        # s_grid = 100.5 gave a sweep row and nan passed every inequality.
+        with pytest.raises(DomainError, match=f"{field} must be an integer >= 64, got"):
             NeckParams(**{field: value})
 
     def test_numpy_integer_sizes_accepted(self):
         # A numpy s_grid used to reach list repetition as a numpy bool.
-        sizes = NeckParams(s_grid=np.int64(256), t_modes=np.int32(2))
-        assert (type(sizes.s_grid), type(sizes.t_modes)) == (int, int)
-        assert estimate_sweep([sizes], [1.0]) == estimate_sweep(
-            [NeckParams(s_grid=256, t_modes=2)], [1.0]
-        )
+        sizes = NeckParams(s_grid=np.int64(256))
+        assert type(sizes.s_grid) is int
+        assert estimate_sweep([sizes], [1.0]) == estimate_sweep([NeckParams(s_grid=256)], [1.0])
 
     def test_defaults_satisfy_paper_constraints(self):
         p = NeckParams()
@@ -155,7 +150,7 @@ class TestSimpsonRule:
         with pytest.raises(ValidationError, match="at least one panel"):
             gluing._simpson_rule(0.0, 1.0, n)
         with pytest.raises(ValidationError, match="at least one panel"):
-            obstruction_pairing(cok.sigma(1), field, params, n_quad=n)
+            obstruction_pairing(cok.sigma(1), field, n_quad=n)
         args = (3.0, 2.5, _two_sided_model(spectrum), [1.2, -0.4, 0.8], [0.5, -1.0, 0.3], params)
         with pytest.raises(ValidationError, match="at least one panel"):
             two_sided_pairing_quadrature(*args, n)
@@ -165,14 +160,14 @@ class TestPreglue:
     def test_zero_ends_trivial_cylinder(self):
         params, spectrum = setup()
         zero = NeckField.zero(spectrum, params)
-        glued = preglue(zero, zero, params)
+        glued = preglue(zero, zero)
         assert glued.mode_indices == []
 
     def test_plateau_is_plain_sum(self):
         params, spectrum = setup()
         eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0})
         eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5})
-        glued = preglue(eta_p, eta_m, params)
+        glued = preglue(eta_p, eta_m)
         w = params.ramp_width
         s = np.linspace(params.T0 + w, params.T - w, 17)
         for i, src in ((1, eta_p), (-1, eta_m)):
@@ -182,16 +177,27 @@ class TestPreglue:
         params, spectrum = setup()
         eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0})
         eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5})
-        glued = preglue(eta_p, eta_m, params)
+        glued = preglue(eta_p, eta_m)
         s = np.array([params.T0])
         assert glued.mode_value(1, s)[0] == 0.0  # beta_plus vanishes there
         assert glued.mode_value(-1, s)[0] == eta_m.mode_value(-1, s)[0]
+
+    def test_output_lives_on_the_ends_neck(self):
+        # Given a neck beside its ends, preglue built a field on that neck:
+        # ends on T = 60 gave a field on T = 80 with its top mode anchored at
+        # 120, not 160.  Now every output is on the ends' own neck.
+        params, spectrum = setup(T=80.0)
+        eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0})
+        eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5})
+        glued = preglue(eta_p, eta_m)
+        assert all(f.params is params for f in (glued, *solve_neck(eta_p, eta_m)))
+        assert glued.modes[1].anchor == 160.0
 
     def test_support_violation(self):
         params, spectrum = setup()
         bad = NeckField.end_from_below(spectrum, params, {-1: 1.0})
         with pytest.raises(ValidationError):
-            preglue(bad, bad, params)
+            preglue(bad, bad)
         with pytest.raises(ValidationError):
             NeckField.end_from_above(spectrum, params, {-1: 1.0})
 
@@ -201,9 +207,9 @@ class TestPreglue:
         eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5})
         zero = NeckField.zero(spectrum, params)
         with pytest.raises(ValidationError, match="top-end mode 1 is not constant"):
-            preglue(preglue(eta_p, zero, params), eta_m, params)
+            preglue(preglue(eta_p, zero), eta_m)
         with pytest.raises(ValidationError, match="bottom-end mode -1 is not constant"):
-            preglue(eta_p, preglue(zero, eta_m, params), params)
+            preglue(eta_p, preglue(zero, eta_m))
 
 
 class TestSolveNeck:
@@ -211,7 +217,7 @@ class TestSolveNeck:
         params, spectrum = setup()
         eta_p = NeckField.end_from_above(spectrum, params, {1: 1.0})
         zero = NeckField.zero(spectrum, params)
-        psi_plus, _ = solve_neck(eta_p, zero, params)
+        psi_plus, _ = solve_neck(eta_p, zero)
         grid = params.grid()
         assert all(
             np.allclose(psi_plus.mode_value(i, grid), 0.0)
@@ -221,7 +227,7 @@ class TestSolveNeck:
     def test_negative_mode_endpoint(self):
         params, spectrum = setup()
         eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.0})
-        psi_plus, _ = solve_neck(NeckField.zero(spectrum, params), eta_m, params)
+        psi_plus, _ = solve_neck(NeckField.zero(spectrum, params), eta_m)
         top = np.array([params.s_max])
         assert abs(psi_plus.b(-1, top)[0] + 1.0) < 1e-15
 
@@ -229,7 +235,7 @@ class TestSolveNeck:
         params, spectrum = setup()
         eta_p = NeckField.end_from_above(spectrum, params, {1: 3.0})
         eta_m = NeckField.end_from_below(spectrum, params, {-1: -2.0, -2: 0.7})
-        checks = momo_check(eta_p, eta_m, params)
+        checks = momo_check(eta_p, eta_m)
         assert checks["positive_mode_drift"] < 1e-9
         assert checks["endpoint_deviation"] < 1e-9
 
@@ -243,7 +249,7 @@ class TestSolveNeck:
             bottom = {i: float(rng.uniform(-5, 5)) for i in (-1, -2, -3) if rng.random() < 0.7}
             eta_p = NeckField.end_from_above(spectrum, params, top)
             eta_m = NeckField.end_from_below(spectrum, params, bottom)
-            assert momo_check(eta_p, eta_m, params) == {
+            assert momo_check(eta_p, eta_m) == {
                 "positive_mode_drift": 0.0, "endpoint_deviation": 0.0,
             }
 
@@ -251,10 +257,8 @@ class TestSolveNeck:
         params, spectrum = setup()
         eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0, 3: -1.0})
         eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5, -2: 0.5})
-        psi_plus, psi_minus = solve_neck(eta_p, eta_m, params)
-        res_plus, res_minus = theta_residuals(
-            eta_p, eta_m, psi_plus, psi_minus, params
-        )
+        psi_plus, psi_minus = solve_neck(eta_p, eta_m)
+        res_plus, res_minus = theta_residuals(eta_p, eta_m, psi_plus, psi_minus)
         assert res_plus < 1e-9
         assert res_minus < 1e-9
 
@@ -264,7 +268,7 @@ class TestSolveNeck:
         params, spectrum = setup()
         eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0})
         eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.0})
-        _, psi_minus = solve_neck(eta_p, eta_m, params)
+        _, psi_minus = solve_neck(eta_p, eta_m)
         grid = params.grid()
         above = grid[grid >= params.T0 + params.ramp_width]
         content = max(
@@ -282,15 +286,15 @@ class TestSolveNeck:
         eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5})
         zero = NeckField.zero(spectrum, params)
         with pytest.raises(ValidationError, match="top-end mode 1 is not constant"):
-            solve_neck(preglue(eta_p, zero, params), eta_m, params)
+            solve_neck(preglue(eta_p, zero), eta_m)
         with pytest.raises(ValidationError, match="bottom-end mode -1 is not constant"):
-            solve_neck(eta_p, preglue(zero, eta_m, params), params)
+            solve_neck(eta_p, preglue(zero, eta_m))
 
     def test_residuals_catch_planted_flips(self):
         params, spectrum = setup()
         eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0, 3: -1.0})
         eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5, -2: 0.5})
-        psi_plus, psi_minus = solve_neck(eta_p, eta_m, params)
+        psi_plus, psi_minus = solve_neck(eta_p, eta_m)
         # psi_- mode 1 is c e^{-2 lambda T}, about 1.8e-26 here: each mode's
         # residual is relative to its own size, so its flips show as well.
         for psi, index, which in ((psi_plus, -1, 0), (psi_minus, 1, 1)):
@@ -301,7 +305,7 @@ class TestSolveNeck:
                 bad = NeckField(spectrum, params, {**psi.modes, index: planted})
                 fields = [psi_plus, psi_minus]
                 fields[which] = bad
-                res = theta_residuals(eta_p, eta_m, *fields, params)
+                res = theta_residuals(eta_p, eta_m, *fields)
                 assert res[which] > 1e-3
                 assert res[1 - which] < 1e-9
 
@@ -312,7 +316,7 @@ class TestSolveNeck:
         collide = NeckField(spectrum, params, dict(eta_p.modes))
         bad = NeckField(spectrum, params, {**eta_m.modes, **eta_p.modes})
         with pytest.raises(ValidationError):
-            solve_neck(collide, bad, params)
+            solve_neck(collide, bad)
 
 
 # Neck geometries for the norm: s_grid 64, an odd size, sizes that put
@@ -341,7 +345,7 @@ def _norm_fields(params, spectrum):
     cut = make_cutoffs(params)
     top = NeckField.end_from_above(spectrum, params, {1: 2.0, 2: -1.0, 3: 0.5})
     bottom = NeckField.end_from_below(spectrum, params, {-1: 1.5, -2: 0.5, -3: -0.7})
-    fields = [top, bottom, preglue(top, bottom, params), *solve_neck(top, bottom, params)]
+    fields = [top, bottom, preglue(top, bottom), *solve_neck(top, bottom)]
     for i in (1, 2, 3, -1, -2, -3):
         lam = spectrum.eigenvalue(i)
         for ramp in (cut.plus, cut.minus):
@@ -408,9 +412,9 @@ class TestStarNorm:
         norm = math.sqrt(float(np.trapezoid(squares, grid))) * (1.0 + lam)
         assert field.star_norm() == pytest.approx(norm, rel=1e-12, abs=0.0)
         bottom = NeckField.zero(spectrum, params)
-        psi_plus, psi_minus = solve_neck(field, bottom, params)
+        psi_plus, psi_minus = solve_neck(field, bottom)
         assert psi_minus.modes[2] == RampMode(c, -c, make_cutoffs(params).plus, 2.0 * T)
-        assert max(theta_residuals(field, bottom, psi_plus, psi_minus, params)) < 1e-9
+        assert max(theta_residuals(field, bottom, psi_plus, psi_minus)) < 1e-9
 
     @pytest.mark.parametrize("T", [56.0, 60.0])
     def test_theta_residuals_mix_anchors(self, T):
@@ -423,12 +427,10 @@ class TestStarNorm:
         spectrum = closed_form_spectrum(OperatorKind.pos_hyperbolic(0.5), 4)
         lam, c = spectrum.eigenvalue(2), -1.5
         bottom = NeckField.zero(spectrum, params)
-        psi_plus, psi_minus = solve_neck(
-            NeckField.end_from_above(spectrum, params, {2: c}), bottom, params
-        )
+        psi_plus, psi_minus = solve_neck(NeckField.end_from_above(spectrum, params, {2: c}), bottom)
         K = c * math.exp(-2.0 * lam * T)
         old_style = NeckField(spectrum, params, {2: RampMode(K)})
-        res_plus, res_minus = theta_residuals(old_style, bottom, psi_plus, psi_minus, params)
+        res_plus, res_minus = theta_residuals(old_style, bottom, psi_plus, psi_minus)
         assert res_plus < 1e-9
         if K != 0.0:
             assert res_minus < 1e-9
@@ -478,11 +480,11 @@ class TestStarNorm:
         monkeypatch.setattr(NeckParams, "grid", no_grid)
         eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0})
         eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5, -2: 0.5})
-        glued = preglue(eta_p, eta_m, params)
-        psi_plus, psi_minus = solve_neck(eta_p, eta_m, params)
+        glued = preglue(eta_p, eta_m)
+        psi_plus, psi_minus = solve_neck(eta_p, eta_m)
         NeckField(spectrum, params, dict(glued.modes))
         assert all(f.star_norm() > 0.0 for f in (eta_p, eta_m, glued, psi_plus, psi_minus))
-        assert momo_check(eta_p, eta_m, params)["endpoint_deviation"] < 1e-12
+        assert momo_check(eta_p, eta_m)["endpoint_deviation"] < 1e-12
         assert len(estimate_sweep(_benchmark_necks(), [0.4, 0.9, 1.4]).rows) == 18
 
 
@@ -512,7 +514,7 @@ class TestObstructionPairing:
             lam = spectrum.eigenvalue(i)
             c_i = 2.0
             eta_p = NeckField.end_from_above(spectrum, params, {i: c_i})
-            value = obstruction_pairing(cok.sigma(i), eta_p, params)
+            value = obstruction_pairing(cok.sigma(i), eta_p)
             closed = c_i * math.exp(-2.0 * lam * T)
             assert abs(value - closed) < 1e-8
             if closed > 1e-300:
@@ -521,15 +523,15 @@ class TestObstructionPairing:
     def test_zero_field(self):
         params, spectrum = setup()
         cok = CokernelBasisModel.exact(2, spectrum)
-        assert obstruction_pairing(cok.sigma(1), NeckField.zero(spectrum, params), params) == 0.0
+        assert obstruction_pairing(cok.sigma(1), NeckField.zero(spectrum, params)) == 0.0
 
     def test_mixed_modes_only_matching_contributes(self):
         params, spectrum = setup(T=45.0)
         cok = CokernelBasisModel.exact(3, spectrum)
         eta_p = NeckField.end_from_above(spectrum, params, {1: 1.0, 2: 5.0, 3: -7.0})
         only_1 = NeckField.end_from_above(spectrum, params, {1: 1.0})
-        a = obstruction_pairing(cok.sigma(1), eta_p, params)
-        b = obstruction_pairing(cok.sigma(1), only_1, params)
+        a = obstruction_pairing(cok.sigma(1), eta_p)
+        b = obstruction_pairing(cok.sigma(1), only_1)
         assert abs(a - b) < 1e-10
 
     def test_translation_covariance(self):
@@ -537,7 +539,7 @@ class TestObstructionPairing:
         cok = CokernelBasisModel.exact(2, spectrum)
         lam = spectrum.eigenvalue(1)
         base = obstruction_pairing(
-            cok.sigma(1), NeckField.end_from_above(spectrum, params, {1: 2.0}), params
+            cok.sigma(1), NeckField.end_from_above(spectrum, params, {1: 2.0})
         )
         for s0 in (0.3, 1.0, -0.8):
             shifted = obstruction_pairing(
@@ -545,7 +547,6 @@ class TestObstructionPairing:
                 NeckField.end_from_above(
                     spectrum, params, {1: 2.0 * math.exp(-lam * s0)}
                 ),
-                params,
             )
             assert np.isclose(shifted, base * math.exp(-lam * s0), rtol=1e-12)
 
@@ -555,7 +556,14 @@ class TestObstructionPairing:
         cok = CokernelBasisModel.exact(2, other)
         field = NeckField.end_from_above(spectrum, params, {1: 1.0})
         with pytest.raises(ValidationError):
-            obstruction_pairing(cok.sigma(1), field, params)
+            obstruction_pairing(cok.sigma(1), field)
+
+    def test_default_panels_are_the_fields_grid(self):
+        params, spectrum = setup(T=45.0, s_grid=256)
+        sigma = CokernelBasisModel.exact(2, spectrum).sigma(1)
+        field = NeckField.end_from_above(spectrum, params, {1: 2.0})
+        assert obstruction_pairing(sigma, field) == obstruction_pairing(sigma, field, 256)
+        assert obstruction_pairing(sigma, field) != obstruction_pairing(sigma, field, 2048)
 
     @pytest.mark.parametrize("which, n_quad, expected", PINNED_OBSTRUCTION)
     def test_pinned_values(self, which, n_quad, expected):
@@ -569,11 +577,11 @@ class TestObstructionPairing:
             eta_p = NeckField.end_from_above(spectrum, params, {1: 2.0, 3: -1.0})
             eta_m = NeckField.end_from_below(spectrum, params, {-1: 1.5, -2: 0.5})
             if which == "glued":
-                field = preglue(eta_p, eta_m, params)
+                field = preglue(eta_p, eta_m)
             else:
-                field = solve_neck(eta_p, eta_m, params)[1]
+                field = solve_neck(eta_p, eta_m)[1]
         for i, value in enumerate(expected, start=1):
-            got = obstruction_pairing(cok.sigma(i), field, params, n_quad)
+            got = obstruction_pairing(cok.sigma(i), field, n_quad)
             assert got == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
@@ -720,7 +728,7 @@ class TestSweep:
         rows = estimate_sweep(_benchmark_necks(), [0.4, 0.9, 1.4]).rows
         assert len(rows) == len(PINNED_SWEEP)
         for row, (T, r, amp, plus, minus, ratio) in zip(rows, PINNED_SWEEP):
-            assert (row.T, row.r, row.amplitude) == (T, r, amp)
+            assert (row.params.T, row.params.r, row.amplitude) == (T, r, amp)
             assert row.psi_plus_norm == pytest.approx(plus, rel=1e-12, abs=0.0)
             assert row.psi_minus_norm == pytest.approx(minus, rel=1e-12, abs=0.0)
             assert row.ratio == pytest.approx(ratio, rel=1e-12, abs=0.0)
@@ -741,14 +749,26 @@ class TestSweep:
         assert report.ratios_nonincreasing_in_T()
 
     def test_ratio_rising_beyond_the_jitter_fails(self):
-        def row(T, ratio, r=4.0):
-            return SweepRow(T=T, r=r, h=0.5, amplitude=1.0, psi_plus_norm=1.0,
-                            psi_minus_norm=1.0, ratio=ratio)
+        def row(T, ratio, amplitude=1.0, **neck):
+            return SweepRow(params=NeckParams(T=T, **neck), amplitude=amplitude,
+                            psi_plus_norm=1.0, psi_minus_norm=1.0, ratio=ratio)
 
-        # Rows of another (r, h, amplitude) are not compared across.
-        base = (row(45.0, 2.0), row(90.0, 1.0), row(60.0, 3.0, r=8.0))
+        # Rows of another neck family or amplitude are not compared across.
+        base = (row(45.0, 2.0), row(90.0, 1.0), row(60.0, 3.0, s_grid=256),
+                row(60.0, 3.0, amplitude=0.5), row(90.0, 3.0, T0=41.0, r=8.0))
         assert SweepReport(base + (row(60.0, 2.0 * (1.0 + 0.9e-5)),)).ratios_nonincreasing_in_T()
         assert not SweepReport(base + (row(60.0, 2.0 * (1.0 + 2e-5)),)).ratios_nonincreasing_in_T()
+
+    def test_families_differing_only_in_grid_are_not_compared(self):
+        # The T = 60 ratio on s_grid 256 is below that on s_grid 2048 by
+        # 5e-4 relative; grouped by (r, h, amplitude) alone, rows of the two
+        # families were compared across and failed together.
+        family_a = [NeckParams(T=T, s_grid=256) for T in (45.0, 60.0)]
+        family_b = [NeckParams(T=T, s_grid=2048) for T in (45.0, 60.0)]
+        for necks in (family_a, family_b, family_a + family_b):
+            report = estimate_sweep(necks, [1.0])
+            assert [row.params for row in report.rows] == necks
+            assert report.ratios_nonincreasing_in_T()
 
     def test_r_doubling_norm_factor(self):
         # Frozen from the exact per-mode solve at T = 90, h = 0.5,
@@ -770,8 +790,15 @@ def _end(kind=KIND, **params):
     return NeckField.end_from_above(closed_form_spectrum(kind, 2), NeckParams(**params), {1: 1.0})
 
 
-def _bottom():
-    return NeckField.end_from_below(closed_form_spectrum(KIND, 2), NeckParams(), {-1: 1.0})
+def _bottom(kind=KIND, **params):
+    """A bottom end on the given spectrum kind and neck grid."""
+    return NeckField.end_from_below(closed_form_spectrum(kind, 2), NeckParams(**params), {-1: 1.0})
+
+
+def _solved(kind=KIND, **params):
+    """Both ends on the given spectrum kind and neck grid, and their neck solve."""
+    top, bottom = _end(kind, **params), _bottom(kind, **params)
+    return (top, bottom, *solve_neck(top, bottom))
 
 
 def _cokernel(**kw):
@@ -786,12 +813,20 @@ def _cokernel(**kw):
         ValidationError, "a bottom end carries negative modes only", id="bottom-modes",
     ),
     pytest.param(
-        lambda: preglue(_end(OperatorKind.pos_hyperbolic(0.25)), _bottom(), NeckParams()),
+        lambda: preglue(_end(OperatorKind.pos_hyperbolic(0.25)), _bottom()),
         ValidationError, "fields are bound to different spectrum tables", id="ends-spectra",
     ),
+    pytest.param(lambda: preglue(_end(T=80.0), _bottom()), ValidationError,
+                 "fields live on different neck grids", id="ends-grids"),
+    pytest.param(lambda: solve_neck(_end(), _bottom(T=80.0)), ValidationError,
+                 "fields live on different neck grids", id="solve-grids"),
+    pytest.param(lambda: momo_check(_end(T=80.0), _bottom()), ValidationError,
+                 "fields live on different neck grids", id="momo-grids"),
+    pytest.param(lambda: theta_residuals(*_solved()[:2], *_solved(T=80.0)[2:]), ValidationError,
+                 "fields live on different neck grids", id="residual-grids"),
     pytest.param(
-        lambda: preglue(_end(T=50.0), _bottom(), NeckParams()),
-        ValidationError, "fields live on different neck grids", id="ends-grids",
+        lambda: theta_residuals(*_solved()[:3], _solved(OperatorKind.pos_hyperbolic(0.25))[3]),
+        ValidationError, "fields are bound to different spectrum tables", id="residual-spectra",
     ),
     pytest.param(lambda: _cokernel(k=0), ValidationError, "cokernel rank k must be >= 1",
                  id="cokernel-rank"),

@@ -113,8 +113,6 @@ def clear(row: Sequence) -> Tuple[List[int], int]:
     if not _EXACT.issuperset(map(type, row)):
         row = [x if isinstance(x, (int, Fraction)) else _exact_number(x) for x in row]
     lcm = math.lcm(*(x.denominator for x in row))
-    if lcm == 1:  # most rows: without the divisions the int() calls cost nothing
-        return [int(x.numerator) for x in row], 1
     return [int(x.numerator) * (lcm // int(x.denominator)) for x in row], lcm
 
 

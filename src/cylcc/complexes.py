@@ -17,7 +17,11 @@ every nonzero entry); its d^2 is the same corner of the full d^2.  So
 each (side, stage) selection of a dataset is assembled, squared and
 eliminated once (Zomorodian & Carlsson, "Computing persistent
 homology", 2005), and every action cut reads its d^2 verdict and ranks
-off that one filtration.  Complex blocks are read-only once built.
+off that one filtration.  Every complex is one cut ``(filtration, n)``:
+a dataset's complex keeps the first n[g] generators of each grading g
+of its selection, the cut at +inf keeping them all, and a complex
+built by hand is all of its own filtration.  Complex blocks are
+read-only once built.
 """
 
 from __future__ import annotations
@@ -275,17 +279,11 @@ class GradedRationalComplex:
     lists each grading in (action, id) order; one built by hand keeps the
     order it is given.  Blocks are read-only once the complex is built:
     :func:`verify_d_squared` and :func:`homology` read the complex's
-    filtration, not these rows.
+    cut of its filtration (``_cut``), not these rows.
     """
 
     generators: Dict[int, Tuple[str, ...]]
     blocks: Dict[int, ratmat.Matrix]
-    # (filtration, n): the complex keeps the first n[g] generators of each
-    # grading g (n None: all) of its dataset's filtration, or is all of
-    # its own, made on first use by _filtered.
-    _cut: Optional[Tuple["_Filtration", Optional[Dict[int, int]]]] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         _check_shapes("differential", self.blocks, self, self, -1)
@@ -300,11 +298,16 @@ class GradedRationalComplex:
     def dim(self, g: int) -> int:
         return len(self.generators.get(g, ()))
 
-    def _filtered(self) -> Tuple["_Filtration", Optional[Dict[int, int]]]:
-        """``(filtration, n)``: this complex is the cut n of the filtration."""
-        if self._cut is None:
-            object.__setattr__(self, "_cut", (_Filtration(self.generators, self.blocks), None))
-        return self._cut
+    @cached_property
+    def _cut(self) -> Tuple["_Filtration", Dict[int, int]]:
+        """``(filtration, n)``: the complex keeps the first n[g] generators of
+        each grading g of the filtration.
+
+        :func:`differential_matrix` sets its dataset's; a complex built by
+        hand is the full cut of its own.
+        """
+        n = {g: len(ids) for g, ids in self.generators.items()}
+        return _Filtration(self.generators, self.blocks), n
 
     @cached_property
     def differential(self) -> "GradedMap":
@@ -344,22 +347,24 @@ def differential_matrix(
     dataset.  Since d strictly lowers action, the generators below
     ``action_max`` span a subcomplex, whose blocks are leading corners of
     the full blocks; each call returns fresh rows cut from them.  Complex
-    blocks are read-only.  Raises DomainError for an ``action_max`` that
-    is NaN, a bool or not a real number, and ValidationError for a side
-    other than "plus" or "minus", for a stage the dataset does not carry,
-    and for an action cut of a dataset (not built by :func:`load_dataset`)
-    with a curve count that does not lower action.
+    blocks are read-only.  ``action_max=None`` is the cut at +inf.
+    Raises DomainError for an ``action_max`` that is NaN, a bool or not a
+    real number, and ValidationError for a side other than "plus" or
+    "minus", for a stage the dataset does not carry, and, whatever the
+    cut, for a dataset (not built by :func:`load_dataset`) with a curve
+    count that does not lower action.
     """
-    if action_max is not None:
-        if isinstance(action_max, bool) or not isinstance(action_max, numbers.Real):
-            raise DomainError(f"action_max must be a real number or None, not {action_max!r}")
-        if action_max != action_max:  # only NaN
-            raise DomainError("action_max must be a number or None, not NaN")
+    if action_max is None:
+        action_max = math.inf
+    elif isinstance(action_max, bool) or not isinstance(action_max, numbers.Real):
+        raise DomainError(f"action_max must be a real number or None, not {action_max!r}")
+    elif action_max != action_max:  # only NaN
+        raise DomainError("action_max must be a number or None, not NaN")
     filtration = dataset._filtrations.get((side, stage))
     if filtration is None:
         filtration = _Filtration.of_dataset(dataset, side, stage)
         dataset._filtrations[(side, stage)] = filtration
-    n = None if action_max is None else filtration.below(action_max)
+    n = filtration.below(action_max)
     generators, blocks, nonintegral = filtration.cut(n)
     if nonintegral:
         _warn_nonintegral(LEVEL_SYMPLECTIZATION, nonintegral)
@@ -377,22 +382,21 @@ class _Filtration:
     generators of each grading, a subcomplex: its blocks and its d^2 are
     leading corners of the full ones.  The rank of a cut block is the
     number of pivot columns of the full block below ``n[g]``, so one
-    elimination per block ranks every cut.  The cut n = None keeps
-    everything.  The d^2 product and the elimination are computed on
-    first use.  A complex built by hand is its own filtration, in the
-    order it is given, and is never cut (``GradedRationalComplex._filtered``).
+    elimination per block ranks every cut.  The full cut keeps every
+    generator.  The d^2 product and the elimination are computed on first
+    use.  A complex built by hand is its own filtration, in the order it
+    is given, and is its full cut (``GradedRationalComplex._cut``).
     """
 
-    def __init__(
-        self, generators, blocks, keys=None, lcm=1, counts=(), nonintegral=(), orbits=None
-    ):
+    def __init__(self, generators, blocks, keys=None, lcm=1, first=None, nonintegral=()):
         self.generators = generators
         self.blocks = blocks
         self.keys = keys  # grading -> ascending action keys of its generators
         self.lcm = lcm  # the keys are actions times lcm
-        self.counts = counts  # ((gamma, gamma'), summed count) of each counted pair
-        self.nonintegral = nonintegral  # (gamma, gamma', non-integer coefficient)
-        self.orbits = orbits  # the dataset's orbit records, for messages
+        self.first = first  # grading -> first column of a counted source in its block
+        # ((g, j), (gamma, gamma', coefficient)): each non-integer entry with
+        # the grading and column of its source gamma
+        self.nonintegral = nonintegral
 
     @classmethod
     def of_dataset(cls, dataset: ModuliDataset, side, stage) -> "_Filtration":
@@ -412,30 +416,19 @@ class _Filtration:
         blocks, items, nonintegral = _assemble(
             dataset, LEVEL_SYMPLECTIZATION, None, generators, generators
         )
-        return cls(generators, blocks, keys, lcm, items, nonintegral, dataset.orbits)
-
-    @cached_property
-    def sources(self):
-        """``(first, nonintegral)`` of the curve counts, computed on first use.
-
-        ``first[g]`` is the first column of a source in block g, and
-        ``nonintegral`` pairs each non-integer entry with the grading and
-        column of its source.  Raises ValidationError, on every use, for
-        an entry that does not lower action, since a cut would then not be
-        a subcomplex.
-        """
-        at = {oid: (g, j) for g, ids in self.generators.items() for j, oid in enumerate(ids)}
+        # A cut is a subcomplex only if every counted entry lowers action.
+        at = {oid: (g, j) for g, ids in generators.items() for j, oid in enumerate(ids)}
         first: Dict[int, int] = {}
-        for (fid, tid), _ in self.counts:
-            (g, j), (h, i) = at[fid], at[tid]
-            if not self.keys[h][i] < self.keys[g][j]:
+        for (fid, tid), _ in items:
+            if not key[tid] < key[fid]:
                 raise ValidationError(
                     f"symplectization entry {fid} -> {tid} does not lower action "
-                    f"({self.orbits[fid].orbit.action} -> {self.orbits[tid].orbit.action}); "
+                    f"({dataset.orbit(fid).action} -> {dataset.orbit(tid).action}); "
                     "action cuts need d to lower action"
                 )
+            g, j = at[fid]
             first[g] = min(first.get(g, j), j)
-        return first, [(at[e[0]], e) for e in self.nonintegral]
+        return cls(generators, blocks, keys, lcm, first, [(at[e[0]], e) for e in nonintegral])
 
     def below(self, action_max) -> Dict[int, int]:
         """Per grading, how many generators have action below ``action_max``."""
@@ -446,22 +439,18 @@ class _Filtration:
             bound = math.inf if action_max > 0 else -math.inf
         return {g: bisect_left(keys, bound) for g, keys in self.keys.items()}
 
-    def cut(self, n: Optional[Dict[int, int]]):
-        """Generators, fresh blocks and non-integer entries of the cut n.
+    def cut(self, n: Dict[int, int]):
+        """Generators, fresh blocks and non-integer entries of a dataset's cut n.
 
         A block is kept when one of its curve counts starts in the cut.
         """
-        if n is None:
-            blocks = {g: [row[:] for row in block] for g, block in self.blocks.items()}
-            return dict(self.generators), blocks, self.nonintegral
-        first, nonintegral = self.sources
         generators = {g: ids[:n[g]] for g, ids in self.generators.items() if n[g]}
         blocks = {
             g: [row[:n[g]] for row in block[:n[g - 1]]]
             for g, block in self.blocks.items()
-            if first[g] < n[g]
+            if self.first[g] < n[g]
         }
-        return generators, blocks, [e for (g, j), e in nonintegral if j < n[g]]
+        return generators, blocks, [e for (g, j), e in self.nonintegral if j < n[g]]
 
     @cached_property
     def full_d_squared(self) -> "GradedMap":
@@ -469,14 +458,15 @@ class _Filtration:
         d = GradedRationalComplex(self.generators, self.blocks).differential
         return d.compose(d)
 
-    def d_squared(self, cut: GradedRationalComplex, n) -> "IdentityCheck":
-        """The d^2 verdict of ``cut``, the cut n: a leading corner of the full d^2."""
-        if n is None:
-            return self.full_d_squared.first_nonzero()
+    def d_squared(self, cut: GradedRationalComplex, n: Dict[int, int]) -> "IdentityCheck":
+        """The d^2 verdict of ``cut``, the cut n: a leading corner of the full d^2.
+
+        A grading n leaves out has no generators: its blocks are empty.
+        """
         blocks = {
-            g: [row[:n[g]] for row in block[:n[g - 2]]]
+            g: [row[:n[g]] for row in block[:n.get(g - 2, 0)]]
             for g, block in self.full_d_squared.blocks.items()
-            if n[g]
+            if n.get(g)
         }
         return GradedMap(cut, cut, -2, blocks).first_nonzero()
 
@@ -485,10 +475,9 @@ class _Filtration:
         """Per nonempty block, its pivot columns."""
         return {h: ratmat.pivot_columns(b) for h, b in self.blocks.items() if b and b[0]}
 
-    def rank(self, g: int, n: Optional[Dict[int, int]]) -> int:
+    def rank(self, g: int, n: Dict[int, int]) -> int:
         """Rank of block g of the cut n."""
-        pivots = self.pivots.get(g, ())
-        return len(pivots) if n is None else bisect_left(pivots, n[g])
+        return bisect_left(self.pivots.get(g, ()), n[g])
 
 
 def _assemble(
@@ -672,11 +661,12 @@ def verify_d_squared(cx: GradedRationalComplex) -> IdentityCheck:
     of the grading below.  For a complex from :func:`differential_matrix`
     that is the first pair in (action, id) order; a complex built by hand
     is scanned in the order it is given.  The verdict is read off the
-    complex's filtration, which squares its differential once for this
-    and :func:`homology`: its dataset's for a complex from
+    complex's cut ``(filtration, n)`` (``GradedRationalComplex._cut``),
+    whose filtration squares its differential once for this and
+    :func:`homology`: its dataset's for a complex from
     :func:`differential_matrix`, else the complex itself.
     """
-    filtration, n = cx._filtered()
+    filtration, n = cx._cut
     return filtration.d_squared(cx, n)
 
 
@@ -690,7 +680,7 @@ def homology(cx: GradedRationalComplex) -> Dict[int, int]:
     elimination of the full block, columns in action order.  So a complex
     is squared and each block eliminated once, however often it is asked.
     """
-    filtration, n = cx._filtered()
+    filtration, n = cx._cut
     check = filtration.d_squared(cx, n)
     if not check.ok:
         raise ValidationError(
@@ -809,13 +799,15 @@ def direct_limit(
     the last stage), where B are the last stage's boundaries.  So one
     elimination of [B | carried] gives every image: its pivots past B.
     Raises ValidationError for an empty stage list, and unless ``maps``
-    holds a chain map between each two consecutive stages.
+    holds exactly one chain map between each two consecutive stages.
     """
     n = len(stages)
     if not n:
         raise ValidationError("a direct limit needs at least one stage")
-    if len(maps) < n - 1:
-        raise ValidationError("need a chain map between each consecutive stage")
+    if len(maps) != n - 1:
+        raise ValidationError(
+            f"need a chain map between each consecutive stage, {n - 1} in all, got {len(maps)}"
+        )
 
     for i in range(n - 1):
         check = chain_map_check(stages[i], stages[i + 1], maps[i])

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the size check that raises one."""
+"""Exception types shared across the package, and the integer and size checks that raise them."""
 
 import numbers
 
@@ -49,6 +49,12 @@ class DatasetError(CylccError, ValueError):
 
 class IntegerCoefficientWarning(UserWarning):
     """A differential/chain-map coefficient is not an integer."""
+
+
+def check_integer(what: str, value) -> None:
+    """Raise ValidationError unless ``value`` is an integer; a bool is not one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def check_size(name: str, value, least: int) -> None:

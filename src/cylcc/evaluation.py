@@ -56,7 +56,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .dataio import RecordKind, choice, comma_list, integer, read_records, real
-from .errors import DegeneracyError, DomainError, NumericError, ValidationError, check_size
+from .errors import (
+    DegeneracyError, DomainError, NumericError, ValidationError, check_integer, check_size,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -202,6 +204,8 @@ class TrigPolynomial:
                 raise ValidationError(f"unknown term kind {kind!r}")
             if len(orders) != self.nvars:
                 raise ValidationError("term order tuple has wrong arity")
+            for m in orders:  # an integer order keeps f periodic on R^nvars / Z^nvars
+                check_integer("term order", m)
             if not math.isfinite(value):
                 raise ValidationError(f"term value {value} is not finite")
             if kind == "const":

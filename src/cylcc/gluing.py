@@ -41,7 +41,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, check_size
+from .errors import DomainError, ValidationError, check_integer, check_size
 from .spectral import OperatorKind, SpectrumTable, closed_form_spectrum
 
 # Simpson panels per ramp width in theta_residuals: the quadrature error
@@ -114,6 +114,7 @@ class NeckParams:
 def _simpson_rule(lo: float, hi: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of composite Simpson on [lo, hi] with n >= 1
     panels, an odd n rounded up."""
+    check_integer("Simpson's rule panel count", n)
     if n < 1:
         raise ValidationError(f"Simpson's rule needs at least one panel, got {n}")
     n += n % 2
@@ -505,6 +506,7 @@ class CokernelBasisModel:
     d: Optional[Tuple[Tuple[float, ...], ...]] = None
 
     def __post_init__(self):
+        check_integer("cokernel rank k", self.k)
         if self.k < 1:
             raise ValidationError("cokernel rank k must be >= 1")
         if self.c is None:
@@ -544,6 +546,7 @@ class CokernelBasisModel:
 
     def sigma(self, i: int) -> SigmaEntry:
         """Positive-end data of sigma_i, 1-based."""
+        check_integer("sigma index", i)
         if not 1 <= i <= self.k:
             raise ValidationError(f"sigma index {i} out of range 1..{self.k}")
         coeffs = {j + 1: x for j, x in enumerate(self.c[i - 1]) if x != 0.0}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 
 if TYPE_CHECKING:  # spectral pulls in numpy; the exact stack does not need it
     from .spectral import SpectrumTable
@@ -29,12 +29,6 @@ if TYPE_CHECKING:  # spectral pulls in numpy; the exact stack does not need it
 POS_HYP = "pos_hyperbolic"
 NEG_HYP = "neg_hyperbolic"
 SIMPLE_TYPES = (POS_HYP, NEG_HYP)
-
-
-def _check_integer(what: str, value) -> None:
-    """Raise ValidationError unless ``value`` is an integer; a bool is not one."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,7 @@ class ReebOrbit:
             raise ValidationError(
                 f"orbit {self.id}: unknown simple_type {self.simple_type!r}"
             )
-        _check_integer(f"orbit {self.id}: multiplicity", self.multiplicity)
+        check_integer(f"orbit {self.id}: multiplicity", self.multiplicity)
         if self.multiplicity < 1:
             raise ValidationError(f"orbit {self.id}: multiplicity must be >= 1")
         if not isinstance(self.action, numbers.Real) or isinstance(self.action, bool):
@@ -68,7 +62,7 @@ class ReebOrbit:
             raise ValidationError(f"orbit {self.id}: action must be positive")
         if not self.action < math.inf:  # NaN fails this too
             raise ValidationError(f"orbit {self.id}: action must be finite, got {self.action!r}")
-        _check_integer(f"orbit {self.id}: cz_simple", self.cz_simple)
+        check_integer(f"orbit {self.id}: cz_simple", self.cz_simple)
         # Even CZ index <-> positive hyperbolic, for the simple orbit.
         if self.simple_type == POS_HYP and self.cz_simple % 2 != 0:
             raise ValidationError(
@@ -125,8 +119,8 @@ class CurveTopology:
     c1: int
 
     def __post_init__(self):
-        _check_integer("genus", self.genus)
-        _check_integer("c1", self.c1)
+        check_integer("genus", self.genus)
+        check_integer("c1", self.c1)
         if self.genus < 0:
             raise ValidationError("genus must be nonnegative")
         if not self.positive_punctures and not self.negative_punctures:
@@ -156,9 +150,9 @@ def fredholm_index(
 
 def cover_index(base_index: int, degree: int, branching: int) -> int:
     """Index of a degree-k branched cover with total branching b."""
-    _check_integer("base index", base_index)
-    _check_integer("cover degree", degree)
-    _check_integer("branching", branching)
+    check_integer("base index", base_index)
+    check_integer("cover degree", degree)
+    check_integer("branching", branching)
     if degree < 1:
         raise ValidationError("cover degree must be >= 1")
     if branching < 0:
@@ -172,9 +166,9 @@ def automatic_transversality(ind: int, genus: int, gamma0_count: int) -> bool:
     Raises ValidationError unless all three are integers and the genus and
     the count are nonnegative.
     """
-    _check_integer("index", ind)
-    _check_integer("genus", genus)
-    _check_integer("even end count", gamma0_count)
+    check_integer("index", ind)
+    check_integer("genus", genus)
+    check_integer("even end count", gamma0_count)
     if genus < 0:
         raise ValidationError("genus must be nonnegative")
     if gamma0_count < 0:
@@ -213,7 +207,7 @@ def winding_bounds_check(spectrum: SpectrumTable, cz: int) -> WindingReport:
     are report content, not errors.  Raises ValidationError unless ``cz``
     is an integer.
     """
-    _check_integer("cz", cz)
+    check_integer("cz", cz)
     even = cz % 2 == 0
     violations = []
     for entry in spectrum.entries:

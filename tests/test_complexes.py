@@ -718,16 +718,25 @@ class TestSelectors:
             differential_matrix(ds, stage=99)
 
     def test_cut_of_count_not_lowering_action_raises_every_time(self):
+        # The check runs once per selection, as its filtration is built, so
+        # the whole complex (None), the cut at +inf and finite cuts share it.
         orbits = {"a": OrbitRecord(orbit("a", 1, 4)), "b": OrbitRecord(orbit("b", 0, 6))}
         ds = ModuliDataset(orbits=orbits, curves=(symp("a", "b", 1),))
+        messages = set()
         for _ in range(2):
-            with pytest.raises(ValidationError, match="a -> b does not lower action"):
-                differential_matrix(ds, action_max=F(10))
+            for action_max in (None, math.inf, F(10), F(5)):
+                with pytest.raises(ValidationError, match="a -> b does not lower action") as info:
+                    differential_matrix(ds, action_max=action_max)
+                messages.add(str(info.value))
+        assert messages == {
+            "symplectization entry a -> b does not lower action (4 -> 6); "
+            "action cuts need d to lower action"
+        }
 
     @pytest.mark.parametrize("source, target_action", [("a", 4), ("c", 4), ("a", 6)])
     def test_cut_of_count_not_lowering_action_names_pair(self, source, target_action):
-        # load_dataset refuses such a curve; a dataset built around it cannot
-        # be cut.  Equal actions are refused whichever id sorts first.
+        # load_dataset refuses such a curve; a dataset built around it gives
+        # no complex.  Equal actions are refused whichever id sorts first.
         orbits = {
             source: OrbitRecord(orbit(source, 1, 4)),
             "b": OrbitRecord(orbit("b", 0, target_action)),
@@ -735,6 +744,65 @@ class TestSelectors:
         ds = ModuliDataset(orbits=orbits, curves=(symp(source, "b", 1),))
         with pytest.raises(ValidationError, match=f"{source} -> b does not lower action"):
             differential_matrix(ds, action_max=F(10))
+
+
+def _whole_and_inf_datasets():
+    bundled = [
+        ("consistent_orbits.txt", "consistent_curves.txt"),
+        ("consistent_orbits.txt", "corrupted_curves.txt"),
+        ("direct_limit_orbits.txt", "direct_limit_curves.txt"),
+        ("noninteger_orbits.txt", "noninteger_curves.txt"),
+    ]
+    params = [pytest.param("bundled", files, id=files[1]) for files in bundled]
+    params += [pytest.param("exact", seed, id=f"exact-{seed}") for seed in (1, 2, 3)]
+    params += [pytest.param("staged", seed, id=f"staged-{seed}") for seed in (1, 2, 3)]
+    return params
+
+
+class TestWholeIsCutAtInfinity:
+    """``action_max=None`` is the cut at +inf: the same complex, warnings and verdicts."""
+
+    @staticmethod
+    def _dataset(kind, arg):
+        if kind == "bundled":
+            return read_dataset(*map(bundled_path, arg))
+        if kind == "exact":
+            orbit_text, curve_text, _ = GEN.exact_complex_dataset(arg, (16, 20, 16), 5)
+        else:
+            orbit_text, curve_text, _ = GEN.staged_dataset(arg, (8, 10, 8), 3)
+        orbits, curves = parse_records(orbit_text, "orbits")[0], parse_records(curve_text, "curves")[1]
+        return load_dataset(orbits, curves)
+
+    @staticmethod
+    def _outputs(ds, action_max, side, stage):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            cx = differential_matrix(ds, action_max=action_max, side=side, stage=stage)
+        check = verify_d_squared(cx)
+        try:
+            dims = homology(cx)
+        except ValidationError as exc:
+            dims = str(exc)
+        warned = [(w.category, str(w.message)) for w in record]
+        return cx, warned, check, dims
+
+    @pytest.mark.parametrize("kind, arg", _whole_and_inf_datasets())
+    def test_whole_complex_equals_cut_at_infinity(self, kind, arg):
+        ds = self._dataset(kind, arg)
+        sides = [None] + sorted({rec.side for rec in ds.orbits.values() if rec.side})
+        for side in sides:
+            for stage in [None] + ds.stages:
+                whole = self._outputs(ds, None, side, stage)
+                assert whole == self._outputs(ds, math.inf, side, stage), (side, stage)
+                filtration, n = whole[0]._cut
+                assert n == {g: len(ids) for g, ids in filtration.generators.items()}
+
+    def test_hand_built_complex_is_its_full_cut(self):
+        cx = make_complex({2: ["a"], 1: ["b", "c"], 0: []}, {2: [[1], [-1]]})
+        filtration, n = cx._cut
+        assert n == {g: cx.dim(g) for g in cx.generators} == {2: 1, 1: 2, 0: 0}
+        assert filtration.generators is cx.generators and cx._cut[0] is filtration
+        assert homology(cx) == {2: 0, 1: 1, 0: 0}
 
 
 def _invert(m):
@@ -1269,6 +1337,14 @@ def _homotopy_check(k_degree, phi_degree):
     pytest.param(
         lambda: stage_sequence(UNSTAGED), ValidationError,
         "dataset carries no stage labels", id="no-stages",
+    ),
+    pytest.param(
+        lambda: direct_limit(
+            [UNSTAGED_CX] * 2,
+            [GradedMap.identity(UNSTAGED_CX), GradedMap(UNSTAGED_CX, UNSTAGED_CX, 0, {1: [[F(2)]]})],
+        ),
+        ValidationError,
+        "need a chain map between each consecutive stage, 1 in all, got 2", id="extra-map",
     ),
 
     pytest.param(

@@ -1186,6 +1186,10 @@ def _cos_sin(orders_cos=(1,), orders_sin=(1,)):
                  id="term-kind"),
     pytest.param(lambda: TrigPolynomial(1, (("cos", (1, 2), 1.0),)),
                  "term order tuple has wrong arity", id="term-arity"),
+    pytest.param(lambda: TrigPolynomial(1, (("sin", (0.5,), 1.0),)),
+                 "term order must be an integer, got 0.5", id="term-order-fraction"),
+    pytest.param(lambda: TrigPolynomial(2, (("cos", (1, True), 1.0),)),
+                 "term order must be an integer, got True", id="term-order-bool"),
     pytest.param(lambda: EvMapSpec(4, _cos_sin() * 2, (0.5, 1.0, 1.5, 2.0)),
                  "evaluation maps are implemented for k in {2, 3}", id="spec-k"),
     pytest.param(lambda: EvMapSpec(2, _cos_sin()[:1], (0.5, 1.5)),

@@ -140,6 +140,12 @@ class TestSimpsonRule:
         exact = antiderivative(2.0) - antiderivative(-1.5)
         assert weights @ cubic == pytest.approx(exact, rel=1e-14, abs=0.0)
 
+    def test_numpy_integer_counts_accepted(self):
+        nodes, weights = gluing._simpson_rule(0.0, 1.0, np.int64(3))
+        assert len(nodes) == len(weights) == 5
+        cok = CokernelBasisModel.exact(np.int64(2), closed_form_spectrum(KIND, 3))
+        assert cok.sigma(np.int32(2)).index == 2
+
     @pytest.mark.parametrize("n", [0, -1, -4])
     def test_fewer_than_one_panel_rejected(self, n):
         # n = 0 and -1 gave one node of infinite weight (nan pairings), and
@@ -830,6 +836,10 @@ def _cokernel(**kw):
     ),
     pytest.param(lambda: _cokernel(k=0), ValidationError, "cokernel rank k must be >= 1",
                  id="cokernel-rank"),
+    pytest.param(lambda: _cokernel(k=True), ValidationError,
+                 "cokernel rank k must be an integer, got True", id="cokernel-rank-bool"),
+    pytest.param(lambda: _cokernel(k=1.5), ValidationError,
+                 "cokernel rank k must be an integer, got 1.5", id="cokernel-rank-float"),
     pytest.param(lambda: _cokernel(c=((1.0,),)), ValidationError, "c must be a k x k matrix",
                  id="c-shape"),
     pytest.param(lambda: _cokernel(c=((2.0, 0.0), (0.0, 1.0))), ValidationError,
@@ -846,6 +856,18 @@ def _cokernel(**kw):
     ),
     pytest.param(lambda: _cokernel().sigma(0), ValidationError,
                  "sigma index 0 out of range 1..2", id="sigma-index"),
+    pytest.param(lambda: _cokernel().sigma(1.0), ValidationError,
+                 "sigma index must be an integer, got 1.0", id="sigma-index-float"),
+    pytest.param(lambda: gluing._simpson_rule(0.0, 1.0, 2.5), ValidationError,
+                 "Simpson's rule panel count must be an integer, got 2.5", id="panels-float"),
+    pytest.param(lambda: gluing._simpson_rule(0.0, 1.0, math.nan), ValidationError,
+                 "Simpson's rule panel count must be an integer, got nan", id="panels-nan"),
+    pytest.param(lambda: gluing._simpson_rule(0.0, 1.0, True), ValidationError,
+                 "Simpson's rule panel count must be an integer, got True", id="panels-bool"),
+    pytest.param(
+        lambda: obstruction_pairing(_cokernel().sigma(1), _end(), n_quad=2.5), ValidationError,
+        "Simpson's rule panel count must be an integer, got 2.5", id="pairing-panels-float",
+    ),
     pytest.param(
         lambda: two_sided_pairing(1.0, 1.0, _cokernel(), [1.0, 1.0], [1.0]),
         ValidationError, "need 2 bottom-end coefficients", id="bottom-coefficients",

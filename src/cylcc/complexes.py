@@ -17,11 +17,10 @@ every nonzero entry); its d^2 is the same corner of the full d^2.  So
 each (side, stage) selection of a dataset is assembled, squared and
 eliminated once (Zomorodian & Carlsson, "Computing persistent
 homology", 2005), and every action cut reads its d^2 verdict and ranks
-off that one filtration.  Every complex is one cut ``(filtration, n)``:
-a dataset's complex keeps the first n[g] generators of each grading g
-of its selection, the cut at +inf keeping them all, and a complex
-built by hand is all of its own filtration.  Complex blocks are
-read-only once built.
+off that one filtration.  Every complex is one cut ``(filtration, n)``,
+keeping the first n[g] generators of each grading g: the cut at +inf
+keeps them all, and a complex built by hand is all of its own
+filtration.  Complex blocks are read-only once built.
 """
 
 from __future__ import annotations
@@ -300,12 +299,9 @@ class GradedRationalComplex:
 
     @cached_property
     def _cut(self) -> Tuple["_Filtration", Dict[int, int]]:
-        """``(filtration, n)``: the complex keeps the first n[g] generators of
-        each grading g of the filtration.
-
-        :func:`differential_matrix` sets its dataset's; a complex built by
-        hand is the full cut of its own.
-        """
+        """``(filtration, n)``: the complex keeps the first n[g] generators of each
+        grading g.  :func:`differential_matrix` sets its dataset's cut; a complex
+        built by hand is the full cut of its own filtration."""
         n = {g: len(ids) for g, ids in self.generators.items()}
         return _Filtration(self.generators, self.blocks), n
 

@@ -766,10 +766,9 @@ class TestWholeIsCutAtInfinity:
     def _dataset(kind, arg):
         if kind == "bundled":
             return read_dataset(*map(bundled_path, arg))
-        if kind == "exact":
-            orbit_text, curve_text, _ = GEN.exact_complex_dataset(arg, (16, 20, 16), 5)
-        else:
-            orbit_text, curve_text, _ = GEN.staged_dataset(arg, (8, 10, 8), 3)
+        if kind == "staged":
+            return _staged_dataset(arg, (8, 10, 8), 3)[0]
+        orbit_text, curve_text, _ = GEN.exact_complex_dataset(arg, (16, 20, 16), 5)
         orbits, curves = parse_records(orbit_text, "orbits")[0], parse_records(curve_text, "curves")[1]
         return load_dataset(orbits, curves)
 

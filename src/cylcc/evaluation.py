@@ -51,7 +51,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -345,6 +345,10 @@ class EvMapSpec(_ComponentMap):
     ``lambdas`` are the finite positive eigenvalues
     weighting the flow quotient. ``singular_params`` declares parameter
     points whose images a generic meridian must avoid.
+
+    A map holds the result of each certified cell search run on it, one
+    per axis and seeding, for as long as it lives; every call checks the
+    held result again.  Treat a map as immutable.
     """
 
     k: int
@@ -352,6 +356,8 @@ class EvMapSpec(_ComponentMap):
     lambdas: Tuple[float, ...]
     orientation: int = 1
     singular_params: Tuple[Tuple[float, ...], ...] = ()
+    # (axis, seed cells) -> the ``_cell_zeros`` result for that search, on first use.
+    _searches: Dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k not in (2, 3):
@@ -512,6 +518,7 @@ def _cell_zeros(stack: _Stack, n_cells: int):
 
     Returns (sorted roots as n-tuples, cells excluded, uncertified
     cells), each uncertified cell as its box, one (lo, hi) per coordinate.
+    Both collections are tuples, so a held result cannot be changed.
     """
     nvars = stack.nvars
     half = 0.5 / n_cells
@@ -552,8 +559,10 @@ def _cell_zeros(stack: _Stack, n_cells: int):
             break
         half /= 2.0
         values = stack.lattice(cells - half, 2.0 * half, 2)
-    uncertified = [tuple((x - half, x + half) for x in c) for c in np.mod(cells, 1.0).tolist()]
-    roots = sorted(tuple(root[:nvars]) for root in known)
+    uncertified = tuple(
+        tuple((x - half, x + half) for x in c) for c in np.mod(cells, 1.0).tolist()
+    )
+    roots = tuple(sorted(tuple(root[:nvars]) for root in known))
     return roots, excluded, uncertified
 
 
@@ -583,8 +592,10 @@ def _signed_preimages(spec: EvMapSpec, axis: int, poles, n_scan, n_grid):
     They are the common zeros of the other components, found by
     ``_cell_zeros`` from ``n_scan`` cells on the circle or ``n_grid``
     cells per axis on the torus; the sign of component ``axis`` at a zero
-    names its pole.  A kept preimage must be transverse, |det J| >=
-    ``_MIN_DET``, and its sign is that of det J, corrected for the
+    names its pole.  The search runs once per (axis, seed cells) on a map,
+    which holds its result; every call checks that result again.  A cell
+    left uncertified raises, a kept preimage must be transverse, |det J|
+    >= ``_MIN_DET``, and its sign is that of det J, corrected for the
     place of ``axis`` and the pole and by ``spec.orientation``.
 
     Returns the preimages sorted by parameter, and the search line
@@ -593,7 +604,10 @@ def _signed_preimages(spec: EvMapSpec, axis: int, poles, n_scan, n_grid):
     check_size("n_scan", n_scan, 1)
     check_size("n_grid", n_grid, 1)
     stack = _Stack([c for j, c in enumerate(spec.components) if j != axis])
-    params, excluded, uncertified = _cell_zeros(stack, (n_scan, n_grid)[spec.nvars - 1])
+    key = (axis, (n_scan, n_grid)[spec.nvars - 1])
+    if key not in spec._searches:
+        spec._searches[key] = _cell_zeros(stack, key[1])
+    params, excluded, uncertified = spec._searches[key]
     search = (
         f"{excluded} cells excluded, {len(params)} roots certified, "
         f"{len(uncertified)} cells uncertified"
@@ -647,7 +661,10 @@ def pole_preimages(
     uncertified after ``_MAX_DEPTH`` subdivisions (near a degenerate or
     nearly double root) raises DegeneracyError naming the cells, and so
     does a preimage with |det J| < 1e-8 (``_MIN_DET``).  ``n_scan`` and
-    ``n_grid`` must be integers >= 1, or DomainError is raised.
+    ``n_grid`` must be integers >= 1, or DomainError is raised.  The
+    search runs once per axis and seeding on a map, which holds its
+    result; every call, from here or from another function, checks it
+    again.
 
     Both poles are regular values, so the signed count over each equals
     the degree.  The two counts are compared as a cross-check of the
@@ -723,7 +740,9 @@ def path_intersections(
     circle, ``n_grid`` per axis on the torus; each an integer >= 1, or
     DomainError is raised), and each must be transverse in the same
     sense.  For k = 2 the components of the arc preimage
-    are reported as well, with their endpoint pole data.
+    are reported as well, with their endpoint pole data, from
+    ``pole_preimages`` at ``n_scan``.  Each search runs once per axis and
+    seeding on a map, as in ``pole_preimages``.
     """
     axis = _axis_index(spec, path.pole_axis)
     if path.through == axis or not 0 <= path.through < spec.k:
@@ -817,9 +836,10 @@ def s0_zero_locus_check(
     exclusion and Kantorovich balls, that locates the pole preimages on
     both domains.  That search runs from the same seed cells, so a map
     with an uncertified cell raises DegeneracyError here as in
-    ``pole_preimages``.  A T that is not finite and positive, a T at
-    which a section scale e^{-2 lambda_i T} underflows, or an ``n_scan``
-    or ``n_cells`` that is not an integer >= 1 raises DomainError.
+    ``pole_preimages``; it runs once per seeding on a map, as there.  A
+    T that is not finite and positive, a T at which a section scale
+    e^{-2 lambda_i T} underflows, or an ``n_scan`` or ``n_cells`` that is
+    not an integer >= 1 raises DomainError.
     """
     if not all(0.0 < T < math.inf for T in T_grid):
         raise DomainError("the gluing parameter T must be finite and positive")

@@ -726,18 +726,27 @@ def estimate_sweep(
     ||psi_+||_* / (r^{-1}(e^{-lambda T} + ||psi_-||_*)), the measured
     analogue of the a-priori bound constant, on the closed-form
     pos_hyperbolic(0.5) spectrum of modes -1 and 1, the only ones it reads.
+
+    The solve is linear in the end data and each norm is homogeneous, so
+    each neck is solved and measured once, at amplitude 1, and a row's
+    norms are |amplitude| times those.  Each amplitude is still checked
+    as a mode coefficient: a NaN or infinite one raises ValidationError.
+    A norm that the per-amplitude sums would overflow or underflow (at
+    amplitude 1e300 or 1e-300) is thus the scaled, finite value.
     """
     spectrum = closed_form_spectrum(OperatorKind.pos_hyperbolic(0.5), 1)
     lam = min(spectrum.eigenvalue(1), abs(spectrum.eigenvalue(-1)))
     rows: List[SweepRow] = []
     for params in params_grid:
+        eta_plus = NeckField.zero(spectrum, params)
+        eta_minus = NeckField.end_from_below(spectrum, params, {-1: 1.0})
+        unit_plus, unit_minus = (psi.star_norm() for psi in solve_neck(eta_plus, eta_minus))
+        tail = math.exp(-lam * params.T)
         for amp in amplitudes:
-            eta_plus = NeckField.zero(spectrum, params)
-            eta_minus = NeckField.end_from_below(spectrum, params, {-1: amp} if amp else {})
-            psi_plus, psi_minus = solve_neck(eta_plus, eta_minus)
-            plus_norm = psi_plus.star_norm()
-            minus_norm = psi_minus.star_norm()
-            denom = (math.exp(-lam * params.T) + minus_norm) / params.r
+            RampMode(amp)  # the coefficient the unscaled solve would carry
+            scale = abs(float(amp))
+            plus_norm, minus_norm = scale * unit_plus, scale * unit_minus
+            denom = (tail + minus_norm) / params.r
             rows.append(
                 SweepRow(
                     params=params,

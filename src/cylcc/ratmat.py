@@ -13,7 +13,8 @@ Fraction matrices clear, then run on the core, and only Fractions leave;
 ``orientation`` holds integer rows and calls the core directly.  An
 integral entry, such as a numpy integer, becomes a Python int, so no
 product wraps at 64 bits; any other number, a float of any width
-included, becomes its exact Fraction.
+included, becomes its exact Fraction, and a NaN or infinite one raises
+DomainError.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import math
 import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
+
+from .errors import DomainError
 
 Matrix = List[List[Fraction]]
 
@@ -119,13 +122,19 @@ def clear(row: Sequence) -> Tuple[List[int], int]:
 def _exact_number(x):
     """``x`` as an int if integral, else as its exact Fraction.
 
-    Floats of every width, numpy's float32 included, have ``as_integer_ratio``.
+    Floats of every width, numpy's float32 included, have
+    ``as_integer_ratio``; a NaN or infinite one raises DomainError.
     """
     try:
         return operator.index(x)
     except TypeError:
         ratio = getattr(x, "as_integer_ratio", None)
-    return Fraction(*ratio()) if ratio else Fraction(x)
+    if ratio is None:
+        return Fraction(x)
+    try:
+        return Fraction(*ratio())
+    except (ValueError, OverflowError):  # NaN, +-inf
+        raise DomainError(f"entry {x!r} is not finite") from None
 
 
 def clear_rows(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List[int]], int]:

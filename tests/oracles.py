@@ -15,6 +15,8 @@ bracket refinement.  The torus scan oracle samples every cell's 3x3 grid
 on its own, independently of the package's shared lattices.  The neck
 norm oracle applies the trapezoid rule to every point of the full grid,
 independently of the package's ramp points and geometric series.  The
+sweep oracle solves and measures the neck afresh at every amplitude,
+independently of the package's one solve per neck scaled by linearity.  The
 graded identity oracles stack every graded map into one dense matrix over
 all generators and multiply with the product oracle, independently of the
 package's block-by-block composition.  The FD selection oracle solves
@@ -32,6 +34,9 @@ from itertools import combinations
 import numpy as np
 import sympy
 from scipy.optimize import brentq
+
+from cylcc.gluing import NeckField, SweepRow, solve_neck
+from cylcc.spectral import OperatorKind, closed_form_spectrum
 
 
 def laplace_det(matrix):
@@ -398,6 +403,28 @@ def star_norm_oracle(field):
         total += float(np.trapezoid(vals * vals, grid))
         dtotal += float(np.trapezoid(dvals * dvals, grid))
     return math.sqrt(total) + math.sqrt(dtotal)
+
+
+def sweep_oracle(params_grid, amplitudes):
+    """The rows of ``estimate_sweep``, one neck solve and two norms per row.
+
+    eta_minus = amplitude * (mode -1) on the pos_hyperbolic(0.5) spectrum;
+    a zero amplitude is the zero end.
+    """
+    spectrum = closed_form_spectrum(OperatorKind.pos_hyperbolic(0.5), 1)
+    lam = min(spectrum.eigenvalue(1), abs(spectrum.eigenvalue(-1)))
+    rows = []
+    for params in params_grid:
+        for amp in amplitudes:
+            eta_plus = NeckField.zero(spectrum, params)
+            eta_minus = NeckField.end_from_below(spectrum, params, {-1: amp} if amp else {})
+            psi_plus, psi_minus = solve_neck(eta_plus, eta_minus)
+            plus_norm = psi_plus.star_norm()
+            minus_norm = psi_minus.star_norm()
+            denom = (math.exp(-lam * params.T) + minus_norm) / params.r
+            ratio = plus_norm / denom if denom > 0 else 0.0
+            rows.append(SweepRow(params, amp, plus_norm, minus_norm, ratio))
+    return rows
 
 
 def fd_selection_oracle(kind, grid_size, count):

@@ -1346,6 +1346,11 @@ def _homotopy_check(k_degree, phi_degree):
         "need a chain map between each consecutive stage, 1 in all, got 2", id="extra-map",
     ),
 
+    # A NaN block entry raised a bare ValueError from the exact conversion.
+    pytest.param(
+        lambda: homology(GradedRationalComplex({0: ("a",), 1: ("b",)}, {1: [[math.nan]]})),
+        DomainError, "entry nan is not finite", id="homology-nan",
+    ),
     pytest.param(
         lambda: _with_count(0.5), DatasetError,
         "dataset validation failed: <memory>: curve count must be rational, got 0.5",

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import random
@@ -544,12 +545,12 @@ class TestPolePreimages:
             roots, excluded, uncertified = real(*args, **kwargs)
             return roots[1:], excluded, uncertified
 
-        spec = bundled_spec(name)
-        pole_preimages(spec)  # the certificate holds with every root
+        pole_preimages(bundled_spec(name))  # the certificate holds with every root
         monkeypatch.setattr(evaluation, "_cell_zeros", drop_first_root)
         counts = r"signed count -?\d+ over the \+ pole, -?\d+ over the - pole"
+        # A fresh map: the first one holds its unpatched search.
         with pytest.raises(DegeneracyError, match=counts) as info:
-            pole_preimages(spec)
+            pole_preimages(bundled_spec(name))
         assert "cells excluded" in str(info.value)
 
     def test_non_transverse_preimage_rejected(self):
@@ -982,16 +983,76 @@ class TestZeroLocus:
         assert sum(sizes[1:]) < sizes[0] / 2
 
 
+# The benchmark's calls on one map, in its order: (name, seeding).
+BENCH_CALLS = (
+    ("pole_preimages", {"n_grid": 48}),
+    ("path_intersections", {"n_scan": 2048, "n_grid": 48}),
+    ("s0_zero_locus_check", {"n_scan": 2048, "n_cells": 64}),
+)
+# The three searching calls, each with its search sizes as keywords.
+SEARCH_CALLS = {
+    "pole_preimages": lambda spec, **size: pole_preimages(spec, **size),
+    "path_intersections": lambda spec, **size: path_intersections(spec, **size),
+    "s0_zero_locus_check": lambda spec, **size: s0_zero_locus_check(spec, [60.0], **size),
+}
+
+
+class TestHeldSearch:
+    @pytest.mark.parametrize("name, keys", [
+        ("evmap_k2.txt", [(0, 2048), (1, 2048), (1, 8192)]),
+        ("evmap_k3.txt", [(0, 48), (2, 48), (2, 64)]),
+    ])
+    def test_one_search_per_axis_and_seeding(self, monkeypatch, name, keys):
+        # On the circle the zero-locus check repeats the arc search of
+        # path_intersections; the torus calls seed 48 and 64 cells.
+        real = evaluation._cell_zeros
+        seeded = []
+
+        def recorded(stack, n_cells):
+            seeded.append(n_cells)
+            return real(stack, n_cells)
+
+        monkeypatch.setattr(evaluation, "_cell_zeros", recorded)
+        spec = bundled_spec(name)
+        for _ in range(2):
+            for call, size in BENCH_CALLS:
+                SEARCH_CALLS[call](spec, **size)
+        assert sorted(spec._searches) == keys
+        assert sorted(seeded) == sorted(n for _, n in keys)
+        pole_preimages(spec, n_scan=1024, n_grid=40)  # a new seeding searches again
+        assert len(seeded) == 4
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["bench-order", "reversed"])
+    @pytest.mark.parametrize("source", ["evmap_k2.txt", "evmap_k3.txt", 1, 2])
+    def test_held_search_changes_no_result(self, source, order):
+        # Each call on a map of its own against all of them on one map.
+        def load():
+            if isinstance(source, str):
+                return bundled_spec(source)
+            return parse_evmap(_load_gen().torus_map_text(random.Random(source), 2))
+
+        calls = [*BENCH_CALLS, *((call, {}) for call in SEARCH_CALLS)][::order]
+        shared = load()
+        for call, size in calls:
+            assert SEARCH_CALLS[call](shared, **size) == SEARCH_CALLS[call](load(), **size)
+
+    def test_held_searches_are_invisible(self):
+        spec, fresh = bundled_spec("evmap_k2.txt"), bundled_spec("evmap_k2.txt")
+        before = (hash(spec), repr(spec))
+        poles = pole_preimages(spec, n_scan=2048)
+        assert spec._searches and not fresh._searches
+        assert spec == fresh and (hash(spec), repr(spec)) == (hash(fresh), repr(fresh)) == before
+        copy = dataclasses.replace(spec)
+        assert copy == spec and copy._searches == {}
+        flipped = dataclasses.replace(spec, orientation=-1)
+        assert [p.sign for p in pole_preimages(flipped, n_scan=2048)] == [-p.sign for p in poles]
+
+
 class TestSearchSizes:
     # Unchecked, n_scan = -5 seeded no cell, so pole_preimages returned no
     # preimage and its degree check passed as 0 == 0; a size of 0 raised
     # ZeroDivisionError, n_scan = 2048.5 TypeError, and n_scan = 100.5
     # seeded 101 cells of width 1/100.5.
-    CALLS = {
-        "pole_preimages": lambda spec, **size: pole_preimages(spec, **size),
-        "path_intersections": lambda spec, **size: path_intersections(spec, **size),
-        "s0_zero_locus_check": lambda spec, **size: s0_zero_locus_check(spec, [60.0], **size),
-    }
 
     @pytest.mark.parametrize("value", [-5, 0, 100.5, 2048.5, "64", None, True, False])
     @pytest.mark.parametrize(
@@ -1008,7 +1069,7 @@ class TestSearchSizes:
     def test_rejected(self, call, name, map_name, value):
         message = re.escape(f"{name} must be an integer >= 1, got {value!r}")
         with pytest.raises(DomainError, match=message):
-            self.CALLS[call](bundled_spec(map_name), **{name: value})
+            SEARCH_CALLS[call](bundled_spec(map_name), **{name: value})
 
     def test_least_and_numpy_integer_sizes_accepted(self):
         assert len(pole_preimages(bundled_spec("evmap_k2.txt"), n_scan=1)) == 4

@@ -25,7 +25,7 @@ from cylcc.gluing import (
 )
 from cylcc.spectral import OperatorKind, closed_form_spectrum
 
-from .oracles import star_norm_oracle
+from .oracles import star_norm_oracle, sweep_oracle
 
 KIND = OperatorKind.pos_hyperbolic(0.5)
 
@@ -744,6 +744,40 @@ class TestSweep:
             NeckParams(T0=41, T=T, h=0.5, r=8) for T in (90, 110, 130)
         ]
 
+    def test_matches_per_amplitude_oracle(self):
+        necks = _benchmark_necks()
+        amplitudes = (0.0, 0.4, -0.4, 0.9, 1.4, 3.7e5)
+        rows = estimate_sweep(necks, amplitudes).rows
+        expected = sweep_oracle(necks, amplitudes)
+        assert len(rows) == len(expected) == 36
+        for row, want in zip(rows, expected):
+            assert (row.params, row.amplitude) == (want.params, want.amplitude)
+            for name in ("psi_plus_norm", "psi_minus_norm", "ratio"):
+                assert getattr(row, name) == pytest.approx(getattr(want, name), rel=1e-14, abs=0.0)
+
+    def test_one_solve_per_neck(self, monkeypatch):
+        real = gluing.solve_neck
+        solved = []
+
+        def counted(eta_plus, eta_minus):
+            solved.append(eta_plus.params)
+            return real(eta_plus, eta_minus)
+
+        monkeypatch.setattr(gluing, "solve_neck", counted)
+        necks = _benchmark_necks()
+        assert len(estimate_sweep(necks, [0.4, 0.9, 1.4]).rows) == 18
+        assert solved == necks
+
+    def test_extreme_amplitudes_scale_the_unit_norms(self):
+        # Solved at each amplitude, the trapezoid sums overflowed to a norm
+        # of inf at 1e300 and underflowed to 0 at 1e-300.
+        unit, huge, tiny = estimate_sweep(_benchmark_necks()[:1], [1.0, 1e300, 1e-300]).rows
+        assert huge.psi_plus_norm == 1e300 * unit.psi_plus_norm == 4.607347474709602e290
+        assert tiny.psi_plus_norm == 1e-300 * unit.psi_plus_norm == 4.6073474747096e-310
+        assert huge.psi_minus_norm == tiny.psi_minus_norm == 0.0
+        assert huge.ratio == pytest.approx(1.0892731560514297e301, rel=1e-12, abs=0.0)
+        assert tiny.ratio == pytest.approx(1.0892731560514288e-299, rel=1e-12, abs=0.0)
+
     def test_zero_forcing_zero_ratio(self):
         report = estimate_sweep([NeckParams(T=60.0)], [0.0])
         assert report.rows[0].ratio == 0.0
@@ -872,6 +906,10 @@ def _cokernel(**kw):
         lambda: two_sided_pairing(1.0, 1.0, _cokernel(), [1.0, 1.0], [1.0]),
         ValidationError, "need 2 bottom-end coefficients", id="bottom-coefficients",
     ),
+    pytest.param(lambda: estimate_sweep([NeckParams()], [1.0, math.nan]), ValidationError,
+                 "mode coefficients and anchor must be finite", id="sweep-amplitude-nan"),
+    pytest.param(lambda: estimate_sweep([NeckParams()], [-math.inf]), ValidationError,
+                 "mode coefficients and anchor must be finite", id="sweep-amplitude-inf"),
 ])
 def test_raises(call, error, message):
     with pytest.raises(error) as info:

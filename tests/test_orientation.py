@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cylcc import ratmat
-from cylcc.errors import DegeneracyError, ValidationError
+from cylcc.errors import DegeneracyError, DomainError, ValidationError
 from cylcc.orientation import (
     FredholmModel,
     arc_pair_check,
@@ -509,58 +509,66 @@ class TestDs0Sign:
 IDENTITY_2 = ((F(1), F(0)), (F(0), F(1)))
 
 
-@pytest.mark.parametrize("call,message", [
+@pytest.mark.parametrize("call,error,message", [
     pytest.param(
-        lambda: FredholmModel(IDENTITY_2, ((F(1), F(0), F(0)),)),
+        lambda: FredholmModel(IDENTITY_2, ((F(1), F(0), F(0)),)), ValidationError,
         "E basis: vector of length 3, expected 2", id="e-vector-length",
     ),
-    pytest.param(lambda: FredholmModel((), ()), "phi needs at least one row", id="no-rows"),
-    pytest.param(lambda: FredholmModel(((F(1), F(0)), (F(1),)), ()), "ragged matrix", id="ragged"),
+    pytest.param(lambda: FredholmModel((), ()), ValidationError, "phi needs at least one row",
+                 id="no-rows"),
+    pytest.param(lambda: FredholmModel(((F(1), F(0)), (F(1),)), ()), ValidationError,
+                 "ragged matrix", id="ragged"),
+    # A NaN entry raised a bare ValueError from the exact conversion.
+    pytest.param(lambda: FredholmModel(((math.nan,),), ()), DomainError,
+                 "entry nan is not finite", id="phi-nan"),
+    pytest.param(lambda: FredholmModel(IDENTITY_2, ((F(1), math.inf),)), DomainError,
+                 "entry inf is not finite", id="e-inf"),
     pytest.param(
-        lambda: FredholmModel(((F(0),), (F(0),)), ((F(1), F(0)), (F(2), F(0)))),
+        lambda: FredholmModel(((F(0),), (F(0),)), ((F(1), F(0)), (F(2), F(0)))), ValidationError,
         "E basis must be independent", id="e-dependent",
     ),
     pytest.param(
-        lambda: FredholmModel(((F(1),), (F(0),)), ()),
+        lambda: FredholmModel(((F(1),), (F(0),)), ()), ValidationError,
         "Im(phi) + span(E) must be all of W", id="not-onto",
     ),
     pytest.param(
-        lambda: comparison_sign(DIAG_MODEL, **{**DIAG_ARGS, "f_basis": []}),
+        lambda: comparison_sign(DIAG_MODEL, **{**DIAG_ARGS, "f_basis": []}), ValidationError,
         "F basis has 0 vectors; phi^{-1}(E) needs 1 beyond the kernel", id="f-count",
     ),
     pytest.param(
-        lambda: comparison_sign(DIAG_MODEL, **{**DIAG_ARGS, "phi_f_basis": []}),
+        lambda: comparison_sign(DIAG_MODEL, **{**DIAG_ARGS, "phi_f_basis": []}), ValidationError,
         "phi(F) basis must be a basis of phi(F)", id="phi-f-count",
     ),
     pytest.param(
         lambda: comparison_sign(DIAG_MODEL, **{**DIAG_ARGS, "ker_basis": [(1, 0, 0)]}),
-        "kernel basis vector not in ker(phi)", id="kernel-vector",
+        ValidationError, "kernel basis vector not in ker(phi)", id="kernel-vector",
     ),
     pytest.param(
-        lambda: glued_sign(1, 1, "sideways"),
+        lambda: glued_sign(1, 1, "sideways"), ValidationError,
         "direction must be a_points_away or a_points_toward", id="direction",
     ),
     pytest.param(
-        lambda: ds0_sign(1, "north", (), (), 40.0), "ds0 sign needs k >= 2", id="ds0-k",
+        lambda: ds0_sign(1, "north", (), (), 40.0), ValidationError, "ds0 sign needs k >= 2",
+        id="ds0-k",
     ),
     pytest.param(
-        lambda: ds0_sign(3, "east", IDENTITY_2, (0.5, 1.5), 40.0),
+        lambda: ds0_sign(3, "east", IDENTITY_2, (0.5, 1.5), 40.0), ValidationError,
         "pole must be north or south", id="ds0-pole",
     ),
     pytest.param(
-        lambda: ds0_sign(3, "north", ((F(1), F(0)),), (0.5, 1.5), 40.0),
+        lambda: ds0_sign(3, "north", ((F(1), F(0)),), (0.5, 1.5), 40.0), ValidationError,
         "ev_jacobian must be (k-1) x (k-1)", id="ds0-jacobian-shape",
     ),
     pytest.param(
-        lambda: ds0_sign(2, "north", [[1]], ["a"], 1.0),
+        lambda: ds0_sign(2, "north", [[1]], ["a"], 1.0), ValidationError,
         "need k-1 finite positive eigenvalues", id="ds0-eigenvalue-string",
     ),
     pytest.param(
-        lambda: ds0_sign(2, "north", [[1]], [1j], 1.0),
+        lambda: ds0_sign(2, "north", [[1]], [1j], 1.0), ValidationError,
         "need k-1 finite positive eigenvalues", id="ds0-eigenvalue-complex",
     ),
 ])
-def test_raises(call, message):
-    with pytest.raises(ValidationError) as info:
+def test_raises(call, error, message):
+    with pytest.raises(error) as info:
         call()
-    assert (type(info.value), info.value.args[0]) == (ValidationError, message)
+    assert (type(info.value), info.value.args[0]) == (error, message)

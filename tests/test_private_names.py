@@ -3,15 +3,33 @@
 A read is ``module._name`` on a name bound to a ``cylcc`` module, or
 ``from .module import _name``.  ``PINNED`` lists the reads allowed; it
 is empty, and a pinned read that disappears fails too.
+
+A private dataclass field is state the object derives or holds for
+itself: it is no constructor argument and takes no part in ``==``,
+``hash`` or ``repr``.  ``PRIVATE_FIELDS`` lists every such field.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cylcc"
 MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 
 PINNED = set()
+
+PRIVATE_FIELDS = {
+    "complexes.ModuliDataset._filtrations",
+    "evaluation.EvMapSpec._searches",
+    "evaluation.TrigPolynomial._amp",
+    "evaluation.TrigPolynomial._const",
+    "evaluation.TrigPolynomial._orders",
+    "evaluation.TrigPolynomial._shift",
+    "orientation.FredholmModel._phi",
+    "orientation.FredholmModel._rank",
+}
 
 
 def _private(name):
@@ -71,3 +89,20 @@ def test_scanner_sees_each_form_of_read():
         ("complexes_reader", "complexes", "_Filtration"),
         ("complexes_reader", "spectral", "_closed_form_entry"),
     }
+
+
+def test_private_fields_stay_out_of_construction_and_comparison():
+    found = set()
+    for stem in sorted(MODULES):
+        module = importlib.import_module(f"cylcc.{stem}")
+        for cls in vars(module).values():
+            if not (inspect.isclass(cls) and cls.__module__ == module.__name__):
+                continue
+            if not dataclasses.is_dataclass(cls):
+                continue
+            for f in dataclasses.fields(cls):
+                if _private(f.name):
+                    name = f"{stem}.{cls.__name__}.{f.name}"
+                    found.add(name)
+                    assert (f.init, f.compare, f.repr) == (False, False, False), name
+    assert found == PRIVATE_FIELDS

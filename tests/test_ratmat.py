@@ -6,6 +6,7 @@ Fraction-by-Fraction loop in ``tests/oracles.py``.  Every matrix is drawn
 from a seeded generator, one family per kind.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cylcc import ratmat
+from cylcc.errors import DomainError
 
 from .oracles import hstack_oracle, laplace_det, mat_add_oracle, mat_mul_oracle
 
@@ -466,15 +468,26 @@ def test_product_rows_are_independent():
     assert out == [[F(0), F(15)], [F(0), F(6)]]
 
 
-@pytest.mark.parametrize("call,message", [
-    pytest.param(lambda: ratmat.mat_sub([[F(1)]], [[F(1), F(2)]]), "shape mismatch in subtraction",
-                 id="sub"),
-    pytest.param(lambda: ratmat.mat_add([[F(1)]], [[F(1)], [F(2)]]), "shape mismatch in addition",
-                 id="add"),
-    pytest.param(lambda: ratmat.hstack([[F(1)]], [[F(1)], [F(2)]]), "row count mismatch in hstack",
-                 id="hstack"),
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: ratmat.mat_sub([[F(1)]], [[F(1), F(2)]]), ValueError,
+                 "shape mismatch in subtraction", id="sub"),
+    pytest.param(lambda: ratmat.mat_add([[F(1)]], [[F(1)], [F(2)]]), ValueError,
+                 "shape mismatch in addition", id="add"),
+    pytest.param(lambda: ratmat.hstack([[F(1)]], [[F(1)], [F(2)]]), ValueError,
+                 "row count mismatch in hstack", id="hstack"),
+    # A NaN raised a bare ValueError and an infinity a bare OverflowError.
+    pytest.param(lambda: ratmat.clear([F(1, 2), math.nan]), DomainError,
+                 "entry nan is not finite", id="clear-nan"),
+    pytest.param(lambda: ratmat.clear([math.inf]), DomainError,
+                 "entry inf is not finite", id="clear-inf"),
+    pytest.param(lambda: ratmat.clear([0.5, np.float64(-np.inf)]), DomainError,
+                 "entry np.float64(-inf) is not finite", id="clear-numpy-inf"),
+    pytest.param(lambda: ratmat.clear([np.float32(np.nan)]), DomainError,
+                 "entry np.float32(nan) is not finite", id="clear-float32-nan"),
+    pytest.param(lambda: ratmat.mat_mul([[F(1)]], [[math.nan]]), DomainError,
+                 "entry nan is not finite", id="product-nan"),
 ])
-def test_raises(call, message):
-    with pytest.raises(ValueError) as info:
+def test_raises(call, error, message):
+    with pytest.raises(error) as info:
         call()
-    assert (type(info.value), info.value.args[0]) == (ValueError, message)
+    assert (type(info.value), info.value.args[0]) == (error, message)

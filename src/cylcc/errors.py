@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer and size checks that raise them."""
+"""Exception types shared across the package, and the input checks that raise them."""
 
+import math
 import numbers
 
 
@@ -64,3 +65,9 @@ def check_size(name: str, value, least: int) -> None:
     """
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_positive(what: str, value) -> None:
+    """Raise DomainError unless ``value`` is a finite real number > 0; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise DomainError(f"{what} must be finite and positive, got {value!r}")

@@ -19,9 +19,10 @@ rounding, so as a stand-in every bound carries a relative slack of 1e-9
 and every computed value an absolute slack of
 1e-12 (|const| + sum |amp|).
 
-The searches evaluate the components they need together (``_Stack``):
-at arbitrary points, values and gradients come from one sin/cos pass
-over every component's phases, and on a tensor lattice of points
+``_Stack`` is the one evaluator.  Each map holds the stack of its
+components (``_stack``), and each search stacks the components it
+needs: at arbitrary points, values and gradients come from one sin/cos
+pass over every component's phases, and on a tensor lattice of points
 corner + step (i_1, ..., i_n) from per-axis sin/cos tables, by
 sin(u + b) = sin u cos b + cos u sin b.  Lattice values differ from
 point-by-point ones only by rounding, which the same absolute slack
@@ -47,8 +48,8 @@ kept before it, from which a precomputed gather hands each of the cell's
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
@@ -57,7 +58,8 @@ import numpy as np
 
 from .dataio import RecordKind, choice, comma_list, integer, read_records, real
 from .errors import (
-    DegeneracyError, DomainError, NumericError, ValidationError, check_integer, check_size,
+    DegeneracyError, DomainError, NumericError, ValidationError, check_integer, check_positive,
+    check_size,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -120,8 +122,7 @@ def flow_normalize(e: EndExpansion, radius: float = 1.0) -> np.ndarray:
     once a step is at most 1e-15 + 8.9e-16 |s|; a solve still going after
     ``_FLOW_STEPS`` steps raises NumericError.
     """
-    if not math.isfinite(radius) or radius <= 0:
-        raise DomainError("radius must be finite and positive")
+    check_positive("radius", radius)
     c = np.asarray(e.coeffs, dtype=float)
     lam = np.asarray(e.lambdas, dtype=float)
     if not np.any(c != 0.0):
@@ -150,8 +151,7 @@ def s0_eval(T: float, e: EndExpansion) -> np.ndarray:
     Only the first k-1 coefficients enter: the last cokernel element is
     quotiented out.
     """
-    if not math.isfinite(T) or T <= 0:
-        raise DomainError("the gluing parameter T must be finite and positive")
+    check_positive("the gluing parameter T", T)
     if e.k < 2:
         raise ValidationError("s0 needs k >= 2 modes")
     lam = np.asarray(e.lambdas[:-1], dtype=float)
@@ -171,8 +171,7 @@ class TrigPolynomial:
     sin coefficients a, b of one order m combine into one harmonic
     a cos(phi) + b sin(phi) = r sin(phi + delta), phi = 2 pi m . theta,
     where r = +-hypot(a, b) takes the sign of b.  A pure sine thus keeps
-    delta = 0 and vanishes exactly where phi = 0.  f costs one sin per
-    distinct order, and f with its gradient one sin and one cos.
+    delta = 0 and vanishes exactly where phi = 0.
 
     Three bounds come with it, for any x, y in R^nvars:
 
@@ -226,20 +225,13 @@ class TrigPolynomial:
         object.__setattr__(self, "grad_lipschitz", (1.0 + REL_SLACK) * float(amp @ spread**2))
         object.__setattr__(self, "abs_slack", ABS_SLACK * (abs(const) + float(amp.sum())))
 
-    def _phases(self, theta) -> np.ndarray:
-        """phi + delta, one row per distinct order and one column per point."""
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        return TWO_PI * (self._orders @ theta.T) + self._shift[:, None]
-
     def __call__(self, theta) -> np.ndarray:
-        return self._const + self._amp @ np.sin(self._phases(theta))
+        return self.value_and_grad(theta)[0]
 
     def value_and_grad(self, theta) -> Tuple[np.ndarray, np.ndarray]:
-        """f and its gradient (one row per point) from one sin/cos pass."""
-        phases = self._phases(theta)
-        value = self._const + self._amp @ np.sin(phases)
-        grad = (TWO_PI * self._orders.T) @ (self._amp[:, None] * np.cos(phases))
-        return value, grad.T
+        """f and its gradient (one row per point), through a one-component ``_Stack``."""
+        values, grad = _Stack((self,)).value_and_grad(np.atleast_2d(np.asarray(theta, float)))
+        return values[0], grad[0].T
 
     @classmethod
     def zero(cls, nvars: int) -> "TrigPolynomial":
@@ -252,18 +244,17 @@ class _Stack:
     Every component's orders are rows of one matrix, with their shifts;
     ``amp`` is the block matrix whose row i holds component i's
     amplitudes r under its own orders and zeros elsewhere.  One sin (and
-    cos) pass over the phases thus serves every component.
+    cos) pass over the phases thus serves every component: values cost
+    one sin per distinct order, values with gradients one sin and one cos.
     """
 
     def __init__(self, comps: Sequence[TrigPolynomial]):
-        ends = [0, *itertools.accumulate(len(f._amp) for f in comps)]
-        self._blocks = [(f._amp, slice(lo, hi)) for f, lo, hi in zip(comps, ends, ends[1:])]
         self.nvars = comps[0].nvars
         self.orders = np.concatenate([f._orders for f in comps])
         self.shift = np.concatenate([f._shift for f in comps])
-        self.amp = np.zeros((len(comps), ends[-1]))
-        for row, (amp, cols) in zip(self.amp, self._blocks):
-            row[cols] = amp
+        owner = np.repeat(np.arange(len(comps)), [len(f._amp) for f in comps])  # comp of each column
+        amps = np.concatenate([f._amp for f in comps])
+        self.amp = np.where(owner == np.arange(len(comps))[:, None], amps, 0.0)
         self.const = np.array([[f._const] for f in comps])
         self.lipschitz = np.array([f.lipschitz for f in comps])
         self.abs_slack = np.array([f.abs_slack for f in comps])
@@ -276,11 +267,9 @@ class _Stack:
 
     def value_and_grad(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Values (components, points) and gradients (components, nvars,
-        points) at the rows of ``x``.  Each value sums only its own
-        component's harmonics, as ``TrigPolynomial`` does."""
+        points) at the rows of ``x``, both through the block matrix ``amp``."""
         phases = TWO_PI * (self.orders @ x.T) + self.shift[:, None]
-        sin = np.sin(phases)
-        values = self.const + np.array([amp @ sin[rows] for amp, rows in self._blocks])
+        values = self.const + self.amp @ np.sin(phases)
         grad = self._wave.T @ (self.amp[:, :, None] * np.cos(phases))
         return values, grad
 
@@ -320,11 +309,10 @@ class _Stack:
 
 
 class _ComponentMap:
-    """Evaluation through ``components``, one column per component."""
+    """Evaluation through the map's ``_stack``, one column per component."""
 
     def evaluate(self, theta) -> np.ndarray:
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        return np.column_stack([comp(theta) for comp in self.components])
+        return self._stack.value_and_grad(np.atleast_2d(np.asarray(theta, float)))[0].T
 
 
 @dataclass(frozen=True)
@@ -346,9 +334,10 @@ class EvMapSpec(_ComponentMap):
     weighting the flow quotient. ``singular_params`` declares parameter
     points whose images a generic meridian must avoid.
 
-    A map holds the result of each certified cell search run on it, one
-    per axis and seeding, for as long as it lives; every call checks the
-    held result again.  Treat a map as immutable.
+    A map holds its evaluator (``_stack``, built by the origin check) and
+    each certified cell search run on it, one per axis and seeding, for
+    as long as it lives; every call checks a held search again.  Treat
+    a map as immutable.
     """
 
     k: int
@@ -356,6 +345,7 @@ class EvMapSpec(_ComponentMap):
     lambdas: Tuple[float, ...]
     orientation: int = 1
     singular_params: Tuple[Tuple[float, ...], ...] = ()
+    _stack: _Stack = field(init=False, compare=False, repr=False)
     # (axis, seed cells) -> the ``_cell_zeros`` result for that search, on first use.
     _searches: Dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -369,6 +359,7 @@ class EvMapSpec(_ComponentMap):
         _check_header(self.k, self.lambdas, self.orientation)
         n, block = _ORIGIN_GRID, _ORIGIN_BLOCK
         stack = _Stack(self.components)
+        object.__setattr__(self, "_stack", stack)
         half = (block - 1) / (2.0 * n)
         centres = stack.lattice(np.full((1, self.nvars), half), block / n, n // block)[:, 0]
         lip = math.hypot(*stack.lipschitz)
@@ -378,9 +369,7 @@ class EvMapSpec(_ComponentMap):
         if np.any(np.linalg.norm(stack.lattice(corners, 1.0 / n, block), axis=0) < 1e-9):
             dense = stack.lattice(np.zeros((1, self.nvars)), 1.0 / n, n)
             closest = float(np.min(np.linalg.norm(dense, axis=0)))
-            raise ValidationError(
-                f"map image approaches the origin (min |F| = {closest:.2e})"
-            )
+            raise ValidationError(f"map image approaches the origin (min |F| = {closest:.2e})")
 
     @property
     def nvars(self) -> int:
@@ -392,7 +381,8 @@ def _check_header(k: int, lambdas: Sequence[float], orientation: int) -> None:
     flow eigenvalues and an orientation flag of +1 or -1."""
     if len(lambdas) != k:
         raise ValidationError("need one eigenvalue per component")
-    if any(not math.isfinite(l) or l <= 0 for l in lambdas):
+    real = all(isinstance(l, numbers.Real) and not isinstance(l, bool) for l in lambdas)
+    if not real or any(not 0 < l < math.inf for l in lambdas):
         raise ValidationError("flow eigenvalues must be finite and positive")
     if any(b < a for a, b in zip(lambdas, lambdas[1:])):
         raise ValidationError("flow eigenvalues must be nondecreasing")
@@ -624,7 +614,7 @@ def _signed_preimages(spec: EvMapSpec, axis: int, poles, n_scan, n_grid):
     theta = np.array(params, dtype=float).reshape(len(params), spec.nvars)
     dets = _linearize(stack, theta)[2].tolist()
     out = []
-    for p, det, value in zip(params, dets, spec.components[axis](theta).tolist()):
+    for p, det, value in zip(params, dets, spec.evaluate(theta)[:, axis].tolist()):
         pole = 1 if value > 0 else -1
         if pole not in poles:
             continue
@@ -749,11 +739,7 @@ def path_intersections(
         raise ValidationError("the meridian must pass through a distinct axis")
     for p in spec.singular_params:
         image = flow_normalize(EndExpansion(spec.lambdas, tuple(spec.evaluate(p)[0].tolist())))
-        on_plane = all(
-            abs(image[j]) < 1e-9
-            for j in range(spec.k)
-            if j not in (axis, path.through)
-        )
+        on_plane = all(abs(image[j]) < 1e-9 for j in range(spec.k) if j not in (axis, path.through))
         if on_plane and image[path.through] * path.through_sign > -1e-9:
             raise ValidationError(
                 f"declared singular image at parameters {p} lies on the meridian"
@@ -772,13 +758,13 @@ def _arc_components(spec, path, crossings, n_scan):
     poles = pole_preimages(spec, path.pole_axis, n_scan=n_scan)
     if not poles:
         return []
-    through = spec.components[path.through]
+    pairs = list(zip(poles, poles[1:] + poles[:1]))
+    spans = [(a.params[0], b.params[0]) for a, b in pairs]
+    spans = [(lo, hi if hi > lo else hi + 1.0) for lo, hi in spans]
+    mids = np.array([[((lo + hi) / 2.0) % 1.0] for lo, hi in spans])
+    through = spec.evaluate(mids)[:, path.through] * path.through_sign
     out = []
-    for a, b in zip(poles, poles[1:] + poles[:1]):
-        lo = a.params[0]
-        hi = b.params[0] if b.params[0] > lo else b.params[0] + 1.0
-        mid = (lo + hi) / 2.0
-        inside = float(through(np.array([[mid % 1.0]]))[0]) * path.through_sign
+    for (a, b), (lo, hi), inside in zip(pairs, spans, through.tolist()):
         if inside <= 0:
             continue
         net = sum(
@@ -841,8 +827,8 @@ def s0_zero_locus_check(
     e^{-2 lambda_i T} underflows, or an ``n_scan`` or ``n_cells`` that is
     not an integer >= 1 raises DomainError.
     """
-    if not all(0.0 < T < math.inf for T in T_grid):
-        raise DomainError("the gluing parameter T must be finite and positive")
+    for T in T_grid:
+        check_positive("the gluing parameter T", T)
     check_size("n_scan", n_scan, 1)
     check_size("n_cells", n_cells, 1)
     poles = pole_preimages(spec, n_scan=n_scan, n_grid=n_cells)
@@ -949,6 +935,10 @@ class LiftedEvMap(_ComponentMap):
     k: int
     components: Tuple[TrigPolynomial, ...]
     lambdas: Tuple[float, ...]
+    _stack: _Stack = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_stack", _Stack(self.components))
 
 
 def lift_spec(
@@ -967,8 +957,8 @@ def lift_spec(
         raise ValidationError("target slots must be strictly increasing")
     if positions[0] < 0 or positions[-1] >= new_k:
         raise ValidationError("target slots out of range")
+    _check_header(new_k, new_lambdas, 1)
     lambdas = tuple(float(l) for l in new_lambdas)
-    _check_header(new_k, lambdas, 1)
     components = [TrigPolynomial.zero(spec.nvars)] * new_k
     for src, dst in enumerate(positions):
         components[dst] = spec.components[src]

@@ -41,7 +41,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, check_integer, check_size
+from .errors import DomainError, ValidationError, check_integer, check_positive, check_size
 from .spectral import OperatorKind, SpectrumTable, closed_form_spectrum
 
 # Simpson panels per ramp width in theta_residuals: the quadrature error
@@ -605,8 +605,8 @@ def _case_b_pairing(
     """The case-B sums of ``two_sided_pairing``, the top one times
     ``top`` and the bottom one times ``bottom``: the integrals of the two
     ramp rates, 1.0 each in closed form."""
-    if not (0.0 < T_minus < math.inf and 0.0 < T_plus < math.inf):
-        raise DomainError("gluing parameters must be finite and positive")
+    check_positive("T_minus", T_minus)
+    check_positive("T_plus", T_plus)
     k = cokernel.k
     if len(c_coeffs) != k:
         raise ValidationError(f"need {k} top-end coefficients")

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import ratmat
-from .errors import DegeneracyError, ValidationError
+from .errors import DegeneracyError, ValidationError, check_positive
 
 Vector = Tuple[Fraction, ...]
 
@@ -322,9 +322,8 @@ def ds0_sign(
         raise ValidationError("ds0 sign needs k >= 2")
     if pole not in ("north", "south"):
         raise ValidationError("pole must be north or south")
-    if not math.isfinite(T) or T <= 0:
-        raise ValidationError("T must be finite and positive")
-    real = all(isinstance(l, numbers.Real) for l in lambdas)
+    check_positive("T", T)
+    real = all(isinstance(l, numbers.Real) and not isinstance(l, bool) for l in lambdas)
     if len(lambdas) != k - 1 or not real or any(not 0 < l < math.inf for l in lambdas):
         raise ValidationError("need k-1 finite positive eigenvalues")
     # Each row rescaled by a positive factor: the determinant keeps its sign.

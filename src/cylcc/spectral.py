@@ -28,6 +28,7 @@ itself, applied as a stencil without assembling a matrix.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -308,14 +309,17 @@ def finite_difference_operator(
 
     The operator is matrix-free: it applies the centred-difference
     stencil of :class:`StencilOperator` to vectors and blocks, and
-    ``toarray()`` gives its dense matrix.  eps = 0 is admitted here
-    (kernel sanity checks); the public entry point validates through
+    ``toarray()`` gives its dense matrix.  eps must be a finite real
+    number, or DomainError is raised; eps = 0 is admitted here (kernel
+    sanity checks), and the public entry point validates through
     :class:`OperatorKind`.  The negative hyperbolic model wraps
     antiperiodically, f(1) = -f(0).
     """
     if kind_name not in KINDS:
         raise DomainError(f"unknown operator kind {kind_name!r}")
     check_size("grid_size", grid_size, 1)
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not math.isfinite(eps):
+        raise DomainError(f"eps must be a finite real number, got eps={eps!r}")
     wrap = -1.0 if kind_name == NEG_HYPERBOLIC else 1.0
     return StencilOperator(grid_size, _s_matrix(kind_name, eps), wrap)
 

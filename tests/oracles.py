@@ -7,14 +7,16 @@ entry, independently of the package's integer rows; the sum and
 side-by-side oracles read every entry by its index, independently of the
 package's row handling.  The trig-polynomial oracles sum and
 differentiate the terms one at a time, independently of the package's
-order-matrix evaluation.  The torus Newton oracle seeds
-damped Newton at every grid point and keeps what converges, independently
-of the package's certified cell search.  The brentq oracles refine one
-bracket at a time with scipy, independently of the package's batched
-bracket refinement.  The torus scan oracle samples every cell's 3x3 grid
-on its own, independently of the package's shared lattices.  The neck
-norm oracle applies the trapezoid rule to every point of the full grid,
-independently of the package's ramp points and geometric series.  The
+order-matrix evaluation; the torus Newton and scan oracles evaluate
+through them, so none of them runs the package's evaluator.  The torus
+Newton oracle seeds damped Newton at every grid point and keeps what
+converges, independently of the package's certified cell search.  The
+brentq oracles refine one bracket at a time with scipy, independently of
+the package's batched bracket refinement.  The torus scan oracle samples
+every cell's 3x3 grid on its own, independently of the package's shared
+lattices.  The neck norm oracle applies the trapezoid rule to every
+point of the full grid, independently of the package's ramp points and
+geometric series.  The
 sweep oracle solves and measures the neck afresh at every amplitude,
 independently of the package's one solve per neck scaled by linearity.  The
 graded identity oracles stack every graded map into one dense matrix over
@@ -254,14 +256,17 @@ def trig_partial_oracle(poly, var):
 def torus_newton_oracle(f1, f2, n_grid, newton_steps=60):
     """Common zeros of f1, f2 on the torus by damped Newton from every grid point.
 
-    Each point (i/n_grid, j/n_grid) seeds a Newton iteration whose steps
-    are shortened to length 0.25 when longer.  A seed stops when its step
+    f1, f2 and their partials are summed term by term
+    (``trig_polynomial_oracle``, ``trig_partial_oracle``).  Each point
+    (i/n_grid, j/n_grid) seeds a Newton iteration whose steps are
+    shortened to length 0.25 when longer.  A seed stops when its step
     is at most 1e-12, and is lost when its Jacobian determinant falls below
     1e-14 in magnitude.  Seeds not lost with |f1|, |f2| < 1e-10 at the end
     are reduced mod 1; the first of any points within 1e-7 is kept.
 
     Returns the sorted roots.
     """
+    partials = [trig_partial_oracle(f, var) for f in (f1, f2) for var in (0, 1)]
     axis = np.arange(n_grid) / n_grid
     theta = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
     singular = np.zeros(len(theta), dtype=bool)
@@ -270,9 +275,8 @@ def torus_newton_oracle(f1, f2, n_grid, newton_steps=60):
         if not active.size:
             break
         t = theta[active]
-        v1, g1 = f1.value_and_grad(t)
-        v2, g2 = f2.value_and_grad(t)
-        (a, b), (c, d) = g1.T, g2.T
+        v1, v2 = trig_polynomial_oracle(f1.terms, t), trig_polynomial_oracle(f2.terms, t)
+        a, b, c, d = (trig_polynomial_oracle(p.terms, t) for p in partials)
         det = a * d - b * c
         bad = np.abs(det) < 1e-14
         det[bad] = 1.0
@@ -282,7 +286,8 @@ def torus_newton_oracle(f1, f2, n_grid, newton_steps=60):
         singular[active[bad]] = True
         active = active[~bad & (norm > 1e-12)]
     live = np.flatnonzero(~singular)
-    found = live[(np.abs(f1(theta[live])) < 1e-10) & (np.abs(f2(theta[live])) < 1e-10)]
+    near = [np.abs(trig_polynomial_oracle(f.terms, theta[live])) < 1e-10 for f in (f1, f2)]
+    found = live[near[0] & near[1]]
     points = np.mod(theta[found], 1.0)
     roots = []
     while len(points):
@@ -353,7 +358,8 @@ def torus_scan_oracle(components, scales, n_cells):
     Cells of width h start as the n_cells^n grid.  A cell is kept while
     every scaled component takes a value <= 0 and a value >= 0 among its
     3^n samples h/2 apart (each cell evaluated separately), and is then
-    split into 2^n, until h < 1e-11.  The centres of the last cells,
+    split into 2^n, until h < 1e-11.  Each component is summed term by
+    term (``trig_polynomial_oracle``).  The centres of the last cells,
     sorted, give the zeros; the first of any points within 1e-7 is kept.
     """
     n = len(components)
@@ -368,7 +374,7 @@ def torus_scan_oracle(components, scales, n_cells):
         sample = ((cells[:, None, :] + grid(3, h / 2.0)) % 1.0).reshape(-1, n)
         hit = np.ones(len(cells), dtype=bool)
         for scale, comp in zip(scales, components):
-            v = (scale * comp(sample)).reshape(len(cells), 3**n)
+            v = (scale * trig_polynomial_oracle(comp.terms, sample)).reshape(len(cells), 3**n)
             hit &= (v.min(axis=1) <= 0.0) & (v.max(axis=1) >= 0.0)
         cells = (cells[hit][:, None, :] + grid(2, h / 2.0)).reshape(-1, n)
         h = h / 2.0

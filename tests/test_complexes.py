@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -37,7 +38,6 @@ from cylcc.dataio import bundled_path, parse_records, read_dataset
 from cylcc.errors import DatasetError, DomainError, IntegerCoefficientWarning, ValidationError
 from cylcc.indices import ReebOrbit
 
-from .datasets import consistent_random_dataset
 from .oracles import (
     chain_homotopy_oracle,
     chain_map_oracle,
@@ -59,6 +59,20 @@ def _load_gen():
 
 
 GEN = _load_gen()
+
+
+def gen_dataset(seed, dims=(3, 4, 3)):
+    """``GEN.exact_complex_dataset`` at ``seed`` and ``dims``, loaded, with its ``info``.
+
+    The complex is built by integer conjugation of a normal form, so its
+    differential squares to zero and its Betti numbers are known without
+    the package's own kernels.
+    """
+    orbit_text, curve_text, info = GEN.exact_complex_dataset(seed, dims)
+    orbits, _, orbit_problems = parse_records(orbit_text, "orbits")
+    _, curves, curve_problems = parse_records(curve_text, "curves")
+    assert not orbit_problems and not curve_problems
+    return load_dataset(orbits, curves), info
 
 
 def _actions_info(ds, side=None, stage=None):
@@ -241,7 +255,7 @@ class TestDifferential:
             assert type(cx.block(1)[1][0].numerator) is int
 
     def test_differential_built_once(self, monkeypatch):
-        cx = differential_matrix(consistent_random_dataset(2))
+        cx = differential_matrix(gen_dataset(2)[0])
         differential = cx.differential
         checks = []
         monkeypatch.setattr(complexes, "_check_shapes", lambda *args: checks.append(args))
@@ -294,7 +308,7 @@ class TestDSquared:
         # Layers of more than 10 generators: the generator must space actions apart.
         inputs += [(seed, dims) for dims in ((10, 12, 10), (12, 3, 12)) for seed in range(3)]
         for seed, dims in inputs:
-            ds = consistent_random_dataset(seed=seed, dims=dims)
+            ds, info = gen_dataset(seed, dims)
             assert len(ds.orbits) == sum(dims)
             cx = differential_matrix(ds)
             assert verify_d_squared(cx).ok
@@ -302,12 +316,16 @@ class TestDSquared:
             assert _is_zero(prod)
             betti = homology(cx)
             assert betti[2] - betti[1] + betti[0] == dims[0] - dims[1] + dims[2]
+            assert betti == info["betti"]
 
     def test_column_negation_agrees_with_direct_product(self):
         # Whether d^2 survives negating all counts out of one generator is
         # decided by the raw matrix product; the checker must agree with it.
-        for seed in range(10):
-            ds = consistent_random_dataset(seed=seed, dims=(2, 3, 2))
+        # The generator's (2, 3, 2) complexes have a zero grading-2 block,
+        # so no negation breaks d^2 there; the (3, 4, 3) ones break it.
+        broken = 0
+        for seed, dims in itertools.product(range(10), ((2, 3, 2), (3, 4, 3))):
+            ds = gen_dataset(seed, dims)[0]
             cx = differential_matrix(ds)
             for g, col_gen in ((2, 0), (1, 0)):
                 if cx.dim(g) == 0:
@@ -320,6 +338,8 @@ class TestDSquared:
                     ratmat.mat_mul_shaped(mod.block(1), mod.block(2), cx.dim(2))
                 )
                 assert verify_d_squared(mod).ok == direct
+                broken += not direct
+        assert broken > 0
 
     def test_dataset_complex_squared_once_per_selection(self, monkeypatch):
         # verify_d_squared and homology of a complex share its
@@ -328,7 +348,7 @@ class TestDSquared:
         mat_mul = ratmat.mat_mul_shaped
         calls = []
         monkeypatch.setattr(ratmat, "mat_mul_shaped", lambda *a: calls.append(a) or mat_mul(*a))
-        ds = consistent_random_dataset(1, dims=(10, 12, 10))
+        ds = gen_dataset(1, (10, 12, 10))[0]
         calls.clear()
         cx = differential_matrix(ds)
         assert verify_d_squared(cx).ok
@@ -346,7 +366,7 @@ class TestDSquared:
             for curves in ("consistent_curves.txt", "corrupted_curves.txt")
         )
         selections = [(ds, side) for ds in (bundled, corrupted) for side in ("plus", "minus")]
-        selections.append((consistent_random_dataset(4), None))
+        selections.append((gen_dataset(4)[0], None))
         failed = 0
         for ds, side in selections:
             for cut in [None] + _cut_values(ds):
@@ -394,7 +414,7 @@ class TestHomology:
         limit = read_dataset(
             bundled_path("direct_limit_orbits.txt"), bundled_path("direct_limit_curves.txt")
         )
-        selections = [(consistent_random_dataset(1, dims=(10, 12, 10)), None, None)]
+        selections = [(gen_dataset(1, (10, 12, 10))[0], None, None)]
         selections += [(bundled, side, None) for side in ("plus", "minus")]
         selections += [(limit, None, stage) for stage in limit.stages]
         blocks_seen = 0
@@ -420,7 +440,7 @@ class TestHomology:
     def test_invariance_under_generator_permutation_and_basis_change(self):
         rng = random.Random(5)
         for seed in range(5):
-            ds = consistent_random_dataset(seed=seed)
+            ds = gen_dataset(seed)[0]
             cx = differential_matrix(ds)
             dims = homology(cx)
             # permute the generators of grading 1
@@ -519,7 +539,7 @@ class TestActionOrder:
     @settings(derandomize=True, database=None, max_examples=12, deadline=None)
     @given(st.integers(0, 10**6), st.tuples(*[st.integers(1, 5)] * 3))
     def test_permuted_actions_cut_as_leading_corners(self, seed, dims):
-        ds = _permuted_actions(consistent_random_dataset(seed, dims), seed)
+        ds = _permuted_actions(gen_dataset(seed, dims)[0], seed)
         full = differential_matrix(ds)
         for ids in full.generators.values():
             assert list(ids) == sorted(ids, key=lambda oid: (ds.orbit(oid).action, oid))
@@ -567,8 +587,7 @@ class TestActionCuts:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_dataset_cuts_match_oracle(self, seed):
-        ds = consistent_random_dataset(seed)
-        self._check_cuts(ds, _actions_info(ds))
+        self._check_cuts(*gen_dataset(seed))
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_exact_dataset_cuts_match_oracle(self, seed, tmp_path):
@@ -582,7 +601,7 @@ class TestActionCuts:
         # The filtration orders actions by their exact values, numpy's
         # float32 included; the same dataset with those values as Fractions
         # gives the same cuts.
-        ds = consistent_random_dataset(5)
+        ds = gen_dataset(5)[0]
 
         def rebuilt(action):
             orbits = [
@@ -601,14 +620,14 @@ class TestActionCuts:
 
     def test_d_squared_fails_only_above_planted_action(self):
         for seed in range(5):
-            ds = consistent_random_dataset(seed)
+            ds = gen_dataset(seed)[0]
             lower = differential_matrix(ds).block(1)
             col = next(c for c in range(len(lower[0])) if any(row[c] for row in lower))
             planted = load_dataset(
                 [rec.orbit for rec in ds.orbits.values()],
-                ds.curves + (symp("g2_1", f"g1_{col}", 1),),
+                ds.curves + (symp("x2_1", f"x1_{col}", 1),),
             )
-            threshold = planted.orbit("g2_1").action
+            threshold = planted.orbit("x2_1").action
             for cut in _cut_values(planted):
                 cx = differential_matrix(planted, action_max=cut)
                 if cut <= threshold:
@@ -619,7 +638,7 @@ class TestActionCuts:
                     {g: _copy(b) for g, b in cx.blocks.items()},
                 )
                 check = verify_d_squared(by_hand)
-                assert not check.ok and check.grading == 2 and check.pair[0] == "g2_1"
+                assert not check.ok and check.grading == 2 and check.pair[0] == "x2_1"
                 with pytest.raises(ValidationError) as cut_err:
                     homology(cx)
                 with pytest.raises(ValidationError) as hand_err:
@@ -628,11 +647,11 @@ class TestActionCuts:
                 assert f"at pair {check.pair} (grading {check.grading})" in str(cut_err.value)
 
     def test_returned_complex_shares_nothing_with_the_cache(self):
-        ds = consistent_random_dataset(3, dims=(4, 5, 4))
+        ds = gen_dataset(3, (4, 5, 4))[0]
         cut = sorted({rec.orbit.action for rec in ds.orbits.values()})[-2]
         for action_max in (None, cut):
             first = differential_matrix(ds, action_max=action_max)
-            fresh = differential_matrix(consistent_random_dataset(3, dims=(4, 5, 4)), action_max)
+            fresh = differential_matrix(gen_dataset(3, (4, 5, 4))[0], action_max)
             assert first == fresh
             for block in first.blocks.values():
                 for row in block:
@@ -683,19 +702,19 @@ class TestSelectors:
     """Selectors that name nothing in the dataset are refused, not answered empty."""
 
     def test_nan_action_max_rejected(self):
-        ds = consistent_random_dataset(0)
+        ds = gen_dataset(0)[0]
         with pytest.raises(DomainError, match="NaN"):
             differential_matrix(ds, action_max=float("nan"))
 
     @pytest.mark.parametrize("action_max", ["5", 1 + 0j, True], ids=repr)
     def test_action_max_not_a_real_number_rejected(self, action_max):
-        ds = consistent_random_dataset(0)
+        ds = gen_dataset(0)[0]
         with pytest.raises(DomainError, match="real number"):
             differential_matrix(ds, action_max=action_max)
 
     @pytest.mark.parametrize("inf", [math.inf, np.longdouble(math.inf)], ids=repr)
     def test_infinite_action_max_keeps_everything_or_nothing(self, inf):
-        ds = consistent_random_dataset(0)
+        ds = gen_dataset(0)[0]
         whole = differential_matrix(ds)
         above = differential_matrix(ds, action_max=inf)
         assert above == whole and homology(above) == homology(whole)
@@ -1241,7 +1260,7 @@ def identity_check_cases():
     every block raised by 1; then maps with sparse random blocks.
     """
     for seed in range(3):
-        cx = differential_matrix(consistent_random_dataset(seed))
+        cx = differential_matrix(gen_dataset(seed)[0])
         phi0, phi1, k_plus, k_minus = _random_homotopy(cx, seed)
         yield from (("d2", a) for a in _with_each_raised((cx,)))
         yield from (("chain_map", a) for a in _with_each_raised((cx, cx, phi0)))

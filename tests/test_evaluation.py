@@ -64,6 +64,11 @@ def bundled_spec(name):
     return parse_evmap(bundled_path(name).read_text(), name)
 
 
+def term_by_term(poly):
+    """``poly`` as a function summed term by term, without the package's evaluator."""
+    return lambda theta: trig_polynomial_oracle(poly.terms, theta)
+
+
 def count_lattice_values(monkeypatch):
     """Record the number of values (points times components) of every
     ``_Stack.lattice`` call made from now on, in call order."""
@@ -196,7 +201,7 @@ class TestCircleRoots:
     def test_bundled_k2_matches_brentq_oracle(self, component):
         comp = bundled_spec("evmap_k2.txt").components[component]
         for n_scan in (1024, 8192):
-            oracle = brentq_circle_roots_oracle(comp, n_scan)
+            oracle = brentq_circle_roots_oracle(term_by_term(comp), n_scan)
             assert oracle
             self.assert_same_roots(comp, n_scan, oracle)
 
@@ -210,7 +215,7 @@ class TestCircleRoots:
                 for _ in range(rng.randint(2, 4))
             ) + (("const", (0,), rng.uniform(-0.3, 0.3)),)
             comp = TrigPolynomial(1, terms)
-            oracle = brentq_circle_roots_oracle(comp, 4096)
+            oracle = brentq_circle_roots_oracle(term_by_term(comp), 4096)
             if any(r != 0.0 for r in oracle):
                 return comp, oracle
 
@@ -229,7 +234,7 @@ class TestCircleRoots:
     @pytest.mark.parametrize("n_scan", [1024, 2048, 4096])
     def test_scan_on_bundled_k2_matches_brentq_oracle(self, n_scan):
         spec = bundled_spec("evmap_k2.txt")
-        oracle = brentq_circle_roots_oracle(spec.components[0], n_scan)
+        oracle = brentq_circle_roots_oracle(term_by_term(spec.components[0]), n_scan)
         assert oracle
         self.assert_scan_matches(spec, n_scan, oracle)
 
@@ -1236,41 +1241,82 @@ def _cos_sin(orders_cos=(1,), orders_sin=(1,)):
             TrigPolynomial(len(orders_sin), (("sin", orders_sin, 1.0),)))
 
 
-@pytest.mark.parametrize("call,message", [
-    pytest.param(lambda: EndExpansion((1.0,), ()), "lambdas and coeffs must have equal length",
-                 id="end-lengths"),
-    pytest.param(lambda: EndExpansion((), ()), "an end expansion needs at least one mode",
-                 id="end-empty"),
-    pytest.param(lambda: s0_eval(1.0, EndExpansion((1.0,), (1.0,))), "s0 needs k >= 2 modes",
-                 id="s0-k"),
-    pytest.param(lambda: TrigPolynomial(1, (("tan", (1,), 1.0),)), "unknown term kind 'tan'",
-                 id="term-kind"),
-    pytest.param(lambda: TrigPolynomial(1, (("cos", (1, 2), 1.0),)),
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: EndExpansion((1.0,), ()), ValidationError,
+                 "lambdas and coeffs must have equal length", id="end-lengths"),
+    pytest.param(lambda: EndExpansion((), ()), ValidationError,
+                 "an end expansion needs at least one mode", id="end-empty"),
+    pytest.param(lambda: EndExpansion((True, 1.0), (1.0, 1.0)), ValidationError,
+                 "flow eigenvalues must be finite and positive", id="end-eigenvalue-bool"),
+    pytest.param(lambda: EndExpansion((1j, 1.0), (1.0, 1.0)), ValidationError,
+                 "flow eigenvalues must be finite and positive", id="end-eigenvalue-complex"),
+    pytest.param(lambda: s0_eval(1.0, EndExpansion((1.0,), (1.0,))), ValidationError,
+                 "s0 needs k >= 2 modes", id="s0-k"),
+    # A bool T was taken as 1.0, and a str or None T raised a bare TypeError.
+    pytest.param(lambda: s0_eval(True, EndExpansion((0.5, 1.0), (1.0, 1.0))), DomainError,
+                 "the gluing parameter T must be finite and positive, got True", id="s0-T-bool"),
+    pytest.param(lambda: s0_eval("2", EndExpansion((0.5, 1.0), (1.0, 1.0))), DomainError,
+                 "the gluing parameter T must be finite and positive, got '2'", id="s0-T-str"),
+    pytest.param(lambda: s0_eval(None, EndExpansion((0.5, 1.0), (1.0, 1.0))), DomainError,
+                 "the gluing parameter T must be finite and positive, got None", id="s0-T-none"),
+    pytest.param(lambda: s0_eval(math.nan, EndExpansion((0.5, 1.0), (1.0, 1.0))), DomainError,
+                 "the gluing parameter T must be finite and positive, got nan", id="s0-T-nan"),
+    pytest.param(lambda: flow_normalize(EndExpansion((1.0,), (3.0,)), True), DomainError,
+                 "radius must be finite and positive, got True", id="radius-bool"),
+    pytest.param(lambda: flow_normalize(EndExpansion((1.0,), (3.0,)), "2"), DomainError,
+                 "radius must be finite and positive, got '2'", id="radius-str"),
+    pytest.param(lambda: flow_normalize(EndExpansion((1.0,), (3.0,)), None), DomainError,
+                 "radius must be finite and positive, got None", id="radius-none"),
+    pytest.param(lambda: flow_normalize(EndExpansion((1.0,), (3.0,)), math.nan), DomainError,
+                 "radius must be finite and positive, got nan", id="radius-nan"),
+    pytest.param(lambda: s0_zero_locus_check(identity_angle_map(), [True]), DomainError,
+                 "the gluing parameter T must be finite and positive, got True", id="grid-T-bool"),
+    pytest.param(lambda: s0_zero_locus_check(identity_angle_map(), [60.0, "2"]), DomainError,
+                 "the gluing parameter T must be finite and positive, got '2'", id="grid-T-str"),
+    pytest.param(lambda: s0_zero_locus_check(identity_angle_map(), [None]), DomainError,
+                 "the gluing parameter T must be finite and positive, got None", id="grid-T-none"),
+    pytest.param(lambda: s0_zero_locus_check(identity_angle_map(), [math.nan]), DomainError,
+                 "the gluing parameter T must be finite and positive, got nan", id="grid-T-nan"),
+    pytest.param(lambda: TrigPolynomial(1, (("tan", (1,), 1.0),)), ValidationError,
+                 "unknown term kind 'tan'", id="term-kind"),
+    pytest.param(lambda: TrigPolynomial(1, (("cos", (1, 2), 1.0),)), ValidationError,
                  "term order tuple has wrong arity", id="term-arity"),
-    pytest.param(lambda: TrigPolynomial(1, (("sin", (0.5,), 1.0),)),
+    pytest.param(lambda: TrigPolynomial(1, (("sin", (0.5,), 1.0),)), ValidationError,
                  "term order must be an integer, got 0.5", id="term-order-fraction"),
-    pytest.param(lambda: TrigPolynomial(2, (("cos", (1, True), 1.0),)),
+    pytest.param(lambda: TrigPolynomial(2, (("cos", (1, True), 1.0),)), ValidationError,
                  "term order must be an integer, got True", id="term-order-bool"),
-    pytest.param(lambda: EvMapSpec(4, _cos_sin() * 2, (0.5, 1.0, 1.5, 2.0)),
+    pytest.param(lambda: EvMapSpec(4, _cos_sin() * 2, (0.5, 1.0, 1.5, 2.0)), ValidationError,
                  "evaluation maps are implemented for k in {2, 3}", id="spec-k"),
-    pytest.param(lambda: EvMapSpec(2, _cos_sin()[:1], (0.5, 1.5)),
+    pytest.param(lambda: EvMapSpec(2, _cos_sin()[:1], (0.5, 1.5)), ValidationError,
                  "need one component per target coordinate", id="spec-components"),
-    pytest.param(lambda: EvMapSpec(2, _cos_sin(orders_sin=(1, 1)), (0.5, 1.5)),
+    pytest.param(lambda: EvMapSpec(2, _cos_sin(orders_sin=(1, 1)), (0.5, 1.5)), ValidationError,
                  "component arity must match the domain dimension", id="spec-arity"),
+    pytest.param(lambda: EvMapSpec(2, _cos_sin(), (0.5, True)), ValidationError,
+                 "flow eigenvalues must be finite and positive", id="spec-eigenvalue-bool"),
+    # lift_spec converted its eigenvalues with float() before checking them:
+    # "0.5" became 0.5 and True became 1.0.
+    pytest.param(lambda: lift_spec(identity_angle_map(), [0, 2], ["0.5", "1.0", 2.5]),
+                 ValidationError, "flow eigenvalues must be finite and positive",
+                 id="lift-eigenvalue-str"),
+    pytest.param(lambda: lift_spec(identity_angle_map(), [0, 2], [True, 1.0, 2.5]),
+                 ValidationError, "flow eigenvalues must be finite and positive",
+                 id="lift-eigenvalue-bool"),
     pytest.param(lambda: pole_preimages(identity_angle_map(), pole_choice="middle"),
-                 "pole_choice must be last_coordinate or first_coordinate", id="pole-choice"),
-    pytest.param(lambda: MeridianPath(through_sign=0), "through_sign must be +1 or -1",
-                 id="through-sign"),
+                 ValidationError, "pole_choice must be last_coordinate or first_coordinate",
+                 id="pole-choice"),
+    pytest.param(lambda: MeridianPath(through_sign=0), ValidationError,
+                 "through_sign must be +1 or -1", id="through-sign"),
     pytest.param(lambda: path_intersections(identity_angle_map(), MeridianPath(through=1)),
-                 "the meridian must pass through a distinct axis", id="meridian-axis"),
+                 ValidationError, "the meridian must pass through a distinct axis",
+                 id="meridian-axis"),
     pytest.param(lambda: parse_evmap("evmap k=2 lambdas=1,2\nevmap k=2 lambdas=1,2\n"),
-                 "<memory>:2: duplicate evmap header", id="duplicate-header"),
+                 ValidationError, "<memory>:2: duplicate evmap header", id="duplicate-header"),
     pytest.param(
         lambda: parse_evmap("evmap k=2 lambdas=1,2\nterm comp=0 kind=cos order=1,2 value=1\n"),
-        "<memory>:2: order arity 2 != 1", id="order-arity",
+        ValidationError, "<memory>:2: order arity 2 != 1", id="order-arity",
     ),
 ])
-def test_raises(call, message):
-    with pytest.raises(ValidationError) as info:
+def test_raises(call, error, message):
+    with pytest.raises(error) as info:
         call()
-    assert (type(info.value), info.value.args[0]) == (ValidationError, message)
+    assert (type(info.value), info.value.args[0]) == (error, message)

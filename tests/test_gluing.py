@@ -910,6 +910,15 @@ def _cokernel(**kw):
                  "mode coefficients and anchor must be finite", id="sweep-amplitude-nan"),
     pytest.param(lambda: estimate_sweep([NeckParams()], [-math.inf]), ValidationError,
                  "mode coefficients and anchor must be finite", id="sweep-amplitude-inf"),
+    # A bool T was taken as 1.0, and a str or None T raised a bare TypeError.
+    pytest.param(lambda: two_sided_pairing(True, 3.0, _cokernel(), [1.0, 1.0], [1.0, 1.0]),
+                 DomainError, "T_minus must be finite and positive, got True", id="T-minus-bool"),
+    pytest.param(lambda: two_sided_pairing(1.0, "3", _cokernel(), [1.0, 1.0], [1.0, 1.0]),
+                 DomainError, "T_plus must be finite and positive, got '3'", id="T-plus-str"),
+    pytest.param(lambda: two_sided_pairing(None, 3.0, _cokernel(), [1.0, 1.0], [1.0, 1.0]),
+                 DomainError, "T_minus must be finite and positive, got None", id="T-minus-none"),
+    pytest.param(lambda: two_sided_pairing(1.0, math.nan, _cokernel(), [1.0, 1.0], [1.0, 1.0]),
+                 DomainError, "T_plus must be finite and positive, got nan", id="T-plus-nan"),
 ])
 def test_raises(call, error, message):
     with pytest.raises(error) as info:

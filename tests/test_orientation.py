@@ -481,7 +481,7 @@ class TestDs0Sign:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_inputs_rejected(self, bad):
         jac = ((F(1), F(0)), (F(0), F(1)))
-        with pytest.raises(ValidationError):
+        with pytest.raises(DomainError):
             ds0_sign(3, "north", jac, (0.5, 1.5), bad)
         with pytest.raises(ValidationError):
             ds0_sign(3, "north", jac, (bad, 1.5), 40.0)
@@ -567,6 +567,20 @@ IDENTITY_2 = ((F(1), F(0)), (F(0), F(1)))
         lambda: ds0_sign(2, "north", [[1]], [1j], 1.0), ValidationError,
         "need k-1 finite positive eigenvalues", id="ds0-eigenvalue-complex",
     ),
+    # A bool eigenvalue or T was taken as 1, and a str or None T raised a
+    # bare TypeError; a bad T raised ValidationError.
+    pytest.param(
+        lambda: ds0_sign(2, "north", [[1]], [True], 1.0), ValidationError,
+        "need k-1 finite positive eigenvalues", id="ds0-eigenvalue-bool",
+    ),
+    pytest.param(lambda: ds0_sign(2, "north", [[1]], [0.5], True), DomainError,
+                 "T must be finite and positive, got True", id="ds0-T-bool"),
+    pytest.param(lambda: ds0_sign(2, "north", [[1]], [0.5], "1"), DomainError,
+                 "T must be finite and positive, got '1'", id="ds0-T-str"),
+    pytest.param(lambda: ds0_sign(2, "north", [[1]], [0.5], None), DomainError,
+                 "T must be finite and positive, got None", id="ds0-T-none"),
+    pytest.param(lambda: ds0_sign(2, "north", [[1]], [0.5], math.nan), DomainError,
+                 "T must be finite and positive, got nan", id="ds0-T-nan"),
 ])
 def test_raises(call, error, message):
     with pytest.raises(error) as info:

@@ -23,6 +23,8 @@ PINNED = set()
 PRIVATE_FIELDS = {
     "complexes.ModuliDataset._filtrations",
     "evaluation.EvMapSpec._searches",
+    "evaluation.EvMapSpec._stack",
+    "evaluation.LiftedEvMap._stack",
     "evaluation.TrigPolynomial._amp",
     "evaluation.TrigPolynomial._const",
     "evaluation.TrigPolynomial._orders",

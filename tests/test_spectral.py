@@ -620,6 +620,16 @@ KIND_POS = OperatorKind.pos_hyperbolic(0.3)
                  "loop must be an (n, 2) array of samples", id="loop-shape"),
     pytest.param(lambda: numeric_spectrum(KIND_POS, 64, 17), DomainError,
                  "count must be at most grid_size/4 = 16, got 17", id="count-above-grid"),
+    # A NaN or infinite eps built an all-NaN operator with a RuntimeWarning,
+    # and True was taken as 1.0.
+    pytest.param(lambda: finite_difference_operator("elliptic", math.nan, 16), DomainError,
+                 "eps must be a finite real number, got eps=nan", id="fd-eps-nan"),
+    pytest.param(lambda: finite_difference_operator("pos_hyperbolic", math.inf, 16), DomainError,
+                 "eps must be a finite real number, got eps=inf", id="fd-eps-inf"),
+    pytest.param(lambda: finite_difference_operator("neg_hyperbolic", -math.inf, 16), DomainError,
+                 "eps must be a finite real number, got eps=-inf", id="fd-eps-minus-inf"),
+    pytest.param(lambda: finite_difference_operator("elliptic", True, 16), DomainError,
+                 "eps must be a finite real number, got eps=True", id="fd-eps-bool"),
 ])
 def test_raises(call, error, message):
     with pytest.raises(error) as info:
